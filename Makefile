@@ -1,6 +1,6 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test sanitize race golden shard audit audit-gate sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
 ci: build test audit sym doc fmt clippy
 
@@ -27,6 +27,10 @@ shard:
 audit:
 	cargo run --release -p pcm-audit --bin pcm-audit -- --out AUDIT_report.json
 
+# Audit drift gate: the regenerated report must match the committed one.
+audit-gate: audit
+	git diff --exit-code AUDIT_report.json
+
 # Symbolic model verification: certify every closed form (units, domains,
 # dominance, differential, leading terms, crossovers) + findings report.
 sym:
@@ -47,7 +51,7 @@ trace-gate:
 	git diff --exit-code TRACE_report.json
 
 # Every static analyzer in one pass.
-analyze: sanitize race audit sym trace-gate
+analyze: sanitize race audit-gate sym trace-gate
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

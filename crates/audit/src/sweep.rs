@@ -10,9 +10,9 @@
 //! so the sweep fans them across cores with
 //! [`pcm_experiments::map_ordered`]; results come back in input order,
 //! which keeps the findings stream (and hence `AUDIT_report.json`)
-//! byte-identical to the sequential sweep at any pool width. The plan
-//! recorder and validator hooks are thread-local, and each unit installs
-//! and tears its own down on the worker that runs it.
+//! byte-identical to the sequential sweep at any pool width. The observer
+//! scopes (plan recorder, trace collector) are thread-local, and each unit
+//! installs and tears its own down on the worker that runs it.
 
 use crate::checker::{audit_plan, certify_contract_shape, differential_gate, PlanAudit};
 use crate::families::{machines, registry, Family, SEED};

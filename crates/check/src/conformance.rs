@@ -2,64 +2,46 @@
 //!
 //! Each predictor in `pcm-models` declares a [`CostContract`] — the
 //! superstep count, per-step h-relation bound and admissible message kinds
-//! its closed form assumes. This module records the actual
-//! [`SuperstepTrace`] stream of a run (through the same validator hook the
-//! protocol checker uses) and diffs it against the contract, so a drifted
-//! implementation can no longer be silently mispriced by its own formula.
+//! its closed form assumes. This module records the [`SuperstepTrace`]
+//! stream the machine computes for each priced superstep (through a
+//! cost-only observer on the same hook the protocol checker uses) and
+//! diffs it against the contract, so a drifted implementation can no
+//! longer be silently mispriced by its own formula.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_models::{ContractBreach, CostContract};
-use pcm_sim::{with_validator, RunReport, StepReport, SuperstepTrace, Validator};
+use pcm_sim::{with_probe, StepObs, SuperstepProbe, SuperstepTrace};
 
 use crate::rules::{RuleId, Violation};
 
-/// A validator that reconstructs the [`SuperstepTrace`] stream of every
-/// machine created in its scope.
+/// A cost observer that keeps the [`SuperstepTrace`] of every priced
+/// superstep of every machine created in its scope.
 struct TraceCollector {
     sink: Rc<RefCell<Vec<SuperstepTrace>>>,
 }
 
-impl Validator for TraceCollector {
-    fn check_step(&mut self, report: &StepReport<'_>) {
-        let pattern = report.pattern;
-        let (word_msgs, block_msgs, xnet_msgs) = pattern.kind_counts();
-        let block_rounds = pattern.block_rounds();
-        self.sink.borrow_mut().push(SuperstepTrace {
-            index: report.step,
-            compute: report.compute,
-            comm: report.comm,
-            messages: pattern.total_messages(),
-            bytes: pattern.total_bytes(),
-            h_send: pattern.h_send(),
-            h_recv: pattern.h_recv(),
-            active: pattern.active_processors(),
-            block_steps: block_rounds.len(),
-            block_bytes_sum: block_rounds.iter().map(|r| r.max_bytes()).sum(),
-            word_msgs,
-            block_msgs,
-            xnet_msgs,
-        });
+impl SuperstepProbe for TraceCollector {
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        self.sink.borrow_mut().push(*obs.trace);
     }
-
-    fn finish(&mut self, _report: &RunReport<'_>) {}
 }
 
 /// Runs `body` and returns its result plus the superstep traces of every
-/// machine it created, concatenated in creation order.
+/// machine it created, interleaved in execution order.
 pub fn collect_traces<R>(body: impl FnOnce() -> R) -> (R, Vec<SuperstepTrace>) {
     let sink: Rc<RefCell<Vec<SuperstepTrace>>> = Rc::default();
     let handle = sink.clone();
-    let result = with_validator(
+    let result = with_probe(
         move |_p| {
             Box::new(TraceCollector {
                 sink: handle.clone(),
-            }) as Box<dyn Validator>
+            })
         },
         body,
     );
-    let traces = sink.borrow().clone();
+    let traces = sink.take();
     (result, traces)
 }
 

@@ -5,10 +5,11 @@
 //! ordered outbox collection are supposed to guarantee that. The auditor
 //! proves it per algorithm: it runs the same closure three times — once
 //! normally, once inside `pcm_sim::with_sequential` (the single-thread
-//! reference: sequential processors *and* sequential exchange), and once
-//! inside `pcm_sim::with_exchange_shards` with a deliberately awkward
-//! shard count — and compares a caller-supplied state digest (rule D01)
-//! and the full superstep trace stream (rule D02) across the legs.
+//! oracle: sequential processors *and* the fused sequential exchange), and
+//! once inside `pcm_sim::with_exchange_shards` with a deliberately awkward
+//! shard count (the sharded engine, on machines big enough for it) — and
+//! compares a caller-supplied state digest (rule D01) and the full
+//! superstep trace stream (rule D02) across the legs.
 
 use pcm_sim::{with_exchange_shards, with_sequential, SuperstepTrace};
 

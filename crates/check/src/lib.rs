@@ -2,8 +2,8 @@
 //!
 //! Three layers of checking for the simulator and the algorithm suite:
 //!
-//! 1. **Runtime protocol checker** ([`protocol`]): a `pcm_sim::Validator`
-//!    that watches every superstep and flags violations of the active
+//! 1. **Runtime protocol checker** ([`protocol`]): a schedule-level
+//!    `pcm_sim::SuperstepProbe` that watches every superstep and flags violations of the active
 //!    model's message [`Discipline`] — out-of-range destinations (R01),
 //!    unread deliveries (R02), disallowed message kinds (R03), concurrent
 //!    writes under MP-BSP (R04), invalid charges (R05), block fan-in under
@@ -12,9 +12,10 @@
 //!    `SuperstepTrace` stream against the `CostContract` its predictor in
 //!    `pcm-models` declares — superstep count (C01), per-step h-relation
 //!    bound (C02) and admissible message kinds (C03).
-//! 3. **Determinism auditor** ([`determinism`]): runs an algorithm twice
-//!    with the same seed — rayon on, then forced sequential — and compares
-//!    state digests (D01) and trace digests (D02).
+//! 3. **Determinism auditor** ([`determinism`]): runs an algorithm three
+//!    times with the same seed — rayon on, forced sequential (the fused
+//!    engine) and forced sharded exchange — and compares state digests
+//!    (D01) and trace digests (D02).
 //!
 //! Every violation carries a stable [`RuleId`], the superstep index and,
 //! where one can be named, the processor involved. `tests/sanitizer.rs` at
@@ -22,7 +23,7 @@
 //! through all three layers.
 //!
 //! A fourth layer lives in its own crate: the **happens-before race &
-//! staleness analyzer** (`pcm-race`) consumes the same validator hook plus
+//! staleness analyzer** (`pcm-race`) consumes the same observer hook plus
 //! the simulator's shadow-memory events and reports W01–W04 findings
 //! through this crate's [`RuleId`]/[`Violation`] plumbing.
 

@@ -1,8 +1,9 @@
 //! Layer 1: the runtime protocol checker.
 //!
-//! A [`ProtocolChecker`] implements `pcm_sim::Validator` and inspects
-//! every superstep the machine executes. [`check_protocol`] installs one
-//! for the duration of a closure (through `pcm_sim::with_validator`) and
+//! A [`ProtocolChecker`] is a `pcm_sim::SuperstepProbe` that declares
+//! `Needs::Schedule` and inspects every superstep the machine executes,
+//! on whichever exchange engine ran it. [`check_protocol`] installs one
+//! for the duration of a closure (through `pcm_sim::with_probe`) and
 //! returns every violation observed, so a test can run a whole algorithm
 //! and assert the list is empty — or deliberately provoke one rule and
 //! assert exactly that rule fired.
@@ -10,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pcm_sim::{with_validator, BlockRound, RunReport, StepReport, Validator};
+use pcm_sim::{with_probe, BlockRound, Needs, RunEnd, StepObs, SuperstepProbe};
 
 use crate::discipline::Discipline;
 use crate::rules::{RuleId, Violation};
@@ -55,41 +56,47 @@ impl ProtocolChecker {
     }
 }
 
-impl Validator for ProtocolChecker {
-    fn check_step(&mut self, report: &StepReport<'_>) {
-        let step = report.step;
+impl SuperstepProbe for ProtocolChecker {
+    fn needs(&self) -> Needs {
+        Needs::Schedule
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let step = obs.step;
         let d = self.discipline;
+        let detail = obs.detail.expect("schedule observers get the detail");
+        let (p, pattern) = (detail.nprocs(), detail.pattern);
 
         // R01: messages sent past the end of the machine.
-        for (pid, oobs) in report.oob_sends.iter().enumerate() {
-            for &dst in oobs {
+        for pid in 0..p {
+            for &dst in detail.oob_sends(pid) {
                 self.push(
                     RuleId::DstRange,
                     step,
                     Some(pid),
-                    format!("destination {dst} out of range for {} processors", report.p),
+                    format!("destination {dst} out of range for {p} processors"),
                 );
             }
         }
 
         // R02: delivered but never read before this barrier.
-        for pid in 0..report.p {
-            if report.inbox_count[pid] > 0 && !report.inbox_read[pid] {
+        for pid in 0..p {
+            let inbox = detail.inbox_count(pid);
+            if inbox > 0 && !detail.inbox_read(pid) {
                 self.push(
                     RuleId::UnreadInbox,
                     step,
                     Some(pid),
                     format!(
-                        "{} message(s) delivered at the previous barrier were \
-                         never read this superstep",
-                        report.inbox_count[pid]
+                        "{inbox} message(s) delivered at the previous barrier were \
+                         never read this superstep"
                     ),
                 );
             }
         }
 
         // R03: message kinds the discipline does not admit.
-        let (words, blocks, xnets) = report.pattern.kind_counts();
+        let (words, blocks, xnets) = pattern.kind_counts();
         for (count, allowed, kind) in [
             (words, d.allow_words, "word"),
             (blocks, d.allow_blocks, "block"),
@@ -111,7 +118,7 @@ impl Validator for ProtocolChecker {
 
         // R04: word rounds must be permutations under MP-BSP.
         if d.forbid_concurrent_writes {
-            for (i, seg) in report.pattern.word_segments().iter().enumerate() {
+            for (i, seg) in pattern.word_segments().iter().enumerate() {
                 let fan_in = seg.max_in_degree();
                 if fan_in > 1 {
                     self.push(
@@ -129,8 +136,8 @@ impl Validator for ProtocolChecker {
         }
 
         // R05: NaN / infinite / negative charges.
-        for pid in 0..report.p {
-            if !report.charge_ok[pid] {
+        for pid in 0..p {
+            if !detail.charge_ok(pid) {
                 self.push(
                     RuleId::BadCharge,
                     step,
@@ -142,36 +149,37 @@ impl Validator for ProtocolChecker {
 
         // R06: single-port block semantics.
         if d.single_port_blocks {
-            self.check_block_rounds(step, "block", &report.pattern.block_rounds());
-            self.check_block_rounds(step, "xnet", &report.pattern.xnet_rounds());
+            self.check_block_rounds(step, "block", &pattern.block_rounds());
+            self.check_block_rounds(step, "xnet", &pattern.xnet_rounds());
         }
 
         // R07: the priced times themselves must be finite.
-        if !report.compute.as_micros().is_finite() {
+        if !obs.compute.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("compute time is {}", report.compute.as_micros()),
+                format!("compute time is {}", obs.compute.as_micros()),
             );
         }
-        if !report.comm.as_micros().is_finite() {
+        if !obs.comm.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("communication time is {}", report.comm.as_micros()),
+                format!("communication time is {}", obs.comm.as_micros()),
             );
         }
     }
 
-    fn finish(&mut self, report: &RunReport<'_>) {
+    fn finish(&mut self, end: &RunEnd<'_>) {
         // R02 at end of run: the machine was dropped with unread messages.
-        for (pid, &pending) in report.pending_inbox.iter().enumerate() {
+        for pid in 0..end.nprocs() {
+            let pending = end.pending_inbox(pid);
             if pending > 0 {
                 self.push(
                     RuleId::UnreadInbox,
-                    report.supersteps,
+                    end.supersteps,
                     Some(pid),
                     format!("{pending} message(s) still in the inbox when the machine was dropped"),
                 );
@@ -201,8 +209,8 @@ fn hottest_dst(dsts: impl Iterator<Item = usize>) -> Option<usize> {
 pub fn check_protocol<R>(discipline: Discipline, body: impl FnOnce() -> R) -> (R, Vec<Violation>) {
     let sink: Rc<RefCell<Vec<Violation>>> = Rc::default();
     let handle = sink.clone();
-    let result = with_validator(
-        move |_p| Box::new(ProtocolChecker::new(discipline, handle.clone())) as Box<dyn Validator>,
+    let result = with_probe(
+        move |_p| Box::new(ProtocolChecker::new(discipline, handle.clone())),
         body,
     );
     let violations = sink.borrow().clone();

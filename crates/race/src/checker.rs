@@ -1,5 +1,6 @@
-//! The happens-before checker: a [`Validator`] that replays each
-//! superstep's shadow events against the declared [`RaceConfig`].
+//! The happens-before checker: a schedule-level [`SuperstepProbe`] that
+//! replays each superstep's shadow events against the declared
+//! [`RaceConfig`].
 //!
 //! The checker maintains three pieces of state across supersteps:
 //!
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 
 use pcm_check::{RuleId, Violation};
 use pcm_sim::shadow::{ConsumeFilter, RegionId, ShadowEvent};
-use pcm_sim::validate::{RunReport, StepReport, Validator};
+use pcm_sim::{Needs, RunEnd, StepObs, SuperstepProbe};
 
 use crate::vclock::{global_barrier, Epoch, VClock};
 use crate::{RaceConfig, Sink};
@@ -58,7 +59,7 @@ enum RegionState {
     Read,
 }
 
-/// The per-machine validator. Construct through
+/// The per-machine observer. Construct through
 /// [`crate::check_races`], which installs it on every machine a closure
 /// creates.
 pub struct RaceChecker {
@@ -152,9 +153,14 @@ impl RaceChecker {
     }
 }
 
-impl Validator for RaceChecker {
-    fn check_step(&mut self, r: &StepReport<'_>) {
-        let s = r.step;
+impl SuperstepProbe for RaceChecker {
+    fn needs(&self) -> Needs {
+        Needs::Schedule
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let s = obs.step;
+        let r = obs.detail.expect("schedule observers get the detail");
 
         // 1. Match this step's consumes against the deliveries that the
         //    barrier before this step made visible. A single compatible
@@ -162,10 +168,10 @@ impl Validator for RaceChecker {
         for pid in 0..self.p {
             debug_assert_eq!(
                 self.pending[pid].len(),
-                r.inbox_count[pid],
+                r.inbox_count(pid),
                 "pending model out of sync with the machine's inboxes"
             );
-            for e in &r.events[pid] {
+            for e in r.events(pid) {
                 if let ShadowEvent::Consume { filter, .. } = e {
                     for d in &mut self.pending[pid] {
                         if filter.accepts(d.tag, &[d.src]) {
@@ -199,8 +205,8 @@ impl Validator for RaceChecker {
         //    deterministic; only distinct sources race.
         if self.config.exclusive_writes {
             let mut writers: HashMap<(usize, u32), Vec<usize>> = HashMap::new();
-            for (src, sends) in r.sends.iter().enumerate() {
-                for m in sends {
+            for src in 0..self.p {
+                for m in r.sends(src) {
                     let srcs = writers.entry((m.dst, m.tag)).or_default();
                     if !srcs.contains(&src) {
                         srcs.push(src);
@@ -227,7 +233,7 @@ impl Validator for RaceChecker {
         // 4. W03: an untagged read observing several logical streams.
         if self.config.tagged_inbox {
             for pid in 0..self.p {
-                for e in &r.events[pid] {
+                for e in r.events(pid) {
                     if let ShadowEvent::Consume {
                         filter: ConsumeFilter::Any,
                         distinct_tags,
@@ -252,7 +258,7 @@ impl Validator for RaceChecker {
 
         // 5. Region shadow state, in program order per processor.
         for pid in 0..self.p {
-            for e in &r.events[pid] {
+            for e in r.events(pid) {
                 self.touch(pid, s, *e);
             }
         }
@@ -261,11 +267,11 @@ impl Validator for RaceChecker {
         //    A send is flagged `early` if its destination already tried a
         //    compatible read this very superstep and came up empty while
         //    the send's epoch was not yet visible to it.
-        for (src, sends) in r.sends.iter().enumerate() {
-            for m in sends {
+        for src in 0..self.p {
+            for m in r.sends(src) {
                 let epoch = Epoch { pid: src, step: s };
                 let early = !self.clocks[m.dst].sees(epoch)
-                    && r.events[m.dst].iter().any(|e| {
+                    && r.events(m.dst).iter().any(|e| {
                         matches!(
                             e,
                             ShadowEvent::Consume { filter, matched: 0, .. }
@@ -286,13 +292,13 @@ impl Validator for RaceChecker {
         global_barrier(&mut self.clocks, s);
     }
 
-    fn finish(&mut self, r: &RunReport<'_>) {
+    fn finish(&mut self, end: &RunEnd<'_>) {
         // Deliveries still pending when the machine drops were never
         // readable: classify exactly like a cleared inbox.
         for pid in 0..self.p {
-            debug_assert_eq!(self.pending[pid].len(), r.pending_inbox[pid]);
+            debug_assert_eq!(self.pending[pid].len(), end.pending_inbox(pid));
             for d in &self.pending[pid] {
-                self.report_dead(d, pid, r.supersteps);
+                self.report_dead(d, pid, end.supersteps);
             }
             self.pending[pid].clear();
         }

@@ -2,8 +2,9 @@
 //!
 //! `pcm-check` lints message *discipline* per superstep; this crate adds
 //! the missing *dataflow across supersteps*. It consumes the simulator's
-//! validator hook ([`pcm_sim::validate`]) plus the shadow-memory event
-//! stream ([`pcm_sim::shadow`]) that instrumented algorithms emit, and
+//! observer hook ([`pcm_sim::probe`], at the schedule level) plus the
+//! shadow-memory event stream ([`pcm_sim::shadow`]) that instrumented
+//! algorithms emit, on whichever exchange engine ran the step, and
 //! checks a vector-clocked happens-before relation over every send,
 //! inbox read and private-region touch:
 //!
@@ -73,7 +74,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_check::{Severity, Violation};
-use pcm_sim::validate::with_validator;
+use pcm_sim::with_probe;
 
 pub mod checker;
 pub mod vclock;
@@ -145,12 +146,12 @@ impl RaceConfig {
 }
 
 /// Runs `body` with a [`RaceChecker`] installed on every machine it
-/// creates (via the thread-local validator hook) and returns `body`'s
+/// creates (via the thread-local observer hook) and returns `body`'s
 /// result alongside every finding, in detection order.
 pub fn check_races<R>(config: RaceConfig, body: impl FnOnce() -> R) -> (R, Vec<Violation>) {
     let sink: Sink = Rc::default();
     let hook_sink = sink.clone();
-    let result = with_validator(
+    let result = with_probe(
         move |p| Box::new(RaceChecker::new(config, p, hook_sink.clone())),
         body,
     );

@@ -22,7 +22,8 @@ pub(crate) struct ProcAux {
     pub outbox: Vec<Message>,
     /// Recyclable heap payload buffers for this processor's sends.
     pub pool: PayloadPool,
-    /// Shadow events, in program order (empty unless validated).
+    /// Shadow events, in program order (empty unless a schedule
+    /// observer is installed).
     pub events: Vec<ShadowEvent>,
     /// Destinations `>= p` whose messages were recorded and dropped.
     pub oob_sends: Vec<usize>,
@@ -32,11 +33,27 @@ pub(crate) struct ProcAux {
     pub charge_ok: bool,
     /// Whether the processor read its inbox this superstep.
     pub read_inbox: bool,
+    /// Schedule snapshot: messages in `inbox` during this superstep.
+    pub inbox_seen: usize,
+    /// Schedule snapshot: the tags of this superstep's sends, in send
+    /// order, taken before delivery drains the outbox (the pattern keeps
+    /// the rest of each send's metadata).
+    pub sent_tags: Vec<u32>,
     /// Number of heap-allocated payloads currently in `inbox`. When zero
     /// the delivery pre-pass clears the inbox in place instead of
     /// draining it message by message (recycling an inline payload is a
     /// no-op, so the two are identical).
     pub inbox_heap: usize,
+}
+
+impl ProcAux {
+    /// Snapshots the schedule detail delivery is about to consume: the
+    /// inbox size and the outbox's tags.
+    pub fn snapshot_schedule(&mut self) {
+        self.inbox_seen = self.inbox.len();
+        self.sent_tags.clear();
+        self.sent_tags.extend(self.outbox.iter().map(|m| m.tag));
+    }
 }
 
 /// The scalar outcome of one processor's superstep, as returned by
@@ -71,11 +88,11 @@ pub struct Ctx<'a, S> {
     charge_ok: bool,
     read_inbox: Cell<bool>,
     oob_sends: &'a mut Vec<usize>,
-    /// `true` when a validator observes this run (softens fail-fast
-    /// asserts into recorded violations).
-    validated: bool,
+    /// `true` when a schedule observer watches this run: shadow events
+    /// are recorded and fail-fast asserts soften into recorded findings.
+    shadow: bool,
     /// Shadow-event stream for the happens-before analyzer; only populated
-    /// when validated. Interior mutability because the `msgs*` accessors
+    /// under `shadow`. Interior mutability because the `msgs*` accessors
     /// take `&self`.
     events: RefCell<&'a mut Vec<ShadowEvent>>,
     /// Deterministic per-processor-per-superstep rng, constructed lazily
@@ -97,7 +114,7 @@ impl<'a, S> Ctx<'a, S> {
         compute: &'a dyn ComputeModel,
         word: usize,
         rng_seed: u64,
-        validated: bool,
+        shadow: bool,
     ) -> Self {
         aux.outbox.clear();
         aux.events.clear();
@@ -123,7 +140,7 @@ impl<'a, S> Ctx<'a, S> {
             charge_ok: true,
             read_inbox: Cell::new(false),
             oob_sends,
-            validated,
+            shadow,
             events: RefCell::new(events),
             rng: None,
             rng_seed,
@@ -156,7 +173,7 @@ impl<'a, S> Ctx<'a, S> {
     // ---- local computation accounting -----------------------------------
 
     /// Accumulates a charge, recording (rather than panicking on) invalid
-    /// amounts so an installed validator can flag them (rule R05).
+    /// amounts so the protocol checker can flag them (rule R05).
     fn add_charge(&mut self, us: f64) {
         if !us.is_finite() || us < 0.0 {
             self.charge_ok = false;
@@ -205,10 +222,10 @@ impl<'a, S> Ctx<'a, S> {
 
     // ---- shadow instrumentation -----------------------------------------
 
-    /// Records a shadow event if a validator observes this run; free
-    /// otherwise.
+    /// Records a shadow event if a schedule observer watches this run;
+    /// free otherwise.
     fn record(&self, event: ShadowEvent) {
-        if self.validated {
+        if self.shadow {
             self.events.borrow_mut().push(event);
         }
     }
@@ -217,7 +234,7 @@ impl<'a, S> Ctx<'a, S> {
     /// the filter matched. Computed eagerly at accessor-call time so the
     /// analyzer sees the consume even if the returned iterator is dropped.
     fn record_consume(&self, filter: ConsumeFilter) {
-        if !self.validated {
+        if !self.shadow {
             return;
         }
         let mut matched = 0usize;
@@ -245,9 +262,9 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Declares that the processor read private region `region` this
-    /// superstep. A no-op unless a validator is installed; the happens-before
-    /// analyzer (`pcm-race`) uses these to track dataflow through local
-    /// state.
+    /// superstep. A no-op unless a schedule observer is installed; the
+    /// happens-before analyzer (`pcm-race`) uses these to track dataflow
+    /// through local state.
     pub fn touch_read(&self, region: RegionId) {
         self.record(ShadowEvent::Read { region });
     }
@@ -315,11 +332,12 @@ impl<'a, S> Ctx<'a, S> {
         payload: Payload,
     ) {
         if dst >= self.p {
-            // Record and drop: an installed validator reports this as rule
+            // Record and drop: the protocol checker reports this as rule
             // R01; delivering it would corrupt another processor's inbox
-            // indexing. Unvalidated debug runs still fail fast.
+            // indexing. Debug runs without a schedule observer still fail
+            // fast.
             debug_assert!(
-                self.validated,
+                self.shadow,
                 "destination {dst} out of range for {} processors",
                 self.p
             );

@@ -30,9 +30,9 @@ pub mod pattern;
 pub mod plan;
 pub mod probe;
 pub mod shadow;
+pub mod strategy;
 pub mod topology;
 pub mod trace;
-pub mod validate;
 
 pub use cache::{CacheStats, PricingCache};
 pub use compute::{ComputeModel, UniformCompute};
@@ -45,9 +45,9 @@ pub use pattern::{
     BlockRound, BlockRoundView, CommPattern, PatternScratch, Segment, SegmentView, SendRecord,
 };
 pub use plan::{extract_plans, RunPlan, StepPlan};
-pub use probe::{with_probe, ExchangePath, PhaseNanos, StepObs, SuperstepProbe};
-pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
-pub use trace::{RunBreakdown, SuperstepTrace};
-pub use validate::{
-    with_exchange_shards, with_sequential, with_validator, RunReport, StepReport, Validator,
+pub use probe::{
+    with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
 };
+pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
+pub use strategy::{with_exchange_shards, with_sequential};
+pub use trace::{RunBreakdown, SuperstepTrace};

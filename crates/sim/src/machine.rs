@@ -29,6 +29,14 @@
 //! Within a superstep the processors are independent (the BSP contract), so
 //! the machine executes them with rayon. All randomness is seeded: the same
 //! seed gives bit-identical simulated times and results.
+//!
+//! The exchange phase runs on one of two engines: the fused sequential
+//! sweep, or the sharded parallel engine (`exchange.rs`) on big machines
+//! with a multi-worker pool. Only the execution strategy picks between
+//! them ([`crate::with_sequential`], [`crate::with_exchange_shards`]);
+//! they are bit-identical, and observers installed with
+//! [`crate::with_probe`] receive the same reports from both, so every
+//! analyzer checks the engines the figures run.
 
 use std::sync::Arc;
 
@@ -43,11 +51,11 @@ use crate::exchange::{ExchangeScratch, MAX_SHARDS};
 use crate::message::MsgKind;
 use crate::network::NetworkModel;
 use crate::pattern::{CommPattern, SendRecord};
-use crate::plan::{self, PlanRecorder, StepPlan};
-use crate::probe::{self, ExchangePath, PhaseNanos, StepObs, SuperstepProbe};
-use crate::shadow::{SendMeta, ShadowEvent};
+use crate::probe::{
+    self, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
+};
+use crate::strategy;
 use crate::trace::{RunBreakdown, SuperstepTrace};
-use crate::validate::{self, RunReport, StepReport, Validator};
 
 /// A simulated distributed-memory parallel machine.
 pub struct Machine<S> {
@@ -65,43 +73,42 @@ pub struct Machine<S> {
     traces: Vec<SuperstepTrace>,
     tracing: bool,
     parallel: bool,
-    /// Sanitizer installed via [`crate::validate::with_validator`] at
-    /// construction time; observes every superstep and the final drop.
-    validator: Option<Box<dyn Validator>>,
-    /// Dry-run plan recorder installed via [`crate::plan::extract_plans`]
-    /// at construction time. When present the machine skips network
-    /// pricing and tracing, and clones each superstep's pattern instead.
-    plan: Option<PlanRecorder>,
     /// The superstep's communication pattern, rebuilt in place each step.
     pattern: CommPattern,
-    /// Per-destination message counts for the delivery pre-pass.
-    deliver_counts: Vec<usize>,
     /// Tracing scratch: words received per processor.
     stat_recv: Vec<usize>,
     /// Tracing scratch: per-processor activity flags.
     stat_active: Vec<bool>,
     /// Tracing scratch: per-round max block bytes.
     stat_round_max: Vec<usize>,
-    /// Exchange shard count. Above 1 (and with no validator or plan
-    /// recorder installed) the machine runs the sharded parallel exchange
-    /// engine; at 1 it keeps the sequential delivery path.
+    /// Exchange shard count. Above 1 the machine runs the sharded
+    /// parallel exchange engine; at 1 it keeps the fused sequential one.
     shards: usize,
     /// Reusable lane grid for the sharded exchange.
     exchange: ExchangeScratch,
-    /// Observability probe installed via [`crate::probe::with_probe`] at
-    /// construction time; observes every priced superstep. `None` on the
-    /// unprobed hot path — one discriminant test per superstep.
-    probe: Option<Box<dyn SuperstepProbe>>,
-    /// Per-shard record scratch handed to the probe (allocated once at
-    /// construction, only when a probe is installed).
+    /// Observers installed via [`crate::probe::with_probe`] or
+    /// [`crate::extract_plans`] at construction time, outermost scope
+    /// first. Empty on the unobserved hot path — one emptiness test per
+    /// superstep.
+    observers: Vec<Box<dyn SuperstepProbe>>,
+    /// Some observer declared [`Needs::Schedule`]: `Ctx` records shadow
+    /// events and each processor snapshots its schedule detail.
+    schedule: bool,
+    /// Dry run (inside [`crate::extract_plans`]): nothing is priced and
+    /// no traces are stored.
+    dry: bool,
+    /// Per-shard record scratch handed to observers (allocated once at
+    /// construction, only when observed).
     probe_shards: Vec<u64>,
 }
 
 /// Default shard count: one shard per pool worker, but only on machines
 /// big enough for the lane bookkeeping to pay off; small machines keep
-/// the sequential exchange.
+/// the fused exchange. So do machines built on a pool worker (a sweep
+/// driver's unit): there the lane fan-out would run inline, so the lanes
+/// would cost memory and time for no parallelism.
 fn default_shards(p: usize) -> usize {
-    if p >= 64 {
+    if p >= 64 && !rayon::in_pool_worker() {
         rayon::current_num_threads().min(MAX_SHARDS).min(p)
     } else {
         1
@@ -118,11 +125,12 @@ impl<S: Send> Machine<S> {
     ) -> Self {
         let p = states.len();
         assert!(p > 0, "a machine needs at least one processor");
-        let probe = probe::current_probe(p);
-        let probe_shards = if probe.is_some() {
-            vec![0u64; MAX_SHARDS]
-        } else {
+        let (observers, dry) = probe::install(p);
+        let schedule = observers.iter().any(|o| o.needs() == Needs::Schedule);
+        let probe_shards = if observers.is_empty() {
             Vec::new()
+        } else {
+            vec![0u64; MAX_SHARDS]
         };
         Machine {
             p,
@@ -136,21 +144,20 @@ impl<S: Send> Machine<S> {
             step_count: 0,
             traces: Vec::new(),
             tracing: true,
-            parallel: !validate::sequential_forced(),
-            validator: validate::current_validator(p),
-            plan: plan::current_recorder(p),
+            parallel: !strategy::sequential_forced(),
             pattern: CommPattern {
                 p,
                 sends: (0..p).map(|_| Vec::new()).collect(),
             },
-            deliver_counts: vec![0; p],
             stat_recv: vec![0; p],
             stat_active: vec![false; p],
             stat_round_max: Vec::new(),
-            shards: validate::forced_shards()
+            shards: strategy::forced_shards()
                 .map_or_else(|| default_shards(p), |s| s.clamp(1, p.min(MAX_SHARDS))),
             exchange: ExchangeScratch::default(),
-            probe,
+            observers,
+            schedule,
+            dry,
             probe_shards,
         }
     }
@@ -162,15 +169,15 @@ impl<S: Send> Machine<S> {
 
     /// Forces sequential execution of processors (for the rayon ablation).
     /// Also disables the sharded exchange: a sequential machine always
-    /// takes the single-threaded delivery path.
+    /// takes the fused sequential exchange.
     pub fn set_parallel(&mut self, on: bool) {
         self.parallel = on;
     }
 
     /// Overrides the exchange shard count (clamped to
-    /// `[1, min(p, MAX_SHARDS)]`). At 1 the machine keeps the sequential
-    /// delivery path; above 1 it runs the sharded exchange engine whenever
-    /// no validator or plan recorder is installed.
+    /// `[1, min(p, MAX_SHARDS)]`). At 1 the machine keeps the fused
+    /// sequential exchange; above 1 it runs the sharded exchange engine
+    /// (unless it executes sequentially).
     pub fn set_exchange_shards(&mut self, shards: usize) {
         self.shards = shards.clamp(1, self.p.min(MAX_SHARDS));
     }
@@ -212,7 +219,7 @@ impl<S: Send> Machine<S> {
     }
 
     /// Consumes the machine, returning the final states. (The machine's
-    /// `Drop` — which finalizes an installed validator — still runs, on an
+    /// `Drop` — which finishes the installed observers — still runs, on an
     /// empty state vector.)
     pub fn into_states(mut self) -> Vec<S> {
         std::mem::take(&mut self.states)
@@ -257,23 +264,26 @@ impl<S: Send> Machine<S> {
         let seed = self.seed;
         let compute: &dyn ComputeModel = &*self.compute;
         let word = compute.word_bytes();
-        let validated = self.validator.is_some();
+        let schedule = self.schedule;
 
         let run_one = |pid: usize, state: &mut S, aux: &mut ProcAux| {
             let rng_seed = child_seed(seed, (step * p + pid) as u64);
             let outcome = {
-                let mut ctx = Ctx::new(pid, p, state, aux, compute, word, rng_seed, validated);
+                let mut ctx = Ctx::new(pid, p, state, aux, compute, word, rng_seed, schedule);
                 f(&mut ctx);
                 ctx.finish()
             };
             aux.compute_us = outcome.compute_us;
             aux.charge_ok = outcome.charge_ok;
             aux.read_inbox = outcome.read_inbox;
+            if schedule {
+                aux.snapshot_schedule();
+            }
         };
 
         // A single-worker pool would run the par_iter pipeline inline
         // anyway; the plain loop skips its zip-chunk plumbing.
-        let t_compute = probe::mark(self.probe.is_some());
+        let t_compute = probe::mark(!self.observers.is_empty());
         if self.parallel && p > 1 && rayon::current_num_threads() > 1 {
             self.states
                 .par_iter_mut()
@@ -293,14 +303,10 @@ impl<S: Send> Machine<S> {
 
         let compute_ns = probe::since(t_compute);
 
-        // Exchange: pattern rebuild, pricing, tracing, delivery. The
-        // sharded engine needs neither validator reports nor plan clones,
-        // so those (rare, tooling-driven) configurations keep the
-        // sequential reference path — which is also what `with_sequential`
-        // and `set_parallel(false)` pin for the determinism auditors.
-        if self.validator.is_some() || self.plan.is_some() {
-            self.exchange_reference(step, compute_ns);
-        } else if self.parallel && self.shards > 1 {
+        // Exchange: pattern rebuild, pricing, delivery, observation. Both
+        // engines report identically to every observer; `with_sequential`
+        // and `set_parallel(false)` pin the fused one.
+        if self.parallel && self.shards > 1 {
             self.exchange_sharded(step, compute_ns);
         } else {
             self.exchange_fused(step, compute_ns);
@@ -309,98 +315,102 @@ impl<S: Send> Machine<S> {
         self.step_count += 1;
     }
 
-    /// Reports one finished superstep to the installed probe (a no-op
-    /// without one). Runs after the clock update and delivery, reading
+    /// Prices the rebuilt pattern and advances the clock, returning the
+    /// superstep's `(compute, comm)` pair. A dry run prices nothing.
+    fn price(&mut self, total_records: usize, max_compute: f64) -> (SimTime, SimTime) {
+        if self.dry {
+            return (SimTime::ZERO, SimTime::ZERO);
+        }
+        let comm = if total_records == 0 {
+            self.net.barrier()
+        } else {
+            self.net.route(&self.pattern, &mut self.net_rng)
+        };
+        let compute = SimTime::from_micros(max_compute);
+        self.clock += compute + comm;
+        (compute, comm)
+    }
+
+    /// Reports one finished superstep to the installed observers, then
+    /// stores its trace. Runs after the clock update and delivery, reading
     /// only values the machine already computed, so it cannot perturb the
     /// simulation.
-    fn notify_probe(
+    fn record_step(
         &mut self,
-        step: usize,
-        compute: SimTime,
-        comm: SimTime,
+        trace: SuperstepTrace,
         records: usize,
         path: ExchangePath,
         phases: PhaseNanos,
     ) {
-        let Some(mut probe) = self.probe.take() else {
-            return;
-        };
-        let shard_count = if path == ExchangePath::Sharded {
-            self.exchange.shard_records(&mut self.probe_shards)
-        } else {
-            0
-        };
-        probe.observe(&StepObs {
-            step,
-            compute,
-            comm,
-            clock: self.clock,
-            records,
-            path,
-            shard_records: &self.probe_shards[..shard_count],
-            phases,
-            memo: self.net.route_memo_stats(),
-            terms: self.net.cost_terms(),
-        });
-        self.probe = Some(probe);
+        if !self.observers.is_empty() {
+            let shard_count = if path == ExchangePath::Sharded {
+                self.exchange.shard_records(&mut self.probe_shards)
+            } else {
+                0
+            };
+            let obs = StepObs {
+                step: trace.index,
+                compute: trace.compute,
+                comm: trace.comm,
+                clock: self.clock,
+                records,
+                path,
+                shard_records: &self.probe_shards[..shard_count],
+                phases,
+                memo: self.net.route_memo_stats(),
+                terms: self.net.cost_terms(),
+                trace: &trace,
+                detail: self.schedule.then_some(StepDetail {
+                    pattern: &self.pattern,
+                    procs: &self.procs,
+                }),
+            };
+            for observer in &mut self.observers {
+                observer.observe(&obs);
+            }
+        }
+        if self.tracing && !self.dry {
+            self.traces.push(trace);
+        }
     }
 
     /// The sharded parallel exchange: scatter (pattern rebuild + lane
     /// fill), price, gather (delivery + recycle staging), sender-affine
     /// recycle, ordered trace-partial merge. Bit-identical to
-    /// [`Self::exchange_sequential`] — see `exchange.rs` for the argument.
+    /// [`Self::exchange_fused`] — see `exchange.rs` for the argument.
     fn exchange_sharded(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
-        let t = probe::mark(probing);
+        let observed = !self.observers.is_empty();
+        let stats = self.tracing || observed;
+        let t = probe::mark(observed);
         let a = self.exchange.scatter(
             self.p,
             self.shards,
             &mut self.procs,
             &mut self.pattern,
             &mut self.stat_active,
-            self.tracing,
+            stats,
         );
         let scatter_ns = probe::since(t);
-        let t = probe::mark(probing);
-        let comm = if a.total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
+        let t = probe::mark(observed);
+        let (compute_time, comm) = self.price(a.total_records, a.max_compute);
         let price_ns = probe::since(t);
-        let compute_time = SimTime::from_micros(a.max_compute);
-        self.clock += compute_time + comm;
-        let t = probe::mark(probing);
+        let t = probe::mark(observed);
         let b = self.exchange.gather(
             &mut self.procs,
             &mut self.stat_recv,
             &mut self.stat_active,
-            self.tracing,
+            stats,
         );
         let gather_ns = probe::since(t);
-        let t = probe::mark(probing);
+        let t = probe::mark(observed);
         if b.heap_staged > 0 {
             self.exchange.recycle(&mut self.procs);
         }
         let recycle_ns = probe::since(t);
-        self.notify_probe(
-            step,
-            compute_time,
-            comm,
-            a.total_records,
-            ExchangePath::Sharded,
-            PhaseNanos {
-                compute: compute_ns,
-                scatter: scatter_ns,
-                price: price_ns,
-                gather: gather_ns,
-                recycle: recycle_ns,
-            },
-        );
-        if self.tracing {
+        if stats {
             let (block_steps, block_bytes_sum) =
                 self.exchange.merge_rounds(&mut self.stat_round_max);
-            self.traces.push(SuperstepTrace {
+            let trace = SuperstepTrace {
                 index: step,
                 compute: compute_time,
                 comm,
@@ -414,21 +424,29 @@ impl<S: Send> Machine<S> {
                 word_msgs: a.word_msgs,
                 block_msgs: a.block_msgs,
                 xnet_msgs: a.xnet_msgs,
-            });
+            };
+            let phases = PhaseNanos {
+                compute: compute_ns,
+                scatter: scatter_ns,
+                price: price_ns,
+                gather: gather_ns,
+                recycle: recycle_ns,
+            };
+            self.record_step(trace, a.total_records, ExchangePath::Sharded, phases);
         }
     }
 
-    /// Single-sweep sequential exchange for the common configuration (no
-    /// validator, no plan recorder): one pass over the outboxes both
+    /// Single-sweep sequential exchange: one pass over the outboxes both
     /// rebuilds the pattern records and moves each message to its
     /// destination inbox, instead of touching every message twice.
     /// Delivery runs before pricing here, which is unobservable — pricing
     /// reads only the finished pattern and the network rng, delivery only
-    /// moves messages — so clock, traces and inbox contents are
-    /// bit-identical to [`Self::exchange_reference`].
+    /// moves messages, and observers read the detail each processor
+    /// snapshotted before delivery. This is the oracle the sharded engine
+    /// is held to.
     fn exchange_fused(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
-        let t = probe::mark(probing);
+        let observed = !self.observers.is_empty();
+        let t = probe::mark(observed);
         let p = self.p;
         // Drop consumed inboxes first so delivery can append in place.
         // Recycling an inline payload is a no-op, so an inbox with no
@@ -475,199 +493,31 @@ impl<S: Send> Machine<S> {
             self.procs[src].outbox = outbox;
         }
         let gather_ns = probe::since(t);
-        let t = probe::mark(probing);
-        let comm = if total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
+        let t = probe::mark(observed);
+        let (compute_time, comm) = self.price(total_records, max_compute);
         let price_ns = probe::since(t);
-        let compute_time = SimTime::from_micros(max_compute);
-        self.clock += compute_time + comm;
-        self.notify_probe(
-            step,
-            compute_time,
-            comm,
-            total_records,
-            ExchangePath::Fused,
-            PhaseNanos {
+        if self.tracing || observed {
+            let trace = self.pattern_trace(step, compute_time, comm);
+            let phases = PhaseNanos {
                 compute: compute_ns,
                 scatter: 0,
                 price: price_ns,
                 gather: gather_ns,
                 recycle: 0,
-            },
-        );
-        if self.tracing {
-            self.record_trace(step, compute_time, comm);
+            };
+            self.record_step(trace, total_records, ExchangePath::Fused, phases);
         }
     }
 
-    /// The reference sequential exchange (the validator/plan-extraction
-    /// path, which needs the pattern and inboxes observed mid-phase).
-    fn exchange_reference(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
-        let p = self.p;
-        // Rebuild the communication pattern in place and size each inbox
-        // for the delivery pre-pass, in one sweep over the outboxes.
-        let mut max_compute = 0.0f64;
-        let mut total_records = 0usize;
-        for c in &mut self.deliver_counts {
-            *c = 0;
-        }
-        for (src, aux) in self.procs.iter().enumerate() {
-            max_compute = max_compute.max(aux.compute_us);
-            let sends = &mut self.pattern.sends[src];
-            sends.clear();
-            sends.reserve(aux.outbox.len());
-            for m in &aux.outbox {
-                sends.push(SendRecord {
-                    dst: m.dst,
-                    words: m.logical_words as usize,
-                    bytes: m.logical_bytes as usize,
-                    kind: m.kind,
-                });
-                self.deliver_counts[m.dst] += 1;
-            }
-            total_records += aux.outbox.len();
-        }
-
-        // Dry-run extraction: clone the plan, skip pricing and tracing.
-        if let Some(rec) = self.plan.as_mut() {
-            rec.record(StepPlan {
-                step,
-                pattern: self.pattern.clone(),
-                inbox_count: self.procs.iter().map(|a| a.inbox.len()).collect(),
-                inbox_read: self.procs.iter().map(|a| a.read_inbox).collect(),
-            });
-        }
-        let dry_run = self.plan.is_some();
-
-        let t = probe::mark(probing);
-        let comm = if dry_run {
-            SimTime::ZERO
-        } else if total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
-        let price_ns = probe::since(t);
-        let compute_time = if dry_run {
-            SimTime::ZERO
-        } else {
-            SimTime::from_micros(max_compute)
-        };
-        self.clock += compute_time + comm;
-        if !dry_run {
-            self.notify_probe(
-                step,
-                compute_time,
-                comm,
-                total_records,
-                ExchangePath::Reference,
-                PhaseNanos {
-                    compute: compute_ns,
-                    scatter: 0,
-                    price: price_ns,
-                    gather: 0,
-                    recycle: 0,
-                },
-            );
-        }
-
-        if self.tracing && !dry_run {
-            self.record_trace(step, compute_time, comm);
-        }
-
-        if let Some(validator) = self.validator.as_mut() {
-            let inbox_count: Vec<usize> = self.procs.iter().map(|a| a.inbox.len()).collect();
-            let compute_us: Vec<f64> = self.procs.iter().map(|a| a.compute_us).collect();
-            let charge_ok: Vec<bool> = self.procs.iter().map(|a| a.charge_ok).collect();
-            let read_flags: Vec<bool> = self.procs.iter().map(|a| a.read_inbox).collect();
-            let oob_sends: Vec<Vec<usize>> = self
-                .procs
-                .iter_mut()
-                .map(|a| std::mem::take(&mut a.oob_sends))
-                .collect();
-            let events: Vec<Vec<ShadowEvent>> = self
-                .procs
-                .iter_mut()
-                .map(|a| std::mem::take(&mut a.events))
-                .collect();
-            let sends: Vec<Vec<SendMeta>> = self
-                .procs
-                .iter()
-                .map(|aux| {
-                    aux.outbox
-                        .iter()
-                        .map(|m| SendMeta {
-                            dst: m.dst,
-                            tag: m.tag,
-                            kind: m.kind,
-                            words: m.logical_words as usize,
-                        })
-                        .collect()
-                })
-                .collect();
-            validator.check_step(&StepReport {
-                step,
-                p,
-                pattern: &self.pattern,
-                compute_us: &compute_us,
-                charge_ok: &charge_ok,
-                inbox_count: &inbox_count,
-                inbox_read: &read_flags,
-                oob_sends: &oob_sends,
-                events: &events,
-                sends: &sends,
-                compute: compute_time,
-                comm,
-            });
-        }
-
-        // Deliver. First pass: recycle consumed inbox payloads back to
-        // their senders' pools and size each inbox exactly; second pass:
-        // move outbox messages in (src, send-order) order so receivers
-        // observe the same deterministic sequence as before.
-        for dst in 0..p {
-            let need = self.deliver_counts[dst];
-            if self.procs[dst].inbox_heap == 0 {
-                // Recycling an inline payload is a no-op, so an inbox
-                // with no heap payloads can be dropped in place.
-                let aux = &mut self.procs[dst];
-                aux.inbox.clear();
-                aux.inbox.reserve(need);
-            } else {
-                let mut inbox = std::mem::take(&mut self.procs[dst].inbox);
-                for msg in inbox.drain(..) {
-                    let src = msg.src;
-                    self.procs[src].pool.recycle(msg.into_payload());
-                }
-                inbox.reserve(need);
-                let aux = &mut self.procs[dst];
-                aux.inbox = inbox;
-                aux.inbox_heap = 0;
-            }
-        }
-        for src in 0..p {
-            let mut outbox = std::mem::take(&mut self.procs[src].outbox);
-            for msg in outbox.drain(..) {
-                let aux = &mut self.procs[msg.dst];
-                aux.inbox_heap += usize::from(msg.payload_is_heap());
-                aux.inbox.push(msg);
-            }
-            self.procs[src].outbox = outbox;
-        }
-    }
-
-    /// Collects the superstep trace: all pattern statistics in one pass
-    /// over the send records, using the machine's reusable scratch
-    /// buffers. Semantics are identical to the `CommPattern` query
-    /// methods.
-    fn record_trace(&mut self, step: usize, compute_time: SimTime, comm: SimTime) {
-        // All pattern statistics in one pass over the send records,
-        // using the machine's reusable scratch buffers. Semantics are
-        // identical to the CommPattern query methods.
+    /// The superstep trace: all pattern statistics in one pass over the
+    /// send records, using the machine's reusable scratch buffers.
+    /// Semantics are identical to the `CommPattern` query methods.
+    fn pattern_trace(
+        &mut self,
+        step: usize,
+        compute_time: SimTime,
+        comm: SimTime,
+    ) -> SuperstepTrace {
         let pattern = &self.pattern;
         let recv = &mut self.stat_recv;
         let active = &mut self.stat_active;
@@ -729,7 +579,7 @@ impl<S: Send> Machine<S> {
             block_steps += round_max.len();
             block_bytes_sum += round_max.iter().sum::<usize>();
         }
-        self.traces.push(SuperstepTrace {
+        SuperstepTrace {
             index: step,
             compute: compute_time,
             comm,
@@ -743,7 +593,7 @@ impl<S: Send> Machine<S> {
             word_msgs,
             block_msgs,
             xnet_msgs,
-        });
+        }
     }
 
     /// A barrier-only superstep.
@@ -754,15 +604,12 @@ impl<S: Send> Machine<S> {
 
 impl<S> Drop for Machine<S> {
     fn drop(&mut self) {
-        if let Some(rec) = self.plan.take() {
-            rec.finish(self.procs.iter().map(|a| a.inbox.len()).collect());
-        }
-        if let Some(validator) = self.validator.as_mut() {
-            let pending_inbox: Vec<usize> = self.procs.iter().map(|a| a.inbox.len()).collect();
-            validator.finish(&RunReport {
-                supersteps: self.step_count,
-                pending_inbox: &pending_inbox,
-            });
+        let end = RunEnd {
+            supersteps: self.step_count,
+            procs: &self.procs,
+        };
+        for observer in &mut self.observers {
+            observer.finish(&end);
         }
     }
 }

@@ -4,32 +4,34 @@
 //! algorithm's *communication plan* — the sequence of [`CommPattern`]s a
 //! run produces — without paying for network pricing. This module provides
 //! the extraction mode: inside an [`extract_plans`] scope every
-//! [`crate::Machine`] runs **dry**:
+//! [`crate::Machine`] runs **dry** on its usual exchange engine:
 //!
 //! * the orchestration closures still execute and messages still carry
 //!   their real payloads (data-dependent schedules — sample sort's bucket
 //!   routing, radix's slice lengths — stay exact),
 //! * but the network model is never invoked, the simulated clock stays at
-//!   zero, and no [`crate::trace::SuperstepTrace`]s are collected: the
+//!   zero, and no [`crate::trace::SuperstepTrace`]s are stored: the
 //!   expensive *pricing* of each pattern is skipped entirely,
-//! * and instead every superstep's full ordered [`CommPattern`] is cloned
-//!   into a [`StepPlan`], together with the per-processor inbox occupancy
-//!   and read flags the conservation rules (A01/A02) need.
+//! * and a plan recorder — an ordinary [`Needs::Schedule`] observer in
+//!   a dry observer scope — clones every superstep's full ordered
+//!   [`CommPattern`] into a [`StepPlan`], together with the per-processor
+//!   inbox occupancy and read flags the conservation rules (A01/A02) need.
 //!
-//! Like the validator hook in [`crate::validate`], the extraction scope is
-//! thread-local because algorithms construct machines internally. A
-//! machine's plan is finalized (pending inbox recorded, [`RunPlan`] pushed
-//! to the scope's sink) when the machine is dropped, so the closure passed
-//! to [`extract_plans`] must drop its machines before returning — every
-//! algorithm entry point in `pcm-algos` does.
+//! A dry step has no cost, so only schedule observers see it (see
+//! [`crate::probe`]). A machine's plan is finalized (pending inbox
+//! recorded, [`RunPlan`] pushed to the scope's sink) when the machine is
+//! dropped, so the closure passed to [`extract_plans`] must drop its
+//! machines before returning — every algorithm entry point in `pcm-algos`
+//! does.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::pattern::CommPattern;
+use crate::probe::{self, Needs, RunEnd, StepObs, SuperstepProbe};
 
 /// Everything the static analyzer knows about one superstep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StepPlan {
     /// Superstep index (0-based).
     pub step: usize,
@@ -44,7 +46,7 @@ pub struct StepPlan {
 }
 
 /// The extracted communication plan of one machine's whole run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunPlan {
     /// Number of processors.
     pub p: usize,
@@ -57,69 +59,59 @@ pub struct RunPlan {
 
 type PlanSink = Rc<RefCell<Vec<RunPlan>>>;
 
-/// Per-machine recorder handed out by [`current_recorder`]; finalized in
-/// the machine's `Drop`.
-pub(crate) struct PlanRecorder {
+/// Per-machine plan recorder; pushes its [`RunPlan`] to the scope's sink
+/// when the machine is dropped.
+struct PlanRecorder {
     sink: PlanSink,
     current: RunPlan,
 }
 
-impl PlanRecorder {
-    pub(crate) fn record(&mut self, step: StepPlan) {
-        self.current.steps.push(step);
+impl SuperstepProbe for PlanRecorder {
+    fn needs(&self) -> Needs {
+        Needs::Schedule
     }
 
-    pub(crate) fn finish(mut self, pending_inbox: Vec<usize>) {
-        self.current.pending_inbox = pending_inbox;
-        self.sink.borrow_mut().push(self.current);
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let d = obs.detail.expect("schedule observers get the detail");
+        let p = d.nprocs();
+        self.current.steps.push(StepPlan {
+            step: obs.step,
+            pattern: d.pattern.clone(),
+            inbox_count: (0..p).map(|pid| d.inbox_count(pid)).collect(),
+            inbox_read: (0..p).map(|pid| d.inbox_read(pid)).collect(),
+        });
     }
-}
 
-thread_local! {
-    static PLAN_HOOK: RefCell<Option<PlanSink>> = const { RefCell::new(None) };
+    fn finish(&mut self, end: &RunEnd<'_>) {
+        let mut plan = std::mem::take(&mut self.current);
+        plan.pending_inbox = (0..end.nprocs())
+            .map(|pid| end.pending_inbox(pid))
+            .collect();
+        self.sink.borrow_mut().push(plan);
+    }
 }
 
 /// Runs `body` in dry-run extraction mode and returns its result plus the
-/// [`RunPlan`] of every machine it created (in drop order). Nests; the
-/// previous scope is restored on exit (also on panic).
+/// [`RunPlan`] of every machine it created (in drop order). Nests and
+/// stacks with other observer scopes; ends on exit (also on panic).
 pub fn extract_plans<R>(body: impl FnOnce() -> R) -> (R, Vec<RunPlan>) {
     let sink: PlanSink = Rc::default();
-    let result = {
-        let _guard = PlanGuard::install(sink.clone());
-        body()
-    };
-    let plans = sink.borrow_mut().drain(..).collect();
+    let hook = sink.clone();
+    let result = probe::scoped(
+        Rc::new(move |p| {
+            Box::new(PlanRecorder {
+                sink: hook.clone(),
+                current: RunPlan {
+                    p,
+                    ..RunPlan::default()
+                },
+            }) as Box<dyn SuperstepProbe>
+        }),
+        true,
+        body,
+    );
+    let plans = sink.take();
     (result, plans)
-}
-
-pub(crate) fn current_recorder(p: usize) -> Option<PlanRecorder> {
-    PLAN_HOOK.with(|h| {
-        h.borrow().as_ref().map(|sink| PlanRecorder {
-            sink: sink.clone(),
-            current: RunPlan {
-                p,
-                steps: Vec::new(),
-                pending_inbox: Vec::new(),
-            },
-        })
-    })
-}
-
-struct PlanGuard {
-    prev: Option<PlanSink>,
-}
-
-impl PlanGuard {
-    fn install(sink: PlanSink) -> Self {
-        let prev = PLAN_HOOK.with(|h| h.replace(Some(sink)));
-        PlanGuard { prev }
-    }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        PLAN_HOOK.with(|h| *h.borrow_mut() = self.prev.take());
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,17 @@
 //! Shadow-memory instrumentation for the happens-before analyzer.
 //!
-//! When a [`crate::validate::Validator`] is installed, every processor
-//! records a stream of [`ShadowEvent`]s during its superstep: inbox
-//! consumes (which `msgs*` accessor ran, what it matched) and explicit
-//! region touches (`ctx.touch_read` / `ctx.touch_write` /
-//! `ctx.touch_modify`). The machine additionally snapshots per-source
-//! [`SendMeta`] from the outboxes. Both streams ride on the
-//! [`crate::validate::StepReport`], so an external analyzer (the
-//! `pcm-race` crate) can reconstruct the run's dataflow across barriers
-//! without the simulator itself knowing any of the race rules.
+//! When an observer declaring [`crate::Needs::Schedule`] is installed,
+//! every processor records a stream of [`ShadowEvent`]s during its
+//! superstep: inbox consumes (which `msgs*` accessor ran, what it matched)
+//! and explicit region touches (`ctx.touch_read` / `ctx.touch_write` /
+//! `ctx.touch_modify`), and snapshots its outbox as per-source
+//! [`SendMeta`] before delivery. Both streams ride on the superstep's
+//! [`crate::StepDetail`], so an external analyzer (the `pcm-race` crate)
+//! can reconstruct the run's dataflow across barriers without the
+//! simulator itself knowing any of the race rules.
 //!
-//! Recording is gated on the validator being present: unvalidated runs
-//! pay nothing beyond a branch per accessor call.
+//! Recording is gated on that declaration: runs without a schedule
+//! observer pay nothing beyond a branch per accessor call.
 
 use crate::message::{MsgKind, ProcId};
 

@@ -9,10 +9,9 @@
 //!
 //! The crate's three invariants, in order of importance:
 //!
-//! 1. **Zero overhead when off.** Tracing rides `pcm-sim`'s probe hook: an
-//!    uninstalled probe costs one `Option` discriminant test per superstep
-//!    (and the `trace_guard` feature compiles even that installation path
-//!    away). Golden digests, `AUDIT_report.json` and `SYM_report.json` are
+//! 1. **Zero overhead when off.** Tracing rides `pcm-sim`'s observer hook
+//!    as a cost-only observer: a machine with no observer installed pays
+//!    one emptiness test per superstep. Golden digests, `AUDIT_report.json` and `SYM_report.json` are
 //!    byte-identical with the crate compiled in.
 //! 2. **Exact attribution.** Folding each step's `(compute, comm)` pair in
 //!    order reproduces the machine clock *bit-identically* — the same f64

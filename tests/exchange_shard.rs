@@ -11,11 +11,17 @@
 //!   across shard counts, and recycled (sender-affine) payload buffers
 //!   never leak stale bytes into later supersteps;
 //! * the shard-count plumbing (default heuristic, thread-local override,
-//!   setter clamping) resolves as documented.
+//!   setter clamping) resolves as documented;
+//! * every analyzer (determinism auditor, protocol checker, race checker,
+//!   trace collector, plan extraction) runs on the sharded engine when
+//!   sharding is forced, and reports the same findings, traces and plans
+//!   at any shard count.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
@@ -27,9 +33,11 @@ use pcm::algos::sort::sample::{self, SampleVariant};
 use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::Platform;
-use pcm_check::Digest;
+use pcm_check::{audit_determinism, check_protocol, collect_traces, render, Digest, Discipline};
+use pcm_race::{check_races, RaceConfig};
 use pcm_sim::{
-    with_exchange_shards, with_sequential, IdealNetwork, Machine, UniformCompute, MAX_SHARDS,
+    extract_plans, with_exchange_shards, with_probe, with_sequential, ExchangePath, IdealNetwork,
+    Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute, MAX_SHARDS,
 };
 
 const SEED: u64 = 2026;
@@ -281,4 +289,193 @@ fn shard_count_resolution_is_documented_behavior() {
     let mut small = machine(8);
     small.set_exchange_shards(1000);
     assert_eq!(small.exchange_shards(), 8);
+}
+
+/// A p=64 run that trips analyzer rules on purpose, so the comparisons
+/// below are over non-empty findings: odd processors never read their
+/// inbox (R02, W04) and overwrite a region nobody reads (W04), every
+/// eighth processor also writes into one shared `(dst 0, tag 3)` cell
+/// (W01), untagged reads see several tags (W03), and the last superstep's
+/// messages are still pending at drop. Word, heap-block and xnet traffic
+/// all cross the shard cuts.
+fn analyzed_run() -> u64 {
+    let p = 64;
+    let mut m = Machine::new(
+        Box::new(TextbookBspNetwork {
+            g: 2.0,
+            l: 10.0,
+            sigma: 0.5,
+            ell: 3.0,
+        }),
+        Arc::new(UniformCompute::test_model()),
+        vec![0u64; p],
+        SEED,
+    );
+    for round in 0..4u32 {
+        m.superstep(move |ctx| {
+            let pid = ctx.pid();
+            let p = ctx.nprocs();
+            ctx.charge(f64::from(round) + pid as f64 * 0.5);
+            if pid % 2 == 0 {
+                let mut acc = *ctx.state;
+                for msg in ctx.msgs() {
+                    for b in msg.data() {
+                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(*b));
+                    }
+                }
+                *ctx.state = acc;
+                ctx.touch_read(0);
+            }
+            ctx.touch_write(0);
+            let word = round * 1000 + pid as u32;
+            ctx.send_words_u32_tagged((pid * 7 + 3) % p, 1, &[word, word + 1]);
+            let block: Vec<u32> = (0..32).map(|i| i + word).collect();
+            ctx.send_block_u32_tagged((pid + 1) % p, 2, &block);
+            if pid % 8 == 0 {
+                ctx.send_words_u32_tagged(0, 3, &[word]);
+            }
+            if round == 2 {
+                ctx.send_xnet_u32((pid + 8) % p, &[word; 4]);
+            }
+        });
+    }
+    let mut d = Digest::new();
+    d.push_f64(m.time().as_micros());
+    for s in m.states() {
+        d.push_u64(*s);
+    }
+    d.finish()
+}
+
+/// Supersteps observed per exchange engine.
+#[derive(Clone, Copy, Debug, Default)]
+struct PathCounts {
+    fused: usize,
+    sharded: usize,
+    reference: usize,
+}
+
+struct PathCounter {
+    needs: Needs,
+    counts: Rc<Cell<PathCounts>>,
+}
+
+impl SuperstepProbe for PathCounter {
+    fn needs(&self) -> Needs {
+        self.needs
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let mut c = self.counts.get();
+        match obs.path {
+            ExchangePath::Fused => c.fused += 1,
+            ExchangePath::Sharded => c.sharded += 1,
+            ExchangePath::Reference => c.reference += 1,
+        }
+        self.counts.set(c);
+    }
+}
+
+/// Runs `body` under a path counter declaring `needs` (plan extraction's
+/// dry steps reach schedule observers only).
+fn count_paths(needs: Needs, body: impl FnOnce()) -> PathCounts {
+    let counts = Rc::new(Cell::new(PathCounts::default()));
+    let hook = counts.clone();
+    with_probe(
+        move |_p| {
+            Box::new(PathCounter {
+                needs,
+                counts: hook.clone(),
+            })
+        },
+        body,
+    );
+    counts.get()
+}
+
+type AnalyzerRun = Box<dyn Fn()>;
+
+/// With sharding forced, every analyzer observes the sharded engine —
+/// the one the figures run — and never a separate reference path.
+#[test]
+fn analyzers_observe_the_sharded_engine() {
+    force_pool();
+    let analyzers: [(&str, Needs, AnalyzerRun); 5] = [
+        (
+            "audit_determinism",
+            Needs::Cost,
+            Box::new(|| {
+                let v = audit_determinism("analyzed run", analyzed_run);
+                assert!(v.is_empty(), "{}", render(&v));
+            }),
+        ),
+        (
+            "check_protocol",
+            Needs::Cost,
+            Box::new(|| {
+                check_protocol(Discipline::any(), analyzed_run);
+            }),
+        ),
+        (
+            "check_races",
+            Needs::Cost,
+            Box::new(|| {
+                check_races(RaceConfig::exclusive(), analyzed_run);
+            }),
+        ),
+        (
+            "collect_traces",
+            Needs::Cost,
+            Box::new(|| {
+                collect_traces(analyzed_run);
+            }),
+        ),
+        (
+            "extract_plans",
+            Needs::Schedule,
+            Box::new(|| {
+                extract_plans(analyzed_run);
+            }),
+        ),
+    ];
+    for (label, needs, run) in &analyzers {
+        let counts = with_exchange_shards(3, || count_paths(*needs, run));
+        assert!(counts.sharded > 0, "{label}: no sharded steps: {counts:?}");
+        assert_eq!(counts.reference, 0, "{label}: reference steps: {counts:?}");
+        if *label == "audit_determinism" {
+            // The sequential leg is the fused oracle the two sharded legs
+            // are compared with.
+            assert_eq!((counts.fused, counts.sharded), (4, 8), "{counts:?}");
+        }
+    }
+}
+
+/// Findings, traces and plans do not depend on the exchange engine or
+/// its shard count (64 clamps to `MAX_SHARDS`).
+#[test]
+fn analyzer_reports_are_identical_at_any_shard_count() {
+    force_pool();
+    let reports = |shards: usize| {
+        with_exchange_shards(shards, || {
+            let (_, protocol) = check_protocol(Discipline::any(), analyzed_run);
+            let (_, races) = check_races(RaceConfig::exclusive(), analyzed_run);
+            let (_, traces) = collect_traces(analyzed_run);
+            let (_, plans) = extract_plans(analyzed_run);
+            (protocol, races, traces, plans)
+        })
+    };
+    let fused = reports(1);
+    let (protocol, races, traces, plans) = &fused;
+    assert!(
+        !protocol.is_empty() && !races.is_empty(),
+        "findings must not be vacuous"
+    );
+    assert_eq!((traces.len(), plans.len()), (4, 1));
+    for shards in [3usize, 64] {
+        assert_eq!(
+            reports(shards),
+            fused,
+            "shards={shards} diverged from the fused engine"
+        );
+    }
 }

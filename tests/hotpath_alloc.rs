@@ -1,6 +1,6 @@
 //! Zero-allocation guarantee for the superstep hot path.
 //!
-//! With tracing off and no validator installed, steady-state supersteps
+//! With tracing off and no observer installed, steady-state supersteps
 //! carrying word-sized traffic (inline payloads, <= 16 bytes) must not
 //! touch the heap at all: outboxes, inboxes, the communication pattern
 //! and the delivery pre-pass all reuse buffers warmed up in the first few
