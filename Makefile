@@ -1,6 +1,6 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit audit-gate sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test sanitize race golden shard audit audit-gate sym trace trace-gate figures-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
 ci: build test audit sym doc fmt clippy
 
@@ -50,8 +50,19 @@ trace-gate:
 	cargo run --release -p pcm-trace --bin pcm-trace
 	git diff --exit-code TRACE_report.json
 
+# Figure digests: one pass of the kernels and exchange benchmark workloads
+# renders every full-scale figure and checks its text against the digests
+# pinned in perfbench/golden.txt. The last output line must report
+# `"correct": true` and `"failed": 0`.
+figures-gate:
+	for w in kernels exchange; do \
+		python3 perfbench/run.py --workload $$w --seconds 1 | tail -n 1 | python3 -c \
+			'import json, sys; r = json.load(sys.stdin); sys.exit(r["correct"] is not True or r["failed"] != 0)' \
+			|| { echo "figures-gate: the $$w workload did not verify against perfbench/golden.txt" >&2; exit 1; }; \
+	done
+
 # Every static analyzer in one pass.
-analyze: sanitize race audit-gate sym trace-gate
+analyze: sanitize race audit-gate sym trace-gate figures-gate
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

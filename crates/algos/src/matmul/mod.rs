@@ -21,7 +21,7 @@
 use pcm_machines::Platform;
 use pcm_models::predict::matmul::q_for;
 use pcm_sim::topology::Cube;
-use pcm_sim::Ctx;
+use pcm_sim::{Ctx, Message};
 
 use crate::primitives::embed::Embedding;
 use crate::primitives::plan::staggered;
@@ -163,15 +163,11 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         a_full[k * sn * bn..(k + 1) * sn * bn].copy_from_slice(&ctx.state.a_sub);
         for msg in ctx.msgs_tagged(TAG_A) {
             let (_, _, l) = cube.coords(embed.to_logical(msg.src));
-            let vals = msg.as_f64s();
-            debug_assert_eq!(vals.len(), sn * bn);
-            a_full[l * sn * bn..(l + 1) * sn * bn].copy_from_slice(&vals);
+            decode_f64s(&mut a_full[l * sn * bn..(l + 1) * sn * bn], msg);
         }
         for msg in ctx.msgs_tagged(TAG_B) {
             let (_, _, l) = cube.coords(embed.to_logical(msg.src));
-            let vals = msg.as_f64s();
-            debug_assert_eq!(vals.len(), sn * bn);
-            b_full[l * sn * bn..(l + 1) * sn * bn].copy_from_slice(&vals);
+            decode_f64s(&mut b_full[l * sn * bn..(l + 1) * sn * bn], msg);
         }
         ctx.charge_copy_words(2 * (bn * bn) as u64);
 
@@ -216,7 +212,7 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         }
         for msg in ctx.msgs() {
             debug_assert_eq!(msg.tag, TAG_C);
-            for (acc, v) in c_sub.iter_mut().zip(msg.as_f64s()) {
+            for (acc, v) in c_sub.iter_mut().zip(msg.f64s()) {
                 *acc += v;
             }
         }
@@ -248,6 +244,15 @@ fn send(ctx: &mut Ctx<'_, MmState>, variant: MatmulVariant, dst: usize, tag: u32
     match variant {
         MatmulVariant::Bpram => ctx.send_block_f64_tagged(dst, tag, vals),
         _ => ctx.send_words_f64_tagged(dst, tag, vals),
+    }
+}
+
+/// Decodes a message's `f64` payload into `dst`, which it must fill exactly.
+fn decode_f64s(dst: &mut [f64], msg: &Message) {
+    let vals = msg.f64s();
+    assert_eq!(vals.len(), dst.len(), "operand piece has the wrong size");
+    for (d, v) in dst.iter_mut().zip(vals) {
+        *d = v;
     }
 }
 

@@ -9,7 +9,7 @@
 
 use pcm_core::units::tag_u32;
 use pcm_machines::Platform;
-use pcm_sim::Machine;
+use pcm_sim::{Machine, Message};
 
 use super::plan::{chunk, staggered};
 use crate::regions;
@@ -65,7 +65,7 @@ pub fn broadcast(machine: &mut Machine<CollState>, root: usize) {
             ctx.touch_read(regions::COLL_OUT);
             std::mem::take(&mut ctx.state.out)
         } else {
-            ctx.msgs().iter().flat_map(|m| m.as_u32s()).collect()
+            ctx.msgs().iter().flat_map(Message::u32s).collect()
         };
         for t in staggered(pid, p) {
             if t != pid && !piece.is_empty() {

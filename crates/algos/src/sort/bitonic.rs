@@ -20,7 +20,7 @@ use pcm_machines::Platform;
 use pcm_sim::topology::hypercube_partner;
 use pcm_sim::{Machine, RegionId};
 
-use super::radix::{merge_split, radix_sort, KEY_BITS, RADIX_BITS};
+use super::radix::{merge_split_into, radix_sort, KEY_BITS, RADIX_BITS};
 use crate::regions;
 use crate::run::RunResult;
 use crate::verify::check_sorted_permutation;
@@ -107,8 +107,14 @@ fn keeps_low(pid: usize, stage: u32, bit: u32) -> bool {
 
 /// Runs the compare-split phases on a machine whose lists are already
 /// locally sorted. Afterwards the concatenation of the lists in pid order
-/// is globally sorted (all lists must have equal length).
+/// is globally sorted.
+///
+/// # Panics
+/// Panics if the processors' lists differ in length: a compare-split keeps
+/// as many keys as the processor sent, so unequal lists would lose or
+/// duplicate keys.
 pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode) {
+    let m = equal_list_len(machine);
     let p = machine.nprocs();
     if p == 1 {
         return;
@@ -116,22 +122,15 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
     let steps = schedule(p);
 
     // Number of chunk-supersteps per exchange.
-    let chunks_of = |m: usize| -> usize {
-        match mode {
-            ExchangeMode::WordsResync { interval } => m.div_ceil(interval).max(1),
-            _ => 1,
-        }
+    let nchunks = match mode {
+        ExchangeMode::WordsResync { interval } => m.div_ceil(interval).max(1),
+        _ => 1,
     };
 
-    for (s, &(stage, bit)) in steps.iter().enumerate() {
+    for (s, &(_, bit)) in steps.iter().enumerate() {
         // The merge of step s-1 happens at the start of the first chunk
         // superstep of step s (when the partner list has fully arrived).
         let prev = if s > 0 { Some(steps[s - 1]) } else { None };
-        let m_guess = {
-            // All lists have the same length; peek at processor 0.
-            machine.states_mut()[0].list_mut().len()
-        };
-        let nchunks = chunks_of(m_guess);
         for c in 0..nchunks {
             machine.superstep(|ctx| {
                 // Absorb whatever arrived at the last barrier.
@@ -142,21 +141,18 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
                     }
                 }
                 // Send chunk c of the (current) list to this step's partner.
-                let pid = ctx.pid();
-                let partner = hypercube_partner(pid, bit);
-                let list_region = ctx.state.list_region();
-                ctx.touch_read(list_region);
-                let list = ctx.state.list_mut();
-                let m = list.len();
-                let lo = (c * m).div_ceil(nchunks);
-                let hi = ((c + 1) * m).div_ceil(nchunks);
-                let chunk: Vec<u32> = list[lo..hi].to_vec();
-                let _ = stage;
+                // The list leaves the state while it is sent: the send
+                // borrows the context mutably.
+                let partner = hypercube_partner(ctx.pid(), bit);
+                ctx.touch_read(ctx.state.list_region());
+                let list = std::mem::take(ctx.state.list_mut());
+                let chunk = &list[(c * m).div_ceil(nchunks)..((c + 1) * m).div_ceil(nchunks)];
                 match mode {
-                    ExchangeMode::Block => ctx.send_block_u32(partner, &chunk),
-                    ExchangeMode::Packets { bytes } => ctx.send_packets_u32(partner, &chunk, bytes),
-                    _ => ctx.send_words_u32(partner, &chunk),
+                    ExchangeMode::Block => ctx.send_block_u32(partner, chunk),
+                    ExchangeMode::Packets { bytes } => ctx.send_packets_u32(partner, chunk, bytes),
+                    _ => ctx.send_words_u32(partner, chunk),
                 }
+                *ctx.state.list_mut() = list;
             });
         }
     }
@@ -169,25 +165,53 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
     });
 }
 
-fn absorb<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>) {
-    let incoming: Vec<u32> = ctx.msgs().iter().flat_map(|m| m.as_u32s()).collect();
-    if !incoming.is_empty() {
-        ctx.touch_modify(ctx.state.stash_region());
+/// The common length of every processor's list.
+///
+/// # Panics
+/// Panics if two lists differ in length.
+fn equal_list_len<S: BitonicList>(machine: &mut Machine<S>) -> usize {
+    let mut lens = machine.states_mut().iter_mut().map(|s| s.list_mut().len());
+    let m = lens.next().unwrap_or(0);
+    if let Some((pid, len)) = lens.enumerate().find(|&(_, len)| len != m) {
+        panic!(
+            "bitonic merge phases need equal list lengths: processor 0 holds {m} keys, \
+             processor {} holds {len}",
+            pid + 1
+        );
     }
-    ctx.state.stash_mut().extend_from_slice(&incoming);
+    m
 }
 
+/// Decodes the keys that arrived at the last barrier onto the stash.
+fn absorb<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>) {
+    let mut stash = std::mem::take(ctx.state.stash_mut());
+    let before = stash.len();
+    for msg in ctx.msgs() {
+        stash.extend(msg.u32s());
+    }
+    if stash.len() > before {
+        ctx.touch_modify(ctx.state.stash_region());
+    }
+    *ctx.state.stash_mut() = stash;
+}
+
+/// Compare-splits the list with the partner's list in the stash. The merge
+/// is written behind the partner's keys in the stash buffer and copied
+/// back, so after the first step neither buffer allocates.
 fn finish_merge<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>, stage: u32, bit: u32) {
-    let pid = ctx.pid();
-    let low = keeps_low(pid, stage, bit);
+    let low = keeps_low(ctx.pid(), stage, bit);
     ctx.touch_read(ctx.state.stash_region());
     ctx.touch_modify(ctx.state.list_region());
-    let theirs = std::mem::take(ctx.state.stash_mut());
+    let mut stash = std::mem::take(ctx.state.stash_mut());
     let list = ctx.state.list_mut();
     let keep = list.len();
-    debug_assert_eq!(theirs.len(), keep, "partner list must be complete");
-    let merged = merge_split(list, &theirs, keep, low);
-    *list = merged;
+    debug_assert_eq!(stash.len(), keep, "partner list must be complete");
+    stash.resize(2 * keep, 0);
+    let (theirs, merged) = stash.split_at_mut(keep);
+    merge_split_into(list, theirs, low, merged);
+    list.copy_from_slice(merged);
+    stash.clear();
+    *ctx.state.stash_mut() = stash;
     // The paper charges alpha·M for the linear merge of each step.
     ctx.charge_merge(keep as u64);
 }
@@ -300,6 +324,19 @@ mod tests {
         assert!(words.verified && packets.verified && blocks.verified);
         assert!(packets.time < words.time, "packets beat single words");
         assert!(blocks.time < packets.time, "full blocks beat packets");
+    }
+
+    #[test]
+    #[should_panic(expected = "equal list lengths")]
+    fn unequal_lists_are_rejected() {
+        let states = (0..4)
+            .map(|i| SortState {
+                keys: (0..4 + u32::from(i == 2)).collect(),
+                stash: Vec::new(),
+            })
+            .collect();
+        let mut machine = Platform::cm5_with(4).machine(states, 1);
+        merge_phases(&mut machine, ExchangeMode::Block);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use pcm_core::units::{sqrt_exact, tag_u32};
 use pcm_machines::Platform;
-use pcm_sim::{Machine, RegionId};
+use pcm_sim::{Ctx, Machine, RegionId};
 
 use super::bitonic::{merge_phases, BitonicList, ExchangeMode};
 use super::radix::{radix_sort, KEY_BITS, RADIX_BITS};
@@ -268,11 +268,7 @@ pub fn run(
                     }
                 }
             });
-            machine.superstep(|ctx| {
-                let incoming: Vec<u32> = ctx.msgs().iter().flat_map(|m| m.as_u32s()).collect();
-                ctx.touch_modify(regions::SAMPLE_BUCKET);
-                ctx.state.bucket.extend_from_slice(&incoming);
-            });
+            machine.superstep(absorb_bucket);
         }
         SampleVariant::BpramStaggered => {
             machine.superstep(|ctx| {
@@ -297,11 +293,7 @@ pub fn run(
                     }
                 }
             });
-            machine.superstep(|ctx| {
-                let incoming: Vec<u32> = ctx.msgs().iter().flat_map(|m| m.as_u32s()).collect();
-                ctx.touch_modify(regions::SAMPLE_BUCKET);
-                ctx.state.bucket.extend_from_slice(&incoming);
-            });
+            machine.superstep(absorb_bucket);
         }
         SampleVariant::Bpram => {
             route_padded(&mut machine, p, side, keys_per_proc);
@@ -334,6 +326,16 @@ pub fn run(
         max_bucket,
         ..Default::default()
     })
+}
+
+/// Appends every key that arrived at the last barrier to the bucket.
+fn absorb_bucket(ctx: &mut Ctx<'_, SampleState>) {
+    let mut bucket = std::mem::take(&mut ctx.state.bucket);
+    for msg in ctx.msgs() {
+        bucket.extend(msg.u32s());
+    }
+    ctx.touch_modify(regions::SAMPLE_BUCKET);
+    ctx.state.bucket = bucket;
 }
 
 /// Word-message multi-scan: 2 supersteps of `P`-relations, cost

@@ -15,6 +15,15 @@
 //! decoupled from *logical size accounting*: a message of `n` logical words
 //! costs `n · w` bytes on the wire, where `w` is the platform word size,
 //! regardless of how the simulator chose to represent the values in memory.
+//!
+//! Values travel as little-endian words. Senders encode through the
+//! per-processor `PayloadPool`: payloads of up to [`INLINE_PAYLOAD`] bytes
+//! are stored inline, larger ones are written into a recycled buffer that
+//! is sized once and filled through a `chunks_exact_mut` zip, which
+//! vectorizes. Receivers decode with [`Message::u32s`] or
+//! [`Message::f64s`], iterators over the payload that allocate nothing, so
+//! a closure can decode straight into the state it fills. The `as_*`
+//! methods collect the payload into a `Vec`.
 
 /// Identifier of a virtual processor.
 pub type ProcId = usize;
@@ -224,47 +233,56 @@ impl Message {
     pub(crate) fn payload_is_heap(&self) -> bool {
         matches!(self.payload, Payload::Heap(_))
     }
-    /// Interprets the payload as `u32` values.
+
+    /// The payload split into little-endian `N`-byte words.
+    fn words<const N: usize>(&self, ty: &str) -> impl ExactSizeIterator<Item = [u8; N]> + '_ {
+        assert!(
+            self.data().len().is_multiple_of(N),
+            "payload is not {ty}-aligned"
+        );
+        self.data()
+            .chunks_exact(N)
+            .map(|c| c.try_into().expect("chunks_exact(N) yields N-byte slices"))
+    }
+
+    /// Decodes the payload as `u32` values without allocating.
+    ///
+    /// # Panics
+    /// Panics if the payload length is not a multiple of 4.
+    pub fn u32s(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.words::<4>("u32").map(u32::from_le_bytes)
+    }
+
+    /// Decodes the payload as `f64` values without allocating.
+    ///
+    /// # Panics
+    /// Panics if the payload length is not a multiple of 8.
+    pub fn f64s(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.words::<8>("f64").map(f64::from_le_bytes)
+    }
+
+    /// The payload as a `Vec` of `u32` values ([`Message::u32s`] collected).
     ///
     /// # Panics
     /// Panics if the payload length is not a multiple of 4.
     pub fn as_u32s(&self) -> Vec<u32> {
-        assert!(
-            self.data().len().is_multiple_of(4),
-            "payload is not u32-aligned"
-        );
-        self.data()
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
+        self.u32s().collect()
     }
 
-    /// Interprets the payload as `u64` values.
+    /// The payload as a `Vec` of `u64` values.
+    ///
+    /// # Panics
+    /// Panics if the payload length is not a multiple of 8.
     pub fn as_u64s(&self) -> Vec<u64> {
-        assert!(
-            self.data().len().is_multiple_of(8),
-            "payload is not u64-aligned"
-        );
-        self.data()
-            .chunks_exact(8)
-            .map(|c| {
-                u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8-byte slices"))
-            })
-            .collect()
+        self.words::<8>("u64").map(u64::from_le_bytes).collect()
     }
 
-    /// Interprets the payload as `f64` values.
+    /// The payload as a `Vec` of `f64` values ([`Message::f64s`] collected).
+    ///
+    /// # Panics
+    /// Panics if the payload length is not a multiple of 8.
     pub fn as_f64s(&self) -> Vec<f64> {
-        assert!(
-            self.data().len().is_multiple_of(8),
-            "payload is not f64-aligned"
-        );
-        self.data()
-            .chunks_exact(8)
-            .map(|c| {
-                f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8-byte slices"))
-            })
-            .collect()
+        self.f64s().collect()
     }
 
     /// The first `u32` of the payload — convenient for single-word messages.
@@ -337,8 +355,9 @@ macro_rules! pooled_encode {
                 }
             } else {
                 let mut out = pool.alloc(bytes);
-                for v in vals {
-                    out.extend_from_slice(&v.to_le_bytes());
+                out.resize(bytes, 0);
+                for (chunk, v) in out.chunks_exact_mut($width).zip(vals) {
+                    chunk.copy_from_slice(&v.to_le_bytes());
                 }
                 Payload::Heap(out)
             }
@@ -418,6 +437,30 @@ mod tests {
         let m = msg(encode_f64s(&vals));
         assert_eq!(m.as_f64s(), vals);
         assert_eq!(m.word_f64(), 1.5);
+    }
+
+    #[test]
+    fn decoders_read_back_the_pooled_encoders() {
+        let mut pool = PayloadPool::default();
+        let with = |payload| Message {
+            payload,
+            ..msg(Box::new([]))
+        };
+        // Heap payloads of each width, plus one inline.
+        let words: Vec<u32> = (0..37).map(|i| i * 0x0101_0101).collect();
+        let m = with(pooled_u32s(&mut pool, &words));
+        assert_eq!(m.u32s().len(), words.len());
+        assert!(m.u32s().eq(words.iter().copied()));
+        let longs = [7u64, u64::MAX, 1 << 40];
+        let m = with(pooled_u64s(&mut pool, &longs));
+        assert_eq!(m.as_u64s(), longs);
+        let reals = [0.5f64, -3.0, 1e300];
+        let m = with(pooled_f64s(&mut pool, &reals));
+        assert_eq!(m.f64s().len(), 3);
+        assert_eq!(m.as_f64s(), reals);
+        let m = with(pooled_u32s(&mut pool, &[9, 8]));
+        assert!(matches!(m.payload, Payload::Inline { len: 8, .. }));
+        assert_eq!(m.as_u32s(), [9, 8]);
     }
 
     #[test]

@@ -147,3 +147,62 @@ fn accountant_matches_the_closed_form_for_block_bitonic() {
         "accounted {accounted} vs closed form {closed_form}"
     );
 }
+
+#[test]
+fn bitonic_merge_phases_sort_adversarial_keys() {
+    // Compare-split must hold up when ties dominate or the input is
+    // already ordered: all-equal, presorted, reverse-sorted and two-key
+    // lists, on every machine, in word, block and resynchronized modes.
+    use pcm::algos::sort::bitonic::{merge_phases, SortState};
+    use pcm::algos::verify::check_sorted_permutation;
+
+    let (p, m) = (16, 48);
+    let n = u32::try_from(p * m).unwrap();
+    let inputs: [(&str, Vec<u32>); 4] = [
+        ("all-equal", vec![42; p * m]),
+        ("presorted", (0..n).collect()),
+        ("reverse-sorted", (0..n).rev().collect()),
+        (
+            "two-key",
+            (0..n).map(|i| if i % 3 == 0 { 9 } else { 2 }).collect(),
+        ),
+    ];
+    let modes = [
+        ExchangeMode::Words,
+        ExchangeMode::Block,
+        ExchangeMode::WordsResync { interval: 16 },
+    ];
+    for plat in [
+        Platform::maspar_with(p),
+        Platform::gcel_with(p),
+        Platform::cm5_with(p),
+    ] {
+        for (name, keys) in &inputs {
+            for mode in modes {
+                let states: Vec<SortState> = keys
+                    .chunks(m)
+                    .map(|c| {
+                        let mut keys = c.to_vec();
+                        keys.sort_unstable();
+                        SortState {
+                            keys,
+                            stash: Vec::new(),
+                        }
+                    })
+                    .collect();
+                let mut machine = plat.machine(states, SEED);
+                merge_phases(&mut machine, mode);
+                let sorted: Vec<u32> = machine
+                    .states()
+                    .iter()
+                    .flat_map(|s| s.keys.clone())
+                    .collect();
+                assert!(
+                    check_sorted_permutation(keys, &sorted),
+                    "{} {name} keys, {mode:?}: not a sorted permutation",
+                    plat.name()
+                );
+            }
+        }
+    }
+}
