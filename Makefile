@@ -1,8 +1,16 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit audit-gate sym trace trace-gate figures-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
-ci: build test audit sym doc fmt clippy
+# The workflow's steps in its order; the few without a target of their own
+# (trace smoke, bench compile, pricing smoke) run in the recipe.
+ci: build test sanitize race golden shard audit-gate sym-gate
+	cargo run --release -p pcm-trace --bin pcm-trace -- --fast --out /tmp/TRACE_fast.json
+	$(MAKE) trace-gate figures-gate
+	cargo bench --no-run
+	$(MAKE) bench-smoke
+	cargo run --release -p pcm-bench --bin bench-report -- --smoke --child pricing/route_warm/MasPar
+	$(MAKE) pricing-gate bench-scaling doc fmt clippy
 
 build:
 	cargo build --release
@@ -36,6 +44,10 @@ audit-gate: audit
 sym:
 	cargo run --release -p pcm-sym --bin pcm-sym -- --out SYM_report.json
 
+# Symbolic drift gate: the regenerated report must match the committed one.
+sym-gate: sym
+	git diff --exit-code SYM_report.json
+
 # Superstep tracing: replay the pinned grid with tracing on, prove exact
 # cost attribution, regenerate TRACE_report.json and a Chrome/Perfetto
 # trace (TRACE_chrome.json, not committed — it carries wall-clock args).
@@ -62,7 +74,7 @@ figures-gate:
 	done
 
 # Every static analyzer in one pass.
-analyze: sanitize race audit-gate sym trace-gate figures-gate
+analyze: sanitize race audit-gate sym-gate trace-gate figures-gate
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -102,3 +114,4 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo clippy -p pcm-race --all-targets -- -D warnings

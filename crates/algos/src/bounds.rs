@@ -127,49 +127,32 @@ pub fn collectives() -> AuditBounds {
     }
 }
 
-/// Every family's declared bounds, for sweeping.
-pub fn all() -> Vec<AuditBounds> {
-    vec![
-        matmul(),
-        bitonic(),
-        samplesort(),
-        parallel_radix(),
-        apsp(),
-        lu(),
-        vendor(),
-        collectives(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::families;
+
+    fn all() -> Vec<AuditBounds> {
+        families().into_iter().map(|f| f.bounds).collect()
+    }
 
     #[test]
     fn every_family_declares_bounds() {
-        let names: Vec<&str> = all().iter().map(|b| b.family).collect();
-        for expected in [
-            "matmul",
-            "bitonic",
-            "samplesort",
-            "parallel_radix",
-            "apsp",
-            "lu",
-            "vendor",
-            "collectives",
-        ] {
-            assert!(names.contains(&expected), "missing bounds for {expected}");
+        for f in families() {
+            assert_eq!(
+                f.bounds.family, f.name,
+                "bounds declared under another name"
+            );
         }
-        assert_eq!(names.len(), 8);
     }
 
     #[test]
     fn bounds_are_positive_on_real_grid_points() {
-        for b in all() {
-            for (n, p) in [(8, 16), (16, 64), (16, 256)] {
+        for f in families() {
+            for &(n, p) in f.grid {
                 for word in [4usize, 8] {
-                    let bytes = (b.max_step_recv_bytes)(n, p, word);
-                    assert!(bytes > 0, "{} bound vanished at n={n} p={p}", b.family);
+                    let bytes = (f.bounds.max_step_recv_bytes)(n, p, word);
+                    assert!(bytes > 0, "{} bound vanished at n={n} p={p}", f.name);
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Communication disciplines: what a model's runtime rules allow.
+//! Communication disciplines: what a model's runtime rules allow, and
+//! which happens-before guarantees an algorithm claims.
 //!
 //! The paper's models are not just cost formulas — each implies a message
 //! *protocol*. MP-BSP programs on the MasPar must decompose every
@@ -9,6 +10,14 @@
 //! checker knows which observations are violations and which are simply
 //! priced (a deliberately naive schedule *contends*, and the simulator
 //! charges it for that — see Fig. 4 of the paper).
+//!
+//! A [`RaceConfig`] is the dataflow counterpart that the `pcm-race`
+//! analyzer checks: whether each `(destination, tag)` cell has a single
+//! writer per superstep, and whether logical streams stay tag-separated.
+//!
+//! Both are plain data an algorithm declares, like the buffer envelopes of
+//! [`crate::bounds`]; the [`crate::catalog`] pairs every variant with its
+//! declarations, and the analyzers only read them.
 
 /// The runtime protocol an algorithm variant promises to follow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,6 +116,66 @@ impl Discipline {
     }
 }
 
+/// What happens-before guarantees an algorithm declares, mirroring
+/// [`Discipline`] for the protocol layer.
+#[derive(Clone, Copy, Debug)]
+pub struct RaceConfig {
+    /// Name for diagnostics.
+    pub name: &'static str,
+    /// Every `(destination, tag)` cell has at most one writing processor
+    /// per superstep. Off for declared fan-in patterns (count
+    /// accumulation, broadcast gathers), where the receiver folds the
+    /// queue order-insensitively.
+    pub exclusive_writes: bool,
+    /// Logical streams are separated by tag and read through
+    /// `msgs_tagged` (or carry a single tag). Off for dynamic-tag
+    /// dispatchers that decode the tag from each message.
+    pub tagged_inbox: bool,
+}
+
+impl RaceConfig {
+    /// Exclusive writes, tagged inbox — the strictest config: single
+    /// writer per cell, streams never alias.
+    pub fn exclusive() -> Self {
+        RaceConfig {
+            name: "exclusive",
+            exclusive_writes: true,
+            tagged_inbox: true,
+        }
+    }
+
+    /// Exclusive writes, but the receiver dispatches on tags it decodes
+    /// from the messages (dynamic tag spaces like APSP's `2·idx+axis`),
+    /// so untagged reads of mixed tags are expected.
+    pub fn exclusive_dispatch() -> Self {
+        RaceConfig {
+            name: "exclusive-dispatch",
+            exclusive_writes: true,
+            tagged_inbox: false,
+        }
+    }
+
+    /// Declared fan-in (several sources per cell, folded
+    /// order-insensitively), streams still tag-separated.
+    pub fn queued_tagged() -> Self {
+        RaceConfig {
+            name: "queued-tagged",
+            exclusive_writes: false,
+            tagged_inbox: true,
+        }
+    }
+
+    /// Declared fan-in with dynamic dispatch — the loosest config; only
+    /// W02 and W04 remain active.
+    pub fn queued() -> Self {
+        RaceConfig {
+            name: "queued",
+            exclusive_writes: false,
+            tagged_inbox: false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,5 +191,17 @@ mod tests {
         let any = Discipline::any();
         assert!(any.allow_words && any.allow_blocks && any.allow_xnet);
         assert!(!any.forbid_concurrent_writes && !any.single_port_blocks);
+    }
+
+    #[test]
+    fn configs_declare_the_documented_flags() {
+        assert!(RaceConfig::exclusive().exclusive_writes);
+        assert!(RaceConfig::exclusive().tagged_inbox);
+        assert!(RaceConfig::exclusive_dispatch().exclusive_writes);
+        assert!(!RaceConfig::exclusive_dispatch().tagged_inbox);
+        assert!(!RaceConfig::queued_tagged().exclusive_writes);
+        assert!(RaceConfig::queued_tagged().tagged_inbox);
+        assert!(!RaceConfig::queued().exclusive_writes);
+        assert!(!RaceConfig::queued().tagged_inbox);
     }
 }

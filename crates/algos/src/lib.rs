@@ -17,10 +17,15 @@
 //!   `gen_matrix_mult` (Sec. 7);
 //! * [`primitives`] — the BSP communication primitives (broadcast,
 //!   all-gather, multi-scan) of the paper's reference \[16\];
-//! * [`verify`] — sequential references; every run is checked.
+//! * [`verify`] — sequential references; every run is checked;
+//! * [`catalog`] — every family and variant above, declared once with its
+//!   run function, grid, domain, [`bounds`] and [`discipline`]: the list
+//!   every analyzer sweep iterates.
 
 pub mod apsp;
 pub mod bounds;
+pub mod catalog;
+pub mod discipline;
 pub mod lu;
 pub mod matmul;
 pub mod primitives;

@@ -29,18 +29,17 @@
 //! simulator and asserts the dry-run plan is exactly the schedule the
 //! simulator priced, so every static certificate transfers to real runs.
 //!
-//! The `pcm-audit` binary sweeps every family × machine × `(n, p)` grid
-//! point and emits a machine-readable JSON findings report (see
-//! [`report::render_json`]); `make audit` and CI run it.
+//! The `pcm-audit` binary sweeps every family of `pcm_algos::catalog` ×
+//! machine × `(n, p)` grid point and emits a machine-readable JSON
+//! findings report (see [`report::render_json`]); `make audit` and CI run
+//! it.
 
 pub mod checker;
-pub mod families;
 pub mod report;
 pub mod rules;
 pub mod sweep;
 
 pub use checker::{audit_plan, certify_contract_shape, differential_gate, PlanAudit};
-pub use families::{machines, registry, Family, Runner, Variant, SEED};
 pub use report::render_json;
 pub use rules::{render, AuditRule, Finding};
 pub use sweep::{sweep, SweepOptions, SweepOutcome, SweepStats};

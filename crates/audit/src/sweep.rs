@@ -1,4 +1,5 @@
-//! The full audit sweep: every family × machine × `(n, p)` grid point.
+//! The full audit sweep: every `pcm_algos::catalog` family × machine ×
+//! `(n, p)` grid point.
 //!
 //! For each point the sweep extracts the communication plan of every
 //! variant with `pcm_sim::extract_plans` (a dry run — no network pricing
@@ -15,8 +16,8 @@
 //! installs and tears its own down on the worker that runs it.
 
 use crate::checker::{audit_plan, certify_contract_shape, differential_gate, PlanAudit};
-use crate::families::{machines, registry, Family, SEED};
 use crate::rules::{AuditRule, Finding};
+use pcm_algos::catalog::{families, Family, SEED};
 use pcm_experiments::map_ordered;
 use pcm_machines::Platform;
 use pcm_sim::extract_plans;
@@ -71,7 +72,7 @@ fn audit_point(family: &Family, plat: &Platform, n: usize, p: usize) -> (Vec<Fin
             bounds: &family.bounds,
             contract: family.contract.as_ref(),
         };
-        let (verified, plans) = extract_plans(|| (variant.run)(plat, n, SEED));
+        let (verified, plans) = extract_plans(|| (variant.run)(plat, n, SEED).verified);
         if !verified {
             findings.push(Finding {
                 rule: AuditRule::MsgConservation,
@@ -97,7 +98,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     let mut findings = Vec::new();
     let mut stats = SweepStats::default();
 
-    for family in registry() {
+    for family in families() {
         // A06: symbolic shape of the contract, once per family.
         if let Some(c) = family.contract.as_ref() {
             findings.extend(certify_contract_shape(
@@ -118,7 +119,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
         let mut units: Vec<(usize, usize, Platform)> = Vec::new();
         for &(n, p) in grid {
             stats.grid_points += 1;
-            let plats = machines(p);
+            let plats = Platform::all_with(p);
             let take = if opts.fast { 1 } else { plats.len() };
             for plat in plats.into_iter().take(take) {
                 units.push((n, p, plat));
@@ -137,7 +138,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
         // first variant × MasPar, across the (restricted) grid.
         let variant = &family.variants[0];
         for fnds in map_ordered(grid.to_vec(), |_, (n, p)| {
-            let plat = &machines(p)[0];
+            let plat = &Platform::all_with(p)[0];
             let cx = PlanAudit {
                 family: family.name,
                 variant: variant.name,
@@ -148,7 +149,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
                 bounds: &family.bounds,
                 contract: family.contract.as_ref(),
             };
-            differential_gate(&cx, &|| (variant.run)(plat, n, SEED))
+            differential_gate(&cx, &|| (variant.run)(plat, n, SEED).verified)
         }) {
             findings.extend(fnds);
             stats.differential_points += 1;

@@ -11,6 +11,7 @@
 //! compares a caller-supplied state digest (rule D01) and the full
 //! superstep trace stream (rule D02) across the legs.
 
+use pcm_algos::RunResult;
 use pcm_sim::{with_exchange_shards, with_sequential, SuperstepTrace};
 
 use crate::conformance::collect_traces;
@@ -78,6 +79,23 @@ impl Default for Digest {
     fn default() -> Self {
         Digest::new()
     }
+}
+
+/// Digest of everything an algorithm run reports: time bits,
+/// verification, the breakdown and the stats. The golden tests pin it, and
+/// the sanitizer's determinism layer compares it across engines.
+pub fn digest_run(r: &RunResult) -> u64 {
+    let mut d = Digest::new();
+    d.push_f64(r.time.as_micros());
+    d.push_u64(u64::from(r.verified));
+    d.push_f64(r.breakdown.compute.as_micros());
+    d.push_f64(r.breakdown.comm.as_micros());
+    d.push_usize(r.breakdown.supersteps);
+    d.push_usize(r.breakdown.messages);
+    d.push_usize(r.breakdown.bytes);
+    d.push_usize(r.stats.max_bucket);
+    d.push_f64(r.stats.mflops);
+    d.finish()
 }
 
 /// Digest of a superstep trace stream: every costed quantity of every

@@ -4,7 +4,8 @@
 //!
 //! 1. **Runtime protocol checker** ([`protocol`]): a schedule-level
 //!    `pcm_sim::SuperstepProbe` that watches every superstep and flags violations of the active
-//!    model's message [`Discipline`] — out-of-range destinations (R01),
+//!    model's message `Discipline` (declared per variant in
+//!    `pcm_algos::catalog`) — out-of-range destinations (R01),
 //!    unread deliveries (R02), disallowed message kinds (R03), concurrent
 //!    writes under MP-BSP (R04), invalid charges (R05), block fan-in under
 //!    the single-port MP-BPRAM (R06) and non-finite priced times (R07).
@@ -29,13 +30,11 @@
 
 pub mod conformance;
 pub mod determinism;
-pub mod discipline;
 pub mod protocol;
 pub mod rules;
 
 pub use conformance::{breach_to_violation, check_conformance, collect_traces};
-pub use determinism::{audit_determinism, digest_traces, Digest};
-pub use discipline::Discipline;
+pub use determinism::{audit_determinism, digest_run, digest_traces, Digest};
 pub use protocol::{check_protocol, ProtocolChecker};
 pub use rules::{RuleId, Severity, Violation};
 

@@ -11,9 +11,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use pcm_algos::discipline::Discipline;
 use pcm_sim::{with_probe, BlockRound, Needs, RunEnd, StepObs, SuperstepProbe};
 
-use crate::discipline::Discipline;
 use crate::rules::{RuleId, Violation};
 
 /// Observes a machine's supersteps and records protocol violations.

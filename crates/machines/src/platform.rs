@@ -129,6 +129,13 @@ impl Platform {
         }
     }
 
+    /// All three machines scaled to `p` processors, in the paper's order
+    /// (MasPar, GCel, CM-5). `p` must suit every constructor: a power of
+    /// two, at least 16, and a perfect square (e.g. 16, 64, 256, 1024).
+    pub fn all_with(p: usize) -> [Platform; 3] {
+        [Self::maspar_with(p), Self::gcel_with(p), Self::cm5_with(p)]
+    }
+
     /// The machine's name as the paper spells it.
     pub fn name(&self) -> &'static str {
         match self.kind {

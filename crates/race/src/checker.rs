@@ -27,12 +27,13 @@
 
 use std::collections::HashMap;
 
+use pcm_algos::discipline::RaceConfig;
 use pcm_check::{RuleId, Violation};
 use pcm_sim::shadow::{ConsumeFilter, RegionId, ShadowEvent};
 use pcm_sim::{Needs, RunEnd, StepObs, SuperstepProbe};
 
 use crate::vclock::{global_barrier, Epoch, VClock};
-use crate::{RaceConfig, Sink};
+use crate::Sink;
 
 /// One deliverable message in flight between the barrier that ends its
 /// producing superstep and the barrier that clears it from the inbox.
@@ -311,7 +312,8 @@ mod tests {
 
     use pcm_sim::{IdealNetwork, Machine, UniformCompute};
 
-    use crate::{check_races, errors, warnings, RaceConfig};
+    use crate::{check_races, errors, warnings};
+    use pcm_algos::discipline::RaceConfig;
     use pcm_check::RuleId;
 
     fn machine(p: usize) -> Machine<u32> {

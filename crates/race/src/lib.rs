@@ -28,13 +28,14 @@
 //!   before anything read it: wasted communication, the "cheap pattern"
 //!   smell the paper attributes mispredictions to.
 //!
-//! The [`RaceConfig`] declares which guarantees an algorithm claims, in
-//! the spirit of `pcm_check::Discipline`: concurrent-write algorithms
-//! (fan-in accumulations) run with `exclusive_writes` off, dynamic-tag
-//! dispatchers with `tagged_inbox` off.
+//! The [`RaceConfig`] an algorithm declares (next to its protocol
+//! `Discipline`, in `pcm_algos::catalog`) states which guarantees it
+//! claims: concurrent-write algorithms (fan-in accumulations) run with
+//! `exclusive_writes` off, dynamic-tag dispatchers with `tagged_inbox` off.
 //!
 //! ```
-//! use pcm_race::{check_races, errors, RaceConfig};
+//! use pcm_algos::discipline::RaceConfig;
+//! use pcm_race::{check_races, errors};
 //! use pcm_sim::{IdealNetwork, Machine, UniformCompute};
 //! use std::sync::Arc;
 //!
@@ -73,6 +74,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use pcm_algos::discipline::RaceConfig;
 use pcm_check::{Severity, Violation};
 use pcm_sim::with_probe;
 
@@ -84,66 +86,6 @@ pub use vclock::{Epoch, VClock};
 
 /// Shared violation sink the per-machine checkers push into.
 pub(crate) type Sink = Rc<RefCell<Vec<Violation>>>;
-
-/// What happens-before guarantees an algorithm declares, mirroring
-/// `pcm_check::Discipline` for the protocol layer.
-#[derive(Clone, Copy, Debug)]
-pub struct RaceConfig {
-    /// Name for diagnostics.
-    pub name: &'static str,
-    /// Every `(destination, tag)` cell has at most one writing processor
-    /// per superstep. Off for declared fan-in patterns (count
-    /// accumulation, broadcast gathers), where the receiver folds the
-    /// queue order-insensitively.
-    pub exclusive_writes: bool,
-    /// Logical streams are separated by tag and read through
-    /// `msgs_tagged` (or carry a single tag). Off for dynamic-tag
-    /// dispatchers that decode the tag from each message.
-    pub tagged_inbox: bool,
-}
-
-impl RaceConfig {
-    /// Exclusive writes, tagged inbox — the strictest config: single
-    /// writer per cell, streams never alias.
-    pub fn exclusive() -> Self {
-        RaceConfig {
-            name: "exclusive",
-            exclusive_writes: true,
-            tagged_inbox: true,
-        }
-    }
-
-    /// Exclusive writes, but the receiver dispatches on tags it decodes
-    /// from the messages (dynamic tag spaces like APSP's `2·idx+axis`),
-    /// so untagged reads of mixed tags are expected.
-    pub fn exclusive_dispatch() -> Self {
-        RaceConfig {
-            name: "exclusive-dispatch",
-            exclusive_writes: true,
-            tagged_inbox: false,
-        }
-    }
-
-    /// Declared fan-in (several sources per cell, folded
-    /// order-insensitively), streams still tag-separated.
-    pub fn queued_tagged() -> Self {
-        RaceConfig {
-            name: "queued-tagged",
-            exclusive_writes: false,
-            tagged_inbox: true,
-        }
-    }
-
-    /// Declared fan-in with dynamic dispatch — the loosest config; only
-    /// W02 and W04 remain active.
-    pub fn queued() -> Self {
-        RaceConfig {
-            name: "queued",
-            exclusive_writes: false,
-            tagged_inbox: false,
-        }
-    }
-}
 
 /// Runs `body` with a [`RaceChecker`] installed on every machine it
 /// creates (via the thread-local observer hook) and returns `body`'s
@@ -175,21 +117,4 @@ pub fn warnings(violations: &[Violation]) -> Vec<&Violation> {
         .iter()
         .filter(|v| v.rule.severity() == Severity::Warning)
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn configs_declare_the_documented_flags() {
-        assert!(RaceConfig::exclusive().exclusive_writes);
-        assert!(RaceConfig::exclusive().tagged_inbox);
-        assert!(RaceConfig::exclusive_dispatch().exclusive_writes);
-        assert!(!RaceConfig::exclusive_dispatch().tagged_inbox);
-        assert!(!RaceConfig::queued_tagged().exclusive_writes);
-        assert!(RaceConfig::queued_tagged().tagged_inbox);
-        assert!(!RaceConfig::queued().exclusive_writes);
-        assert!(!RaceConfig::queued().tagged_inbox);
-    }
 }

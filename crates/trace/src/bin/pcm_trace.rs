@@ -12,145 +12,78 @@
 //!   timeline is simulated µs; wall-clock phase ns ride in `args`. Not
 //!   committed (wall time is not deterministic).
 //!
+//! The replay points are named `(family, variant)` pairs, looked up in
+//! `pcm_algos::catalog` and run at each family's first grid point.
+//!
 //! Flags: `--fast` replays a two-family subset (the CI smoke sweep),
 //! `--wall` adds wall-phase totals to the report (diagnostics only — do
 //! not commit such a report).
 //!
-//! Exit status is non-zero if any replay fails verification or exact
-//! attribution: the binary is itself the strongest runtime gate on the
-//! tracing layer.
+//! Exit status is non-zero if a replay name is missing from the catalog,
+//! or any replay fails verification or exact attribution: the binary is
+//! itself the strongest runtime gate on the tracing layer.
 
-use pcm_algos::apsp::{self, ApspVariant};
-use pcm_algos::lu::{self, LuVariant};
-use pcm_algos::matmul::{self, MatmulVariant};
-use pcm_algos::primitives::collectives;
-use pcm_algos::sort::bitonic::{self, ExchangeMode};
-use pcm_algos::sort::parallel_radix::{self, RadixVariant};
-use pcm_algos::sort::sample::{self, SampleVariant};
-use pcm_algos::vendor;
+use pcm_algos::catalog::{self, RunFn, SEED};
 use pcm_core::fsio::write_atomic;
-use pcm_core::SimTime;
 use pcm_machines::Platform;
 use pcm_sim::with_exchange_shards;
 use pcm_trace::{capture, chrome, ChromeRun, MachineRun, RunRecord, TraceReport};
 
-/// Same fixed seed convention as the audit sweep.
-const SEED: u64 = 2026;
 /// Exchange shards pinned for deterministic delivery order.
 const SHARDS: usize = 1;
-/// Processor count every replay point uses (valid for all families).
-const P: usize = 16;
 
-/// Replay body: runs the algorithm on a platform, returns (clock, verified).
-type Replay = Box<dyn Fn(&Platform) -> (SimTime, bool)>;
+/// The replayed `(family, variant)` pairs, each at its family's first
+/// catalog grid point; `--fast` keeps the first two.
+const REPLAYS: [(&str, &str); 8] = [
+    ("matmul", "BspStaggered"),
+    ("bitonic", "Words"),
+    ("samplesort", "BspWords"),
+    ("parallel_radix", "Words"),
+    ("apsp", "Words"),
+    ("lu", "Words"),
+    ("vendor", "maspar_matmul"),
+    ("collectives", "all_gather"),
+];
 
-/// One replayable point: family, variant, size, and the run body.
+/// One replayable point: family, variant, size, and the run function.
 struct Point {
     family: &'static str,
     variant: &'static str,
     n: usize,
-    run: Replay,
+    p: usize,
+    run: RunFn,
 }
 
-fn points(fast: bool) -> Vec<Point> {
-    let mut pts = vec![
-        Point {
-            family: "matmul",
-            variant: "BspStaggered",
-            n: 8,
-            run: Box::new(|plat| {
-                let r = matmul::run(plat, 8, MatmulVariant::BspStaggered, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "bitonic",
-            variant: "Words",
-            n: 16,
-            run: Box::new(|plat| {
-                let r = bitonic::run(plat, 16, ExchangeMode::Words, SEED);
-                (r.time, r.verified)
-            }),
-        },
-    ];
-    if fast {
-        return pts;
-    }
-    pts.extend([
-        Point {
-            family: "samplesort",
-            variant: "BspWords",
-            n: 16,
-            run: Box::new(|plat| {
-                let r = sample::run(plat, 16, 2, SampleVariant::BspWords, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "parallel_radix",
-            variant: "Words",
-            n: 32,
-            run: Box::new(|plat| {
-                let r = parallel_radix::run(plat, 32, RadixVariant::Words, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "apsp",
-            variant: "Words",
-            n: 8,
-            run: Box::new(|plat| {
-                let r = apsp::run(plat, 8, ApspVariant::Words, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "lu",
-            variant: "Words",
-            n: 8,
-            run: Box::new(|plat| {
-                let r = lu::run(plat, 8, LuVariant::Words, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "vendor",
-            variant: "maspar_matmul",
-            n: 8,
-            run: Box::new(|plat| {
-                let r = vendor::maspar_matmul(plat, 8, SEED);
-                (r.time, r.verified)
-            }),
-        },
-        Point {
-            family: "collectives",
-            variant: "all_gather",
-            n: 16,
-            run: Box::new(|plat| {
-                let p = plat.p();
-                let n = 16usize;
-                let data: Vec<Vec<u32>> = (0..p)
-                    .map(|i| {
-                        let base = u32::try_from(i * n).expect("test sizes fit u32");
-                        (base..base + u32::try_from(n).expect("n fits u32")).collect()
-                    })
-                    .collect();
-                let expect: Vec<u32> = (0..u32::try_from(p * n).expect("p*n fits u32")).collect();
-                let mut m = collectives::machine_with(plat, data, SEED);
-                collectives::all_gather(&mut m);
-                let ok = m.states().iter().all(|s| s.out == expect);
-                (m.time(), ok)
-            }),
-        },
-    ]);
-    pts
+/// Looks every replay up in the catalog; a name the catalog no longer
+/// has is an error, so a rename cannot silently drop a row.
+fn points(fast: bool) -> Result<Vec<Point>, String> {
+    let take = if fast { 2 } else { REPLAYS.len() };
+    REPLAYS[..take]
+        .iter()
+        .map(|&(family, variant)| {
+            let fam = catalog::family(family)
+                .ok_or_else(|| format!("no family '{family}' in the catalog"))?;
+            let v = fam
+                .variant(variant)
+                .ok_or_else(|| format!("no variant '{family}/{variant}' in the catalog"))?;
+            let (n, p) = fam.grid[0];
+            Ok(Point {
+                family: fam.name,
+                variant: v.name,
+                n,
+                p,
+                run: v.run,
+            })
+        })
+        .collect()
 }
 
 /// Replays one point on one platform; returns the report record and the
 /// attribution rows of the machine that produced the result.
 fn replay(point: &Point, plat: &Platform) -> (RunRecord, Option<MachineRun>) {
-    let ((time, verified), mut cap) =
-        with_exchange_shards(SHARDS, || capture(|| (point.run)(plat)));
+    let (result, mut cap) =
+        with_exchange_shards(SHARDS, || capture(|| (point.run)(plat, point.n, SEED)));
+    let (time, verified) = (result.time, result.verified);
     let idx = {
         let bits = time.as_micros().to_bits();
         cap.runs
@@ -178,7 +111,7 @@ fn replay(point: &Point, plat: &Platform) -> (RunRecord, Option<MachineRun>) {
         variant: point.variant.to_string(),
         machine: plat.name().to_string(),
         n: point.n,
-        p: P,
+        p: point.p,
         verified,
         exact,
         total_us: time.as_micros(),
@@ -223,24 +156,24 @@ fn main() {
         }
     }
 
+    let points = points(fast).unwrap_or_else(|e| {
+        eprintln!("pcm-trace: {e}");
+        std::process::exit(1);
+    });
     rayon::stats::enable(true);
-    let platforms = [
-        Platform::maspar_with(P),
-        Platform::gcel_with(P),
-        Platform::cm5_with(P),
-    ];
     let mut records = Vec::new();
     let mut kept: Vec<(String, MachineRun)> = Vec::new();
-    for point in points(fast) {
-        for plat in &platforms {
+    for point in &points {
+        for plat in &Platform::all_with(point.p) {
             let label = format!(
-                "{}/{} @ {} (n={}, p={P})",
+                "{}/{} @ {} (n={}, p={})",
                 point.family,
                 point.variant,
                 plat.name(),
-                point.n
+                point.n,
+                point.p
             );
-            let (mut rec, run) = replay(&point, plat);
+            let (mut rec, run) = replay(point, plat);
             if !wall {
                 rec.wall = None;
             }

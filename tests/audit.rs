@@ -5,13 +5,14 @@
 //! undeclared packet size A05, a shuffled schedule A02 and a shrinking
 //! closed form A06.
 
+use pcm::algos::catalog::{families, SEED};
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::models::contract;
 use pcm::sim::{extract_plans, CommPattern, MsgKind, RunPlan, SendRecord, StepPlan};
 use pcm::Platform;
 use pcm_audit::{
     audit_plan, certify_contract_shape, differential_gate, render, sweep, AuditRule, Finding,
-    PlanAudit, SweepOptions, SEED,
+    PlanAudit, SweepOptions,
 };
 
 /// The full sweep — every family, machine, grid point, variant, plus the
@@ -24,12 +25,19 @@ fn full_sweep_is_clean() {
         "static audit sweep found:\n{}",
         render(&outcome.findings)
     );
-    assert!(
-        outcome.stats.plans_audited >= 150,
-        "sweep shrank unexpectedly"
-    );
-    assert_eq!(outcome.stats.shape_contracts, 6);
-    assert!(outcome.stats.differential_points >= 20);
+    // Every catalog family, variant, machine and grid point is visited.
+    let fams = families();
+    let grid_points: usize = fams.iter().map(|f| f.grid.len()).sum();
+    let plans: usize = fams
+        .iter()
+        .map(|f| 3 * f.grid.len() * f.variants.len())
+        .sum();
+    let shapes = fams.iter().filter(|f| f.contract.is_some()).count();
+    let stats = outcome.stats;
+    assert_eq!(stats.grid_points, grid_points);
+    assert_eq!(stats.plans_audited, plans);
+    assert_eq!(stats.differential_points, grid_points);
+    assert_eq!(stats.shape_contracts, shapes);
 }
 
 fn matmul_plan(n: usize, p: usize) -> (Platform, RunPlan) {

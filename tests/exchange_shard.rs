@@ -25,6 +25,8 @@ use std::rc::Rc;
 use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
+use pcm::algos::catalog::SEED;
+use pcm::algos::discipline::{Discipline, RaceConfig};
 use pcm::algos::lu::{self, LuVariant};
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
@@ -33,14 +35,12 @@ use pcm::algos::sort::sample::{self, SampleVariant};
 use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::Platform;
-use pcm_check::{audit_determinism, check_protocol, collect_traces, render, Digest, Discipline};
-use pcm_race::{check_races, RaceConfig};
+use pcm_check::{audit_determinism, check_protocol, collect_traces, digest_run, render, Digest};
+use pcm_race::check_races;
 use pcm_sim::{
     extract_plans, with_exchange_shards, with_probe, with_sequential, ExchangePath, IdealNetwork,
     Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute, MAX_SHARDS,
 };
-
-const SEED: u64 = 2026;
 
 /// Pins the pool width before the rayon shim latches it, so the lane
 /// fan-out dispatches across real workers even on a single-core runner.
@@ -51,31 +51,6 @@ fn force_pool() {
             std::env::set_var("RAYON_NUM_THREADS", "4");
         }
     });
-}
-
-/// The three simulated machines, scaled to `p` processors.
-fn machines(p: usize) -> Vec<Platform> {
-    vec![
-        Platform::maspar_with(p),
-        Platform::gcel_with(p),
-        Platform::cm5_with(p),
-    ]
-}
-
-/// Folds everything an algorithm run produced into a state digest
-/// (mirrors `tests/golden.rs`).
-fn digest_run(r: &RunResult) -> u64 {
-    let mut d = Digest::new();
-    d.push_f64(r.time.as_micros());
-    d.push_u64(u64::from(r.verified));
-    d.push_f64(r.breakdown.compute.as_micros());
-    d.push_f64(r.breakdown.comm.as_micros());
-    d.push_usize(r.breakdown.supersteps);
-    d.push_usize(r.breakdown.messages);
-    d.push_usize(r.breakdown.bytes);
-    d.push_usize(r.stats.max_bucket);
-    d.push_f64(r.stats.mflops);
-    d.finish()
 }
 
 type KernelRun<'a> = Box<dyn Fn() -> RunResult + 'a>;
@@ -129,7 +104,7 @@ fn family_runs(plat: &Platform) -> Vec<(&'static str, KernelRun<'_>)> {
 fn sharded_exchange_is_bit_identical_across_families() {
     force_pool();
     let p = 16;
-    for plat in machines(p) {
+    for plat in Platform::all_with(p) {
         for (label, run) in family_runs(&plat) {
             let reference = with_sequential(&run);
             assert!(

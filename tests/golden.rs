@@ -1,5 +1,5 @@
 //! Golden-trace regression: one (algorithm, machine, n, p) point per
-//! family, digested with the FNV [`Digest`] over everything a run
+//! family, digested by `pcm_check::digest_run` (FNV) over everything a run
 //! reports (time bits, verification, breakdown, stats). The constants
 //! below pin the simulator's behavior: any change to pricing, message
 //! schedules or algorithm structure shows up as a digest mismatch here
@@ -14,6 +14,7 @@
 //! the constants with the printed values.
 
 use pcm::algos::apsp::{self, ApspVariant};
+use pcm::algos::catalog::SEED;
 use pcm::algos::lu::{self, LuVariant};
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
@@ -22,25 +23,7 @@ use pcm::algos::sort::sample::{self, SampleVariant};
 use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::Platform;
-use pcm_check::Digest;
-
-const SEED: u64 = 2026;
-
-/// Folds everything an algorithm run produced into a state digest
-/// (mirrors the sanitizer's determinism digest).
-fn digest_run(r: &RunResult) -> u64 {
-    let mut d = Digest::new();
-    d.push_f64(r.time.as_micros());
-    d.push_u64(u64::from(r.verified));
-    d.push_f64(r.breakdown.compute.as_micros());
-    d.push_f64(r.breakdown.comm.as_micros());
-    d.push_usize(r.breakdown.supersteps);
-    d.push_usize(r.breakdown.messages);
-    d.push_usize(r.breakdown.bytes);
-    d.push_usize(r.stats.max_bucket);
-    d.push_f64(r.stats.mflops);
-    d.finish()
-}
+use pcm_check::digest_run;
 
 fn check(label: &str, expected: u64, run: impl FnOnce() -> RunResult) {
     let r = run();

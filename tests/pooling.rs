@@ -15,15 +15,15 @@
 
 use std::sync::{Arc, Once};
 
+use pcm::algos::catalog::SEED;
+use pcm::algos::discipline::RaceConfig;
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::RunResult;
 use pcm::Platform;
-use pcm_check::{render, Digest};
-use pcm_race::{check_races, errors, RaceConfig};
+use pcm_check::{digest_run, render};
+use pcm_race::{check_races, errors};
 use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
-
-const SEED: u64 = 2026;
 
 /// Pool width 4 at or above `p = 32` engages the pooled path even on a
 /// single-core runner. Every test calls this before any parallel collect
@@ -37,31 +37,6 @@ fn force_pool() {
     });
 }
 
-/// The three simulated machines, scaled to `p` processors.
-fn machines(p: usize) -> Vec<Platform> {
-    vec![
-        Platform::maspar_with(p),
-        Platform::gcel_with(p),
-        Platform::cm5_with(p),
-    ]
-}
-
-/// Folds everything an algorithm run produced into a state digest
-/// (mirrors `tests/golden.rs`).
-fn digest_run(r: &RunResult) -> u64 {
-    let mut d = Digest::new();
-    d.push_f64(r.time.as_micros());
-    d.push_u64(u64::from(r.verified));
-    d.push_f64(r.breakdown.compute.as_micros());
-    d.push_f64(r.breakdown.comm.as_micros());
-    d.push_usize(r.breakdown.supersteps);
-    d.push_usize(r.breakdown.messages);
-    d.push_usize(r.breakdown.bytes);
-    d.push_usize(r.stats.max_bucket);
-    d.push_f64(r.stats.mflops);
-    d.finish()
-}
-
 type KernelRun<'a> = Box<dyn Fn() -> RunResult + 'a>;
 
 /// Pooled vs forced-sequential whole-kernel runs: identical times and
@@ -69,7 +44,7 @@ type KernelRun<'a> = Box<dyn Fn() -> RunResult + 'a>;
 #[test]
 fn pooled_kernels_match_forced_sequential() {
     force_pool();
-    for plat in machines(64) {
+    for plat in Platform::all_with(64) {
         let runs: Vec<(&str, KernelRun<'_>)> = vec![
             (
                 "bitonic words m=24",
@@ -194,7 +169,7 @@ fn recycled_buffers_never_leak_stale_data() {
 #[test]
 fn race_analyzer_is_clean_on_pooled_path() {
     force_pool();
-    for plat in machines(64) {
+    for plat in Platform::all_with(64) {
         let label = format!("bitonic words m=24 on {} p=64 (pooled)", plat.name());
         let (result, violations) = check_races(RaceConfig::exclusive(), || {
             bitonic::run(&plat, 24, ExchangeMode::Words, SEED)

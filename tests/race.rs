@@ -1,6 +1,6 @@
-//! Happens-before sweep: every algorithm x machine x (n, p) grid point
-//! runs under the `pcm-race` analyzer with the [`RaceConfig`] the
-//! algorithm has signed up for:
+//! Happens-before sweep: every `pcm_algos::catalog` variant x machine x
+//! the family's analyzer grid runs under the `pcm-race` analyzer with the
+//! [`RaceConfig`] the variant declares in the catalog:
 //!
 //! * `exclusive` — single writer per `(dst, tag)` cell, tag-separated
 //!   streams (bitonic, LU, the vendor kernels);
@@ -18,30 +18,17 @@
 
 use std::sync::Arc;
 
-use pcm::algos::apsp::{self, ApspVariant};
-use pcm::algos::lu::{self, LuVariant};
-use pcm::algos::matmul::{self, MatmulVariant};
+#[macro_use]
+mod common;
+
+use pcm::algos::catalog::{self, Family, Variant, SEED};
+use pcm::algos::discipline::RaceConfig;
 use pcm::algos::primitives::collectives;
-use pcm::algos::sort::bitonic::{self, ExchangeMode};
-use pcm::algos::sort::parallel_radix::{self, RadixVariant};
-use pcm::algos::sort::sample::{self, SampleVariant};
-use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::Platform;
 use pcm_check::render;
-use pcm_race::{check_races, errors, RaceConfig};
+use pcm_race::{check_races, errors};
 use pcm_sim::{IdealNetwork, Machine, UniformCompute};
-
-const SEED: u64 = 2026;
-
-/// The three simulated machines, scaled to `p` processors.
-fn machines(p: usize) -> Vec<Platform> {
-    vec![
-        Platform::maspar_with(p),
-        Platform::gcel_with(p),
-        Platform::cm5_with(p),
-    ]
-}
 
 /// Runs one sweep point under the analyzer and fails on any error-grade
 /// finding.
@@ -57,181 +44,38 @@ fn race_check(label: &str, config: RaceConfig, run: impl FnOnce() -> RunResult) 
     );
 }
 
-#[test]
-fn sweep_matmul() {
-    // Every slab gather has q sources per (dst, tag) cell, folded by
-    // sender coordinate: declared fan-in, tag-separated streams.
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for variant in [
-                MatmulVariant::BspNaive,
-                MatmulVariant::BspStaggered,
-                MatmulVariant::Bpram,
-            ] {
-                let label = format!("matmul {variant:?} n={n} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::queued_tagged(), || {
-                    matmul::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
+/// A catalog sweep point, under the race config the variant declares.
+fn check_point(
+    label: &str,
+    _family: &Family,
+    v: &Variant,
+    _n: usize,
+    _p: usize,
+    run: &dyn Fn() -> RunResult,
+) {
+    race_check(label, v.race, run);
 }
 
-#[test]
-fn sweep_bitonic() {
-    // One partner per exchange step: strictest config.
-    for (m, p) in [(16, 16), (24, 64)] {
-        for plat in machines(p) {
-            for mode in [
-                ExchangeMode::Words,
-                ExchangeMode::WordsResync { interval: 8 },
-                ExchangeMode::Packets { bytes: 16 },
-                ExchangeMode::Block,
-            ] {
-                let label = format!("bitonic {mode:?} m={m} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::exclusive(), || {
-                    bitonic::run(&plat, m, mode, SEED)
-                });
-            }
-        }
-    }
-}
+catalog_sweeps!(check_point);
 
+/// The catalog's broadcast starts at root 0; this is the one run from a
+/// non-zero root.
 #[test]
-fn sweep_samplesort() {
-    // Bucket routing fans keys from every source into each destination
-    // and the receiver folds the queue order-insensitively.
-    for (m, p) in [(16, 16), (24, 64)] {
-        for plat in machines(p) {
-            for variant in [
-                SampleVariant::BspWords,
-                SampleVariant::Bpram,
-                SampleVariant::BpramStaggered,
-            ] {
-                let label = format!("samplesort {variant:?} m={m} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::queued(), || {
-                    sample::run(&plat, m, 2, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_apsp() {
-    // Single writer per cell, but piece tags (`2·idx+axis`) are decoded
-    // by the receiver from an untagged read.
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for variant in [ApspVariant::Words, ApspVariant::Blocks] {
-                let label = format!("apsp {variant:?} n={n} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::exclusive_dispatch(), || {
-                    apsp::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_lu() {
-    // Pivot, L-panel and U-panel travel on distinct tags with one owner
-    // each, read through `msgs_tagged` filters.
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for variant in [LuVariant::Words, LuVariant::Blocks] {
-                let label = format!("lu {variant:?} n={n} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::exclusive(), || {
-                    lu::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_parallel_radix() {
-    // Count slices from every processor fan into each bucket manager on
-    // one tag.
-    for (m, p) in [(32, 16), (16, 64)] {
-        for plat in machines(p) {
-            for variant in [RadixVariant::Words, RadixVariant::Blocks] {
-                let label = format!("radix {variant:?} m={m} on {} p={p}", plat.name());
-                race_check(&label, RaceConfig::queued_tagged(), || {
-                    parallel_radix::run(&plat, m, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_vendor() {
-    // Cannon/SUMMA shift at most one A and one B panel per step, read
-    // through per-tag filters.
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            let label = format!("maspar_matmul n={n} on {} p={p}", plat.name());
-            race_check(&label, RaceConfig::exclusive(), || {
-                vendor::maspar_matmul(&plat, n, SEED)
-            });
-            let label = format!("cmssl_matmul n={n} on {} p={p}", plat.name());
-            race_check(&label, RaceConfig::exclusive(), || {
-                vendor::cmssl_matmul(&plat, n, SEED)
-            });
-        }
-    }
-}
-
-#[test]
-fn sweep_collectives() {
-    for p in [16, 64] {
-        for plat in machines(p) {
-            // Broadcast re-broadcasts pid-tagged pieces that the assembly
-            // step decodes from an untagged read.
-            let label = format!("broadcast on {} p={p}", plat.name());
-            let ((), violations) = check_races(RaceConfig::exclusive_dispatch(), || {
-                let data: Vec<Vec<u32>> = (0..p)
-                    .map(|i| if i == 1 { (0..16).collect() } else { vec![] })
-                    .collect();
+fn broadcast_from_root_1_is_race_free() {
+    let family = catalog::family("collectives").expect("collectives in the catalog");
+    let config = family.variant("broadcast").expect("broadcast variant").race;
+    for &(_, p) in family.analyzer_grid() {
+        for plat in Platform::all_with(p) {
+            let label = format!("broadcast root=1 on {} p={p}", plat.name());
+            race_check(&label, config, || {
+                let mut data = vec![Vec::new(); p];
+                data[1] = (0..16).collect();
+                let expect = data[1].clone();
                 let mut m = collectives::machine_with(&plat, data, SEED);
                 collectives::broadcast(&mut m, 1);
+                let ok = m.states().iter().all(|s| s.out == expect);
+                RunResult::new(m.time(), m.breakdown(), ok)
             });
-            assert!(
-                errors(&violations).is_empty(),
-                "{label}:\n{}",
-                render(&violations)
-            );
-
-            let label = format!("all_gather on {} p={p}", plat.name());
-            let ((), violations) = check_races(RaceConfig::exclusive_dispatch(), || {
-                let data: Vec<Vec<u32>> = (0..u32::try_from(p).unwrap())
-                    .map(|i| vec![i, i + 1])
-                    .collect();
-                let mut m = collectives::machine_with(&plat, data, SEED);
-                collectives::all_gather(&mut m);
-            });
-            assert!(
-                errors(&violations).is_empty(),
-                "{label}:\n{}",
-                render(&violations)
-            );
-
-            // Multi-scan funnels untagged count words from every source
-            // into each component owner.
-            let label = format!("multi_scan on {} p={p}", plat.name());
-            let ((), violations) = check_races(RaceConfig::queued(), || {
-                let data: Vec<Vec<u32>> = (0..p)
-                    .map(|i| (0..p).map(|j| u32::try_from(i + j).unwrap()).collect())
-                    .collect();
-                let mut m = collectives::machine_with(&plat, data, SEED);
-                collectives::multi_scan(&mut m);
-            });
-            assert!(
-                errors(&violations).is_empty(),
-                "{label}:\n{}",
-                render(&violations)
-            );
         }
     }
 }

@@ -1,54 +1,25 @@
-//! Sanitizer sweep: every algorithm x machine x (n, p) grid point runs
-//! under all three `pcm-check` layers —
+//! Sanitizer sweep: every `pcm_algos::catalog` variant x machine x the
+//! family's analyzer grid runs under all three `pcm-check` layers —
 //!
 //! 1. the runtime protocol checker, with the message [`Discipline`] the
-//!    variant has signed up for (a deliberately naive schedule tolerates
-//!    concurrent writes; a strict MP-BSP variant must stagger into
-//!    permutation rounds),
+//!    variant declares in the catalog (a deliberately naive schedule
+//!    tolerates concurrent writes; a strict MP-BSP variant must stagger
+//!    into permutation rounds),
 //! 2. the model-conformance lint against the predictor's `CostContract`,
 //! 3. the determinism auditor (rayon on vs. forced sequential).
 //!
 //! A non-empty violation list anywhere fails the sweep with the full
 //! rendered report.
 
-use pcm::algos::apsp::{self, ApspVariant};
-use pcm::algos::lu::{self, LuVariant};
-use pcm::algos::matmul::{self, MatmulVariant};
-use pcm::algos::sort::bitonic::{self, ExchangeMode};
-use pcm::algos::sort::parallel_radix::{self, RadixVariant};
-use pcm::algos::sort::sample::{self, SampleVariant};
-use pcm::algos::vendor;
+#[macro_use]
+mod common;
+
+use pcm::algos::catalog::{Family, Variant};
+use pcm::algos::discipline::Discipline;
 use pcm::algos::RunResult;
 use pcm::models::contract;
 use pcm::models::CostContract;
-use pcm::Platform;
-use pcm_check::{audit_determinism, check_conformance, check_protocol, render, Digest, Discipline};
-
-const SEED: u64 = 2026;
-
-/// The three simulated machines, scaled to `p` processors.
-fn machines(p: usize) -> Vec<Platform> {
-    vec![
-        Platform::maspar_with(p),
-        Platform::gcel_with(p),
-        Platform::cm5_with(p),
-    ]
-}
-
-/// Folds everything an algorithm run produced into a state digest.
-fn digest_run(r: &RunResult) -> u64 {
-    let mut d = Digest::new();
-    d.push_f64(r.time.as_micros());
-    d.push_u64(u64::from(r.verified));
-    d.push_f64(r.breakdown.compute.as_micros());
-    d.push_f64(r.breakdown.comm.as_micros());
-    d.push_usize(r.breakdown.supersteps);
-    d.push_usize(r.breakdown.messages);
-    d.push_usize(r.breakdown.bytes);
-    d.push_usize(r.stats.max_bucket);
-    d.push_f64(r.stats.mflops);
-    d.finish()
-}
+use pcm_check::{audit_determinism, check_conformance, check_protocol, digest_run, render};
 
 /// Runs one sweep point through all three sanitizer layers.
 fn sanitize(
@@ -87,154 +58,21 @@ fn sanitize(
     );
 }
 
-#[test]
-fn sweep_matmul() {
-    let c = contract::matmul();
-    let variants = [
-        // The naive schedule contends by design (Fig. 4): R04 off.
-        (MatmulVariant::BspNaive, Discipline::bsp_words()),
-        (MatmulVariant::BspStaggered, Discipline::mp_bsp()),
-        (MatmulVariant::Bpram, Discipline::bpram()),
-    ];
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for (variant, discipline) in variants {
-                let label = format!("matmul {variant:?} n={n} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, n, p)), || {
-                    matmul::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
+/// A catalog sweep point: the variant's declared discipline, and its
+/// family's contract when the predictor ships one.
+fn check_point(
+    label: &str,
+    family: &Family,
+    v: &Variant,
+    n: usize,
+    p: usize,
+    run: &dyn Fn() -> RunResult,
+) {
+    let contract = family.contract.as_ref().map(|c| (c, n, p));
+    sanitize(label, v.discipline, contract, run);
 }
 
-#[test]
-fn sweep_bitonic() {
-    let c = contract::bitonic();
-    let modes = [
-        (ExchangeMode::Words, Discipline::mp_bsp()),
-        (
-            ExchangeMode::WordsResync { interval: 8 },
-            Discipline::mp_bsp(),
-        ),
-        (ExchangeMode::Packets { bytes: 16 }, Discipline::mp_bsp()),
-        (ExchangeMode::Block, Discipline::bpram()),
-    ];
-    for (m, p) in [(16, 16), (24, 64)] {
-        for plat in machines(p) {
-            for (mode, discipline) in modes {
-                let label = format!("bitonic {mode:?} m={m} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, m, p)), || {
-                    bitonic::run(&plat, m, mode, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_samplesort() {
-    let c = contract::samplesort();
-    let variants = [
-        // Bucket routing slices are data-dependent: senders cannot align
-        // their word rounds, so contention is priced, not flagged.
-        (SampleVariant::BspWords, Discipline::bsp_words()),
-        // The padded schedule keeps every phase single-port.
-        (SampleVariant::Bpram, Discipline::bpram()),
-        // The unpadded schedule skips empty slices, which shifts later
-        // blocks into earlier rounds: single-port is deliberately bent.
-        (SampleVariant::BpramStaggered, Discipline::blocks_relaxed()),
-    ];
-    for (m, p) in [(16, 16), (24, 64)] {
-        for plat in machines(p) {
-            for (variant, discipline) in variants {
-                let label = format!("samplesort {variant:?} m={m} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, m, p)), || {
-                    sample::run(&plat, m, 2, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_apsp() {
-    let c = contract::apsp();
-    let variants = [
-        // Row and column broadcasts overlap in the same superstep, so a
-        // processor can receive both streams at once: a priced 2-relation.
-        (ApspVariant::Words, Discipline::bsp_words()),
-        (ApspVariant::Blocks, Discipline::blocks_relaxed()),
-    ];
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for (variant, discipline) in variants {
-                let label = format!("apsp {variant:?} n={n} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, n, p)), || {
-                    apsp::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_lu() {
-    let c = contract::lu();
-    let variants = [
-        // Same overlap as APSP: L-row and U-column broadcasts share steps.
-        (LuVariant::Words, Discipline::bsp_words()),
-        (LuVariant::Blocks, Discipline::blocks_relaxed()),
-    ];
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            for (variant, discipline) in variants {
-                let label = format!("lu {variant:?} n={n} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, n, p)), || {
-                    lu::run(&plat, n, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_parallel_radix() {
-    let c = contract::parallel_radix();
-    let variants = [
-        // Routing slice lengths are data-dependent in both variants.
-        (RadixVariant::Words, Discipline::bsp_words()),
-        (RadixVariant::Blocks, Discipline::blocks_relaxed()),
-    ];
-    for (m, p) in [(32, 16), (16, 64)] {
-        for plat in machines(p) {
-            for (variant, discipline) in variants {
-                let label = format!("radix {variant:?} m={m} on {} p={p}", plat.name());
-                sanitize(&label, discipline, Some((&c, m, p)), || {
-                    parallel_radix::run(&plat, m, variant, SEED)
-                });
-            }
-        }
-    }
-}
-
-#[test]
-fn sweep_vendor() {
-    // The vendor codes have no predictor, hence no contract to lint.
-    for (n, p) in [(8, 16), (16, 64)] {
-        for plat in machines(p) {
-            let label = format!("maspar_matmul n={n} on {} p={p}", plat.name());
-            sanitize(&label, Discipline::xnet_grid(), None, || {
-                vendor::maspar_matmul(&plat, n, SEED)
-            });
-            // SUMMA broadcasts are deliberately unstaggered blocks.
-            let label = format!("cmssl_matmul n={n} on {} p={p}", plat.name());
-            sanitize(&label, Discipline::blocks_relaxed(), None, || {
-                vendor::cmssl_matmul(&plat, n, SEED)
-            });
-        }
-    }
-}
+catalog_sweeps!(check_point);
 
 /// Every predictor module ships a contract, and the contract list stays in
 /// sync with `predict/*`.

@@ -13,6 +13,7 @@
 //!   and without the probe, on every machine and on both exchange
 //!   engines.
 
+use pcm::algos::catalog::SEED;
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::RunResult;
@@ -20,23 +21,13 @@ use pcm::trace::{capture, capture_sized, ChromeRun};
 use pcm::Platform;
 use pcm_sim::with_exchange_shards;
 
-const SEED: u64 = 2026;
-
-fn machines(p: usize) -> Vec<Platform> {
-    vec![
-        Platform::maspar_with(p),
-        Platform::gcel_with(p),
-        Platform::cm5_with(p),
-    ]
-}
-
 fn bits(t: pcm::SimTime) -> u64 {
     t.as_micros().to_bits()
 }
 
 #[test]
 fn attribution_reproduces_total_cost_bit_identically() {
-    for plat in machines(16) {
+    for plat in Platform::all_with(16) {
         for (name, run) in [
             (
                 "matmul",
@@ -73,7 +64,7 @@ fn attribution_reproduces_total_cost_bit_identically() {
 
 #[test]
 fn tracing_does_not_perturb_time_or_digest() {
-    for plat in machines(16) {
+    for plat in Platform::all_with(16) {
         let bare = matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED);
         let (traced, _cap) = capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED));
         assert_eq!(
