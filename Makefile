@@ -1,12 +1,12 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
 # The workflow's steps in its order; the few without a target of their own
 # (trace smoke, bench compile, pricing smoke) run in the recipe.
 ci: build test sanitize race golden shard audit-gate sym-gate
 	cargo run --release -p pcm-trace --bin pcm-trace -- --fast --out /tmp/TRACE_fast.json
-	$(MAKE) trace-gate figures-gate
+	$(MAKE) trace-gate figures-gate trace-counts-gate
 	cargo bench --no-run
 	$(MAKE) bench-smoke
 	cargo run --release -p pcm-bench --bin bench-report -- --smoke --child pricing/route_warm/MasPar
@@ -73,8 +73,21 @@ figures-gate:
 			|| { echo "figures-gate: the $$w workload did not verify against perfbench/golden.txt" >&2; exit 1; }; \
 	done
 
+# Traced exact counts: one traced run of the exchange and analyzers
+# benchmark workloads. Its observer sees every machine only if each
+# fanned-out sweep stays inside the observer's scope, so the pinned
+# supersteps, send records and machine counts in perfbench/golden.txt
+# must repeat exactly; the last output line must report `"correct": true`
+# and `"failed": 0`.
+trace-counts-gate:
+	for w in exchange analyzers; do \
+		python3 perfbench/run.py --workload $$w --trace 1 --seconds 1 | tail -n 1 | python3 -c \
+			'import json, sys; r = json.load(sys.stdin); sys.exit(r["correct"] is not True or r["failed"] != 0)' \
+			|| { echo "trace-counts-gate: the traced $$w workload missed its pinned counts" >&2; exit 1; }; \
+	done
+
 # Every static analyzer in one pass.
-analyze: sanitize race audit-gate sym-gate trace-gate figures-gate
+analyze: sanitize race audit-gate sym-gate trace-gate figures-gate trace-counts-gate
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -9,18 +9,18 @@
 //!
 //! Grid × machine audit units and differential replays are independent,
 //! so the sweep fans them across cores with
-//! [`pcm_experiments::map_ordered`]; results come back in input order,
+//! [`pcm_sim::map_ordered`]; results come back in input order,
 //! which keeps the findings stream (and hence `AUDIT_report.json`)
 //! byte-identical to the sequential sweep at any pool width. The observer
 //! scopes (plan recorder, trace collector) are thread-local, and each unit
-//! installs and tears its own down on the worker that runs it.
+//! installs and tears its own down on the worker that runs it; under an
+//! enclosing scope the whole sweep runs on the caller's thread.
 
 use crate::checker::{audit_plan, certify_contract_shape, differential_gate, PlanAudit};
 use crate::rules::{AuditRule, Finding};
 use pcm_algos::catalog::{families, Family, SEED};
-use pcm_experiments::map_ordered;
 use pcm_machines::Platform;
-use pcm_sim::extract_plans;
+use pcm_sim::{extract_plans, map_ordered};
 
 /// Problem sizes of the symbolic A06 grid.
 pub const SHAPE_NS: [usize; 6] = [8, 16, 32, 64, 128, 256];

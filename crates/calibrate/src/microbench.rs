@@ -5,6 +5,10 @@
 //! seed), executes it as one superstep on a fresh machine and reports the
 //! simulated time. Repeated trials with different pattern draws give the
 //! mean and min/max spread the paper plots as error bars.
+//!
+//! The trials are independent simulations, so most benchmarks run them
+//! side by side with [`map_ordered`], one whole machine per task; results
+//! come back in trial order and do not depend on the pool width.
 
 use pcm_core::rng::{
     one_h_relation as draw_one_h, random_h_relation, random_partial_permutation,
@@ -13,6 +17,7 @@ use pcm_core::rng::{
 use pcm_core::stats::Summary;
 use pcm_core::SimTime;
 use pcm_machines::Platform;
+use pcm_sim::map_ordered;
 use pcm_sim::topology::hypercube_partner;
 
 /// One planned send of the microbenchmark superstep.
@@ -66,23 +71,26 @@ fn summarize(times: Vec<SimTime>) -> Summary {
     Summary::from_times(&times).expect("at least one trial")
 }
 
+/// Runs `trial(t)` for every `t < trials`, side by side on the pool, and
+/// summarizes the simulated times in trial order.
+fn run_trials(trials: usize, trial: impl Fn(usize) -> SimTime + Sync) -> Summary {
+    summarize(map_ordered((0..trials).collect(), |_, t| trial(t)))
+}
+
 /// The MasPar Fig. 1 experiment: the ACU picks `ceil(P/h)` destinations;
 /// every processor sends one `w`-byte word so that each destination
 /// receives (at most) `h` messages.
 pub fn one_h_relation(platform: &Platform, h: usize, trials: usize, seed: u64) -> Summary {
     let p = platform.p();
-    let times = (0..trials)
-        .map(|t| {
-            let mut rng = seeded(seed.wrapping_add(t as u64));
-            let dests = draw_one_h(p, h, &mut rng);
-            let plan: Vec<Vec<PlannedSend>> = dests
-                .into_iter()
-                .map(|dst| vec![PlannedSend::Words { dst, count: 1 }])
-                .collect();
-            measure(platform, &plan, seed ^ t as u64)
-        })
-        .collect();
-    summarize(times)
+    run_trials(trials, |t| {
+        let mut rng = seeded(seed.wrapping_add(t as u64));
+        let dests = draw_one_h(p, h, &mut rng);
+        let plan: Vec<Vec<PlannedSend>> = dests
+            .into_iter()
+            .map(|dst| vec![PlannedSend::Words { dst, count: 1 }])
+            .collect();
+        measure(platform, &plan, seed ^ t as u64)
+    })
 }
 
 /// The Fig. 2 experiment: a random partial permutation with `active`
@@ -94,44 +102,42 @@ pub fn partial_permutation(
     seed: u64,
 ) -> Summary {
     let p = platform.p();
-    let times = (0..trials)
-        .map(|t| {
-            let mut rng = seeded(seed.wrapping_add(t as u64));
-            let (senders, receivers) = random_partial_permutation(p, active, &mut rng);
-            let mut plan: Vec<Vec<PlannedSend>> = vec![Vec::new(); p];
-            for (s, d) in senders.into_iter().zip(receivers) {
-                plan[s].push(PlannedSend::Words { dst: d, count: 1 });
-            }
-            measure(platform, &plan, seed ^ t as u64)
-        })
-        .collect();
-    summarize(times)
+    run_trials(trials, |t| {
+        let mut rng = seeded(seed.wrapping_add(t as u64));
+        let (senders, receivers) = random_partial_permutation(p, active, &mut rng);
+        let mut plan: Vec<Vec<PlannedSend>> = vec![Vec::new(); p];
+        for (s, d) in senders.into_iter().zip(receivers) {
+            plan[s].push(PlannedSend::Words { dst: d, count: 1 });
+        }
+        measure(platform, &plan, seed ^ t as u64)
+    })
 }
 
 /// A randomly generated full `h`-relation (`h` overlaid random
 /// permutations) — the GCel/CM-5 `g`/`L` calibration pattern.
 pub fn full_h_relation(platform: &Platform, h: usize, trials: usize, seed: u64) -> Summary {
     let p = platform.p();
-    let times = (0..trials)
-        .map(|t| {
-            let mut rng = seeded(seed.wrapping_add(t as u64));
-            let dests = random_h_relation(p, h, &mut rng);
-            let plan: Vec<Vec<PlannedSend>> = dests
-                .into_iter()
-                .map(|ds| {
-                    ds.into_iter()
-                        .map(|dst| PlannedSend::Words { dst, count: 1 })
-                        .collect()
-                })
-                .collect();
-            measure(platform, &plan, seed ^ t as u64)
-        })
-        .collect();
-    summarize(times)
+    run_trials(trials, |t| {
+        let mut rng = seeded(seed.wrapping_add(t as u64));
+        let dests = random_h_relation(p, h, &mut rng);
+        let plan: Vec<Vec<PlannedSend>> = dests
+            .into_iter()
+            .map(|ds| {
+                ds.into_iter()
+                    .map(|dst| PlannedSend::Words { dst, count: 1 })
+                    .collect()
+            })
+            .collect();
+        measure(platform, &plan, seed ^ t as u64)
+    })
 }
 
 /// A full random block permutation of `m` bytes per processor — the
 /// `sigma`/`ell` calibration pattern.
+///
+/// The trials run one after another, unlike the other benchmarks: a trial
+/// holds `p * bytes` of payload (16 MiB for Table 1's 16 KiB MasPar
+/// point), so two at once would double the reproduction's peak memory.
 pub fn block_permutation(platform: &Platform, bytes: usize, trials: usize, seed: u64) -> Summary {
     let p = platform.p();
     let w = platform.word();
@@ -181,20 +187,17 @@ pub fn multinode_scatter(platform: &Platform, h: usize, trials: usize, seed: u64
     let p = platform.p();
     let senders = p.isqrt();
     let receivers: Vec<usize> = (senders..p).collect();
-    let times = (0..trials)
-        .map(|t| {
-            let mut plan: Vec<Vec<PlannedSend>> = vec![Vec::new(); p];
-            for (s, row) in plan.iter_mut().enumerate().take(senders) {
-                for i in 0..h {
-                    // Spread deterministically but staggered per sender.
-                    let dst = receivers[(i * senders + s) % receivers.len()];
-                    row.push(PlannedSend::Words { dst, count: 1 });
-                }
+    run_trials(trials, |t| {
+        let mut plan: Vec<Vec<PlannedSend>> = vec![Vec::new(); p];
+        for (s, row) in plan.iter_mut().enumerate().take(senders) {
+            for i in 0..h {
+                // Spread deterministically but staggered per sender.
+                let dst = receivers[(i * senders + s) % receivers.len()];
+                row.push(PlannedSend::Words { dst, count: 1 });
             }
-            measure(platform, &plan, seed ^ t as u64)
-        })
-        .collect();
-    summarize(times)
+        }
+        measure(platform, &plan, seed ^ t as u64)
+    })
 }
 
 /// A bit-flip (hypercube-neighbour) permutation — the pattern of bitonic

@@ -2,9 +2,10 @@
 //! multinode-scatter refinement) and 15 (CM-5, BSP accurate).
 
 use pcm_algos::apsp::{self, ApspVariant};
-use pcm_core::{DataPoint, Figure, Series};
+use pcm_core::{Figure, Series};
 use pcm_machines::Platform;
 use pcm_models::predict;
+use pcm_sim::map_ordered;
 
 use crate::report::{Output, Scale};
 
@@ -14,14 +15,23 @@ pub fn full_ns() -> Vec<usize> {
     vec![64, 128, 256, 512]
 }
 
+/// The simulated APSP times at each `N`, in input order. The sizes run
+/// side by side, one machine per task, largest first: the pool hands
+/// tasks out in order, so the longest run starts at once.
 fn measured_series(plat: &Platform, ns: &[usize], seed: u64) -> Series {
-    let mut s = Series::new("Measured");
-    for &n in ns {
+    let mut order: Vec<usize> = (0..ns.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(ns[i]));
+    let mut secs = vec![0.0; ns.len()];
+    let timed = map_ordered(order, |_, i| {
+        let n = ns[i];
         let r = apsp::run(plat, n, ApspVariant::Words, seed);
         assert!(r.verified, "APSP result check failed at N = {n}");
-        s.push(DataPoint::new(n as f64, r.time.as_secs()));
+        (i, r.time.as_secs())
+    });
+    for (i, t) in timed {
+        secs[i] = t;
     }
-    s
+    Series::from_points("Measured", ns.iter().map(|&n| n as f64).zip(secs))
 }
 
 /// Fig. 12: APSP on the MasPar — MP-BSP overestimates badly (unbalanced

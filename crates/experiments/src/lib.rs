@@ -21,10 +21,8 @@ pub mod granularity;
 pub mod matmul_figs;
 pub mod model_fit;
 pub mod paper;
-pub mod par;
 pub mod report;
 pub mod sort_figs;
 pub mod table1;
 
-pub use par::map_ordered;
 pub use report::{find, registry, Experiment, Output, Scale};

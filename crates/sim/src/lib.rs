@@ -49,5 +49,5 @@ pub use probe::{
     with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
 };
 pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
-pub use strategy::{with_exchange_shards, with_sequential};
+pub use strategy::{map_ordered, with_exchange_shards, with_sequential};
 pub use trace::{RunBreakdown, SuperstepTrace};

@@ -104,8 +104,9 @@ pub struct Machine<S> {
 
 /// Default shard count: one shard per pool worker, but only on machines
 /// big enough for the lane bookkeeping to pay off; small machines keep
-/// the fused exchange. So do machines built on a pool worker (a sweep
-/// driver's unit): there the lane fan-out would run inline, so the lanes
+/// the fused exchange. So do machines built inside a fan-out (a
+/// [`crate::map_ordered`] unit, on a pool worker or on the caller running
+/// its own task): there the lane fan-out would run inline, so the lanes
 /// would cost memory and time for no parallelism.
 fn default_shards(p: usize) -> usize {
     if p >= 64 && !rayon::in_pool_worker() {

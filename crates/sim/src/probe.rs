@@ -263,6 +263,11 @@ pub fn with_probe<R>(
     scoped(Rc::new(factory), false, body)
 }
 
+/// Whether any observer scope is active on this thread.
+pub(crate) fn scoped_here() -> bool {
+    SCOPES.with(|s| !s.borrow().is_empty())
+}
+
 /// Pushes one observer scope (a dry one for plan extraction) for the
 /// duration of `body`.
 pub(crate) fn scoped<R>(factory: ProbeFactory, dry: bool, body: impl FnOnce() -> R) -> R {

@@ -3,12 +3,12 @@
 //!
 //! The S03 lemma certifications and S06 crossover replays are the
 //! expensive, mutually independent units, so the sweep fans them across
-//! cores with [`pcm_experiments::map_ordered`]; ordered collection keeps
+//! cores with [`pcm_sim::map_ordered`]; ordered collection keeps
 //! the findings stream (and `SYM_report.json`) byte-identical to the
 //! sequential sweep at any pool width.
 
-use pcm_experiments::map_ordered;
 use pcm_models::MachineParams;
+use pcm_sim::map_ordered;
 
 use crate::checker::{
     check_contract_shape, check_crossover, check_differential, check_domains, check_leading,

@@ -20,9 +20,15 @@
 //!   per-processor closures the simulator runs;
 //! - `map`/`for_each` require `F: Clone` (each piece owns a clone);
 //! - nested parallelism degrades to inline sequential execution: a
-//!   closure already running on a pool worker drives `collect`,
-//!   `for_each` and `scoped_join` on the worker itself (outer fan-outs
-//!   own the pool; inner ones must not queue behind their parent);
+//!   closure already running inside a fan-out drives `collect`,
+//!   `for_each` and `scoped_join` on its own thread (outer fan-outs own
+//!   the pool; inner ones must not queue behind their parent). "Inside a
+//!   fan-out" means on a pool worker, or on a `scoped_join` caller while
+//!   it runs its own chunk and help-drains, so every task of a fan-out
+//!   sees the same [`in_pool_worker`] answer;
+//! - a panic in a piece re-raises its original payload on the caller
+//!   once every piece finished: the caller's own piece's payload, else
+//!   the first one a worker reported;
 //! - iterator jobs below `pool::SEQUENTIAL_CUTOFF` items run inline on
 //!   the caller, so tiny machines never pay for synchronization.
 //!
@@ -96,7 +102,7 @@ pub trait FromParallelIterator<T: Send>: Sized {
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
         let total = iter.len();
-        if total < pool::SEQUENTIAL_CUTOFF || pool::thread_count() <= 1 || pool::is_worker() {
+        if total < pool::SEQUENTIAL_CUTOFF || pool::thread_count() <= 1 || pool::is_nested() {
             let mut out = Vec::with_capacity(total);
             iter.drain_into(&mut out);
             return out;
@@ -112,10 +118,11 @@ pub fn current_num_threads() -> usize {
     pool::thread_count()
 }
 
-/// `true` on a pool worker thread — where further parallel calls run
-/// inline instead of re-entering the pool.
+/// `true` inside a fan-out — on a pool worker thread, or on a
+/// [`scoped_join`] caller while it runs its own chunk and help-drains —
+/// where further parallel calls run inline instead of re-entering the pool.
 pub fn in_pool_worker() -> bool {
-    pool::is_worker()
+    pool::is_nested()
 }
 
 /// Scoped flat fork/join: runs `f(index, &mut tasks[index])` for every
@@ -132,18 +139,22 @@ pub fn in_pool_worker() -> bool {
 /// - the caller executes the first chunk itself and *help-drains* the
 ///   shared queue while waiting, so a `scoped_join` issued while other
 ///   fan-outs are in flight makes progress instead of blocking a slot;
-/// - on a pool worker (nested use) or a single-thread pool it degrades to
-///   the inline sequential loop;
+/// - on a pool worker or inside another fan-out's task (nested use), or
+///   on a single-thread pool, it degrades to the inline sequential loop;
+/// - while the caller runs its chunk and help-drains it counts as nested
+///   too, so parallel calls from any task run inline on that task's
+///   thread instead of queueing behind the fan-out's other chunks;
 /// - no heap allocation: chunk descriptors live on the caller's stack.
 ///
-/// Panics in `f` propagate to the caller after all chunks complete.
+/// A panic in `f` propagates to the caller with its original payload,
+/// after all chunks complete.
 pub fn scoped_join<T, F>(tasks: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     stats::count_scoped_join();
-    if tasks.len() <= 1 || pool::thread_count() <= 1 || pool::is_worker() {
+    if tasks.len() <= 1 || pool::thread_count() <= 1 || pool::is_nested() {
         for (i, t) in tasks.iter_mut().enumerate() {
             f(i, t);
         }
@@ -270,24 +281,43 @@ mod pool {
     //! spawning (or heap-allocated closure boxing) is needed.
 
     use super::ParallelIterator;
+    use std::any::Any;
     use std::cell::Cell;
     use std::collections::VecDeque;
     use std::num::NonZeroUsize;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Condvar, Mutex, Once, OnceLock};
     use std::thread::Thread;
 
     thread_local! {
-        /// Set once on pool worker threads; nested parallel calls check it
-        /// and run inline so an inner fan-out never queues behind the
-        /// outer fan-out that occupies the workers.
-        static IS_WORKER: Cell<bool> = const { Cell::new(false) };
+        /// Fan-out nesting depth of this thread: 1 for life on pool
+        /// workers, and raised on a `fan_out` caller while it runs chunk 0
+        /// and help-drains. Nested parallel calls check it and run inline,
+        /// so an inner fan-out never queues behind the outer fan-out that
+        /// occupies the pool.
+        static DEPTH: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// `true` on a pool worker thread.
-    pub fn is_worker() -> bool {
-        IS_WORKER.with(Cell::get)
+    /// `true` on a pool worker, or on a caller inside its own fan-out.
+    pub fn is_nested() -> bool {
+        DEPTH.with(Cell::get) > 0
+    }
+
+    /// Raises this thread's nesting depth until dropped (also on unwind).
+    struct Nested;
+
+    impl Nested {
+        fn enter() -> Self {
+            DEPTH.with(|d| d.set(d.get() + 1));
+            Nested
+        }
+    }
+
+    impl Drop for Nested {
+        fn drop(&mut self) {
+            DEPTH.with(|d| d.set(d.get() - 1));
+        }
     }
 
     /// Below this many items a collect runs inline on the caller: the
@@ -355,7 +385,7 @@ mod pool {
     }
 
     fn worker_loop(pool: &'static Pool) {
-        IS_WORKER.with(|w| w.set(true));
+        DEPTH.with(|d| d.set(1));
         loop {
             let job = {
                 let mut q = pool.queue.lock().expect("pool queue poisoned");
@@ -376,12 +406,16 @@ mod pool {
         }
     }
 
-    /// Completion latch: counts outstanding worker pieces and parks the
-    /// caller. Built on park/unpark so nothing is touched after the final
-    /// decrement except a cloned `Thread` handle.
+    /// A caught panic payload, re-raised on the caller.
+    type Panic = Box<dyn Any + Send>;
+
+    /// Completion latch: counts outstanding worker pieces, keeps the first
+    /// panic payload and parks the caller. Built on park/unpark so nothing
+    /// is touched after the final decrement except a cloned `Thread`
+    /// handle.
     struct Latch {
         remaining: AtomicUsize,
-        panicked: AtomicBool,
+        panic: Mutex<Option<Panic>>,
         owner: Thread,
     }
 
@@ -389,14 +423,15 @@ mod pool {
         fn new(count: usize) -> Self {
             Latch {
                 remaining: AtomicUsize::new(count),
-                panicked: AtomicBool::new(false),
+                panic: Mutex::new(None),
                 owner: std::thread::current(),
             }
         }
 
-        fn signal(&self, ok: bool) {
-            if !ok {
-                self.panicked.store(true, Ordering::Relaxed);
+        fn signal(&self, result: Result<(), Panic>) {
+            if let Err(payload) = result {
+                let mut first = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+                first.get_or_insert(payload);
             }
             // Clone before the decrement: once `remaining` hits zero the
             // caller may free the latch.
@@ -406,13 +441,31 @@ mod pool {
             }
         }
 
-        /// Blocks until all pieces signalled; returns whether any panicked.
-        fn wait(&self) -> bool {
+        /// Takes the first panic payload a piece signalled, if any. Only
+        /// meaningful once `remaining` reached zero.
+        fn take_panic(&self) -> Option<Panic> {
+            self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
+        }
+
+        /// Blocks until all pieces signalled; returns the first payload of
+        /// a piece that panicked.
+        fn wait(&self) -> Option<Panic> {
             while self.remaining.load(Ordering::Acquire) > 0 {
                 crate::stats::count_park();
                 std::thread::park();
             }
-            self.panicked.load(Ordering::Relaxed)
+            self.take_panic()
+        }
+    }
+
+    /// Re-raises the caller's own panic first, else the first worker
+    /// panic, with its original payload.
+    fn propagate(own: Result<(), Panic>, workers: Option<Panic>) {
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
+        if let Some(payload) = workers {
+            resume_unwind(payload);
         }
     }
 
@@ -432,14 +485,13 @@ mod pool {
         // SAFETY: contract above — exclusive live pointer to the slot.
         let slot = unsafe { &mut *data.cast::<Option<JobData<I>>>() };
         let job = slot.take().expect("piece already taken");
-        let ok = catch_unwind(AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: `out` points at an element only this piece touches.
             job.piece.drain_into(unsafe { &mut *job.out });
-        }))
-        .is_ok();
+        }));
         // SAFETY: the latch outlives every signal — the caller blocks in
         // `wait` until all pieces have signalled.
-        unsafe { (*job.latch).signal(ok) };
+        unsafe { (*job.latch).signal(result) };
     }
 
     pub fn parallel_collect<I: ParallelIterator>(iter: I) -> Vec<I::Item> {
@@ -499,11 +551,8 @@ mod pool {
             // SAFETY: element 0 is only touched by this thread.
             piece0.drain_into(unsafe { &mut *outs_base });
         }));
-        let worker_panicked = latch.wait();
-        if let Err(payload) = r0 {
-            resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "a parallel pool worker panicked");
+        let worker_panic = latch.wait();
+        propagate(r0, worker_panic);
 
         let mut out = Vec::with_capacity(total);
         for part in outs.iter_mut().take(n) {
@@ -534,17 +583,16 @@ mod pool {
         let job = slot.take().expect("fan chunk already taken");
         // SAFETY: `f` outlives the latch wait on the caller's frame.
         let f = unsafe { &*job.f };
-        let ok = catch_unwind(AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             for i in job.start..job.start + job.len {
                 // SAFETY: chunks cover disjoint index ranges, so this is
                 // the only live reference to element `i`.
                 f(i, unsafe { &mut *job.base.add(i) });
             }
-        }))
-        .is_ok();
+        }));
         // SAFETY: the latch outlives every signal — the caller blocks in
         // `help_wait` until all chunks have signalled.
-        unsafe { (*job.latch).signal(ok) };
+        unsafe { (*job.latch).signal(result) };
     }
 
     /// Blocks until `latch` clears, executing queued jobs from the shared
@@ -552,12 +600,13 @@ mod pool {
     /// *another* in-flight fan-out/collect is sound and useful: every
     /// `RawJob` is self-contained (it carries its own latch pointer), and
     /// draining it is exactly what keeps nested fan-outs from deadlocking
-    /// the fixed-width pool. Returns whether any piece panicked.
-    fn help_wait(latch: &Latch) -> bool {
+    /// the fixed-width pool. Returns the first payload of a piece that
+    /// panicked.
+    fn help_wait(latch: &Latch) -> Option<Panic> {
         let pool = pool();
         loop {
             if latch.remaining.load(Ordering::Acquire) == 0 {
-                return latch.panicked.load(Ordering::Relaxed);
+                return latch.take_panic();
             }
             let job = pool.queue.lock().expect("pool queue poisoned").pop_front();
             match job {
@@ -581,7 +630,9 @@ mod pool {
     /// The pooled body of [`super::scoped_join`]: splits `tasks` into one
     /// chunk per element (contiguous multi-element chunks once the count
     /// exceeds the descriptor array), runs chunk 0 on the caller and
-    /// help-drains the queue until every chunk signalled.
+    /// help-drains the queue until every chunk signalled. The caller
+    /// counts as nested meanwhile, like the workers running the other
+    /// chunks.
     pub fn fan_out<T, F>(tasks: &mut [T], f: &F)
     where
         T: Send,
@@ -633,17 +684,16 @@ mod pool {
 
         // Chunk 0 on the caller; catch panics so we still reach the wait
         // (unwinding past it would free stack data workers are using).
+        let nested = Nested::enter();
         let r0 = catch_unwind(AssertUnwindSafe(|| {
             for i in 0..chunk0_len {
                 // SAFETY: chunk 0 exclusively covers `[0, chunk0_len)`.
                 f(i, unsafe { &mut *base.add(i) });
             }
         }));
-        let worker_panicked = help_wait(&latch);
-        if let Err(payload) = r0 {
-            resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "a parallel pool worker panicked");
+        let worker_panic = help_wait(&latch);
+        drop(nested);
+        propagate(r0, worker_panic);
     }
 }
 
@@ -864,18 +914,33 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::Once;
+    use std::any::Any;
+    use std::sync::{Mutex, MutexGuard, Once, PoisonError};
+    use std::thread::ThreadId;
 
     /// Pins the pool width to 4 before any collect can latch it, so these
-    /// tests exercise the pooled path even on a single-core machine.
-    fn force_pool() {
+    /// tests exercise the pooled path even on a single-core machine. The
+    /// returned guard runs the tests one at a time, so the process-global
+    /// `stats` counters move only with the test that holds it.
+    fn force_pool() -> MutexGuard<'static, ()> {
         static ONCE: Once = Once::new();
+        static SERIAL: Mutex<()> = Mutex::new(());
         ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The text of a caught panic payload.
+    fn panic_text(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-text payload>")
     }
 
     #[test]
     fn full_chain_matches_sequential() {
-        force_pool();
+        let _serial = force_pool();
         let mut states: Vec<u64> = (0..97).collect();
         let inboxes: Vec<u64> = (0..97).map(|i| i * 10).collect();
 
@@ -903,7 +968,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_element_collect() {
-        force_pool();
+        let _serial = force_pool();
         let v: Vec<u32> = Vec::new();
         let out: Vec<u32> = v.par_iter().map(|x| x + 1).collect();
         assert!(out.is_empty());
@@ -915,7 +980,7 @@ mod tests {
 
     #[test]
     fn for_each_mutates_every_element() {
-        force_pool();
+        let _serial = force_pool();
         let mut v: Vec<u64> = (0..1000).collect();
         v.par_iter_mut().enumerate().for_each(|(i, x)| {
             *x = *x * 3 + i as u64;
@@ -926,7 +991,7 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_collects() {
-        force_pool();
+        let _serial = force_pool();
         // Many collects above the cutoff: each would previously spawn
         // fresh OS threads; with the pool they all reuse the same workers
         // and still produce ordered output.
@@ -940,7 +1005,7 @@ mod tests {
 
     #[test]
     fn zip_of_unequal_lengths_truncates() {
-        force_pool();
+        let _serial = force_pool();
         let a: Vec<u32> = (0..300).collect();
         let b: Vec<u32> = (0..200).collect();
         let out: Vec<u32> = a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect();
@@ -950,23 +1015,24 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        force_pool();
+        let _serial = force_pool();
         let v: Vec<u32> = (0..400).collect();
         let result = std::panic::catch_unwind(|| {
             let _: Vec<u32> = v
                 .par_iter()
                 .map(|&x| {
-                    assert!(x != 399, "intentional");
+                    assert!(x != 399, "intentional: piece {x}");
                     x
                 })
                 .collect();
         });
-        assert!(result.is_err(), "panic in a piece must propagate");
+        let payload = result.expect_err("panic in a piece must propagate");
+        assert_eq!(panic_text(&*payload), "intentional: piece 399");
     }
 
     #[test]
     fn scoped_join_runs_every_task_below_the_cutoff() {
-        force_pool();
+        let _serial = force_pool();
         // 2 tasks: far below SEQUENTIAL_CUTOFF, must still all run (and
         // on a multi-thread pool, dispatch rather than inline).
         for len in [2usize, 3, 7] {
@@ -979,9 +1045,10 @@ mod tests {
 
     #[test]
     fn stats_count_only_when_enabled() {
-        force_pool();
-        // Counters are process-global and frozen while disabled (no other
-        // test enables them), so the disabled leg can assert equality.
+        let _serial = force_pool();
+        // Counters are process-global and frozen while disabled (the
+        // serial guard keeps other tests from enabling them meanwhile), so
+        // the disabled leg can assert equality.
         let before = crate::stats::snapshot();
         let mut tasks: Vec<u64> = vec![0; 64];
         crate::scoped_join(&mut tasks, |i, t| *t = i as u64);
@@ -996,8 +1063,6 @@ mod tests {
         crate::scoped_join(&mut tasks, |i, t| *t = (i as u64) + 1);
         crate::stats::enable(false);
 
-        // Other tests may run pool work concurrently while enabled, so the
-        // enabled leg asserts monotone deltas only.
         let after = crate::stats::snapshot();
         assert!(
             after.scoped_joins > before.scoped_joins,
@@ -1016,7 +1081,7 @@ mod tests {
 
     #[test]
     fn scoped_join_handles_more_tasks_than_descriptors() {
-        force_pool();
+        let _serial = force_pool();
         // Above MAX_PIECES: chunks cover multiple tasks each.
         let mut tasks: Vec<usize> = vec![0; 1000];
         crate::scoped_join(&mut tasks, |i, t| *t = i * i);
@@ -1025,7 +1090,7 @@ mod tests {
 
     #[test]
     fn scoped_join_nested_inside_parallel_iter_runs_inline() {
-        force_pool();
+        let _serial = force_pool();
         // A worker closure issuing a nested scoped_join must not deadlock;
         // the nested call runs inline on the worker.
         let v: Vec<u64> = (0..200).collect();
@@ -1043,11 +1108,10 @@ mod tests {
 
     #[test]
     fn scoped_join_fans_nested_collects_without_deadlock() {
-        force_pool();
+        let _serial = force_pool();
         // Outer scoped_join occupies the pool; each task drives an inner
-        // parallel collect above the cutoff. Inner calls on workers run
-        // inline; the caller's chunk may still dispatch (it is not a
-        // worker) and help-draining keeps everything moving.
+        // parallel collect above the cutoff. Every inner call runs inline
+        // on its task's thread, the caller's own chunk included.
         let mut tasks: Vec<u64> = vec![0; 6];
         crate::scoped_join(&mut tasks, |i, t| {
             let v: Vec<u64> = (0..100).map(|k| k + i as u64).collect();
@@ -1062,19 +1126,78 @@ mod tests {
 
     #[test]
     fn scoped_join_panic_propagates() {
-        force_pool();
+        let _serial = force_pool();
         let result = std::panic::catch_unwind(|| {
             let mut tasks: Vec<u32> = vec![0; 8];
             crate::scoped_join(&mut tasks, |i, _| {
-                assert!(i != 5, "intentional");
+                assert!(i != 5, "intentional: task {i}");
             });
         });
-        assert!(result.is_err(), "panic in a task must propagate");
+        let payload = result.expect_err("panic in a task must propagate");
+        assert_eq!(panic_text(&*payload), "intentional: task 5");
+    }
+
+    #[test]
+    fn every_scoped_join_task_counts_as_nested() {
+        let _serial = force_pool();
+        assert!(!crate::in_pool_worker(), "test thread starts outside");
+        let mut nested = vec![false; 8];
+        crate::scoped_join(&mut nested, |_, t| *t = crate::in_pool_worker());
+        assert_eq!(nested, vec![true; 8], "the caller's chunk included");
+        assert!(!crate::in_pool_worker(), "depth restored after the join");
+
+        // Also restored when the caller's own chunk unwinds.
+        let result = std::panic::catch_unwind(|| {
+            let mut tasks = [0u8; 4];
+            crate::scoped_join(&mut tasks, |i, _| assert!(i != 0, "intentional"));
+        });
+        assert!(result.is_err());
+        assert!(!crate::in_pool_worker(), "depth restored after a panic");
+    }
+
+    #[test]
+    fn collects_from_the_callers_chunk_run_inline() {
+        let _serial = force_pool();
+        crate::stats::enable(true);
+        let before = crate::stats::snapshot();
+        // Each task records the threads a nested collect (above the
+        // cutoff) and a nested scoped_join ran on.
+        let mut tasks: Vec<(ThreadId, Vec<ThreadId>)> = (0..4)
+            .map(|_| (std::thread::current().id(), Vec::new()))
+            .collect();
+        crate::scoped_join(&mut tasks, |_, (me, seen)| {
+            *me = std::thread::current().id();
+            let items: Vec<u32> = (0..100).collect();
+            *seen = items
+                .par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            let mut inner = [*me; 3];
+            crate::scoped_join(&mut inner, |_, t| *t = std::thread::current().id());
+            seen.extend(inner);
+        });
+        let after = crate::stats::snapshot();
+        crate::stats::enable(false);
+
+        for (me, seen) in &tasks {
+            assert!(seen.iter().all(|t| t == me), "nested work left its task");
+        }
+        assert_eq!(after.scoped_joins - before.scoped_joins, 5);
+        assert_eq!(
+            after.fan_outs - before.fan_outs,
+            1,
+            "only the outer join fans out"
+        );
+        assert_eq!(
+            (after.jobs + after.helped_jobs) - (before.jobs + before.helped_jobs),
+            3,
+            "the outer join's three queued chunks, nothing else"
+        );
     }
 
     #[test]
     fn current_num_threads_reports_the_latched_width() {
-        force_pool();
+        let _serial = force_pool();
         // force_pool pinned RAYON_NUM_THREADS=4 before anything latched.
         assert_eq!(crate::current_num_threads(), 4);
         assert!(!crate::in_pool_worker(), "test thread is not a worker");

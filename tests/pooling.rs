@@ -8,11 +8,16 @@
 //!   times, states and run digests on all three machines;
 //! * recycled inboxes and payload buffers never leak stale bytes,
 //!   messages or shadow events into a later superstep;
-//! * the `pcm-race` analyzer stays clean on the pooled path.
+//! * the `pcm-race` analyzer stays clean on the pooled path;
+//! * `map_ordered` fan-outs keep every unit inside the caller's
+//!   thread-local scopes, and fanned-out figures equal their sequential
+//!   runs.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::{Arc, Once};
 
 use pcm::algos::catalog::SEED;
@@ -20,10 +25,16 @@ use pcm::algos::discipline::RaceConfig;
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::RunResult;
+use pcm::calibrate::microbench;
+use pcm::core::stats::Summary;
+use pcm::experiments::{apsp_figs, Output, Scale};
 use pcm::Platform;
 use pcm_check::{digest_run, render};
 use pcm_race::{check_races, errors};
-use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
+use pcm_sim::{
+    map_ordered, with_exchange_shards, with_probe, with_sequential, Ctx, IdealNetwork, Machine,
+    StepObs, SuperstepProbe, UniformCompute,
+};
 
 /// Pool width 4 at or above `p = 32` engages the pooled path even on a
 /// single-core runner. Every test calls this before any parallel collect
@@ -213,5 +224,94 @@ fn shadow_events_do_not_leak_across_analyzed_runs() {
         first.len(),
         second.len(),
         "stale shadow events changed a repeated run's findings"
+    );
+}
+
+/// A 64-processor machine with one superstep run on it.
+fn stepped_machine(seed: u64) -> Machine<u32> {
+    let mut m = Machine::new(
+        Box::new(IdealNetwork),
+        Arc::new(UniformCompute::test_model()),
+        vec![0u32; 64],
+        seed,
+    );
+    m.superstep(|ctx| {
+        let dst = (ctx.pid() + 1) % ctx.nprocs();
+        ctx.send_word_u32(dst, ctx.pid() as u32);
+    });
+    m
+}
+
+struct Quiet;
+
+impl SuperstepProbe for Quiet {
+    fn observe(&mut self, _obs: &StepObs<'_>) {}
+}
+
+/// An observer scope sees every machine a fanned-out sweep builds: the
+/// units run on the scope's thread instead of escaping to pool workers.
+#[test]
+fn probe_scope_observes_every_fanned_out_machine() {
+    force_pool();
+    let built = Rc::new(Cell::new(0usize));
+    let counter = built.clone();
+    let units = 12;
+    with_probe(
+        move |_| {
+            counter.set(counter.get() + 1);
+            Box::new(Quiet)
+        },
+        || {
+            map_ordered((0..units as u64).collect(), |_, seed| {
+                stepped_machine(seed).time()
+            })
+        },
+    );
+    assert_eq!(built.get(), units, "machines escaped the observer scope");
+}
+
+/// A shard override reaches the machine of every fanned-out unit.
+#[test]
+fn shard_scope_reaches_every_fanned_out_machine() {
+    force_pool();
+    let shards = with_exchange_shards(3, || {
+        map_ordered((0..12u64).collect(), |_, seed| {
+            stepped_machine(seed).exchange_shards()
+        })
+    });
+    assert_eq!(shards, vec![3; 12]);
+}
+
+/// Bit patterns of every point of a figure.
+fn figure_bits(out: &Output) -> Vec<(String, Vec<[u64; 2]>)> {
+    let Output::Fig(f) = out else {
+        panic!("expected a figure")
+    };
+    f.series
+        .iter()
+        .map(|s| {
+            let pts = s.points.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]);
+            (s.label.clone(), pts.collect())
+        })
+        .collect()
+}
+
+/// Fanned-out trials and figure points equal their sequential runs bit
+/// for bit.
+#[test]
+fn fanned_out_figures_match_forced_sequential() {
+    force_pool();
+    let plat = Platform::maspar();
+    let trials = || microbench::one_h_relation(&plat, 8, 6, SEED);
+    let (fanned, sequential) = (trials(), with_sequential(trials));
+    let bits = |s: Summary| [s.mean, s.std_dev, s.min, s.max].map(f64::to_bits);
+    assert_eq!(fanned.n, sequential.n);
+    assert_eq!(bits(fanned), bits(sequential), "one_h_relation diverged");
+
+    let fig = || apsp_figs::fig13(Scale::Quick, SEED);
+    assert_eq!(
+        figure_bits(&fig()),
+        figure_bits(&with_sequential(fig)),
+        "fig13 diverged"
     );
 }
