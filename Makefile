@@ -3,9 +3,8 @@
 .PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
 # The workflow's steps in its order; the few without a target of their own
-# (trace smoke, bench compile, pricing smoke) run in the recipe.
+# (bench compile, pricing smoke) run in the recipe.
 ci: build test sanitize race golden shard audit-gate sym-gate
-	cargo run --release -p pcm-trace --bin pcm-trace -- --fast --out /tmp/TRACE_fast.json
 	$(MAKE) trace-gate figures-gate trace-counts-gate
 	cargo bench --no-run
 	$(MAKE) bench-smoke

@@ -1,8 +1,7 @@
 //! Common result type for algorithm executions.
 
 use pcm_core::SimTime;
-use pcm_models::StepFacts;
-use pcm_sim::{RunBreakdown, SuperstepTrace};
+use pcm_sim::RunBreakdown;
 
 /// Outcome of running an algorithm on a simulated machine.
 #[derive(Clone, Debug)]
@@ -27,21 +26,6 @@ pub struct RunStats {
     pub max_bucket: usize,
     /// Megaflops achieved (matrix multiplication).
     pub mflops: f64,
-}
-
-/// Converts simulator traces into the facts the model accountant needs.
-pub fn step_facts(traces: &[SuperstepTrace]) -> Vec<StepFacts> {
-    traces
-        .iter()
-        .map(|t| StepFacts {
-            h_send: t.h_send,
-            h_recv: t.h_recv,
-            active: t.active,
-            block_steps: t.block_steps,
-            block_bytes_sum: t.block_bytes_sum,
-            compute_us: t.compute.as_micros(),
-        })
-        .collect()
 }
 
 impl RunResult {

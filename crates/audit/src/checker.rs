@@ -302,7 +302,7 @@ pub fn certify_contract_shape(
 pub fn differential_gate(cx: &PlanAudit<'_>, run: &dyn Fn() -> bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     let (verified_dry, plans) = extract_plans(run);
-    let (verified_priced, traces) = pcm_check::collect_traces(run);
+    let (verified_priced, traces) = pcm_sim::collect_traces(run);
     if !verified_dry || !verified_priced {
         findings.push(cx.finding(
             AuditRule::BarrierAlignment,

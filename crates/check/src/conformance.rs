@@ -2,48 +2,17 @@
 //!
 //! Each predictor in `pcm-models` declares a [`CostContract`] — the
 //! superstep count, per-step h-relation bound and admissible message kinds
-//! its closed form assumes. This module records the [`SuperstepTrace`]
-//! stream the machine computes for each priced superstep (through a
-//! cost-only observer on the same hook the protocol checker uses) and
-//! diffs it against the contract, so a drifted implementation can no
-//! longer be silently mispriced by its own formula.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! its closed form assumes. This module records the
+//! [`pcm_sim::SuperstepTrace`] stream the machine computes for each priced
+//! superstep (with [`pcm_sim::collect_traces`], a cost-only observer on
+//! the same hook the protocol checker uses) and diffs it against the
+//! contract, so a drifted implementation can no longer be silently
+//! mispriced by its own formula.
 
 use pcm_models::{ContractBreach, CostContract};
-use pcm_sim::{with_probe, StepObs, SuperstepProbe, SuperstepTrace};
+use pcm_sim::collect_traces;
 
 use crate::rules::{RuleId, Violation};
-
-/// A cost observer that keeps the [`SuperstepTrace`] of every priced
-/// superstep of every machine created in its scope.
-struct TraceCollector {
-    sink: Rc<RefCell<Vec<SuperstepTrace>>>,
-}
-
-impl SuperstepProbe for TraceCollector {
-    fn observe(&mut self, obs: &StepObs<'_>) {
-        self.sink.borrow_mut().push(*obs.trace);
-    }
-}
-
-/// Runs `body` and returns its result plus the superstep traces of every
-/// machine it created, interleaved in execution order.
-pub fn collect_traces<R>(body: impl FnOnce() -> R) -> (R, Vec<SuperstepTrace>) {
-    let sink: Rc<RefCell<Vec<SuperstepTrace>>> = Rc::default();
-    let handle = sink.clone();
-    let result = with_probe(
-        move |_p| {
-            Box::new(TraceCollector {
-                sink: handle.clone(),
-            })
-        },
-        body,
-    );
-    let traces = sink.take();
-    (result, traces)
-}
 
 /// Maps a contract breach onto the sanitizer's C-rules.
 pub fn breach_to_violation(breach: &ContractBreach) -> Violation {

@@ -12,9 +12,8 @@
 //! superstep trace stream (rule D02) across the legs.
 
 use pcm_algos::RunResult;
-use pcm_sim::{with_exchange_shards, with_sequential, SuperstepTrace};
+use pcm_sim::{collect_traces, with_exchange_shards, with_sequential, SuperstepTrace};
 
-use crate::conformance::collect_traces;
 use crate::rules::{RuleId, Violation};
 
 /// FNV-1a 64-bit accumulator for building order-sensitive digests of run

@@ -33,7 +33,7 @@ pub mod determinism;
 pub mod protocol;
 pub mod rules;
 
-pub use conformance::{breach_to_violation, check_conformance, collect_traces};
+pub use conformance::{breach_to_violation, check_conformance};
 pub use determinism::{audit_determinism, digest_run, digest_traces, Digest};
 pub use protocol::{check_protocol, ProtocolChecker};
 pub use rules::{RuleId, Severity, Violation};

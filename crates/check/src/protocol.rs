@@ -62,7 +62,7 @@ impl SuperstepProbe for ProtocolChecker {
     }
 
     fn observe(&mut self, obs: &StepObs<'_>) {
-        let step = obs.step;
+        let step = obs.trace.index;
         let d = self.discipline;
         let detail = obs.detail.expect("schedule observers get the detail");
         let (p, pattern) = (detail.nprocs(), detail.pattern);
@@ -154,20 +154,20 @@ impl SuperstepProbe for ProtocolChecker {
         }
 
         // R07: the priced times themselves must be finite.
-        if !obs.compute.as_micros().is_finite() {
+        if !obs.trace.compute.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("compute time is {}", obs.compute.as_micros()),
+                format!("compute time is {}", obs.trace.compute.as_micros()),
             );
         }
-        if !obs.comm.as_micros().is_finite() {
+        if !obs.trace.comm.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("communication time is {}", obs.comm.as_micros()),
+                format!("communication time is {}", obs.trace.comm.as_micros()),
             );
         }
     }

@@ -9,11 +9,11 @@
 //! programs on their machines, and E-BSP wins wherever communication is
 //! unbalanced.
 
-use pcm_algos::run::step_facts;
 use pcm_algos::sort::bitonic::{self, ExchangeMode};
 use pcm_core::Table;
 use pcm_machines::Platform;
 use pcm_models::account_run;
+use pcm_sim::collect_traces;
 
 use crate::report::{Output, Scale};
 
@@ -48,16 +48,16 @@ pub fn run(scale: Scale, seed: u64) -> Output {
             ("words", ExchangeMode::Words),
             ("blocks", ExchangeMode::Block),
         ] {
-            // Re-run with tracing through the library API.
             let r = bitonic::run(&plat, m, mode, seed);
             assert!(r.verified);
-            // The RunResult does not carry traces; reconstruct them by
-            // running the machine again at the algorithm level would be
-            // wasteful — instead the breakdown already separates compute,
-            // and the accountant needs per-step facts, which we collect by
-            // re-running via the traced path below.
-            let facts = traced_facts(&plat, m, mode, seed);
-            let acc = account_run(&params, &facts);
+            // The accountant charges the traces of an observed re-run of
+            // the same deterministic simulation. perfbench/golden.txt pins
+            // the simulation counts of this figure with the re-run in
+            // them; charging the first run's traces instead waits for a
+            // re-pin of those counts.
+            let (again, traces) = collect_traces(|| bitonic::run(&plat, m, mode, seed));
+            assert_eq!(again.time, r.time, "re-run must reproduce the measurement");
+            let acc = account_run(&params, &traces);
             let measured = r.time;
             let err = |t: pcm_core::SimTime| {
                 format!("{:+.0}%", 100.0 * ((t + acc.compute) / measured - 1.0))
@@ -74,34 +74,6 @@ pub fn run(scale: Scale, seed: u64) -> Output {
         }
     }
     Output::Tab(t)
-}
-
-/// Runs the bitonic phases directly on a machine to harvest the traces.
-fn traced_facts(
-    plat: &Platform,
-    m: usize,
-    mode: ExchangeMode,
-    seed: u64,
-) -> Vec<pcm_models::StepFacts> {
-    use pcm_algos::sort::bitonic::{merge_phases, BitonicList, SortState};
-    use pcm_algos::sort::radix::radix_sort;
-
-    let p = plat.p();
-    let mut rng = pcm_core::rng::seeded(seed);
-    let all_keys = pcm_core::rng::random_keys(p * m, &mut rng);
-    let states: Vec<SortState> = (0..p)
-        .map(|i| SortState {
-            keys: all_keys[i * m..(i + 1) * m].to_vec(),
-            stash: Vec::new(),
-        })
-        .collect();
-    let mut machine = plat.machine(states, seed);
-    machine.superstep(|ctx| {
-        radix_sort(ctx.state.list_mut());
-        ctx.charge_radix_sort(m, 32, 8);
-    });
-    merge_phases(&mut machine, mode);
-    step_facts(machine.traces())
 }
 
 #[cfg(test)]

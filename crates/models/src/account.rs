@@ -3,8 +3,9 @@
 //!
 //! The paper evaluates each model against *specific* algorithm
 //! implementations; this module generalizes that method to any program run
-//! on the simulator. Given per-superstep traces (word fan-out `h_s`/`h_r`,
-//! block rounds, active-processor counts), it computes what BSP, MP-BSP,
+//! on the simulator. Given a run's [`SuperstepTrace`]s — the records the
+//! machine stores and every observer sees (word fan-out `h_s`/`h_r`,
+//! block rounds, active-processor counts) — it computes what BSP, MP-BSP,
 //! MP-BPRAM and E-BSP would have charged for the communication — so "which
 //! model best explains this machine" becomes a one-call analysis instead
 //! of a hand-derived closed form.
@@ -17,24 +18,7 @@
 
 use crate::params::MachineParams;
 use pcm_core::SimTime;
-
-/// Minimal per-superstep facts the accountant needs. Mirrors
-/// `pcm_sim::SuperstepTrace` without depending on the simulator crate.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StepFacts {
-    /// Maximum words sent by any processor.
-    pub h_send: usize,
-    /// Maximum words received by any processor.
-    pub h_recv: usize,
-    /// Processors that sent or received anything.
-    pub active: usize,
-    /// Number of block-transfer rounds.
-    pub block_steps: usize,
-    /// Sum over the block rounds of the longest transfer (bytes).
-    pub block_bytes_sum: usize,
-    /// Maximum local computation time in the superstep (µs).
-    pub compute_us: f64,
-}
+use pcm_sim::SuperstepTrace;
 
 /// What each model charges for the same trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -84,7 +68,7 @@ impl ModelAccount {
 /// argument — only the MP-BPRAM explains block programs, because every
 /// other model must pay `g` (or `g + L`) per word where the machine
 /// actually pays `sigma` per byte after a single startup.
-pub fn account_step(m: &MachineParams, f: &StepFacts) -> ModelAccount {
+pub fn account_step(m: &MachineParams, f: &SuperstepTrace) -> ModelAccount {
     let has_words = f.h_send > 0 || f.h_recv > 0;
     let has_comm = has_words || f.block_steps > 0;
 
@@ -127,14 +111,14 @@ pub fn account_step(m: &MachineParams, f: &StepFacts) -> ModelAccount {
         mp_bsp: SimTime::from_micros(mp_bsp),
         bpram: SimTime::from_micros(bpram),
         ebsp: SimTime::from_micros(ebsp),
-        compute: SimTime::from_micros(f.compute_us),
+        compute: f.compute,
     }
 }
 
 /// Accumulates a whole run.
 pub fn account_run<'a>(
     m: &MachineParams,
-    steps: impl IntoIterator<Item = &'a StepFacts>,
+    steps: impl IntoIterator<Item = &'a SuperstepTrace>,
 ) -> ModelAccount {
     let mut acc = ModelAccount::default();
     for f in steps {
@@ -153,8 +137,8 @@ mod tests {
     use super::*;
     use crate::params::{cm5, maspar};
 
-    fn word_step(h: usize, active: usize) -> StepFacts {
-        StepFacts {
+    fn word_step(h: usize, active: usize) -> SuperstepTrace {
+        SuperstepTrace {
             h_send: h,
             h_recv: h,
             active,
@@ -179,7 +163,7 @@ mod tests {
     #[test]
     fn bpram_charges_block_steps() {
         let m = cm5();
-        let f = StepFacts {
+        let f = SuperstepTrace {
             block_steps: 3,
             block_bytes_sum: 3000,
             ..Default::default()
@@ -222,7 +206,7 @@ mod tests {
     #[test]
     fn empty_superstep_costs_a_barrier() {
         let m = cm5();
-        let a = account_step(&m, &StepFacts::default());
+        let a = account_step(&m, &SuperstepTrace::default());
         assert!((a.bsp.as_micros() - 45.0).abs() < 1e-9);
     }
 }

@@ -26,7 +26,7 @@ pub mod params;
 pub mod predict;
 pub mod symbolic;
 
-pub use account::{account_run, account_step, ModelAccount, StepFacts};
+pub use account::{account_run, account_step, ModelAccount};
 pub use bpram::Bpram;
 pub use bsp::Bsp;
 pub use contract::{ContractBreach, CostContract, KindMask};

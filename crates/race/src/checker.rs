@@ -160,7 +160,7 @@ impl SuperstepProbe for RaceChecker {
     }
 
     fn observe(&mut self, obs: &StepObs<'_>) {
-        let s = obs.step;
+        let s = obs.trace.index;
         let r = obs.detail.expect("schedule observers get the detail");
 
         // 1. Match this step's consumes against the deliveries that the

@@ -30,9 +30,9 @@ pub mod pattern;
 pub mod plan;
 pub mod probe;
 pub mod shadow;
+pub mod step;
 pub mod strategy;
 pub mod topology;
-pub mod trace;
 
 pub use cache::{CacheStats, PricingCache};
 pub use compute::{ComputeModel, UniformCompute};
@@ -46,8 +46,9 @@ pub use pattern::{
 };
 pub use plan::{extract_plans, RunPlan, StepPlan};
 pub use probe::{
-    with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
+    collect_traces, with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs,
+    SuperstepProbe,
 };
 pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
+pub use step::{RunBreakdown, SuperstepTrace};
 pub use strategy::{map_ordered, with_exchange_shards, with_sequential};
-pub use trace::{RunBreakdown, SuperstepTrace};

@@ -54,8 +54,8 @@ use crate::pattern::{CommPattern, SendRecord};
 use crate::probe::{
     self, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
 };
+use crate::step::{RunBreakdown, SuperstepTrace};
 use crate::strategy;
-use crate::trace::{RunBreakdown, SuperstepTrace};
 
 /// A simulated distributed-memory parallel machine.
 pub struct Machine<S> {
@@ -350,9 +350,7 @@ impl<S: Send> Machine<S> {
                 0
             };
             let obs = StepObs {
-                step: trace.index,
-                compute: trace.compute,
-                comm: trace.comm,
+                trace: &trace,
                 clock: self.clock,
                 records,
                 path,
@@ -360,7 +358,6 @@ impl<S: Send> Machine<S> {
                 phases,
                 memo: self.net.route_memo_stats(),
                 terms: self.net.cost_terms(),
-                trace: &trace,
                 detail: self.schedule.then_some(StepDetail {
                     pattern: &self.pattern,
                     procs: &self.procs,

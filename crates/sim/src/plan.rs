@@ -10,7 +10,7 @@
 //!   their real payloads (data-dependent schedules — sample sort's bucket
 //!   routing, radix's slice lengths — stay exact),
 //! * but the network model is never invoked, the simulated clock stays at
-//!   zero, and no [`crate::trace::SuperstepTrace`]s are stored: the
+//!   zero, and no [`crate::SuperstepTrace`]s are stored: the
 //!   expensive *pricing* of each pattern is skipped entirely,
 //! * and a plan recorder — an ordinary [`Needs::Schedule`] observer in
 //!   a dry observer scope — clones every superstep's full ordered
@@ -75,7 +75,7 @@ impl SuperstepProbe for PlanRecorder {
         let d = obs.detail.expect("schedule observers get the detail");
         let p = d.nprocs();
         self.current.steps.push(StepPlan {
-            step: obs.step,
+            step: obs.trace.index,
             pattern: d.pattern.clone(),
             inbox_count: (0..p).map(|pid| d.inbox_count(pid)).collect(),
             inbox_read: (0..p).map(|pid| d.inbox_read(pid)).collect(),

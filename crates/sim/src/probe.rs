@@ -2,9 +2,10 @@
 //!
 //! Every tool that watches a run implements [`SuperstepProbe`] and is
 //! installed with [`with_probe`]: cost tracing (`pcm-trace`, the
-//! benchmark's counters), the protocol sanitizer and trace collector
-//! (`pcm-check`), the happens-before analyzer (`pcm-race`) and the
-//! dry-run plan recorder behind [`crate::extract_plans`]. The machine
+//! benchmark's counters), the trace collector [`collect_traces`], the
+//! protocol sanitizer (`pcm-check`), the happens-before analyzer
+//! (`pcm-race`) and the dry-run plan recorder behind
+//! [`crate::extract_plans`]. The machine
 //! reports each superstep *after* the clock update and delivery, on
 //! whichever production engine ran it (fused or sharded), so the
 //! analyzers certify exactly the code the figures run.
@@ -38,7 +39,7 @@
 //! them (held by `tests/trace.rs`). An unobserved machine pays one
 //! emptiness test per superstep and never calls `Instant::now()`; observed
 //! steady-state supersteps stay allocation-free as long as the observers'
-//! own storage is preallocated (see `pcm-trace`'s ring sink).
+//! own storage is preallocated (see `pcm-trace`'s row log).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -51,7 +52,7 @@ use crate::ctx::ProcAux;
 use crate::network::NetTerms;
 use crate::pattern::CommPattern;
 use crate::shadow::{SendMeta, ShadowEvent};
-use crate::trace::SuperstepTrace;
+use crate::step::SuperstepTrace;
 
 /// Which exchange engine ran the superstep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,15 +115,14 @@ pub enum Needs {
 /// Everything the machine reports about one superstep, handed to every
 /// installed [`SuperstepProbe`] *after* the clock update and delivery.
 pub struct StepObs<'a> {
-    /// Superstep index (0-based).
-    pub step: usize,
-    /// Compute time this superstep added to the clock.
-    pub compute: SimTime,
-    /// Communication time this superstep added to the clock.
-    pub comm: SimTime,
+    /// The superstep's record: its index, the `compute`/`comm` pair it
+    /// added to the clock, and its pattern statistics. The same value
+    /// [`crate::Machine::traces`] stores, computed even when the
+    /// machine's own tracing is off.
+    pub trace: &'a SuperstepTrace,
     /// The machine clock *after* this superstep. Folding
-    /// `compute + comm` per step in order reproduces this value
-    /// bit-identically (same additions, same order).
+    /// `trace.compute + trace.comm` per step in order reproduces this
+    /// value bit-identically (same additions, same order).
     pub clock: SimTime,
     /// Total send records of the superstep (0 means the network priced a
     /// bare barrier).
@@ -139,9 +139,6 @@ pub struct StepObs<'a> {
     /// Cumulative deterministic cost-term counters of the network model,
     /// if it implements [`crate::NetworkModel::cost_terms`].
     pub terms: Option<NetTerms>,
-    /// The superstep's trace record: the one [`crate::Machine::traces`]
-    /// stores, computed even when the machine's own tracing is off.
-    pub trace: &'a SuperstepTrace,
     /// Schedule detail; `Some` whenever an installed observer declared
     /// [`Needs::Schedule`].
     pub detail: Option<StepDetail<'a>>,
@@ -263,6 +260,35 @@ pub fn with_probe<R>(
     scoped(Rc::new(factory), false, body)
 }
 
+/// A cost observer that keeps the [`SuperstepTrace`] of every priced
+/// superstep of every machine created in its scope.
+struct TraceCollector {
+    sink: Rc<RefCell<Vec<SuperstepTrace>>>,
+}
+
+impl SuperstepProbe for TraceCollector {
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        self.sink.borrow_mut().push(*obs.trace);
+    }
+}
+
+/// Runs `body` and returns its result plus the superstep traces of every
+/// machine it created, interleaved in execution order.
+pub fn collect_traces<R>(body: impl FnOnce() -> R) -> (R, Vec<SuperstepTrace>) {
+    let sink: Rc<RefCell<Vec<SuperstepTrace>>> = Rc::default();
+    let handle = sink.clone();
+    let result = with_probe(
+        move |_p| {
+            Box::new(TraceCollector {
+                sink: handle.clone(),
+            })
+        },
+        body,
+    );
+    let traces = sink.take();
+    (result, traces)
+}
+
 /// Whether any observer scope is active on this thread.
 pub(crate) fn scoped_here() -> bool {
     SCOPES.with(|s| !s.borrow().is_empty())
@@ -347,7 +373,7 @@ mod tests {
             });
             self.log.borrow_mut().push(format!(
                 "step {} records {} read {read:?}",
-                obs.step, obs.records
+                obs.trace.index, obs.records
             ));
         }
 
@@ -550,7 +576,7 @@ mod tests {
             assert_eq!(
                 inbox, self.prev_sends_per_dst,
                 "step {}: inbox counts must match the previous step's sends",
-                obs.step
+                obs.trace.index
             );
             // A Words send is priced per word, a block once.
             let sent_total: usize = (0..p)
@@ -560,15 +586,25 @@ mod tests {
                     crate::message::MsgKind::Block | crate::message::MsgKind::Xnet => 1,
                 })
                 .sum();
-            assert_eq!(d.pattern.total_messages(), sent_total, "step {}", obs.step);
-            assert_eq!(obs.trace.messages, sent_total, "step {}", obs.step);
+            assert_eq!(
+                d.pattern.total_messages(),
+                sent_total,
+                "step {}",
+                obs.trace.index
+            );
+            assert_eq!(obs.trace.messages, sent_total, "step {}", obs.trace.index);
             let mut per_dst = vec![0usize; p];
             for pid in 0..p {
                 let consumed = d
                     .events(pid)
                     .iter()
                     .any(|e| matches!(e, ShadowEvent::Consume { .. }));
-                assert_eq!(d.inbox_read(pid), consumed, "step {} pid {pid}", obs.step);
+                assert_eq!(
+                    d.inbox_read(pid),
+                    consumed,
+                    "step {} pid {pid}",
+                    obs.trace.index
+                );
                 for s in d.sends(pid) {
                     per_dst[s.dst] += 1;
                 }

@@ -1,13 +1,17 @@
-//! Superstep traces: per-superstep cost breakdown.
+//! The per-superstep record: one [`SuperstepTrace`] per executed
+//! superstep, and its fold over a run.
 //!
 //! The evaluation figures need more than a total running time — e.g.
 //! Fig. 16 reports Mflops, which requires knowing compute vs. communication
 //! split, and the E-BSP analysis inspects per-superstep pattern shapes.
+//! The same record is what [`crate::Machine::traces`] stores, what every
+//! observer receives as [`crate::StepObs::trace`], and what the model
+//! accountant in `pcm-models` charges.
 
 use pcm_core::SimTime;
 
 /// Cost breakdown of one executed superstep.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SuperstepTrace {
     /// Superstep index.
     pub index: usize,
@@ -97,14 +101,7 @@ mod tests {
                 comm: SimTime::from_micros(5.0),
                 messages: 3,
                 bytes: 12,
-                h_send: 1,
-                h_recv: 1,
-                active: 4,
-                block_steps: 0,
-                block_bytes_sum: 0,
-                word_msgs: 3,
-                block_msgs: 0,
-                xnet_msgs: 0,
+                ..Default::default()
             },
             SuperstepTrace {
                 index: 1,
@@ -112,14 +109,7 @@ mod tests {
                 comm: SimTime::from_micros(15.0),
                 messages: 7,
                 bytes: 28,
-                h_send: 2,
-                h_recv: 3,
-                active: 4,
-                block_steps: 1,
-                block_bytes_sum: 16,
-                word_msgs: 6,
-                block_msgs: 1,
-                xnet_msgs: 0,
+                ..Default::default()
             },
         ];
         let b = RunBreakdown::from_traces(&traces);

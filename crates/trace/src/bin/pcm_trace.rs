@@ -15,9 +15,8 @@
 //! The replay points are named `(family, variant)` pairs, looked up in
 //! `pcm_algos::catalog` and run at each family's first grid point.
 //!
-//! Flags: `--fast` replays a two-family subset (the CI smoke sweep),
-//! `--wall` adds wall-phase totals to the report (diagnostics only — do
-//! not commit such a report).
+//! Flags: `--wall` adds wall-phase totals to the report (diagnostics
+//! only — do not commit such a report).
 //!
 //! Exit status is non-zero if a replay name is missing from the catalog,
 //! or any replay fails verification or exact attribution: the binary is
@@ -33,7 +32,7 @@ use pcm_trace::{capture, chrome, ChromeRun, MachineRun, RunRecord, TraceReport};
 const SHARDS: usize = 1;
 
 /// The replayed `(family, variant)` pairs, each at its family's first
-/// catalog grid point; `--fast` keeps the first two.
+/// catalog grid point.
 const REPLAYS: [(&str, &str); 8] = [
     ("matmul", "BspStaggered"),
     ("bitonic", "Words"),
@@ -56,9 +55,8 @@ struct Point {
 
 /// Looks every replay up in the catalog; a name the catalog no longer
 /// has is an error, so a rename cannot silently drop a row.
-fn points(fast: bool) -> Result<Vec<Point>, String> {
-    let take = if fast { 2 } else { REPLAYS.len() };
-    REPLAYS[..take]
+fn points() -> Result<Vec<Point>, String> {
+    REPLAYS
         .iter()
         .map(|&(family, variant)| {
             let fam = catalog::family(family)
@@ -132,7 +130,6 @@ fn main() {
     let mut out_path = String::from("TRACE_report.json");
     let mut trace_out = String::from("TRACE_chrome.json");
     let mut export_chrome = false;
-    let mut fast = false;
     let mut wall = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -144,19 +141,18 @@ fn main() {
                 assert_eq!(what, "chrome", "supported export formats: chrome");
                 export_chrome = true;
             }
-            "--fast" => fast = true,
             "--wall" => wall = true,
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: pcm-trace [--fast] [--wall] [--out FILE] [--export chrome] [--trace-out FILE]"
+                    "usage: pcm-trace [--wall] [--out FILE] [--export chrome] [--trace-out FILE]"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    let points = points(fast).unwrap_or_else(|e| {
+    let points = points().unwrap_or_else(|e| {
         eprintln!("pcm-trace: {e}");
         std::process::exit(1);
     });

@@ -1,41 +1,33 @@
 //! The bridge between `pcm-sim`'s probe hook and this crate's storage:
-//! a preallocated per-machine row log, the multi-lane event sink, and the
-//! metric set, all filled by a [`SuperstepProbe`] implementation.
+//! a preallocated per-machine row log filled by a [`SuperstepProbe`]
+//! implementation.
 //!
-//! Everything a probe touches per superstep was allocated when the
-//! machine was constructed (rows, lanes, scratch), so the simulator's
-//! zero-allocation steady state holds with tracing enabled — the property
-//! `tests/hotpath_alloc.rs` gates.
+//! Each row log was allocated when its machine was constructed, so the
+//! simulator's zero-allocation steady state holds with tracing enabled —
+//! the property `tests/hotpath_alloc.rs` gates.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_core::SimTime;
 use pcm_sim::cache::CacheStats;
-use pcm_sim::{with_probe, ExchangePath, NetTerms, PhaseNanos, StepObs, SuperstepProbe};
-
-use crate::event::{EventKind, TraceEvent};
-use crate::metrics::Metrics;
-use crate::sink::TraceSink;
+use pcm_sim::{
+    with_probe, ExchangePath, NetTerms, PhaseNanos, StepObs, SuperstepProbe, SuperstepTrace,
+};
 
 /// Default per-machine row capacity — far above any replayed grid point
 /// (the largest sweeps run a few hundred supersteps).
 pub const DEFAULT_ROW_CAP: usize = 4096;
-
-/// Default per-lane event capacity (two events per superstep).
-pub const DEFAULT_LANE_CAP: usize = 2 * DEFAULT_ROW_CAP;
 
 /// One observed superstep, as recorded for attribution and export.
 #[derive(Clone, Copy, Debug)]
 pub struct StepRow {
     /// Machine index within the capture (factories are invoked per machine).
     pub machine: u32,
-    /// Superstep index within that machine.
-    pub step: u32,
-    /// Compute time added to the clock.
-    pub compute: SimTime,
-    /// Communication time added to the clock.
-    pub comm: SimTime,
+    /// The machine's own record of the step: its index, the
+    /// `compute`/`comm` pair added to the clock, and its pattern
+    /// statistics — the value [`pcm_sim::Machine::traces`] stores.
+    pub trace: SuperstepTrace,
     /// Machine clock after the step.
     pub clock: SimTime,
     /// Send records priced this step.
@@ -73,7 +65,7 @@ impl MachineRun {
     pub fn folded_clock(&self) -> SimTime {
         let mut t = SimTime::ZERO;
         for r in &self.rows {
-            t += r.compute + r.comm;
+            t += r.trace.compute + r.trace.comm;
         }
         t
     }
@@ -92,12 +84,12 @@ impl MachineRun {
 
     /// Sum of compute times (reported µs; not part of the exactness gate).
     pub fn compute_us(&self) -> f64 {
-        self.rows.iter().map(|r| r.compute.as_micros()).sum()
+        self.rows.iter().map(|r| r.trace.compute.as_micros()).sum()
     }
 
     /// Sum of communication times (reported µs).
     pub fn comm_us(&self) -> f64 {
-        self.rows.iter().map(|r| r.comm.as_micros()).sum()
+        self.rows.iter().map(|r| r.trace.comm.as_micros()).sum()
     }
 
     /// Total wall nanoseconds per engine phase across steps.
@@ -114,29 +106,15 @@ impl MachineRun {
     }
 }
 
-/// Everything one traced scope produced: ordered events, metrics, and the
-/// per-machine attribution rows.
+/// Everything one traced scope produced: the per-machine row logs.
 #[derive(Debug)]
 pub struct Capture {
-    /// Multi-lane ring sink (lane = machine index, folding over).
-    pub sink: TraceSink,
-    /// The run's metric set.
-    pub metrics: Metrics,
     /// One entry per machine constructed in the scope, in order.
     pub runs: Vec<MachineRun>,
     row_cap: usize,
 }
 
 impl Capture {
-    fn new(lanes: usize, row_cap: usize, lane_cap: usize) -> Self {
-        Capture {
-            sink: TraceSink::new(lanes, lane_cap),
-            metrics: Metrics::new(),
-            runs: Vec::new(),
-            row_cap,
-        }
-    }
-
     /// The run whose final clock bit-equals `time`, if any — how callers
     /// find "the machine that produced this result" when an algorithm
     /// constructs more than one.
@@ -149,96 +127,27 @@ impl Capture {
     }
 }
 
-/// The probe installed per machine: writes rows, events and metrics into
-/// the shared [`Capture`]. All its storage is preallocated when the
-/// machine is constructed.
-struct RingProbe {
+/// The probe installed per machine: appends one row per superstep to its
+/// machine's preallocated log in the shared [`Capture`].
+struct RowProbe {
     shared: Rc<RefCell<Capture>>,
-    /// Index of this probe's `MachineRun` (also its sink lane).
+    /// Index of this probe's `MachineRun`.
     machine: usize,
-    /// Clock before the next observed step (for event start times).
-    prev_clock: SimTime,
-    /// Memo stats at the previous step (for per-step deltas).
-    prev_memo: CacheStats,
 }
 
-impl SuperstepProbe for RingProbe {
+impl SuperstepProbe for RowProbe {
     fn observe(&mut self, obs: &StepObs<'_>) {
         let mut cap = self.shared.borrow_mut();
-        let cap = &mut *cap;
-        let step = u32::try_from(obs.step).unwrap_or(u32::MAX);
-        let records = obs.records as u64; // usize fits in u64
-        let shard_max = obs.shard_records.iter().copied().max().unwrap_or(0);
-
-        // Metrics.
-        let m = &cap.metrics;
-        m.supersteps.inc();
-        m.records.add(records);
-        if records == 0 {
-            m.barrier_steps.inc();
-        }
-        m.step_records.record(records);
-        if obs.path == ExchangePath::Sharded {
-            m.shard_max_records.record(shard_max);
-        }
-        if let Some(cur) = obs.memo {
-            let prev = self.prev_memo;
-            m.memo_hits.add(cur.hits.saturating_sub(prev.hits));
-            m.memo_misses.add(cur.misses.saturating_sub(prev.misses));
-            m.memo_evictions
-                .add(cur.evictions.saturating_sub(prev.evictions));
-            m.memo_bypasses
-                .add(cur.bypasses.saturating_sub(prev.bypasses));
-            self.prev_memo = cur;
-        }
-
-        // Events: a compute slice then a comm/barrier slice, on the
-        // simulated timeline.
-        let ts = self.prev_clock.as_micros();
-        cap.sink.record(
-            self.machine,
-            TraceEvent {
-                seq: 0,
-                step,
-                lane: 0,
-                kind: EventKind::Compute,
-                ts_us: ts,
-                dur_us: obs.compute.as_micros(),
-                a: records,
-                b: obs.phases.compute,
-            },
-        );
-        cap.sink.record(
-            self.machine,
-            TraceEvent {
-                seq: 0,
-                step,
-                lane: 0,
-                kind: if records == 0 {
-                    EventKind::Barrier
-                } else {
-                    EventKind::Comm
-                },
-                ts_us: ts + obs.compute.as_micros(),
-                dur_us: obs.comm.as_micros(),
-                a: records,
-                b: obs.phases.total() - obs.phases.compute,
-            },
-        );
-
-        // Attribution row.
         let run = &mut cap.runs[self.machine];
         if run.rows.len() < run.rows.capacity() {
             run.rows.push(StepRow {
                 machine: u32::try_from(self.machine).unwrap_or(u32::MAX),
-                step,
-                compute: obs.compute,
-                comm: obs.comm,
+                trace: *obs.trace,
                 clock: obs.clock,
-                records,
+                records: obs.records as u64, // usize fits in u64
                 path: obs.path,
                 shards: u32::try_from(obs.shard_records.len()).unwrap_or(u32::MAX),
-                shard_max,
+                shard_max: obs.shard_records.iter().copied().max().unwrap_or(0),
                 phases: obs.phases,
                 memo: obs.memo,
                 terms: obs.terms,
@@ -246,27 +155,26 @@ impl SuperstepProbe for RingProbe {
         } else {
             run.dropped += 1;
         }
-        self.prev_clock = obs.clock;
     }
 }
 
 /// Runs `body` with tracing installed and returns its result plus the
 /// filled [`Capture`]. Every machine constructed inside `body` gets its
-/// own row log and sink lane (storage allocated at machine construction,
-/// not per step).
+/// own row log (allocated at machine construction, not per step).
 ///
 /// Machines must not outlive `body` — the capture is single-owner again
 /// when this returns.
 pub fn capture<R>(body: impl FnOnce() -> R) -> (R, Capture) {
-    capture_sized(DEFAULT_ROW_CAP, DEFAULT_LANE_CAP, body)
+    capture_sized(DEFAULT_ROW_CAP, body)
 }
 
-/// [`capture`] with explicit row/lane capacities (tests use tiny rings).
-pub fn capture_sized<R>(row_cap: usize, lane_cap: usize, body: impl FnOnce() -> R) -> (R, Capture) {
-    // Lane count must be fixed up front (the sink preallocates); machines
-    // beyond the lane budget share lane 0 but keep their own row logs.
-    const LANES: usize = 8;
-    let shared = Rc::new(RefCell::new(Capture::new(LANES, row_cap, lane_cap)));
+/// [`capture`] with an explicit per-machine row capacity (tests use tiny
+/// logs).
+pub fn capture_sized<R>(row_cap: usize, body: impl FnOnce() -> R) -> (R, Capture) {
+    let shared = Rc::new(RefCell::new(Capture {
+        runs: Vec::new(),
+        row_cap,
+    }));
     let hook = shared.clone();
     let out = with_probe(
         move |p| {
@@ -278,11 +186,9 @@ pub fn capture_sized<R>(row_cap: usize, lane_cap: usize, body: impl FnOnce() -> 
                 rows: Vec::with_capacity(row_cap),
                 dropped: 0,
             });
-            Box::new(RingProbe {
+            Box::new(RowProbe {
                 shared: hook.clone(),
                 machine,
-                prev_clock: SimTime::ZERO,
-                prev_memo: CacheStats::default(),
             })
         },
         body,

@@ -49,12 +49,13 @@ pub fn render(runs: &[ChromeRun<'_>]) -> String {
         );
         let mut ts = 0.0f64;
         for row in &cr.run.rows {
-            let compute = row.compute.as_micros();
-            let comm = row.comm.as_micros();
+            let step = row.trace.index;
+            let compute = row.trace.compute.as_micros();
+            let comm = row.trace.comm.as_micros();
             push(
                 format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {} compute\",\"ts\":{ts},\"dur\":{compute},\"args\":{{\"records\":{},\"wall_ns\":{}}}}}",
-                    row.step, row.records, row.phases.compute
+                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {step} compute\",\"ts\":{ts},\"dur\":{compute},\"args\":{{\"records\":{},\"wall_ns\":{}}}}}",
+                    row.records, row.phases.compute
                 ),
                 &mut first,
             );
@@ -62,8 +63,7 @@ pub fn render(runs: &[ChromeRun<'_>]) -> String {
             let wall_comm = row.phases.total() - row.phases.compute;
             push(
                 format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {} {comm_name}\",\"ts\":{},\"dur\":{comm},\"args\":{{\"records\":{},\"path\":\"{}\",\"shards\":{},\"shard_max\":{},\"wall_ns\":{wall_comm}}}}}",
-                    row.step,
+                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {step} {comm_name}\",\"ts\":{},\"dur\":{comm},\"args\":{{\"records\":{},\"path\":\"{}\",\"shards\":{},\"shard_max\":{},\"wall_ns\":{wall_comm}}}}}",
                     ts + compute,
                     row.records,
                     row.path.label(),
@@ -91,20 +91,22 @@ mod tests {
     use super::*;
     use crate::capture::{MachineRun, StepRow};
     use pcm_core::SimTime;
-    use pcm_sim::{ExchangePath, PhaseNanos};
+    use pcm_sim::{ExchangePath, PhaseNanos, SuperstepTrace};
 
     fn run() -> MachineRun {
         let mut rows = Vec::new();
         let mut clock = SimTime::ZERO;
         for step in 0..3u32 {
-            let compute = SimTime::from_micros(2.0);
-            let comm = SimTime::from_micros(1.5);
-            clock += compute + comm;
+            let trace = SuperstepTrace {
+                index: step as usize,
+                compute: SimTime::from_micros(2.0),
+                comm: SimTime::from_micros(1.5),
+                ..Default::default()
+            };
+            clock += trace.compute + trace.comm;
             rows.push(StepRow {
                 machine: 0,
-                step,
-                compute,
-                comm,
+                trace,
                 clock,
                 records: u64::from(step % 2),
                 path: ExchangePath::Fused,

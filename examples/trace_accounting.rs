@@ -6,7 +6,6 @@
 //! cargo run --release --example trace_accounting
 //! ```
 
-use pcm::algos::run::step_facts;
 use pcm::algos::sort::bitonic::{merge_phases, BitonicList, ExchangeMode, SortState};
 use pcm::algos::sort::radix::radix_sort;
 use pcm::models::account_run;
@@ -47,7 +46,7 @@ fn main() {
             merge_phases(&mut machine, mode);
             let measured = machine.time();
 
-            let acc = account_run(&params, &step_facts(machine.traces()));
+            let acc = account_run(&params, machine.traces());
             let (best, err) = acc.best_fit(measured);
             let fmt = |t: pcm::SimTime| format!("{:>9.1}ms", (t + acc.compute).as_millis());
             println!(

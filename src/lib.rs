@@ -32,9 +32,10 @@
 //!   dominance lemmas, ≤ 1 ulp differential agreement, leading terms and
 //!   word/block crossovers (see the "Symbolic model verification" section
 //!   of DESIGN.md),
-//! * [`trace`] — zero-overhead superstep tracing: ring-buffer event
-//!   sink, cost-attribution metrics and Chrome-trace/Perfetto export
-//!   (see the "Observability" section of DESIGN.md).
+//! * [`trace`] — zero-overhead superstep tracing: a preallocated
+//!   per-machine row log of superstep traces, exact cost attribution and
+//!   Chrome-trace/Perfetto export (see the "Observability" section of
+//!   DESIGN.md).
 //!
 //! ## Quickstart
 //!

@@ -35,11 +35,12 @@ use pcm::algos::sort::sample::{self, SampleVariant};
 use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::Platform;
-use pcm_check::{audit_determinism, check_protocol, collect_traces, digest_run, render, Digest};
+use pcm_check::{audit_determinism, check_protocol, digest_run, render, Digest};
 use pcm_race::check_races;
 use pcm_sim::{
-    extract_plans, with_exchange_shards, with_probe, with_sequential, ExchangePath, IdealNetwork,
-    Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute, MAX_SHARDS,
+    collect_traces, extract_plans, with_exchange_shards, with_probe, with_sequential, ExchangePath,
+    IdealNetwork, Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute,
+    MAX_SHARDS,
 };
 
 /// Pins the pool width before the rayon shim latches it, so the lane

@@ -2,7 +2,6 @@
 //! radix sort, the message-granularity study and the trace accountant.
 
 use pcm::algos::lu::{self, LuVariant};
-use pcm::algos::run::step_facts;
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::sort::parallel_radix::{self, RadixVariant};
 use pcm::experiments::{granularity, model_fit, Output, Scale};
@@ -137,8 +136,7 @@ fn accountant_matches_the_closed_form_for_block_bitonic() {
     });
     merge_phases(&mut machine, ExchangeMode::Block);
 
-    let facts = step_facts(machine.traces());
-    let acc = account_run(&params, &facts);
+    let acc = account_run(&params, machine.traces());
     let accounted = acc.bpram + acc.compute;
     let closed_form = pcm::models::predict::bitonic::bpram(&params, m);
     let err = accounted.relative_error(closed_form);

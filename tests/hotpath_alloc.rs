@@ -176,9 +176,9 @@ fn main() {
             plat.name()
         );
     }
-    // Tracing ON must preserve the property: the probe's rows, event
-    // lanes and counters are all preallocated when the machine is
-    // constructed, so observed supersteps stay allocation-free too.
+    // Tracing ON must preserve the property: the probe's row log is
+    // preallocated when the machine is constructed, so observed
+    // supersteps stay allocation-free too.
     let (traced_seq, cap) = pcm::trace::capture(|| steady_state_delta(false, None, false));
     assert_eq!(
         traced_seq, 0,

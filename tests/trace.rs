@@ -11,12 +11,17 @@
 //! * **zero perturbation** — running under a trace scope changes nothing
 //!   observable: simulated times and run digests are bit-identical with
 //!   and without the probe, on every machine and on both exchange
-//!   engines.
+//!   engines;
+//! * **one record** — each row carries the machine's own
+//!   [`pcm_sim::SuperstepTrace`], so the row log and
+//!   [`pcm_sim::Machine::traces`] agree step for step.
 
 use pcm::algos::catalog::SEED;
 use pcm::algos::matmul::{self, MatmulVariant};
-use pcm::algos::sort::bitonic::{self, ExchangeMode};
+use pcm::algos::sort::bitonic::{self, merge_phases, BitonicList, ExchangeMode, SortState};
+use pcm::algos::sort::radix::radix_sort;
 use pcm::algos::RunResult;
+use pcm::models::account_run;
 use pcm::trace::{capture, capture_sized, ChromeRun};
 use pcm::Platform;
 use pcm_sim::with_exchange_shards;
@@ -105,26 +110,71 @@ fn sharded_exchange_attributes_exactly_and_identically() {
             bits(a.clock),
             bits(b.clock),
             "step {}: per-step clocks must match across shard counts",
-            a.step
+            a.trace.index
         );
         assert_eq!(a.records, b.records);
     }
 }
 
 #[test]
-fn trace_metrics_and_terms_accumulate() {
+fn row_log_is_the_machines_record() {
+    let (p, m) = (16, 16);
+    for plat in Platform::all_with(p) {
+        let params = plat.model_params();
+        let (traces, cap) = capture(|| {
+            let mut rng = pcm::core::rng::seeded(SEED);
+            let keys = pcm::core::rng::random_keys(p * m, &mut rng);
+            let states: Vec<SortState> = keys
+                .chunks(m)
+                .map(|c| SortState {
+                    keys: c.to_vec(),
+                    stash: Vec::new(),
+                })
+                .collect();
+            let mut machine = plat.machine(states, SEED);
+            machine.superstep(|ctx| {
+                radix_sort(ctx.state.list_mut());
+                ctx.charge_radix_sort(m, 32, 8);
+            });
+            merge_phases(&mut machine, ExchangeMode::Block);
+            machine.traces().to_vec()
+        });
+        let [mrun] = &cap.runs[..] else {
+            panic!("{}: one machine, one row log", plat.name());
+        };
+        assert!(mrun.attribution_exact(), "{}", plat.name());
+        assert_eq!(mrun.rows.len(), traces.len(), "{}", plat.name());
+        for (row, trace) in mrun.rows.iter().zip(&traces) {
+            assert_eq!(
+                row.trace,
+                *trace,
+                "{} step {}: the row must carry the stored trace",
+                plat.name(),
+                trace.index
+            );
+        }
+        assert!(
+            traces.iter().any(|t| t.block_steps > 0),
+            "{}: the block merge prices block rounds",
+            plat.name()
+        );
+        assert_eq!(
+            account_run(&params, mrun.rows.iter().map(|r| &r.trace)),
+            account_run(&params, &traces),
+            "{}: the rows account exactly as the machine's traces",
+            plat.name()
+        );
+    }
+}
+
+#[test]
+fn cost_terms_accumulate_in_the_rows() {
     let plat = Platform::maspar_with(16);
     let (result, cap) = with_exchange_shards(1, || {
         capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED))
     });
     assert!(result.verified);
-    let snap = cap.metrics.snapshot();
     let mrun = cap.run_matching(result.time).expect("traced run");
-    assert_eq!(snap.supersteps, mrun.rows.len() as u64);
-    assert_eq!(
-        snap.records,
-        mrun.rows.iter().map(|r| r.records).sum::<u64>()
-    );
     let terms = mrun
         .rows
         .last()
@@ -136,10 +186,6 @@ fn trace_metrics_and_terms_accumulate() {
         terms.router_passes >= terms.router_min_passes,
         "greedy passes are bounded below by the congestion lower bound"
     );
-    // Sink events mirror the rows: two per superstep, globally ordered.
-    assert_eq!(cap.sink.len(), 2 * mrun.rows.len());
-    let merged = cap.sink.merged();
-    assert!(merged.windows(2).all(|w| w[0].seq < w[1].seq));
 }
 
 #[test]
@@ -164,10 +210,10 @@ fn chrome_export_tiles_the_simulated_timeline() {
 }
 
 #[test]
-fn tiny_capture_rings_drop_rows_and_void_exactness() {
+fn tiny_row_logs_drop_rows_and_void_exactness() {
     let plat = Platform::cm5_with(16);
     let (result, cap) = with_exchange_shards(1, || {
-        capture_sized(2, 4, || bitonic::run(&plat, 16, ExchangeMode::Words, SEED))
+        capture_sized(2, || bitonic::run(&plat, 16, ExchangeMode::Words, SEED))
     });
     assert!(result.verified, "tracing overflow must not affect the run");
     let mrun = cap.runs.last().expect("a machine ran");
@@ -176,5 +222,4 @@ fn tiny_capture_rings_drop_rows_and_void_exactness() {
         !mrun.attribution_exact(),
         "dropped rows must void the exactness claim"
     );
-    assert!(cap.sink.dropped() > 0, "event rings wrapped");
 }
