@@ -1,15 +1,10 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test sanitize race golden shard audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
 
-# The workflow's steps in its order; the few without a target of their own
-# (bench compile, pricing smoke) run in the recipe.
+# The workflow's steps in its order.
 ci: build test sanitize race golden shard audit-gate sym-gate
-	$(MAKE) trace-gate figures-gate trace-counts-gate
-	cargo bench --no-run
-	$(MAKE) bench-smoke
-	cargo run --release -p pcm-bench --bin bench-report -- --smoke --child pricing/route_warm/MasPar
-	$(MAKE) pricing-gate bench-scaling doc fmt clippy
+	$(MAKE) trace-gate figures-gate trace-counts-gate pricing-gate doc fmt clippy
 
 build:
 	cargo build --release
@@ -90,30 +85,6 @@ analyze: sanitize race audit-gate sym-gate trace-gate figures-gate trace-counts-
 
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-# Criterion suites plus the recorded throughput report (BENCH_simulator.json).
-bench:
-	cargo bench
-	cargo run --release -p pcm-bench --bin bench-report
-
-# Fast sanity pass over every bench kernel; writes no report.
-bench-smoke:
-	cargo run --release -p pcm-bench --bin bench-report -- --smoke
-
-# Smoke-mode thread-scaling ladder: re-executes the bench binary with
-# RAYON_NUM_THREADS pinned to each rung; writes no report.
-bench-scaling:
-	cargo run --release -p pcm-bench --bin bench-report -- --smoke --scaling
-
-# The pricing fast-path rows alone (route warm/cold per machine, router
-# fast/slow path), full-length samples; writes no report.
-bench-pricing:
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/route_warm/MasPar
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/route_cold/MasPar
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/route_warm/GCel
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/route_warm/CM-5
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/router_fastpath/1024
-	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/router_slowpath/1024
 
 # Route-memo differential gate: memo on vs off must be bit-identical, and
 # the rewritten router must match the reference implementation.

@@ -10,6 +10,7 @@
 //! Exit status is 1 when any finding fired, so CI can gate on it.
 
 use pcm_audit::{render, render_json, sweep, SweepOptions};
+use pcm_core::fsio::write_atomic;
 
 fn main() {
     let mut fast = false;
@@ -45,7 +46,7 @@ fn main() {
 
     if let Some(path) = out {
         let json = render_json(&outcome, fast);
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = write_atomic(&path, json) {
             eprintln!("pcm-audit: cannot write {path}: {e}");
             std::process::exit(2);
         }

@@ -1,25 +1,12 @@
 //! Machine-readable findings report.
 //!
-//! Hand-built JSON in the same spirit as `pcm-bench`'s recorded bench
-//! report: no serializer dependency, stable field order, one findings
-//! array a CI step can parse and diff.
+//! Hand-built JSON: no serializer dependency, stable field order, one
+//! findings array a CI step can parse and diff.
+
+use pcm_core::fsio::json_escape;
 
 use crate::rules::Finding;
 use crate::sweep::SweepOutcome;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn finding_json(f: &Finding, indent: &str) -> String {
     let step = f.step.map_or_else(|| "null".to_string(), |s| s.to_string());
@@ -28,12 +15,12 @@ fn finding_json(f: &Finding, indent: &str) -> String {
          \"machine\": \"{}\", \"n\": {}, \"p\": {}, \"step\": {step}, \
          \"detail\": \"{}\"}}",
         f.rule,
-        escape(&f.family),
-        escape(&f.variant),
-        escape(&f.machine),
+        json_escape(&f.family),
+        json_escape(&f.variant),
+        json_escape(&f.machine),
         f.n,
         f.p,
-        escape(&f.detail)
+        json_escape(&f.detail)
     )
 }
 

@@ -1,11 +1,15 @@
 //! Durable report output.
 //!
-//! The repo commits several machine-generated reports (`BENCH_simulator.json`,
-//! `TRACE_report.json`, ...) that CI diffs against regenerated copies. A
-//! half-written file from an interrupted run would make those gates lie, so
-//! every writer goes through [`write_atomic`]: write to a temporary sibling,
-//! `fsync`, then rename over the destination. On POSIX the rename is atomic,
-//! so readers (and `git diff`) only ever observe the old or the new contents.
+//! The repo commits several machine-generated reports (`AUDIT_report.json`,
+//! `SYM_report.json`, `TRACE_report.json`) that CI diffs against regenerated
+//! copies. A half-written file from an interrupted run would make those gates
+//! lie, so every writer goes through [`write_atomic`]: write to a temporary
+//! sibling, `fsync`, then rename over the destination. On POSIX the rename is
+//! atomic, so readers (and `git diff`) only ever observe the old or the new
+//! contents.
+//!
+//! The reports are hand-built JSON (no serializer dependency, stable field
+//! order); [`json_escape`] is the one string escaper they share.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -35,6 +39,23 @@ pub fn write_atomic<P: AsRef<Path>, C: AsRef<[u8]>>(path: P, contents: C) -> io:
     })
 }
 
+/// Escapes `s` for use inside a JSON string literal: quote, backslash and
+/// newline get their short escapes, other control characters `\u00XX`;
+/// everything else (non-ASCII included) passes through unchanged.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,5 +82,14 @@ mod tests {
     #[test]
     fn rejects_pathless_destination() {
         assert!(write_atomic(Path::new("/"), "x").is_err());
+    }
+
+    #[test]
+    fn json_string_keeps_unicode_and_escapes_controls() {
+        assert_eq!(json_escape(r#"say "hi""#), r#"say \"hi\""#);
+        assert_eq!(json_escape(r"a\b"), r"a\\b");
+        assert_eq!(json_escape("one\ntwo"), r"one\ntwo");
+        assert_eq!(json_escape("\u{1}"), r"\u0001");
+        assert_eq!(json_escape("µs → ρ"), "µs → ρ");
     }
 }

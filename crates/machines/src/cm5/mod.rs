@@ -129,15 +129,10 @@ fn price_pattern(
 impl Cm5Network {
     /// Builds the network for `p` nodes.
     pub fn new(p: usize) -> Self {
-        Self::with_costs(p, Cm5Costs::default())
-    }
-
-    /// Builds the network with explicit constants (for ablations).
-    pub fn with_costs(p: usize, costs: Cm5Costs) -> Self {
         assert!(p > 0);
         Cm5Network {
             p,
-            costs,
+            costs: Cm5Costs::default(),
             scratch: PatternScratch::new(),
             loads: PortLoads::new(),
             key_buf: Vec::new(),

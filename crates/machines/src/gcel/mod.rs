@@ -246,17 +246,12 @@ impl GcelNetwork {
     /// # Panics
     /// Panics if `p` is not a perfect square.
     pub fn new(p: usize) -> Self {
-        Self::with_costs(p, GcelCosts::default())
-    }
-
-    /// Builds the network with explicit constants (for ablations).
-    pub fn with_costs(p: usize, costs: GcelCosts) -> Self {
         let side =
             sqrt_exact(p).unwrap_or_else(|| panic!("GCel mesh needs a square node count, got {p}"));
         GcelNetwork {
             p,
             side,
-            costs,
+            costs: GcelCosts::default(),
             scratch: PatternScratch::new(),
             words: PortLoads::new(),
             blk_count: PortLoads::new(),

@@ -234,15 +234,10 @@ fn collect_coeffs(
 impl MasParNetwork {
     /// Builds the network for `p` PEs (power of two, at least 16).
     pub fn new(p: usize) -> Self {
-        Self::with_costs(p, MasParCosts::default())
-    }
-
-    /// Builds the network with explicit cost constants (for ablations).
-    pub fn with_costs(p: usize, costs: MasParCosts) -> Self {
         MasParNetwork {
             p,
             router: DeltaRouter::new(p),
-            costs,
+            costs: MasParCosts::default(),
             grid_side: sqrt_exact(p),
             scratch: PatternScratch::new(),
             pairs: Vec::new(),

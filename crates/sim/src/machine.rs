@@ -168,21 +168,6 @@ impl<S: Send> Machine<S> {
         self.tracing = on;
     }
 
-    /// Forces sequential execution of processors (for the rayon ablation).
-    /// Also disables the sharded exchange: a sequential machine always
-    /// takes the fused sequential exchange.
-    pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
-    }
-
-    /// Overrides the exchange shard count (clamped to
-    /// `[1, min(p, MAX_SHARDS)]`). At 1 the machine keeps the fused
-    /// sequential exchange; above 1 it runs the sharded exchange engine
-    /// (unless it executes sequentially).
-    pub fn set_exchange_shards(&mut self, shards: usize) {
-        self.shards = shards.clamp(1, self.p.min(MAX_SHARDS));
-    }
-
     /// The configured exchange shard count.
     pub fn exchange_shards(&self) -> usize {
         self.shards
@@ -306,7 +291,7 @@ impl<S: Send> Machine<S> {
 
         // Exchange: pattern rebuild, pricing, delivery, observation. Both
         // engines report identically to every observer; `with_sequential`
-        // and `set_parallel(false)` pin the fused one.
+        // pins the fused one.
         if self.parallel && self.shards > 1 {
             self.exchange_sharded(step, compute_ns);
         } else {
@@ -765,8 +750,11 @@ mod tests {
     #[test]
     fn sequential_and_parallel_execution_agree() {
         let run = |parallel: bool| {
-            let mut m = test_machine(16);
-            m.set_parallel(parallel);
+            let mut m = if parallel {
+                test_machine(16)
+            } else {
+                crate::with_sequential(|| test_machine(16))
+            };
             m.superstep(|ctx| {
                 ctx.charge(1.5);
                 let dst = (ctx.pid() * 5 + 3) % 16;

@@ -1,38 +1,26 @@
 //! Machine-readable findings report.
 //!
 //! Hand-built JSON in the workspace's analyzer idiom (`pcm-audit`,
-//! `pcm-bench`): no serializer dependency, stable field order, one
+//! `pcm-trace`): no serializer dependency, stable field order, one
 //! findings array a CI step can parse and diff against the committed
 //! `SYM_report.json`.
 
+use pcm_core::fsio::json_escape;
+
 use crate::rules::Finding;
 use crate::sweep::SweepOutcome;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn finding_json(f: &Finding, indent: &str) -> String {
     format!(
         "{indent}{{\"rule\": \"{}\", \"family\": \"{}\", \"model\": \"{}\", \
          \"machine\": \"{}\", \"n\": {}, \"p\": {}, \"detail\": \"{}\"}}",
         f.rule,
-        escape(&f.family),
-        escape(&f.model),
-        escape(&f.machine),
+        json_escape(&f.family),
+        json_escape(&f.model),
+        json_escape(&f.machine),
         f.n,
         f.p,
-        escape(&f.detail)
+        json_escape(&f.detail)
     )
 }
 

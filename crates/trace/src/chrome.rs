@@ -9,7 +9,7 @@
 //! plots records per superstep.
 
 use crate::capture::MachineRun;
-use crate::report::json_escape;
+use pcm_core::fsio::json_escape;
 
 /// One machine run to export, with its display name.
 pub struct ChromeRun<'a> {

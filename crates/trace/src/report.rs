@@ -12,6 +12,7 @@
 //! round-trip decimal): identical bits render identically, and every
 //! value here is produced by a fully deterministic simulation.
 
+use pcm_core::fsio::json_escape;
 use pcm_sim::cache::CacheStats;
 use pcm_sim::{NetTerms, PhaseNanos};
 
@@ -75,20 +76,6 @@ pub struct TraceReport {
     pub shards: usize,
     /// The replayed points.
     pub runs: Vec<RunRecord>,
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TraceReport {

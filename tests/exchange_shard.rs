@@ -10,8 +10,8 @@
 //! * a heap-payload-heavy raw machine run matches sequentially bit-for-bit
 //!   across shard counts, and recycled (sender-affine) payload buffers
 //!   never leak stale bytes into later supersteps;
-//! * the shard-count plumbing (default heuristic, thread-local override,
-//!   setter clamping) resolves as documented;
+//! * the shard-count plumbing (default heuristic, thread-local override
+//!   and its clamping) resolves as documented;
 //! * every analyzer (determinism auditor, protocol checker, race checker,
 //!   trace collector, plan extraction) runs on the sharded engine when
 //!   sharding is forced, and reports the same findings, traces and plans
@@ -161,23 +161,22 @@ fn sharded_machine_matches_forced_sequential() {
             });
         }
     };
-    let run = |shards: Option<usize>| {
-        let mut m = Machine::new(
+    let build = || {
+        Machine::new(
             Box::new(IdealNetwork),
             Arc::new(UniformCompute::test_model()),
             vec![0u64; p],
             SEED,
-        );
-        if let Some(s) = shards {
-            m.set_exchange_shards(s);
-        }
+        )
+    };
+    let run = |mut m: Machine<u64>| {
         workload(&mut m);
         (m.time().as_micros().to_bits(), m.into_states())
     };
-    let sequential = with_sequential(|| run(None));
+    let sequential = run(with_sequential(build));
     for shards in [2usize, 7, 64, 1000] {
         assert_eq!(
-            run(Some(shards)),
+            run(with_exchange_shards(shards, build)),
             sequential,
             "shards={shards} diverged from sequential"
         );
@@ -192,13 +191,14 @@ fn sharded_machine_matches_forced_sequential() {
 fn sharded_recycle_never_leaks_stale_data() {
     force_pool();
     let p = 64;
-    let mut m = Machine::new(
-        Box::new(IdealNetwork),
-        Arc::new(UniformCompute::test_model()),
-        vec![0u32; p],
-        SEED,
-    );
-    m.set_exchange_shards(7);
+    let mut m = with_exchange_shards(7, || {
+        Machine::new(
+            Box::new(IdealNetwork),
+            Arc::new(UniformCompute::test_model()),
+            vec![0u32; p],
+            SEED,
+        )
+    });
     // Round 1: long, distinctive heap payloads (128 bytes each) crossing
     // shard boundaries (the +1 ring wraps through every shard cut).
     m.superstep(|ctx| {
@@ -233,7 +233,7 @@ fn sharded_recycle_never_leaks_stale_data() {
 
 /// The shard-count plumbing: the default heuristic follows the pool
 /// width on big machines and stays sequential on small ones; the
-/// thread-local override wins over the heuristic; the setter clamps to
+/// thread-local override wins over the heuristic and is clamped to
 /// `[1, min(p, MAX_SHARDS)]`.
 #[test]
 fn shard_count_resolution_is_documented_behavior() {
@@ -256,15 +256,16 @@ fn shard_count_resolution_is_documented_behavior() {
     });
     // Outside the scope the heuristic applies again.
     assert_eq!(machine(16).exchange_shards(), 1);
-    // The setter clamps to [1, min(p, MAX_SHARDS)].
-    let mut m = machine(64);
-    m.set_exchange_shards(1000);
-    assert_eq!(m.exchange_shards(), MAX_SHARDS);
-    m.set_exchange_shards(0);
-    assert_eq!(m.exchange_shards(), 1);
-    let mut small = machine(8);
-    small.set_exchange_shards(1000);
-    assert_eq!(small.exchange_shards(), 8);
+    // The override clamps to [1, min(p, MAX_SHARDS)].
+    assert_eq!(
+        with_exchange_shards(1000, || machine(64)).exchange_shards(),
+        MAX_SHARDS
+    );
+    assert_eq!(with_exchange_shards(0, || machine(64)).exchange_shards(), 1);
+    assert_eq!(
+        with_exchange_shards(1000, || machine(8)).exchange_shards(),
+        8
+    );
 }
 
 /// A p=64 run that trips analyzer rules on purpose, so the comparisons

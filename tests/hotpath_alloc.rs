@@ -25,7 +25,7 @@
 use std::sync::{Arc, Once};
 
 use pcm_machines::Platform;
-use pcm_sim::{Ctx, IdealNetwork, Machine, UniformCompute};
+use pcm_sim::{with_exchange_shards, with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -42,7 +42,7 @@ fn force_pool() {
 }
 
 /// One superstep of word traffic: read the inbox, send two inline-payload
-/// word messages. Mirrors the `word_exchange` throughput benchmark.
+/// word messages.
 fn word_step(ctx: &mut Ctx<'_, u64>) {
     ctx.charge(1.0);
     let mut sum = 0u32;
@@ -78,20 +78,27 @@ fn mixed_step(ctx: &mut Ctx<'_, u64>) {
     ctx.send_block_u32((pid + 1) % p, &block);
 }
 
-fn steady_state_delta(parallel: bool, shards: Option<usize>, heap_traffic: bool) -> u64 {
+/// `shards: None` runs the machine sequentially (fused exchange);
+/// `Some(s)` pins the sharded exchange engine at `s` shards.
+fn steady_state_delta(shards: Option<usize>, heap_traffic: bool) -> u64 {
     let p = 256;
-    let mut m = Machine::new(
-        Box::new(IdealNetwork),
-        Arc::new(UniformCompute::test_model()),
-        vec![0u64; p],
-        99,
-    );
+    let build = || {
+        Machine::new(
+            Box::new(IdealNetwork),
+            Arc::new(UniformCompute::test_model()),
+            vec![0u64; p],
+            99,
+        )
+    };
+    let mut m = match shards {
+        None => with_sequential(build),
+        Some(s) => {
+            let m = with_exchange_shards(s, build);
+            assert_eq!(m.exchange_shards(), s, "forced shard count must stick");
+            m
+        }
+    };
     m.set_tracing(false);
-    m.set_parallel(parallel);
-    if let Some(s) = shards {
-        m.set_exchange_shards(s);
-        assert_eq!(m.exchange_shards(), s, "forced shard count must stick");
-    }
     let step: fn(&mut Ctx<'_, u64>) = if heap_traffic { mixed_step } else { word_step };
     // Warm-up: grows outbox/inbox/pattern/lane capacities, spawns the
     // pool workers and latches per-thread parker state. The sharded
@@ -143,7 +150,7 @@ fn priced_delta(plat: &Platform) -> u64 {
 
 fn main() {
     force_pool();
-    let sequential = steady_state_delta(false, None, false);
+    let sequential = steady_state_delta(None, false);
     assert_eq!(
         sequential, 0,
         "sequential hot path allocated {sequential} times in 100 supersteps"
@@ -151,7 +158,7 @@ fn main() {
     // With RAYON_NUM_THREADS=4 and p=256 the default heuristic engages
     // the sharded exchange at 4 shards; pin it explicitly so the test
     // keeps meaning the same thing if the heuristic moves.
-    let pooled = steady_state_delta(true, Some(4), false);
+    let pooled = steady_state_delta(Some(4), false);
     assert_eq!(
         pooled, 0,
         "sharded hot path allocated {pooled} times in 100 supersteps"
@@ -159,7 +166,7 @@ fn main() {
     // Uneven shard cut (7 does not divide 256) plus heap payloads: the
     // recycle lanes and sender-affine pools must also reach a
     // zero-allocation steady state.
-    let heap = steady_state_delta(true, Some(7), true);
+    let heap = steady_state_delta(Some(7), true);
     assert_eq!(
         heap, 0,
         "sharded heap-payload path allocated {heap} times in 100 supersteps"
@@ -179,7 +186,7 @@ fn main() {
     // Tracing ON must preserve the property: the probe's row log is
     // preallocated when the machine is constructed, so observed
     // supersteps stay allocation-free too.
-    let (traced_seq, cap) = pcm::trace::capture(|| steady_state_delta(false, None, false));
+    let (traced_seq, cap) = pcm::trace::capture(|| steady_state_delta(None, false));
     assert_eq!(
         traced_seq, 0,
         "traced sequential hot path allocated {traced_seq} times in 100 supersteps"
@@ -188,7 +195,7 @@ fn main() {
         cap.runs.iter().all(|r| r.attribution_exact()),
         "traced steady state must also attribute exactly"
     );
-    let (traced_sharded, _) = pcm::trace::capture(|| steady_state_delta(true, Some(4), true));
+    let (traced_sharded, _) = pcm::trace::capture(|| steady_state_delta(Some(4), true));
     assert_eq!(
         traced_sharded, 0,
         "traced sharded heap-payload path allocated {traced_sharded} times in 100 supersteps"
