@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_algos::discipline::Discipline;
-use pcm_sim::{with_probe, BlockRound, Needs, RunEnd, StepObs, SuperstepProbe};
+use pcm_sim::{with_probe, BlockRoundView, Needs, PatternScratch, RunEnd, StepObs, SuperstepProbe};
 
 use crate::rules::{RuleId, Violation};
 
@@ -37,21 +37,21 @@ impl ProtocolChecker {
         });
     }
 
-    fn check_block_rounds(&self, step: usize, kind: &str, rounds: &[BlockRound]) {
-        for (round, r) in rounds.iter().enumerate() {
-            let fan_in = r.max_in_degree();
-            if fan_in > 1 {
-                self.push(
-                    RuleId::BlockFanIn,
-                    step,
-                    hottest_dst(r.sends.iter().map(|&(_, dst, _)| dst)),
-                    format!(
-                        "{kind} round {round}: {fan_in} blocks converge on one \
-                         destination under single-port discipline '{}'",
-                        self.discipline.name
-                    ),
-                );
-            }
+    /// R06 for one block (or xnet) round: at most one block per
+    /// destination.
+    fn check_block_round(&self, step: usize, kind: &str, round: usize, r: &BlockRoundView<'_>) {
+        let fan_in = r.max_in_degree();
+        if fan_in > 1 {
+            self.push(
+                RuleId::BlockFanIn,
+                step,
+                hottest_dst(r.sends.iter().map(|&(_, dst, _)| dst)),
+                format!(
+                    "{kind} round {round}: {fan_in} blocks converge on one \
+                     destination under single-port discipline '{}'",
+                    self.discipline.name
+                ),
+            );
         }
     }
 }
@@ -117,8 +117,10 @@ impl SuperstepProbe for ProtocolChecker {
         }
 
         // R04: word rounds must be permutations under MP-BSP.
+        let mut scratch = PatternScratch::new();
         if d.forbid_concurrent_writes {
-            for (i, seg) in pattern.word_segments().iter().enumerate() {
+            let mut i = 0usize;
+            pattern.visit_word_segments(&mut scratch, |seg| {
                 let fan_in = seg.max_in_degree();
                 if fan_in > 1 {
                     self.push(
@@ -132,7 +134,8 @@ impl SuperstepProbe for ProtocolChecker {
                         ),
                     );
                 }
-            }
+                i += 1;
+            });
         }
 
         // R05: NaN / infinite / negative charges.
@@ -149,8 +152,16 @@ impl SuperstepProbe for ProtocolChecker {
 
         // R06: single-port block semantics.
         if d.single_port_blocks {
-            self.check_block_rounds(step, "block", &pattern.block_rounds());
-            self.check_block_rounds(step, "xnet", &pattern.xnet_rounds());
+            let mut round = 0usize;
+            pattern.visit_block_rounds(&mut scratch, |r| {
+                self.check_block_round(step, "block", round, &r);
+                round += 1;
+            });
+            let mut round = 0usize;
+            pattern.visit_xnet_rounds(&mut scratch, |r| {
+                self.check_block_round(step, "xnet", round, &r);
+                round += 1;
+            });
         }
 
         // R07: the priced times themselves must be finite.

@@ -5,9 +5,9 @@
 //!   reproduce all [--quick] [--seed N] [--out DIR]
 //!   reproduce fig04 table1 ... [--quick] [--seed N] [--out DIR]
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use pcm_core::fsio::write_atomic;
 use pcm_experiments::{registry, Output, Scale};
 
 fn main() {
@@ -29,9 +29,14 @@ fn main() {
                 seed = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
+                    .unwrap_or_else(|| usage_error("--seed needs an integer"));
             }
-            "--out" => out_dir = Some(it.next().expect("--out needs a directory")),
+            "--out" => {
+                out_dir = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage_error("--out needs a directory")),
+                );
+            }
             "list" => {
                 for e in registry() {
                     println!("{:8} {}", e.id, e.title);
@@ -60,7 +65,10 @@ fn main() {
     }
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("cannot create output directory");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("reproduce: cannot create output directory `{dir}`: {e}");
+            std::process::exit(1);
+        }
     }
 
     for id in targets {
@@ -76,10 +84,19 @@ fn main() {
         println!("{text}");
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{id}.txt");
-            let mut f = std::fs::File::create(&path).expect("cannot write result file");
-            f.write_all(text.as_bytes()).unwrap();
+            if let Err(e) = write_atomic(&path, &text) {
+                eprintln!("reproduce: cannot write `{path}`: {e}");
+                std::process::exit(1);
+            }
         }
     }
+}
+
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    usage();
+    std::process::exit(2);
 }
 
 fn usage() {

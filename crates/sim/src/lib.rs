@@ -41,9 +41,7 @@ pub use exchange::MAX_SHARDS;
 pub use machine::Machine;
 pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
 pub use network::{IdealNetwork, LogPNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
-pub use pattern::{
-    BlockRound, BlockRoundView, CommPattern, PatternScratch, Segment, SegmentView, SendRecord,
-};
+pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView, SendRecord};
 pub use plan::{extract_plans, RunPlan, StepPlan};
 pub use probe::{
     collect_traces, with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs,

@@ -27,7 +27,10 @@
 //! ```
 //!
 //! Within a superstep the processors are independent (the BSP contract), so
-//! the machine executes them with rayon. All randomness is seeded: the same
+//! a machine of at least `PARALLEL_CUTOFF` processors splits them into one
+//! contiguous chunk per pool thread and runs the chunks with the rayon
+//! shim's `scoped_join`, the same primitive the sharded exchange and
+//! [`crate::map_ordered`] fan out with. All randomness is seeded: the same
 //! seed gives bit-identical simulated times and results.
 //!
 //! The exchange phase runs on one of two engines: the fused sequential
@@ -43,7 +46,6 @@ use std::sync::Arc;
 use pcm_core::rng::{child_seed, seeded};
 use pcm_core::SimTime;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 use crate::compute::ComputeModel;
 use crate::ctx::{Ctx, ProcAux};
@@ -101,6 +103,10 @@ pub struct Machine<S> {
     /// construction, only when observed).
     probe_shards: Vec<u64>,
 }
+
+/// Smallest machine whose closures fan out across the pool: below it the
+/// dispatch handshake costs more than the closures themselves.
+const PARALLEL_CUTOFF: usize = 32;
 
 /// Default shard count: one shard per pool worker, but only on machines
 /// big enough for the lane bookkeeping to pay off; small machines keep
@@ -267,25 +273,35 @@ impl<S: Send> Machine<S> {
             }
         };
 
-        // A single-worker pool would run the par_iter pipeline inline
-        // anyway; the plain loop skips its zip-chunk plumbing.
         let t_compute = probe::mark(!self.observers.is_empty());
-        if self.parallel && p > 1 && rayon::current_num_threads() > 1 {
-            self.states
-                .par_iter_mut()
-                .zip(self.procs.par_iter_mut())
-                .enumerate()
-                .for_each(|(pid, (state, aux))| run_one(pid, state, aux));
+        // One contiguous pid-ordered chunk per pool thread, split like the
+        // exchange's shards; a single chunk (run inline) on small machines
+        // and under `with_sequential`. The chunk table lives on the stack,
+        // so dispatch never touches the heap.
+        let n = if self.parallel && p >= PARALLEL_CUTOFF {
+            rayon::current_num_threads().min(p)
         } else {
-            for (pid, (state, aux)) in self
-                .states
-                .iter_mut()
-                .zip(self.procs.iter_mut())
-                .enumerate()
-            {
-                run_one(pid, state, aux);
-            }
+            1
+        };
+        type Chunk<'a, S> = Option<(usize, &'a mut [S], &'a mut [ProcAux])>;
+        let mut chunks: [Chunk<'_, S>; rayon::MAX_PIECES] = std::array::from_fn(|_| None);
+        let mut states = self.states.as_mut_slice();
+        let mut procs = self.procs.as_mut_slice();
+        let mut base = 0;
+        for (k, chunk) in chunks.iter_mut().enumerate().take(n) {
+            let take = (p - base).div_ceil(n - k);
+            let (sh, st) = std::mem::take(&mut states).split_at_mut(take);
+            let (ph, pt) = std::mem::take(&mut procs).split_at_mut(take);
+            (states, procs) = (st, pt);
+            *chunk = Some((base, sh, ph));
+            base += take;
         }
+        rayon::scoped_join(&mut chunks[..n], |_, chunk| {
+            let (base, states, procs) = chunk.as_mut().expect("chunk built");
+            for (i, (state, aux)) in states.iter_mut().zip(procs.iter_mut()).enumerate() {
+                run_one(*base + i, state, aux);
+            }
+        });
 
         let compute_ns = probe::since(t_compute);
 
@@ -652,9 +668,10 @@ mod tests {
     #[test]
     fn inbox_is_cleared_between_supersteps_pooled() {
         // Pin a multi-thread pool width before the rayon shim latches it,
-        // so a machine above the shim's sequential cutoff dispatches
-        // through the worker pool. Best-effort: if another test latched
-        // the width first, the same delivery code still runs sequentially.
+        // so a machine at or above `PARALLEL_CUTOFF` dispatches its
+        // closures through the worker pool. Best-effort: if another test
+        // latched the width first, the same delivery code still runs
+        // sequentially.
         static FORCE: std::sync::Once = std::sync::Once::new();
         FORCE.call_once(|| {
             if std::env::var_os("RAYON_NUM_THREADS").is_none() {

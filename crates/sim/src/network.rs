@@ -10,7 +10,7 @@ use pcm_core::SimTime;
 use rand::rngs::StdRng;
 
 use crate::cache::CacheStats;
-use crate::pattern::CommPattern;
+use crate::pattern::{CommPattern, PatternScratch};
 
 /// Cumulative deterministic cost-term counters of a network model, for
 /// observability tooling (the `pcm-trace` crate). Every field is a pure
@@ -111,9 +111,9 @@ impl NetworkModel for TextbookBspNetwork {
     fn route(&mut self, pattern: &CommPattern, _rng: &mut StdRng) -> SimTime {
         let h = pattern.h_send().max(pattern.h_recv());
         let mut t = self.g * h as f64 + self.l;
-        for round in pattern.block_rounds() {
+        pattern.visit_block_rounds(&mut PatternScratch::new(), |round| {
             t += self.sigma * round.max_bytes() as f64 + self.ell;
-        }
+        });
         SimTime::from_micros(t)
     }
 
@@ -167,19 +167,20 @@ impl NetworkModel for LogPNetwork {
         let per_msg = self.gap.max(self.overhead);
         let capacity = self.capacity() as f64;
         let mut t = 0.0;
-        for seg in pattern.word_segments() {
+        let mut scratch = PatternScratch::new();
+        pattern.visit_word_segments(&mut scratch, |seg| {
             // Senders issue one message per `per_msg`; once more than
             // `capacity` messages head for one destination, the extra
             // senders stall behind the receiver.
             let stall = (seg.max_in_degree() as f64 / capacity).max(1.0);
             t += seg.rounds as f64 * per_msg * stall;
-        }
-        for round in pattern.block_rounds() {
+        });
+        pattern.visit_block_rounds(&mut scratch, |round| {
             let stall = (round.max_in_degree() as f64 / capacity).max(1.0);
             t += 2.0 * self.overhead
                 + self.latency
                 + round.max_bytes() as f64 * self.big_gap * stall;
-        }
+        });
         if pattern.h_send() > 0 || pattern.h_recv() > 0 {
             t += self.latency + 2.0 * self.overhead;
         }

@@ -9,12 +9,12 @@
 //!
 //! Because algorithms usually send long runs of words to the same
 //! destination, the round structure is piecewise-constant. The
-//! [`CommPattern::word_segments`] view exploits this: it splits the round
+//! [`CommPattern::visit_word_segments`] view exploits this: it splits the round
 //! axis into maximal *segments* during which the (src → dst) round pattern
 //! does not change, so a network model can price one round and multiply —
 //! which is what makes simulating a 10⁶-round bitonic exchange affordable.
 
-use crate::message::{Message, MsgKind, ProcId};
+use crate::message::{MsgKind, ProcId};
 
 /// Reusable scratch for the allocation-free pattern iteration APIs
 /// ([`CommPattern::visit_word_segments`], [`CommPattern::visit_block_rounds`],
@@ -108,17 +108,20 @@ impl PatternScratch {
     }
 }
 
-/// Borrowed view of one word segment, as produced by
-/// [`CommPattern::visit_word_segments`]. Mirrors [`Segment`], but the send
-/// list lives in the caller's [`PatternScratch`] and the in-degree is
-/// precomputed incrementally (no sort, no allocation).
+/// Borrowed view of one word segment — a maximal run of rounds during
+/// which every processor keeps sending to the same destination — as
+/// produced by [`CommPattern::visit_word_segments`]. The send list lives in
+/// the caller's [`PatternScratch`] and the in-degree is precomputed
+/// incrementally (no sort, no allocation).
 #[derive(Debug)]
 pub struct SegmentView<'a> {
     /// Number of identical rounds in this segment.
     pub rounds: usize,
     /// The active (src, dst) pairs of each round, sorted by src.
     pub sends: &'a [(ProcId, ProcId)],
-    /// The largest per-message payload in the segment, in bytes.
+    /// The largest per-message payload in the segment, in bytes (equals
+    /// the machine word size for ordinary word traffic; larger for the
+    /// fixed-size packets of the Section 8 granularity study).
     pub msg_bytes: usize,
     max_in_degree: usize,
 }
@@ -130,14 +133,15 @@ impl SegmentView<'_> {
         self.max_in_degree
     }
 
-    /// `true` when each round of the segment is a (partial) permutation.
+    /// `true` when each round of the segment is a (partial) permutation:
+    /// no destination receives more than one word per round.
     pub fn is_permutation(&self) -> bool {
         self.max_in_degree <= 1
     }
 }
 
-/// Borrowed view of one block (or xnet) round, as produced by
-/// [`CommPattern::visit_block_rounds`]. Mirrors [`BlockRound`] with the
+/// Borrowed view of one block (or xnet) round — the `r`-th block of each
+/// processor — as produced by [`CommPattern::visit_block_rounds`], with the
 /// aggregate statistics precomputed incrementally.
 #[derive(Debug)]
 pub struct BlockRoundView<'a> {
@@ -188,112 +192,7 @@ pub struct CommPattern {
     pub sends: Vec<Vec<SendRecord>>,
 }
 
-/// A maximal run of rounds during which every processor keeps sending to
-/// the same destination.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Segment {
-    /// Number of identical rounds in this segment.
-    pub rounds: usize,
-    /// The active (src, dst) pairs of each round, sorted by src.
-    pub sends: Vec<(ProcId, ProcId)>,
-    /// The largest per-message payload in the segment, in bytes (equals
-    /// the machine word size for ordinary word traffic; larger for the
-    /// fixed-size packets of the Section 8 granularity study).
-    pub msg_bytes: usize,
-}
-
-/// Longest run of equal values in a sorted slice.
-fn max_run<T: PartialEq>(sorted: &[T]) -> usize {
-    let mut best = 0usize;
-    let mut run = 0usize;
-    for (i, v) in sorted.iter().enumerate() {
-        if i > 0 && sorted[i - 1] == *v {
-            run += 1;
-        } else {
-            run = 1;
-        }
-        best = best.max(run);
-    }
-    best
-}
-
-impl Segment {
-    /// Maximum number of senders targeting a single destination in one
-    /// round of this segment (1 for a permutation round).
-    pub fn max_in_degree(&self) -> usize {
-        // Sort-and-count over a small local buffer: no hashing on the
-        // pricing path, same result as a multiset count.
-        let mut dsts: Vec<ProcId> = self.sends.iter().map(|&(_, dst)| dst).collect();
-        dsts.sort_unstable();
-        max_run(&dsts)
-    }
-
-    /// `true` when each round of the segment is a (partial) permutation:
-    /// no destination receives more than one word per round.
-    pub fn is_permutation(&self) -> bool {
-        self.max_in_degree() <= 1
-    }
-}
-
-/// One round of block transfers: the `r`-th block of each processor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockRound {
-    /// `(src, dst, bytes)` triples active in this round, sorted by src.
-    pub sends: Vec<(ProcId, ProcId, usize)>,
-}
-
-impl BlockRound {
-    /// Largest block in the round, in bytes.
-    pub fn max_bytes(&self) -> usize {
-        self.sends.iter().map(|&(_, _, b)| b).max().unwrap_or(0)
-    }
-
-    /// Total bytes received by the most loaded destination.
-    pub fn max_recv_bytes(&self) -> usize {
-        let mut loads: Vec<(ProcId, usize)> =
-            self.sends.iter().map(|&(_, dst, b)| (dst, b)).collect();
-        loads.sort_unstable_by_key(|&(dst, _)| dst);
-        let mut best = 0usize;
-        let mut run_dst = usize::MAX;
-        let mut run_bytes = 0usize;
-        for (dst, b) in loads {
-            if dst != run_dst {
-                run_dst = dst;
-                run_bytes = 0;
-            }
-            run_bytes += b;
-            best = best.max(run_bytes);
-        }
-        best
-    }
-
-    /// Maximum number of blocks converging on one destination.
-    pub fn max_in_degree(&self) -> usize {
-        let mut dsts: Vec<ProcId> = self.sends.iter().map(|&(_, dst, _)| dst).collect();
-        dsts.sort_unstable();
-        max_run(&dsts)
-    }
-}
-
 impl CommPattern {
-    /// Builds the pattern from the per-processor outboxes of a superstep.
-    pub fn from_outboxes(p: usize, outboxes: &[Vec<Message>]) -> Self {
-        let mut sends = Vec::with_capacity(outboxes.len());
-        for out in outboxes {
-            let mut recs = Vec::with_capacity(out.len());
-            for m in out {
-                recs.push(SendRecord {
-                    dst: m.dst,
-                    words: m.logical_words as usize,
-                    bytes: m.logical_bytes as usize,
-                    kind: m.kind,
-                });
-            }
-            sends.push(recs);
-        }
-        CommPattern { p, sends }
-    }
-
     /// `true` when nothing is sent.
     pub fn is_empty(&self) -> bool {
         self.sends.iter().all(|s| s.is_empty())
@@ -367,14 +266,6 @@ impl CommPattern {
         self.words_received().into_iter().max().unwrap_or(0)
     }
 
-    /// Bytes sent per processor, including blocks.
-    pub fn bytes_sent(&self) -> Vec<usize> {
-        self.sends
-            .iter()
-            .map(|recs| recs.iter().map(|r| r.bytes).sum())
-            .collect()
-    }
-
     /// Bytes received per processor, including blocks.
     pub fn bytes_received(&self) -> Vec<usize> {
         let mut recv = vec![0usize; self.p];
@@ -401,32 +292,11 @@ impl CommPattern {
         active.iter().filter(|&&a| a).count()
     }
 
-    /// Splits the word rounds into maximal constant-pattern segments.
-    /// Block records are ignored here (see [`CommPattern::block_rounds`]).
-    ///
-    /// Allocating convenience wrapper over
-    /// [`CommPattern::visit_word_segments`] for cold-path consumers
-    /// (reference models, checkers, tests); the pricing hot path uses the
-    /// visitor directly with machine-owned scratch.
-    pub fn word_segments(&self) -> Vec<Segment> {
-        let mut scratch = PatternScratch::new();
-        let mut segments = Vec::new();
-        self.visit_word_segments(&mut scratch, |seg| {
-            segments.push(Segment {
-                rounds: seg.rounds,
-                sends: seg.sends.to_vec(),
-                msg_bytes: seg.msg_bytes,
-            });
-        });
-        segments
-    }
-
-    /// Visits the maximal constant-pattern word segments in round order,
-    /// without allocating: the segment send lists live in `scratch` and
-    /// are only valid for the duration of each callback.
-    ///
-    /// Produces exactly the segments of [`CommPattern::word_segments`], in
-    /// the same order.
+    /// Splits the word rounds into maximal constant-pattern segments and
+    /// visits them in round order, without allocating: the segment send
+    /// lists live in `scratch` and are only valid for the duration of each
+    /// callback. Block records are ignored here (see
+    /// [`CommPattern::visit_block_rounds`]).
     pub fn visit_word_segments<F>(&self, scratch: &mut PatternScratch, mut f: F)
     where
         F: FnMut(SegmentView<'_>),
@@ -536,23 +406,10 @@ impl CommPattern {
         }
     }
 
-    /// Groups block records into rounds: the `r`-th block of each
-    /// processor forms round `r` (MP-BPRAM single-port semantics).
-    ///
-    /// Allocating wrapper over [`CommPattern::visit_block_rounds`].
-    pub fn block_rounds(&self) -> Vec<BlockRound> {
-        self.rounds_of(MsgKind::Block)
-    }
-
-    /// Rounds of explicit xnet (neighbour-grid) transfers.
-    ///
-    /// Allocating wrapper over [`CommPattern::visit_xnet_rounds`].
-    pub fn xnet_rounds(&self) -> Vec<BlockRound> {
-        self.rounds_of(MsgKind::Xnet)
-    }
-
-    /// Visits the block rounds without allocating; round send lists live
-    /// in `scratch` and are valid for the duration of each callback.
+    /// Groups block records into rounds — the `r`-th block of each
+    /// processor forms round `r` (MP-BPRAM single-port semantics) — and
+    /// visits them without allocating; round send lists live in `scratch`
+    /// and are valid for the duration of each callback.
     pub fn visit_block_rounds<F>(&self, scratch: &mut PatternScratch, f: F)
     where
         F: FnMut(BlockRoundView<'_>),
@@ -560,23 +417,13 @@ impl CommPattern {
         self.visit_rounds_of(MsgKind::Block, scratch, f);
     }
 
-    /// Visits the xnet rounds without allocating.
+    /// Visits the rounds of explicit xnet (neighbour-grid) transfers
+    /// without allocating.
     pub fn visit_xnet_rounds<F>(&self, scratch: &mut PatternScratch, f: F)
     where
         F: FnMut(BlockRoundView<'_>),
     {
         self.visit_rounds_of(MsgKind::Xnet, scratch, f);
-    }
-
-    fn rounds_of(&self, kind: MsgKind) -> Vec<BlockRound> {
-        let mut scratch = PatternScratch::new();
-        let mut rounds = Vec::new();
-        self.visit_rounds_of(kind, &mut scratch, |round| {
-            rounds.push(BlockRound {
-                sends: round.sends.to_vec(),
-            });
-        });
-        rounds
     }
 
     fn visit_rounds_of<F>(&self, kind: MsgKind, scratch: &mut PatternScratch, mut f: F)
@@ -650,6 +497,63 @@ mod tests {
         }
     }
 
+    /// Owned copy of one visited word segment.
+    #[derive(Debug)]
+    struct Seg {
+        rounds: usize,
+        sends: Vec<(ProcId, ProcId)>,
+        max_in_degree: usize,
+        is_permutation: bool,
+    }
+
+    /// Owned copy of one visited block or xnet round.
+    #[derive(Debug)]
+    struct Round {
+        sends: Vec<(ProcId, ProcId, usize)>,
+        max_bytes: usize,
+        max_recv_bytes: usize,
+        max_in_degree: usize,
+    }
+
+    fn segments(pattern: &CommPattern, scratch: &mut PatternScratch) -> Vec<Seg> {
+        let mut out = Vec::new();
+        pattern.visit_word_segments(scratch, |seg| {
+            out.push(Seg {
+                rounds: seg.rounds,
+                sends: seg.sends.to_vec(),
+                max_in_degree: seg.max_in_degree(),
+                is_permutation: seg.is_permutation(),
+            });
+        });
+        out
+    }
+
+    fn rounds(pattern: &CommPattern, kind: MsgKind, scratch: &mut PatternScratch) -> Vec<Round> {
+        let mut out = Vec::new();
+        let push = |round: BlockRoundView<'_>| {
+            out.push(Round {
+                sends: round.sends.to_vec(),
+                max_bytes: round.max_bytes(),
+                max_recv_bytes: round.max_recv_bytes(),
+                max_in_degree: round.max_in_degree(),
+            });
+        };
+        match kind {
+            MsgKind::Block => pattern.visit_block_rounds(scratch, push),
+            MsgKind::Xnet => pattern.visit_xnet_rounds(scratch, push),
+            MsgKind::Words => unreachable!("word traffic forms segments"),
+        }
+        out
+    }
+
+    fn segments_of(pattern: &CommPattern) -> Vec<Seg> {
+        segments(pattern, &mut PatternScratch::new())
+    }
+
+    fn blocks_per_round(pattern: &CommPattern) -> Vec<Round> {
+        rounds(pattern, MsgKind::Block, &mut PatternScratch::new())
+    }
+
     #[test]
     fn h_relation_statistics() {
         // 0 -> 1 (3 words), 1 -> 0 (1 word), 2 -> 1 (2 words)
@@ -674,8 +578,8 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.h_send(), 0);
         assert_eq!(p.h_recv(), 0);
-        assert!(p.word_segments().is_empty());
-        assert!(p.block_rounds().is_empty());
+        assert!(segments_of(&p).is_empty());
+        assert!(blocks_per_round(&p).is_empty());
         assert_eq!(p.active_processors(), 0);
     }
 
@@ -691,10 +595,10 @@ mod tests {
                 vec![words(2, 100)],
             ],
         };
-        let segs = p.word_segments();
+        let segs = segments_of(&p);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].rounds, 100);
-        assert!(segs[0].is_permutation());
+        assert!(segs[0].is_permutation);
         assert_eq!(segs[0].sends.len(), 4);
     }
 
@@ -710,11 +614,11 @@ mod tests {
                 vec![],
             ],
         };
-        let segs = p.word_segments();
+        let segs = segments_of(&p);
         assert_eq!(segs.len(), 2);
         for s in &segs {
             assert_eq!(s.rounds, 10);
-            assert!(s.is_permutation(), "staggering avoids conflicts");
+            assert!(s.is_permutation, "staggering avoids conflicts");
         }
     }
 
@@ -730,10 +634,10 @@ mod tests {
                 vec![],
             ],
         };
-        let segs = p.word_segments();
+        let segs = segments_of(&p);
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].max_in_degree(), 2);
-        assert!(!segs[0].is_permutation());
+        assert_eq!(segs[0].max_in_degree, 2);
+        assert!(!segs[0].is_permutation);
     }
 
     #[test]
@@ -742,7 +646,7 @@ mod tests {
             p: 3,
             sends: vec![vec![words(1, 5)], vec![words(2, 2)], vec![]],
         };
-        let segs = p.word_segments();
+        let segs = segments_of(&p);
         // Rounds 0..2 have both senders; rounds 2..5 only proc 0.
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].rounds, 2);
@@ -761,14 +665,14 @@ mod tests {
                 vec![],
             ],
         };
-        let rounds = p.block_rounds();
+        let rounds = blocks_per_round(&p);
         assert_eq!(rounds.len(), 2);
         assert_eq!(rounds[0].sends.len(), 2);
-        assert_eq!(rounds[0].max_bytes(), 400);
-        assert_eq!(rounds[0].max_in_degree(), 1);
+        assert_eq!(rounds[0].max_bytes, 400);
+        assert_eq!(rounds[0].max_in_degree, 1);
         assert_eq!(rounds[1].sends, vec![(0, 2, 100)]);
         // Round 0: proc1 and proc0 both send 400B? proc0->1: 400, proc1->2: 400.
-        assert_eq!(rounds[0].max_recv_bytes(), 400);
+        assert_eq!(rounds[0].max_recv_bytes, 400);
     }
 
     proptest::proptest! {
@@ -799,7 +703,7 @@ mod tests {
                 })
                 .collect();
             let pattern = CommPattern { p, sends };
-            let segs = pattern.word_segments();
+            let segs = segments_of(&pattern);
             let max_words = pattern.words_sent().into_iter().max().unwrap_or(0);
             let total_rounds: usize = segs.iter().map(|s| s.rounds).sum();
             proptest::prop_assert_eq!(total_rounds, max_words);
@@ -822,57 +726,60 @@ mod tests {
             }
         }
 
-        /// The sort-based fast paths agree with a brute-force multiset
-        /// reference: `Segment::max_in_degree` against a per-destination
-        /// hash count, `BlockRound::max_recv_bytes` / `max_in_degree`
-        /// against per-destination hash sums, on random mixed patterns.
+        /// The stamp-keyed statistics the machines price with agree with a
+        /// brute-force multiset reference on random mixed patterns: segment
+        /// in-degree against a per-destination hash count, round
+        /// `max_bytes` / `max_recv_bytes` / `max_in_degree` against
+        /// per-destination hash sums. One scratch serves every visit, so a
+        /// stale counter surviving a stamp change would show.
         #[test]
         fn degree_fast_paths_match_brute_force(
             recs in proptest::collection::vec(
                 // Each record is one integer: dst in 0..6, words in 1..12,
-                // words-or-block flag (the shim has no tuple strategies).
-                proptest::collection::vec(0usize..132, 0..5), 1..7)
+                // kind word/block/xnet (the shim has no tuple strategies).
+                proptest::collection::vec(0usize..198, 0..5), 1..7)
         ) {
             let p = 6usize;
+            let kinds = [MsgKind::Words, MsgKind::Block, MsgKind::Xnet];
             let sends: Vec<Vec<SendRecord>> = recs
                 .iter()
                 .map(|rs| {
                     rs.iter()
                         .map(|&v| {
-                            let (dst, w, is_block) = (v % 6, v / 6 % 11 + 1, v >= 66);
-                            SendRecord {
-                                dst,
-                                words: w,
-                                bytes: w * 4,
-                                kind: if is_block { MsgKind::Block } else { MsgKind::Words },
-                            }
+                            let w = v / 6 % 11 + 1;
+                            SendRecord { dst: v % 6, words: w, bytes: w * 4, kind: kinds[v / 66] }
                         })
                         .collect()
                 })
                 .collect();
             let pattern = CommPattern { p, sends };
+            let mut scratch = PatternScratch::new();
 
-            for seg in pattern.word_segments() {
+            for seg in segments(&pattern, &mut scratch) {
                 let mut counts = std::collections::HashMap::new();
                 for &(_, dst) in &seg.sends {
                     *counts.entry(dst).or_insert(0usize) += 1;
                 }
                 let expect = counts.values().copied().max().unwrap_or(0);
-                proptest::prop_assert_eq!(seg.max_in_degree(), expect);
-                proptest::prop_assert_eq!(seg.is_permutation(), expect <= 1);
+                proptest::prop_assert_eq!(seg.max_in_degree, expect);
+                proptest::prop_assert_eq!(seg.is_permutation, expect <= 1);
             }
 
-            for round in pattern.block_rounds() {
-                let mut loads = std::collections::HashMap::new();
-                let mut counts = std::collections::HashMap::new();
-                for &(_, dst, b) in &round.sends {
-                    *loads.entry(dst).or_insert(0usize) += b;
-                    *counts.entry(dst).or_insert(0usize) += 1;
+            for kind in [MsgKind::Block, MsgKind::Xnet] {
+                for round in rounds(&pattern, kind, &mut scratch) {
+                    let mut loads = std::collections::HashMap::new();
+                    let mut counts = std::collections::HashMap::new();
+                    for &(_, dst, b) in &round.sends {
+                        *loads.entry(dst).or_insert(0usize) += b;
+                        *counts.entry(dst).or_insert(0usize) += 1;
+                    }
+                    let max_bytes = round.sends.iter().map(|&(_, _, b)| b).max().unwrap_or(0);
+                    let max_load = loads.values().copied().max().unwrap_or(0);
+                    let max_count = counts.values().copied().max().unwrap_or(0);
+                    proptest::prop_assert_eq!(round.max_bytes, max_bytes);
+                    proptest::prop_assert_eq!(round.max_recv_bytes, max_load);
+                    proptest::prop_assert_eq!(round.max_in_degree, max_count);
                 }
-                let max_load = loads.values().copied().max().unwrap_or(0);
-                let max_count = counts.values().copied().max().unwrap_or(0);
-                proptest::prop_assert_eq!(round.max_recv_bytes(), max_load);
-                proptest::prop_assert_eq!(round.max_in_degree(), max_count);
             }
         }
 
@@ -898,7 +805,7 @@ mod tests {
                 })
                 .collect();
             let pattern = CommPattern { p, sends };
-            let rounds = pattern.block_rounds();
+            let rounds = blocks_per_round(&pattern);
             let total: usize = rounds.iter().map(|r| r.sends.len()).sum();
             let expect: usize = blocks.iter().map(|b| b.len()).sum();
             proptest::prop_assert_eq!(total, expect);
@@ -920,8 +827,8 @@ mod tests {
             p: 2,
             sends: vec![vec![words(1, 3), block(1, 40)], vec![]],
         };
-        assert_eq!(p.word_segments().len(), 1);
-        assert_eq!(p.block_rounds().len(), 1);
+        assert_eq!(segments_of(&p).len(), 1);
+        assert_eq!(blocks_per_round(&p).len(), 1);
         assert_eq!(p.total_messages(), 4, "3 words + 1 block");
         assert_eq!(p.bytes_received()[1], 3 * 4 + 40);
     }

@@ -1,119 +1,35 @@
 //! Offline stand-in for the `rayon` crate.
 //!
-//! Implements the iterator chains the simulator uses —
-//! `states.par_iter_mut().zip(procs.par_iter_mut()).enumerate().for_each(f)`
-//! and `...map(f).collect::<Vec<_>>()` — with real data parallelism: the
-//! index space is split into one contiguous piece per pool thread, pieces
-//! run on a lazily-initialized persistent worker pool, and results are
-//! concatenated in order, so output ordering is identical to the
-//! sequential path.
-//!
-//! Beyond the iterator chains, [`scoped_join`] is a flat scoped fork/join
-//! over a small mutable task slice with *no* sequential cutoff — the
-//! primitive the simulator's sharded exchange engine and the sweep
-//! drivers fan out with. The caller runs the first chunk itself and
-//! help-drains the shared queue while waiting, so nested fan-outs cannot
-//! deadlock the fixed-width pool.
+//! Provides one fan-out primitive, [`scoped_join`]: a flat scoped
+//! fork/join over a small mutable task slice, run on a lazily-initialized
+//! persistent worker pool. The simulator's per-processor closures, its
+//! sharded exchange engine and the sweep drivers all fan out with it. The
+//! caller runs the first chunk itself and help-drains the shared queue
+//! while waiting, so nested fan-outs cannot deadlock the fixed-width pool.
 //!
 //! Differences from real rayon, acceptable for this workspace:
-//! - no work-stealing: pieces are static, fine for the uniform-cost
-//!   per-processor closures the simulator runs;
-//! - `map`/`for_each` require `F: Clone` (each piece owns a clone);
-//! - nested parallelism degrades to inline sequential execution: a
-//!   closure already running inside a fan-out drives `collect`,
-//!   `for_each` and `scoped_join` on its own thread (outer fan-outs own
-//!   the pool; inner ones must not queue behind their parent). "Inside a
-//!   fan-out" means on a pool worker, or on a `scoped_join` caller while
-//!   it runs its own chunk and help-drains, so every task of a fan-out
-//!   sees the same [`in_pool_worker`] answer;
-//! - a panic in a piece re-raises its original payload on the caller
-//!   once every piece finished: the caller's own piece's payload, else
-//!   the first one a worker reported;
-//! - iterator jobs below `pool::SEQUENTIAL_CUTOFF` items run inline on
-//!   the caller, so tiny machines never pay for synchronization.
+//! - no work-stealing: chunks are static, fine for the uniform-cost tasks
+//!   the simulator hands over;
+//! - nested parallelism degrades to inline sequential execution: a task
+//!   already running inside a fan-out drives `scoped_join` on its own
+//!   thread (outer fan-outs own the pool; inner ones must not queue behind
+//!   their parent). "Inside a fan-out" means on a pool worker, or on a
+//!   `scoped_join` caller while it runs its own chunk and help-drains, so
+//!   every task of a fan-out sees the same [`in_pool_worker`] answer;
+//! - a panic in a chunk re-raises its original payload on the caller once
+//!   every chunk finished: the caller's own chunk's payload, else the
+//!   first one a worker reported;
+//! - there is no sequential cutoff: callers decide when a fan-out pays.
 //!
 //! Thread count comes from `RAYON_NUM_THREADS` if set (like real rayon),
-//! else `std::thread::available_parallelism()`, and is latched on first
-//! use. Workers are spawned once and live for the process lifetime; an
-//! idle pool costs nothing but parked threads.
+//! else `std::thread::available_parallelism()`, capped at [`MAX_PIECES`],
+//! and is latched on first use. Workers are spawned once and live for the
+//! process lifetime; an idle pool costs nothing but parked threads.
 
-/// A splittable, exactly-sized parallel iterator over `Send` items.
-pub trait ParallelIterator: Sized + Send {
-    type Item: Send;
-
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Split into `[0, idx)` and `[idx, len)` pieces.
-    fn split_at(self, idx: usize) -> (Self, Self);
-
-    /// Drain this piece sequentially, feeding each produced item to `f`.
-    ///
-    /// This is the allocation-free core executor: adapters implement it
-    /// by composition instead of materializing intermediate `Vec`s.
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F);
-
-    /// Drain this piece sequentially, appending produced items to `out`.
-    fn drain_into(self, out: &mut Vec<Self::Item>) {
-        out.reserve(self.len());
-        self.drive(&mut |x| out.push(x));
-    }
-
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate {
-            inner: self,
-            base: 0,
-        }
-    }
-
-    fn map<F, R>(self, f: F) -> Map<Self, F>
-    where
-        F: Fn(Self::Item) -> R + Clone + Send,
-        R: Send,
-    {
-        Map { inner: self, f }
-    }
-
-    /// Consume every item for effect. `()` is zero-sized, so the
-    /// underlying collect never touches the heap.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Clone + Send,
-    {
-        let _: Vec<()> = self.map(f).collect();
-    }
-
-    fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
-        C::from_par_iter(self)
-    }
-}
-
-pub trait FromParallelIterator<T: Send>: Sized {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self;
-}
-
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<I: ParallelIterator<Item = T>>(iter: I) -> Self {
-        let total = iter.len();
-        if total < pool::SEQUENTIAL_CUTOFF || pool::thread_count() <= 1 || pool::is_nested() {
-            let mut out = Vec::with_capacity(total);
-            iter.drain_into(&mut out);
-            return out;
-        }
-        pool::parallel_collect(iter)
-    }
-}
+pub use pool::MAX_PIECES;
 
 /// The pool width this process dispatches across (caller thread included).
-/// Latches `RAYON_NUM_THREADS` / `available_parallelism` on first call,
-/// exactly like the iterator paths.
+/// Latches `RAYON_NUM_THREADS` / `available_parallelism` on first call.
 pub fn current_num_threads() -> usize {
     pool::thread_count()
 }
@@ -127,15 +43,15 @@ pub fn in_pool_worker() -> bool {
 
 /// Scoped flat fork/join: runs `f(index, &mut tasks[index])` for every
 /// element of `tasks`, fanned across the pool, and returns when all calls
-/// finished. Unlike the iterator paths there is **no sequential cutoff**:
-/// even two tasks dispatch in parallel, because callers (the sharded
+/// finished. There is **no sequential cutoff**: even two tasks dispatch in
+/// parallel, because callers (the machine's closure chunks, the sharded
 /// exchange engine, grid-sweep drivers) hand over a handful of coarse
 /// tasks whose bodies dwarf the latch handshake.
 ///
 /// Guarantees:
 /// - tasks are chunked contiguously (one task per chunk while the task
-///   count fits the pool's descriptor array), so effects on `tasks` are
-///   exactly the sequential loop's once the join completes;
+///   count fits [`MAX_PIECES`]), so effects on `tasks` are exactly the
+///   sequential loop's once the join completes;
 /// - the caller executes the first chunk itself and *help-drains* the
 ///   shared queue while waiting, so a `scoped_join` issued while other
 ///   fan-outs are in flight makes progress instead of blocking a slot;
@@ -168,11 +84,11 @@ pub mod stats {
     //!
     //! All counters are process-global relaxed atomics, so recording is
     //! lock-free and allocation-free on every path (worker loop, help
-    //! drain, latch waits). When disabled — the default — every
-    //! instrumentation site is a single relaxed bool load, which is the
-    //! shim's zero-cost-when-off contract. Counts are inherently
-    //! non-deterministic (they depend on scheduling), so they belong in
-    //! diagnostics output only, never in committed reports.
+    //! drain). When disabled — the default — every instrumentation site is
+    //! a single relaxed bool load, which is the shim's zero-cost-when-off
+    //! contract. Counts are inherently non-deterministic (they depend on
+    //! scheduling), so they belong in diagnostics output only, never in
+    //! committed reports.
 
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Instant;
@@ -192,7 +108,7 @@ pub mod stats {
         pub jobs: u64,
         /// Jobs a blocked caller executed while help-draining the queue.
         pub helped_jobs: u64,
-        /// Idle waits: worker condvar waits plus latch/help-drain parks.
+        /// Idle waits: worker condvar waits plus help-drain parks.
         pub parks: u64,
         /// `scoped_join` calls (inline or fanned).
         pub scoped_joins: u64,
@@ -272,15 +188,13 @@ pub mod stats {
 mod pool {
     //! The persistent worker pool and the scoped fork/join built on it.
     //!
-    //! `parallel_collect` splits the iterator into at most one piece per
-    //! pool thread, parks piece descriptors and output vectors on the
-    //! *caller's stack*, enqueues type-erased jobs, runs piece 0 itself
-    //! and blocks on a latch until the workers signal completion. The
-    //! latch wait establishes the happens-before edge that makes lending
-    //! stack data to detached worker threads sound, so no per-call thread
-    //! spawning (or heap-allocated closure boxing) is needed.
+    //! `fan_out` parks chunk descriptors on the *caller's stack*, enqueues
+    //! type-erased jobs, runs chunk 0 itself and help-drains the queue
+    //! until a latch reports that the workers finished. The latch wait
+    //! establishes the happens-before edge that makes lending stack data
+    //! to detached worker threads sound, so no per-call thread spawning
+    //! (or heap-allocated closure boxing) is needed.
 
-    use super::ParallelIterator;
     use std::any::Any;
     use std::cell::Cell;
     use std::collections::VecDeque;
@@ -320,13 +234,10 @@ mod pool {
         }
     }
 
-    /// Below this many items a collect runs inline on the caller: the
-    /// latch handshake costs more than the work for tiny machines.
-    pub const SEQUENTIAL_CUTOFF: usize = 32;
-
-    /// Upper bound on pieces per collect (and thus on pool threads);
-    /// keeps the per-call descriptors in fixed stack arrays.
-    const MAX_PIECES: usize = 64;
+    /// Upper bound on chunks per fan-out (and thus on pool threads);
+    /// keeps the per-call descriptors in fixed stack arrays. Callers that
+    /// build one task per pool thread size their own stack arrays with it.
+    pub const MAX_PIECES: usize = 64;
 
     static THREADS: OnceLock<usize> = OnceLock::new();
 
@@ -353,7 +264,7 @@ mod pool {
         run: unsafe fn(*mut ()),
     }
 
-    // SAFETY: the pointed-to JobData is only touched by exactly one
+    // SAFETY: the pointed-to FanJob is only touched by exactly one
     // worker, and the caller keeps the referenced stack frame alive
     // until the latch signals that the worker is done with it.
     unsafe impl Send for RawJob {}
@@ -373,13 +284,24 @@ mod pool {
         });
         SPAWN.call_once(|| {
             // One worker less than the pool width: the caller thread
-            // always executes piece 0 itself.
-            for i in 1..thread_count() {
+            // always executes chunk 0 itself. Return only once every
+            // worker is up: a caller that help-drains can finish many
+            // fan-outs before a late worker starts, and thread start-up
+            // allocates, so it must not leak into later fan-outs.
+            let width = thread_count();
+            let ready = std::sync::Arc::new(std::sync::Barrier::new(width));
+            for i in 1..width {
+                let ready = ready.clone();
                 std::thread::Builder::new()
                     .name(format!("pcm-par-{i}"))
-                    .spawn(move || worker_loop(POOL.get().expect("pool initialized")))
+                    .spawn(move || {
+                        ready.wait();
+                        drop(ready);
+                        worker_loop(POOL.get().expect("pool initialized"));
+                    })
                     .expect("failed to spawn pool worker");
             }
+            ready.wait();
         });
         p
     }
@@ -398,9 +320,9 @@ mod pool {
                 }
             };
             let span = crate::stats::job_start();
-            // SAFETY: `job` came from `parallel_collect`, whose caller is
-            // blocked on the latch until we signal; the pointed-to data
-            // is alive and exclusively ours.
+            // SAFETY: `job` came from `fan_out`, whose caller is blocked
+            // in `help_wait` until we signal; the pointed-to data is alive
+            // and exclusively ours.
             unsafe { (job.run)(job.data) };
             crate::stats::job_end(span, false);
         }
@@ -409,10 +331,10 @@ mod pool {
     /// A caught panic payload, re-raised on the caller.
     type Panic = Box<dyn Any + Send>;
 
-    /// Completion latch: counts outstanding worker pieces, keeps the first
-    /// panic payload and parks the caller. Built on park/unpark so nothing
-    /// is touched after the final decrement except a cloned `Thread`
-    /// handle.
+    /// Completion latch: counts outstanding worker chunks, keeps the first
+    /// panic payload and unparks the caller. Built on park/unpark so
+    /// nothing is touched after the final decrement except a cloned
+    /// `Thread` handle.
     struct Latch {
         remaining: AtomicUsize,
         panic: Mutex<Option<Panic>>,
@@ -441,20 +363,10 @@ mod pool {
             }
         }
 
-        /// Takes the first panic payload a piece signalled, if any. Only
+        /// Takes the first panic payload a chunk signalled, if any. Only
         /// meaningful once `remaining` reached zero.
         fn take_panic(&self) -> Option<Panic> {
             self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
-        }
-
-        /// Blocks until all pieces signalled; returns the first payload of
-        /// a piece that panicked.
-        fn wait(&self) -> Option<Panic> {
-            while self.remaining.load(Ordering::Acquire) > 0 {
-                crate::stats::count_park();
-                std::thread::park();
-            }
-            self.take_panic()
         }
     }
 
@@ -467,98 +379,6 @@ mod pool {
         if let Some(payload) = workers {
             resume_unwind(payload);
         }
-    }
-
-    /// Per-piece descriptor, parked on the caller's stack.
-    struct JobData<I: ParallelIterator> {
-        piece: I,
-        out: *mut Vec<I::Item>,
-        latch: *const Latch,
-    }
-
-    /// The type-erased entry point a worker runs for one piece.
-    ///
-    /// # Safety
-    /// `data` must point to a live `Option<JobData<I>>` holding `Some`,
-    /// and the caller must outlive the latch signal.
-    unsafe fn run_piece<I: ParallelIterator>(data: *mut ()) {
-        // SAFETY: contract above — exclusive live pointer to the slot.
-        let slot = unsafe { &mut *data.cast::<Option<JobData<I>>>() };
-        let job = slot.take().expect("piece already taken");
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `out` points at an element only this piece touches.
-            job.piece.drain_into(unsafe { &mut *job.out });
-        }));
-        // SAFETY: the latch outlives every signal — the caller blocks in
-        // `wait` until all pieces have signalled.
-        unsafe { (*job.latch).signal(result) };
-    }
-
-    pub fn parallel_collect<I: ParallelIterator>(iter: I) -> Vec<I::Item> {
-        let total = iter.len();
-        let n = thread_count().min(total).min(MAX_PIECES);
-        debug_assert!(n >= 2, "parallel_collect called below the cutoff");
-        let pool = pool();
-
-        // All shared state lives on this stack frame; `latch.wait()`
-        // below keeps it alive until every worker is done with it.
-        let mut jobs: [Option<JobData<I>>; MAX_PIECES] = std::array::from_fn(|_| None);
-        let mut outs: [Vec<I::Item>; MAX_PIECES] = std::array::from_fn(|_| Vec::new());
-        let latch = Latch::new(n - 1);
-
-        // Split into `n` contiguous pieces of near-equal size.
-        let mut piece0 = None;
-        let mut rest = iter;
-        let mut remaining = total;
-        let outs_base = outs.as_mut_ptr();
-        for (k, job) in jobs.iter_mut().enumerate().take(n) {
-            let take = remaining.div_ceil(n - k);
-            let (head, tail) = rest.split_at(take);
-            remaining -= take;
-            rest = tail;
-            if k == 0 {
-                piece0 = Some(head);
-            } else {
-                *job = Some(JobData {
-                    piece: head,
-                    // SAFETY: k < n <= MAX_PIECES; in-bounds element.
-                    out: unsafe { outs_base.add(k) },
-                    latch: &latch,
-                });
-            }
-        }
-
-        // Hand pieces 1..n to the pool. All element pointers derive from
-        // a single base raw pointer, and the arrays are not referenced
-        // again until after `latch.wait()`.
-        let jobs_base = jobs.as_mut_ptr();
-        {
-            let mut q = pool.queue.lock().expect("pool queue poisoned");
-            for k in 1..n {
-                q.push_back(RawJob {
-                    // SAFETY: k < n <= MAX_PIECES; in-bounds element.
-                    data: unsafe { jobs_base.add(k) }.cast::<()>(),
-                    run: run_piece::<I>,
-                });
-            }
-            pool.available.notify_all();
-        }
-
-        // Run piece 0 here. Catch panics so we still wait on the latch:
-        // unwinding past it would free stack data workers are writing.
-        let piece0 = piece0.expect("piece 0 assigned");
-        let r0 = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: element 0 is only touched by this thread.
-            piece0.drain_into(unsafe { &mut *outs_base });
-        }));
-        let worker_panic = latch.wait();
-        propagate(r0, worker_panic);
-
-        let mut out = Vec::with_capacity(total);
-        for part in outs.iter_mut().take(n) {
-            out.append(part);
-        }
-        out
     }
 
     /// Per-chunk descriptor of a [`fan_out`], parked on the caller's
@@ -597,10 +417,10 @@ mod pool {
 
     /// Blocks until `latch` clears, executing queued jobs from the shared
     /// pool while waiting (help-first join). Running a job that belongs to
-    /// *another* in-flight fan-out/collect is sound and useful: every
-    /// `RawJob` is self-contained (it carries its own latch pointer), and
-    /// draining it is exactly what keeps nested fan-outs from deadlocking
-    /// the fixed-width pool. Returns the first payload of a piece that
+    /// *another* in-flight fan-out is sound and useful: every `RawJob` is
+    /// self-contained (it carries its own latch pointer), and draining it
+    /// is exactly what keeps nested fan-outs from deadlocking the
+    /// fixed-width pool. Returns the first payload of a chunk that
     /// panicked.
     fn help_wait(latch: &Latch) -> Option<Panic> {
         let pool = pool();
@@ -669,6 +489,9 @@ mod pool {
             remaining -= take;
         }
 
+        // Hand chunks 1..n to the pool. All element pointers derive from
+        // a single base raw pointer, and the array is not referenced
+        // again until after `help_wait`.
         let jobs_base = jobs.as_mut_ptr();
         {
             let mut q = pool.queue.lock().expect("pool queue poisoned");
@@ -697,228 +520,14 @@ mod pool {
     }
 }
 
-pub struct SliceIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParallelIterator for SliceIter<'a, T> {
-    type Item = &'a T;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, idx: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at(idx);
-        (SliceIter { slice: a }, SliceIter { slice: b })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for x in self.slice {
-            f(x);
-        }
-    }
-}
-
-pub struct SliceIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParallelIterator for SliceIterMut<'a, T> {
-    type Item = &'a mut T;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, idx: usize) -> (Self, Self) {
-        let (a, b) = self.slice.split_at_mut(idx);
-        (SliceIterMut { slice: a }, SliceIterMut { slice: b })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        for x in self.slice {
-            f(x);
-        }
-    }
-}
-
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-/// Items buffered per lockstep chunk when driving a `Zip`; sized so the
-/// scratch stays in a small stack array instead of the heap.
-const ZIP_CHUNK: usize = 64;
-
-impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-
-    fn len(&self) -> usize {
-        self.a.len().min(self.b.len())
-    }
-
-    fn split_at(self, idx: usize) -> (Self, Self) {
-        let (a1, a2) = self.a.split_at(idx);
-        let (b1, b2) = self.b.split_at(idx);
-        (Zip { a: a1, b: b1 }, Zip { a: a2, b: b2 })
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        // Lockstep in fixed-size chunks: drive a chunk of `a` into a
-        // stack buffer, then drive the matching chunk of `b`, pairing.
-        let n = self.len();
-        let (mut a, _) = self.a.split_at(n);
-        let (mut b, _) = self.b.split_at(n);
-        let mut remaining = n;
-        while remaining > 0 {
-            let step = remaining.min(ZIP_CHUNK);
-            let (a_head, a_tail) = a.split_at(step);
-            let (b_head, b_tail) = b.split_at(step);
-            a = a_tail;
-            b = b_tail;
-            let mut buf: [Option<A::Item>; ZIP_CHUNK] = std::array::from_fn(|_| None);
-            let mut filled = 0usize;
-            a_head.drive(&mut |x| {
-                buf[filled] = Some(x);
-                filled += 1;
-            });
-            let mut taken = 0usize;
-            b_head.drive(&mut |y| {
-                let x = buf[taken].take().expect("zip sides agree on length");
-                taken += 1;
-                f((x, y));
-            });
-            remaining -= step;
-        }
-    }
-}
-
-pub struct Enumerate<A> {
-    inner: A,
-    base: usize,
-}
-
-impl<A: ParallelIterator> ParallelIterator for Enumerate<A> {
-    type Item = (usize, A::Item);
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn split_at(self, idx: usize) -> (Self, Self) {
-        let (a, b) = self.inner.split_at(idx);
-        (
-            Enumerate {
-                inner: a,
-                base: self.base,
-            },
-            Enumerate {
-                inner: b,
-                base: self.base + idx,
-            },
-        )
-    }
-
-    fn drive<F: FnMut(Self::Item)>(self, f: &mut F) {
-        let mut i = self.base;
-        self.inner.drive(&mut |x| {
-            f((i, x));
-            i += 1;
-        });
-    }
-}
-
-pub struct Map<A, F> {
-    inner: A,
-    f: F,
-}
-
-impl<A, F, R> ParallelIterator for Map<A, F>
-where
-    A: ParallelIterator,
-    F: Fn(A::Item) -> R + Clone + Send,
-    R: Send,
-{
-    type Item = R;
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn split_at(self, idx: usize) -> (Self, Self) {
-        let (a, b) = self.inner.split_at(idx);
-        (
-            Map {
-                inner: a,
-                f: self.f.clone(),
-            },
-            Map {
-                inner: b,
-                f: self.f,
-            },
-        )
-    }
-
-    fn drive<G: FnMut(Self::Item)>(self, g: &mut G) {
-        let f = self.f;
-        self.inner.drive(&mut |x| g(f(x)));
-    }
-}
-
-pub trait IntoParallelRefIterator<'data> {
-    type Iter: ParallelIterator;
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Iter = SliceIter<'data, T>;
-    fn par_iter(&'data self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Iter = SliceIter<'data, T>;
-    fn par_iter(&'data self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-pub trait IntoParallelRefMutIterator<'data> {
-    type Iter: ParallelIterator;
-    fn par_iter_mut(&'data mut self) -> Self::Iter;
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-    type Iter = SliceIterMut<'data, T>;
-    fn par_iter_mut(&'data mut self) -> Self::Iter {
-        SliceIterMut { slice: self }
-    }
-}
-
-impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-    type Iter = SliceIterMut<'data, T>;
-    fn par_iter_mut(&'data mut self) -> Self::Iter {
-        SliceIterMut { slice: self }
-    }
-}
-
-pub mod prelude {
-    pub use crate::{
-        FromParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelIterator,
-    };
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use std::any::Any;
+    use std::collections::HashSet;
     use std::sync::{Mutex, MutexGuard, Once, PoisonError};
     use std::thread::ThreadId;
 
-    /// Pins the pool width to 4 before any collect can latch it, so these
+    /// Pins the pool width to 4 before any fan-out can latch it, so these
     /// tests exercise the pooled path even on a single-core machine. The
     /// returned guard runs the tests one at a time, so the process-global
     /// `stats` counters move only with the test that holds it.
@@ -938,103 +547,64 @@ mod tests {
             .unwrap_or("<non-text payload>")
     }
 
-    #[test]
-    fn full_chain_matches_sequential() {
-        let _serial = force_pool();
-        let mut states: Vec<u64> = (0..97).collect();
-        let inboxes: Vec<u64> = (0..97).map(|i| i * 10).collect();
-
-        let expected: Vec<u64> = states
-            .iter()
-            .zip(inboxes.iter())
-            .enumerate()
-            .map(|(pid, (s, inbox))| *s * 2 + *inbox + pid as u64)
-            .collect();
-
-        let got: Vec<u64> = states
-            .par_iter_mut()
-            .zip(inboxes.par_iter())
-            .enumerate()
-            .map(|(pid, (s, inbox))| {
-                *s *= 2;
-                *s + *inbox + pid as u64
-            })
-            .collect();
-
-        assert_eq!(got, expected);
-        // Mutations through par_iter_mut landed.
-        assert_eq!(states[10], 20);
-    }
-
+    /// Empty and single-task joins take the inline path and still visit
+    /// every task.
     #[test]
     fn empty_and_single_element_collect() {
         let _serial = force_pool();
-        let v: Vec<u32> = Vec::new();
-        let out: Vec<u32> = v.par_iter().map(|x| x + 1).collect();
-        assert!(out.is_empty());
+        let mut none: [u32; 0] = [];
+        crate::scoped_join(&mut none, |_, _| unreachable!("no tasks to run"));
 
-        let one = vec![41u32];
-        let out: Vec<u32> = one.par_iter().map(|x| x + 1).collect();
-        assert_eq!(out, vec![42]);
+        let mut one = [41u32];
+        crate::scoped_join(&mut one, |i, t| *t += u32::from(i == 0));
+        assert_eq!(one, [42]);
     }
 
-    #[test]
-    fn for_each_mutates_every_element() {
-        let _serial = force_pool();
-        let mut v: Vec<u64> = (0..1000).collect();
-        v.par_iter_mut().enumerate().for_each(|(i, x)| {
-            *x = *x * 3 + i as u64;
-        });
-        let expected: Vec<u64> = (0..1000u64).map(|i| i * 3 + i).collect();
-        assert_eq!(v, expected);
-    }
-
+    /// Repeated joins reuse the same workers instead of spawning fresh OS
+    /// threads, and keep their ordered effects.
     #[test]
     fn pool_is_reused_across_collects() {
         let _serial = force_pool();
-        // Many collects above the cutoff: each would previously spawn
-        // fresh OS threads; with the pool they all reuse the same workers
-        // and still produce ordered output.
+        let mut threads = HashSet::new();
         for round in 0..50u64 {
-            let v: Vec<u64> = (0..257).map(|i| i + round).collect();
-            let out: Vec<u64> = v.par_iter().map(|x| x * 2).collect();
-            let expected: Vec<u64> = (0..257).map(|i| (i + round) * 2).collect();
-            assert_eq!(out, expected);
+            let mut tasks: Vec<(u64, Option<ThreadId>)> = (0..8).map(|i| (i, None)).collect();
+            crate::scoped_join(&mut tasks, |_, (v, who)| {
+                *v = (*v + round) * 2;
+                *who = Some(std::thread::current().id());
+            });
+            for (i, (v, who)) in tasks.iter().enumerate() {
+                assert_eq!(*v, (i as u64 + round) * 2);
+                threads.insert(who.expect("task ran"));
+            }
         }
+        assert!(
+            threads.len() <= 4,
+            "a 4-wide pool used {} threads",
+            threads.len()
+        );
     }
 
-    #[test]
-    fn zip_of_unequal_lengths_truncates() {
-        let _serial = force_pool();
-        let a: Vec<u32> = (0..300).collect();
-        let b: Vec<u32> = (0..200).collect();
-        let out: Vec<u32> = a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect();
-        let expected: Vec<u32> = (0..200).map(|i| i * 2).collect();
-        assert_eq!(out, expected);
-    }
-
+    /// A panic in a queued multi-task chunk (here the last task of a join
+    /// above `MAX_PIECES`, not the caller's own chunk) reaches the caller
+    /// with its payload.
     #[test]
     fn worker_panic_propagates() {
         let _serial = force_pool();
-        let v: Vec<u32> = (0..400).collect();
         let result = std::panic::catch_unwind(|| {
-            let _: Vec<u32> = v
-                .par_iter()
-                .map(|&x| {
-                    assert!(x != 399, "intentional: piece {x}");
-                    x
-                })
-                .collect();
+            let mut tasks = vec![0u32; 400];
+            crate::scoped_join(&mut tasks, |i, _| {
+                assert!(i != 399, "intentional: task {i}");
+            });
         });
-        let payload = result.expect_err("panic in a piece must propagate");
-        assert_eq!(panic_text(&*payload), "intentional: piece 399");
+        let payload = result.expect_err("panic in a chunk must propagate");
+        assert_eq!(panic_text(&*payload), "intentional: task 399");
     }
 
     #[test]
     fn scoped_join_runs_every_task_below_the_cutoff() {
         let _serial = force_pool();
-        // 2 tasks: far below SEQUENTIAL_CUTOFF, must still all run (and
-        // on a multi-thread pool, dispatch rather than inline).
+        // A handful of tasks must all run (and on a multi-thread pool,
+        // dispatch rather than inline).
         for len in [2usize, 3, 7] {
             let mut tasks: Vec<u64> = vec![0; len];
             crate::scoped_join(&mut tasks, |i, t| *t = (i as u64) * 10 + 1);
@@ -1074,7 +644,7 @@ mod tests {
         );
         assert!(
             after.jobs + after.helped_jobs > before.jobs + before.helped_jobs,
-            "dispatched pieces ran as jobs or were help-drained"
+            "dispatched chunks ran as jobs or were help-drained"
         );
         assert!(tasks.iter().enumerate().all(|(i, &t)| t == i as u64 + 1));
     }
@@ -1089,34 +659,16 @@ mod tests {
     }
 
     #[test]
-    fn scoped_join_nested_inside_parallel_iter_runs_inline() {
-        let _serial = force_pool();
-        // A worker closure issuing a nested scoped_join must not deadlock;
-        // the nested call runs inline on the worker.
-        let v: Vec<u64> = (0..200).collect();
-        let out: Vec<u64> = v
-            .par_iter()
-            .map(|&x| {
-                let mut inner = [x, x + 1, x + 2];
-                crate::scoped_join(&mut inner, |_, t| *t *= 2);
-                inner.iter().sum()
-            })
-            .collect();
-        let expected: Vec<u64> = (0..200u64).map(|x| 2 * (3 * x + 3)).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn scoped_join_fans_nested_collects_without_deadlock() {
         let _serial = force_pool();
         // Outer scoped_join occupies the pool; each task drives an inner
-        // parallel collect above the cutoff. Every inner call runs inline
-        // on its task's thread, the caller's own chunk included.
+        // scoped_join with enough tasks to fan out. Every inner call runs
+        // inline on its task's thread, the caller's own chunk included.
         let mut tasks: Vec<u64> = vec![0; 6];
         crate::scoped_join(&mut tasks, |i, t| {
-            let v: Vec<u64> = (0..100).map(|k| k + i as u64).collect();
-            let doubled: Vec<u64> = v.par_iter().map(|x| x * 2).collect();
-            *t = doubled.iter().sum();
+            let mut v: Vec<u64> = (0..100).map(|k| k + i as u64).collect();
+            crate::scoped_join(&mut v, |_, x| *x *= 2);
+            *t = v.iter().sum();
         });
         let expected: Vec<u64> = (0..6u64)
             .map(|i| (0..100).map(|k| 2 * (k + i)).sum())
@@ -1160,20 +712,18 @@ mod tests {
         let _serial = force_pool();
         crate::stats::enable(true);
         let before = crate::stats::snapshot();
-        // Each task records the threads a nested collect (above the
-        // cutoff) and a nested scoped_join ran on.
+        // Each task records the threads two nested joins ran on: one with
+        // enough tasks to fan out, one with three.
         let mut tasks: Vec<(ThreadId, Vec<ThreadId>)> = (0..4)
             .map(|_| (std::thread::current().id(), Vec::new()))
             .collect();
         crate::scoped_join(&mut tasks, |_, (me, seen)| {
             *me = std::thread::current().id();
-            let items: Vec<u32> = (0..100).collect();
-            *seen = items
-                .par_iter()
-                .map(|_| std::thread::current().id())
-                .collect();
+            let mut wide = [*me; 100];
+            crate::scoped_join(&mut wide, |_, t| *t = std::thread::current().id());
             let mut inner = [*me; 3];
             crate::scoped_join(&mut inner, |_, t| *t = std::thread::current().id());
+            seen.extend(wide);
             seen.extend(inner);
         });
         let after = crate::stats::snapshot();
@@ -1182,7 +732,7 @@ mod tests {
         for (me, seen) in &tasks {
             assert!(seen.iter().all(|t| t == me), "nested work left its task");
         }
-        assert_eq!(after.scoped_joins - before.scoped_joins, 5);
+        assert_eq!(after.scoped_joins - before.scoped_joins, 9);
         assert_eq!(
             after.fan_outs - before.fan_outs,
             1,

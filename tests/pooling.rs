@@ -11,12 +11,17 @@
 //! * the `pcm-race` analyzer stays clean on the pooled path;
 //! * `map_ordered` fan-outs keep every unit inside the caller's
 //!   thread-local scopes, and fanned-out figures equal their sequential
-//!   runs.
+//!   runs;
+//! * the closures run in one contiguous pid-ordered chunk per pool
+//!   thread, and a closure's panic reaches `Machine::superstep`'s caller
+//!   with its original payload without wedging the pool.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::{Arc, Once};
 
@@ -37,8 +42,9 @@ use pcm_sim::{
 };
 
 /// Pool width 4 at or above `p = 32` engages the pooled path even on a
-/// single-core runner. Every test calls this before any parallel collect
-/// so the shim's latched width is deterministic for the whole binary.
+/// single-core runner. Every test calls this before any fan-out so the
+/// shim's latched width is deterministic for the whole binary. An explicit
+/// `RAYON_NUM_THREADS` wins, so CI also runs this binary at an odd width.
 fn force_pool() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -314,4 +320,124 @@ fn fanned_out_figures_match_forced_sequential() {
         figure_bits(&with_sequential(fig)),
         "fig13 diverged"
     );
+}
+
+/// Per-processor record of the closure-dispatch test: how often the pid
+/// ran, the thread it ran on and that thread's running call count.
+#[derive(Clone, Copy, Default)]
+struct Visit {
+    runs: u32,
+    thread: Option<std::thread::ThreadId>,
+    seq: u64,
+}
+
+thread_local! {
+    /// Closure calls made on this thread so far.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The contiguous chunk partition the machine fans its closures out by:
+/// one chunk per pool thread, the first `p mod n` one processor longer.
+fn closure_chunks(p: usize) -> Vec<std::ops::Range<usize>> {
+    let n = rayon::current_num_threads().min(p);
+    let mut chunks = Vec::with_capacity(n);
+    let mut start = 0;
+    for k in 0..n {
+        let len = (p - start).div_ceil(n - k);
+        chunks.push(start..start + len);
+        start += len;
+    }
+    chunks
+}
+
+/// Each closure chunk (`[0,16)`, `[16,32)`, `[32,48)`, `[48,64)` at width
+/// 4) runs on a single thread in pid order, and every pid runs once.
+#[test]
+fn closure_chunks_run_on_one_thread_in_pid_order() {
+    force_pool();
+    let p = 64;
+    let chunks = closure_chunks(p);
+    if rayon::current_num_threads() == 4 {
+        assert_eq!(chunks, [0..16, 16..32, 32..48, 48..64]);
+    }
+    let mut m = Machine::new(
+        Box::new(IdealNetwork),
+        Arc::new(UniformCompute::test_model()),
+        vec![Visit::default(); p],
+        SEED,
+    );
+    m.superstep(|ctx| {
+        let seq = CALLS.with(|c| {
+            c.set(c.get() + 1);
+            c.get()
+        });
+        ctx.state.runs += 1;
+        ctx.state.thread = Some(std::thread::current().id());
+        ctx.state.seq = seq;
+    });
+    let visits = m.states();
+    assert!(
+        visits.iter().all(|v| v.runs == 1),
+        "a pid ran twice or never"
+    );
+    for chunk in chunks {
+        let first = visits[chunk.start];
+        for pid in chunk.clone() {
+            assert_eq!(
+                visits[pid].thread, first.thread,
+                "chunk {chunk:?} split across threads at pid {pid}"
+            );
+            assert_eq!(
+                visits[pid].seq,
+                first.seq + (pid - chunk.start) as u64,
+                "chunk {chunk:?} left pid order at pid {pid}"
+            );
+        }
+    }
+}
+
+/// The text of a caught panic payload.
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-text payload>")
+}
+
+/// A closure panic in a queued chunk (pid 63) or in the caller's own
+/// chunk (pid 0) surfaces from `Machine::superstep` with its original
+/// payload, and a fresh machine's superstep still completes on the pool.
+#[test]
+fn closure_panics_surface_from_superstep() {
+    force_pool();
+    let p = 64;
+    for bad in [p - 1, 0] {
+        let mut m = Machine::new(
+            Box::new(IdealNetwork),
+            Arc::new(UniformCompute::test_model()),
+            vec![0u32; p],
+            SEED,
+        );
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            m.superstep(|ctx| {
+                assert!(ctx.pid() != bad, "intentional: pid {}", ctx.pid());
+            });
+        }));
+        let payload = result.expect_err("the closure's panic must propagate");
+        assert_eq!(panic_text(&*payload), format!("intentional: pid {bad}"));
+        assert!(
+            !rayon::in_pool_worker(),
+            "nesting depth restored after the panic at pid {bad}"
+        );
+
+        let mut fresh = stepped_machine(SEED);
+        fresh.superstep(|ctx| *ctx.state = ctx.msgs()[0].word_u32());
+        let expect: Vec<u32> = (0..p as u32).map(|pid| (pid + 63) % 64).collect();
+        assert_eq!(
+            fresh.states(),
+            expect,
+            "superstep after the panic at pid {bad}"
+        );
+    }
 }
