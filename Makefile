@@ -1,9 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
+.PHONY: ci build test kernel-fma sanitize race golden shard pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
 
 # The workflow's steps in its order.
-ci: build test sanitize race golden shard pool-odd audit-gate sym-gate
+ci: build test kernel-fma sanitize race golden shard pool-odd audit-gate sym-gate
 	$(MAKE) trace-gate figures-gate trace-counts-gate pricing-gate doc fmt clippy
 
 build:
@@ -11,6 +11,17 @@ build:
 
 test:
 	cargo test -q
+
+# The matmul kernel must stay bit-identical to the plain loop on a build
+# where the compiler could contract multiply-adds into FMA. Needs a host
+# with AVX2 and FMA; elsewhere it prints a notice and does nothing.
+kernel-fma:
+	@if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then \
+		RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR=target/fma \
+			cargo test -q -p pcm-algos --lib matmul; \
+	else \
+		echo "kernel-fma: this host lacks avx2 or fma; skipping"; \
+	fi
 
 sanitize:
 	cargo test -q --test sanitizer

@@ -31,7 +31,8 @@ pub fn matmul_reference(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
 }
 
 /// Checks `c ≈ a·b` on `rows` randomly sampled rows (all rows when
-/// `rows >= n`). Tolerance is relative to the magnitude of the entries.
+/// `rows >= n`). Tolerance is relative to the magnitude of the entries;
+/// a NaN or infinite entry where a finite value belongs fails.
 pub fn spot_check_matmul(
     a: &[f64],
     b: &[f64],
@@ -56,13 +57,14 @@ pub fn spot_check_matmul(
                 expect[j] += aik * brow[j];
             }
         }
-        for j in 0..n {
-            let got = c[i * n + j];
-            let want = expect[j];
-            let tol = 1e-9 * (1.0 + want.abs());
-            if (got - want).abs() > tol {
-                return false;
-            }
+        // Written as `<= tol` so that a NaN difference (a NaN entry, or an
+        // infinity where a finite value belongs) fails the check.
+        let row_ok = c[i * n..(i + 1) * n]
+            .iter()
+            .zip(&expect)
+            .all(|(&got, &want)| (got - want).abs() <= 1e-9 * (1.0 + want.abs()));
+        if !row_ok {
+            return false;
         }
     }
     true
@@ -148,6 +150,22 @@ mod tests {
         let mut bad = c.clone();
         bad[5 * n + 5] += 0.5;
         assert!(!spot_check_matmul(&a, &b, &bad, n, n, 7));
+    }
+
+    #[test]
+    fn spot_check_rejects_nan_and_infinite_entries() {
+        let n = 8;
+        let a = random_matrix(n, 2);
+        let b = random_matrix(n, 3);
+        let c = matmul_reference(&a, &b, n);
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut bad = c.clone();
+            bad[3 * n + 2] = poison;
+            assert!(
+                !spot_check_matmul(&a, &b, &bad, n, n, 7),
+                "{poison} verified"
+            );
+        }
     }
 
     #[test]

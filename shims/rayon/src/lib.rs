@@ -147,20 +147,26 @@ pub mod stats {
         }
     }
 
-    /// Begins a job span — `None` (and no clock read) when disabled.
+    /// Counts a job and begins its span — `None` (and no clock read)
+    /// when disabled. The count comes first: a job releases its fan-out's
+    /// latch from inside, so a count taken after it could miss a snapshot
+    /// the released caller takes.
     #[inline]
-    pub(crate) fn job_start() -> Option<Instant> {
-        enabled().then(Instant::now)
+    pub(crate) fn job_start(helped: bool) -> Option<Instant> {
+        if !enabled() {
+            return None;
+        }
+        let counter = if helped { &HELPED } else { &JOBS };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(Instant::now())
     }
 
     /// Ends a job span begun by [`job_start`].
     #[inline]
-    pub(crate) fn job_end(t: Option<Instant>, helped: bool) {
+    pub(crate) fn job_end(t: Option<Instant>) {
         let Some(t) = t else { return };
         let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         BUSY_NS.fetch_add(ns, Ordering::Relaxed);
-        let counter = if helped { &HELPED } else { &JOBS };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -319,12 +325,12 @@ mod pool {
                     q = pool.available.wait(q).expect("pool queue poisoned");
                 }
             };
-            let span = crate::stats::job_start();
+            let span = crate::stats::job_start(false);
             // SAFETY: `job` came from `fan_out`, whose caller is blocked
             // in `help_wait` until we signal; the pointed-to data is alive
             // and exclusively ours.
             unsafe { (job.run)(job.data) };
-            crate::stats::job_end(span, false);
+            crate::stats::job_end(span);
         }
     }
 
@@ -431,11 +437,11 @@ mod pool {
             let job = pool.queue.lock().expect("pool queue poisoned").pop_front();
             match job {
                 Some(job) => {
-                    let span = crate::stats::job_start();
+                    let span = crate::stats::job_start(true);
                     // SAFETY: same contract as `worker_loop` — the job's
                     // issuer is blocked until its latch signals.
                     unsafe { (job.run)(job.data) };
-                    crate::stats::job_end(span, true);
+                    crate::stats::job_end(span);
                 }
                 // The final latch signal unparks us; a stale unpark token
                 // only causes one extra loop turn.
