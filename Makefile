@@ -1,9 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test kernel-fma sanitize race golden shard pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
+.PHONY: ci build test examples kernel-fma sanitize race golden shard pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
 
 # The workflow's steps in its order.
-ci: build test kernel-fma sanitize race golden shard pool-odd audit-gate sym-gate
+ci: build test examples kernel-fma sanitize race golden shard pool-odd audit-gate sym-gate
 	$(MAKE) trace-gate figures-gate trace-counts-gate pricing-gate doc fmt clippy
 
 build:
@@ -11,6 +11,15 @@ build:
 
 test:
 	cargo test -q
+
+# Every program in examples/, in release; a non-zero exit fails the target.
+# apsp_study asserts that paper-scale APSP and LU runs verify.
+examples:
+	@for f in examples/*.rs; do \
+		e=$$(basename $$f .rs); \
+		echo "examples: $$e"; \
+		cargo run -q --release --example $$e || { echo "examples: $$e failed" >&2; exit 1; }; \
+	done
 
 # The matmul kernel must stay bit-identical to the plain loop on a build
 # where the compiler could contract multiply-adds into FMA. Needs a host

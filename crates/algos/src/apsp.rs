@@ -38,6 +38,23 @@ pub enum ApspVariant {
     Blocks,
 }
 
+/// A piece of the active column or row: its index among the `sqrt(P)`
+/// chunks of the segment (`None` while the processor holds none) and its
+/// values, in a buffer reused from one iteration to the next.
+#[derive(Clone, Debug, Default)]
+struct Piece {
+    idx: Option<usize>,
+    vals: Vec<f64>,
+}
+
+impl Piece {
+    fn set(&mut self, idx: usize, vals: impl IntoIterator<Item = f64>) {
+        self.idx = Some(idx);
+        self.vals.clear();
+        self.vals.extend(vals);
+    }
+}
+
 #[derive(Clone, Debug, Default)]
 struct ApspState {
     /// My `M x M` block, row-major.
@@ -46,13 +63,28 @@ struct ApspState {
     x: Vec<f64>,
     /// Assembled active row segment (length M).
     y: Vec<f64>,
-    /// The piece currently travelling the row ring (index, values).
-    x_piece: Option<(usize, Vec<f64>)>,
+    /// The piece currently travelling the row ring.
+    x_piece: Piece,
     /// The piece currently travelling the column ring.
-    y_piece: Option<(usize, Vec<f64>)>,
+    y_piece: Piece,
+    /// Scratch for the segment a scatter owner splits into pieces.
+    seg: Vec<f64>,
 }
 
+impl ApspState {
+    /// The assembled segment and the travelling piece on `axis`.
+    fn axis_mut(&mut self, axis: u32) -> (&mut Vec<f64>, &mut Piece) {
+        if axis == TAG_COL {
+            (&mut self.x, &mut self.x_piece)
+        } else {
+            (&mut self.y, &mut self.y_piece)
+        }
+    }
+}
+
+/// Tag axis bits: a piece travels on tag `2·index + axis`.
 const TAG_COL: u32 = 0;
+const TAG_ROW: u32 = 1;
 
 fn send(
     ctx: &mut pcm_sim::Ctx<'_, ApspState>,
@@ -67,12 +99,32 @@ fn send(
     }
 }
 
+/// Sends my piece on `axis` (if I hold one) to each of `dsts`, straight
+/// from its buffer; the piece stays mine.
+fn forward(
+    ctx: &mut pcm_sim::Ctx<'_, ApspState>,
+    variant: ApspVariant,
+    axis: u32,
+    dsts: impl IntoIterator<Item = usize>,
+) {
+    let piece = std::mem::take(ctx.state.axis_mut(axis).1);
+    if let Some(idx) = piece.idx {
+        for dst in dsts {
+            send(ctx, variant, dst, 2 * tag_u32(idx) + axis, &piece.vals);
+        }
+    }
+    *ctx.state.axis_mut(axis).1 = piece;
+}
+
 /// Runs blocked Floyd on a deterministic random digraph and verifies the
 /// full result against the sequential reference.
 ///
 /// # Panics
 /// Panics unless the platform's processor count is a perfect square and
-/// `n` is a multiple of `sqrt(P)`.
+/// `n` is a multiple of `sqrt(P)`. On machines without memory pipelining
+/// (the MasPar) it also panics when `M = N/sqrt(P)` is below `sqrt(P)`
+/// and `sqrt(P)/M` is not a power of two: the doubling phase replicates
+/// each piece by powers of two.
 pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> RunResult {
     let p = platform.p();
     let side = sqrt_exact(p).expect("APSP needs a square processor grid");
@@ -83,6 +135,14 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
     let grid = Grid { side };
     let m = n / side;
     let pipelining = platform.model_params().memory_pipelining;
+    // Pieces each active segment splits into on the MasPar ring.
+    let pieces = m.min(side);
+    assert!(
+        pipelining || n == 0 || (side.is_multiple_of(pieces) && (side / pieces).is_power_of_two()),
+        "the doubling phase needs sqrt(P)/M to be a power of two when M < sqrt(P); \
+         choose N so that M = N/sqrt(P) is a power of two \
+         (got M = {m}, sqrt(P) = {side})"
+    );
     // Blocked grid layouts do not align with the MasPar's router clusters
     // (see `primitives::embed`); pipelined machines keep the natural
     // embedding, which also preserves mesh locality on the GCel.
@@ -123,10 +183,14 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
         machine.superstep(|ctx| {
             let pid = ctx.pid();
             let (r, c) = grid.coords(embed.to_logical(pid));
-            ctx.state.x_piece = None;
-            ctx.state.y_piece = None;
+            ctx.state.x_piece.idx = None;
+            ctx.state.y_piece.idx = None;
+            // `send` borrows `ctx`, so the segment is split from a buffer
+            // moved out of the state.
+            let mut seg = std::mem::take(&mut ctx.state.seg);
             if c == owner {
-                let seg: Vec<f64> = (0..m).map(|i| ctx.state.d[i * m + local_k]).collect();
+                seg.clear();
+                seg.extend((0..m).map(|i| ctx.state.d[i * m + local_k]));
                 for t in staggered(r, side) {
                     let piece = &seg[chunk(m, side, t)];
                     if piece.is_empty() {
@@ -134,14 +198,15 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                     }
                     let dst = embed.to_machine(grid.id(r, t));
                     if dst == pid {
-                        ctx.state.x_piece = Some((t, piece.to_vec()));
+                        ctx.state.x_piece.set(t, piece.iter().copied());
                     } else {
-                        send(ctx, variant, dst, 2 * tag_u32(t), piece);
+                        send(ctx, variant, dst, 2 * tag_u32(t) + TAG_COL, piece);
                     }
                 }
             }
             if r == owner {
-                let seg: Vec<f64> = ctx.state.d[local_k * m..(local_k + 1) * m].to_vec();
+                seg.clear();
+                seg.extend_from_slice(&ctx.state.d[local_k * m..(local_k + 1) * m]);
                 for t in staggered(c, side) {
                     let piece = &seg[chunk(m, side, t)];
                     if piece.is_empty() {
@@ -149,12 +214,13 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                     }
                     let dst = embed.to_machine(grid.id(t, c));
                     if dst == pid {
-                        ctx.state.y_piece = Some((t, piece.to_vec()));
+                        ctx.state.y_piece.set(t, piece.iter().copied());
                     } else {
-                        send(ctx, variant, dst, 2 * tag_u32(t) + 1, piece);
+                        send(ctx, variant, dst, 2 * tag_u32(t) + TAG_ROW, piece);
                     }
                 }
             }
+            ctx.state.seg = seg;
         });
 
         // Superstep 2: absorb the scattered pieces, reset the assembly
@@ -162,17 +228,18 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
         machine.superstep(|ctx| {
             ctx.touch_write(regions::APSP_X);
             ctx.touch_write(regions::APSP_Y);
-            ctx.state.x = vec![f64::INFINITY; m];
-            ctx.state.y = vec![f64::INFINITY; m];
+            for axis in [TAG_COL, TAG_ROW] {
+                let (seg, _) = ctx.state.axis_mut(axis);
+                seg.clear();
+                seg.resize(m, f64::INFINITY);
+            }
             absorb_pieces(ctx, m, side);
             // Own pieces (set during the scatter) also enter the assembly.
-            let x_piece = ctx.state.x_piece.clone();
-            if let Some((idx, vals)) = x_piece {
-                ctx.state.x[chunk(m, side, idx)].copy_from_slice(&vals);
-            }
-            let y_piece = ctx.state.y_piece.clone();
-            if let Some((idx, vals)) = y_piece {
-                ctx.state.y[chunk(m, side, idx)].copy_from_slice(&vals);
+            for axis in [TAG_COL, TAG_ROW] {
+                let (seg, piece) = ctx.state.axis_mut(axis);
+                if let Some(idx) = piece.idx {
+                    seg[chunk(m, side, idx)].copy_from_slice(&piece.vals);
+                }
             }
         });
 
@@ -182,24 +249,11 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
             machine.superstep(|ctx| {
                 let pid = ctx.pid();
                 let (r, c) = grid.coords(embed.to_logical(pid));
-                let x_piece = ctx.state.x_piece.take();
-                if let Some((idx, vals)) = x_piece {
-                    for t in staggered(c, side) {
-                        let dst = embed.to_machine(grid.id(r, t));
-                        if dst != pid {
-                            send(ctx, variant, dst, 2 * tag_u32(idx), &vals);
-                        }
-                    }
-                }
-                let y_piece = ctx.state.y_piece.take();
-                if let Some((idx, vals)) = y_piece {
-                    for t in staggered(r, side) {
-                        let dst = embed.to_machine(grid.id(t, c));
-                        if dst != pid {
-                            send(ctx, variant, dst, 2 * tag_u32(idx) + 1, &vals);
-                        }
-                    }
-                }
+                let others = |dst: &usize| *dst != pid;
+                let row = staggered(c, side).map(|t| embed.to_machine(grid.id(r, t)));
+                forward(ctx, variant, TAG_COL, row.filter(others));
+                let col = staggered(r, side).map(|t| embed.to_machine(grid.id(t, c)));
+                forward(ctx, variant, TAG_ROW, col.filter(others));
             });
             machine.superstep(|ctx| {
                 absorb_pieces(ctx, m, side);
@@ -207,12 +261,7 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
             });
         } else {
             // MasPar path: doubling (if M < sqrt(P)) then ring rotations.
-            let pieces = m.min(side);
-            assert!(
-                side.is_multiple_of(pieces) && (side / pieces).is_power_of_two(),
-                "the doubling phase needs M to divide sqrt(P) as a power of                  two when M < sqrt(P); choose N so that M = N/sqrt(P) is a                  power of two (got M = {m}, sqrt(P) = {side})"
-            );
-            let repl = side / pieces; // power of two
+            let repl = side / pieces; // power of two, checked up front
             for j in 0..log2_exact(repl) {
                 let span = pieces << j;
                 machine.superstep(move |ctx| {
@@ -220,28 +269,12 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                     let pid = ctx.pid();
                     let (r, c) = grid.coords(embed.to_logical(pid));
                     if c < span {
-                        let x_piece = ctx.state.x_piece.clone();
-                        if let Some((idx, vals)) = x_piece {
-                            send(
-                                ctx,
-                                variant,
-                                embed.to_machine(grid.id(r, c + span)),
-                                2 * tag_u32(idx),
-                                &vals,
-                            );
-                        }
+                        let dst = embed.to_machine(grid.id(r, c + span));
+                        forward(ctx, variant, TAG_COL, [dst]);
                     }
                     if r < span {
-                        let y_piece = ctx.state.y_piece.clone();
-                        if let Some((idx, vals)) = y_piece {
-                            send(
-                                ctx,
-                                variant,
-                                embed.to_machine(grid.id(r + span, c)),
-                                2 * tag_u32(idx) + 1,
-                                &vals,
-                            );
-                        }
+                        let dst = embed.to_machine(grid.id(r + span, c));
+                        forward(ctx, variant, TAG_ROW, [dst]);
                     }
                 });
             }
@@ -255,34 +288,16 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                     let (r, c) = grid.coords(embed.to_logical(pid));
                     let bs_c = (c / pieces) * pieces;
                     let next_c = bs_c + (c - bs_c + 1) % pieces;
-                    let x_piece = ctx.state.x_piece.clone();
-                    if let Some((idx, vals)) = x_piece {
-                        send(
-                            ctx,
-                            variant,
-                            embed.to_machine(grid.id(r, next_c)),
-                            2 * tag_u32(idx),
-                            &vals,
-                        );
-                    }
+                    let dst = embed.to_machine(grid.id(r, next_c));
+                    forward(ctx, variant, TAG_COL, [dst]);
                     let bs_r = (r / pieces) * pieces;
                     let next_r = bs_r + (r - bs_r + 1) % pieces;
-                    let y_piece = ctx.state.y_piece.clone();
-                    if let Some((idx, vals)) = y_piece {
-                        send(
-                            ctx,
-                            variant,
-                            embed.to_machine(grid.id(next_r, c)),
-                            2 * tag_u32(idx) + 1,
-                            &vals,
-                        );
-                    }
+                    let dst = embed.to_machine(grid.id(next_r, c));
+                    forward(ctx, variant, TAG_ROW, [dst]);
                 });
             }
             machine.superstep(|ctx| {
                 absorb_pieces(ctx, m, side);
-                ctx.state.x_piece = None;
-                ctx.state.y_piece = None;
                 relax(ctx, m);
             });
         }
@@ -307,25 +322,20 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
 /// and accumulates it into the assembled `x`/`y`. Tags encode
 /// `2·piece_index + axis` with axis 0 = column (X), 1 = row (Y).
 fn absorb_pieces(ctx: &mut pcm_sim::Ctx<'_, ApspState>, m: usize, side: usize) {
-    let incoming: Vec<(u32, Vec<f64>)> = ctx
-        .msgs()
-        .iter()
-        .map(|msg| (msg.tag, msg.as_f64s()))
-        .collect();
-    if !incoming.is_empty() {
+    // The inbox borrows `ctx`: decode into the state moved out of it.
+    let mut st = std::mem::take(&mut *ctx.state);
+    let msgs = ctx.msgs();
+    if !msgs.is_empty() {
         ctx.touch_modify(regions::APSP_X);
         ctx.touch_modify(regions::APSP_Y);
     }
-    for (tag, vals) in incoming {
-        let idx = (tag / 2) as usize;
-        if tag % 2 == TAG_COL {
-            ctx.state.x[chunk(m, side, idx)].copy_from_slice(&vals);
-            ctx.state.x_piece = Some((idx, vals));
-        } else {
-            ctx.state.y[chunk(m, side, idx)].copy_from_slice(&vals);
-            ctx.state.y_piece = Some((idx, vals));
-        }
+    for msg in msgs {
+        let idx = (msg.tag / 2) as usize;
+        let (seg, piece) = st.axis_mut(msg.tag % 2);
+        piece.set(idx, msg.f64s());
+        seg[chunk(m, side, idx)].copy_from_slice(&piece.vals);
     }
+    *ctx.state = st;
 }
 
 /// The Floyd relaxation of the local block, charged at `alpha` per entry.
@@ -334,17 +344,13 @@ fn relax(ctx: &mut pcm_sim::Ctx<'_, ApspState>, m: usize) {
     ctx.touch_read(regions::APSP_Y);
     ctx.touch_modify(regions::APSP_DIST);
     let st = &mut *ctx.state;
-    for i in 0..m {
-        let xi = st.x[i];
+    for (&xi, row) in st.x.iter().zip(st.d.chunks_exact_mut(m)) {
         if !xi.is_finite() {
             continue;
         }
-        let row = &mut st.d[i * m..(i + 1) * m];
-        for (j, cell) in row.iter_mut().enumerate() {
-            let alt = xi + st.y[j];
-            if alt < *cell {
-                *cell = alt;
-            }
+        for (cell, &yj) in row.iter_mut().zip(&st.y) {
+            let alt = xi + yj;
+            *cell = if alt < *cell { alt } else { *cell };
         }
     }
     ctx.charge_ops((m * m) as u64);
@@ -400,6 +406,13 @@ mod tests {
     #[should_panic(expected = "multiple of sqrt(P)")]
     fn rejects_misaligned_graphs() {
         run(&Platform::cm5(), 30, ApspVariant::Words, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn maspar_rejects_m_that_cannot_double() {
+        // 16 PEs -> side 4; n = 12 -> M = 3, and 4/3 is no power of two.
+        run(&Platform::maspar_with(16), 12, ApspVariant::Words, 0);
     }
 
     #[test]

@@ -149,24 +149,24 @@ pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunR
         machine.superstep(|ctx| {
             let pid = ctx.pid();
             let (r, c) = grid.coords(pid);
-            let incoming: Vec<f64> = ctx
-                .msgs_tagged(TAG_PIVOT)
-                .map(|msg| msg.word_f64())
-                .collect();
-            if let Some(&pv) = incoming.first() {
+            let incoming = ctx.msgs_tagged(TAG_PIVOT).next().map(|msg| msg.word_f64());
+            if let Some(pv) = incoming {
                 ctx.state.pivot = pv;
             }
+            // `send` borrows `ctx`, so each panel is built in its reused
+            // buffer moved out of the state and put back after the sends.
             if c == owner {
                 // My block holds column segment k: rows r·m .. r·m+m.
                 let pivot = ctx.state.pivot;
-                let mut l = vec![0.0f64; m];
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..m {
-                    let gi = r * m + i;
-                    if gi > k {
-                        l[i] = ctx.state.a[i * m + lk] / pivot;
+                let mut l = std::mem::take(&mut ctx.state.l_col);
+                l.clear();
+                l.extend((0..m).map(|i| {
+                    if r * m + i > k {
+                        ctx.state.a[i * m + lk] / pivot
+                    } else {
+                        0.0
                     }
-                }
+                }));
                 // Store multipliers in place and broadcast along the row.
                 ctx.touch_modify(regions::LU_BLOCK);
                 for (i, &li) in l.iter().enumerate() {
@@ -177,31 +177,32 @@ pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunR
                 }
                 ctx.charge_ops(m as u64);
                 ctx.touch_write(regions::LU_LCOL);
-                ctx.state.l_col = l.clone();
                 for t in staggered(r, side) {
                     let dst = grid.id(r, t);
                     if dst != pid {
                         send(ctx, variant, dst, TAG_L, &l);
                     }
                 }
+                ctx.state.l_col = l;
             }
             if r == owner {
-                let mut u = vec![0.0f64; m];
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..m {
-                    let gj = c * m + j;
-                    if gj > k {
-                        u[j] = ctx.state.a[lk * m + j];
+                let mut u = std::mem::take(&mut ctx.state.u_row);
+                u.clear();
+                u.extend((0..m).map(|j| {
+                    if c * m + j > k {
+                        ctx.state.a[lk * m + j]
+                    } else {
+                        0.0
                     }
-                }
+                }));
                 ctx.touch_write(regions::LU_UROW);
-                ctx.state.u_row = u.clone();
                 for t in staggered(c, side) {
                     let dst = grid.id(t, c);
                     if dst != pid {
                         send(ctx, variant, dst, TAG_U, &u);
                     }
                 }
+                ctx.state.u_row = u;
             }
         });
 
@@ -212,17 +213,24 @@ pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunR
             let (r, c) = grid.coords(pid);
             // The two panels travel on separate tags; read each stream
             // through its own filter so the analyzer can prove they never
-            // alias.
-            let l_in: Option<Vec<f64>> = ctx.msgs_tagged(TAG_L).map(|msg| msg.as_f64s()).last();
-            let u_in: Option<Vec<f64>> = ctx.msgs_tagged(TAG_U).map(|msg| msg.as_f64s()).last();
-            if let Some(vals) = l_in {
+            // alias. Both are decoded into the reused panel buffers, moved
+            // out of the state while the inbox borrows `ctx`.
+            let mut l_col = std::mem::take(&mut ctx.state.l_col);
+            let mut u_row = std::mem::take(&mut ctx.state.u_row);
+            let l_in = ctx.msgs_tagged(TAG_L).last();
+            let u_in = ctx.msgs_tagged(TAG_U).last();
+            if let Some(msg) = l_in {
                 ctx.touch_write(regions::LU_LCOL);
-                ctx.state.l_col = vals;
+                l_col.clear();
+                l_col.extend(msg.f64s());
             }
-            if let Some(vals) = u_in {
+            if let Some(msg) = u_in {
                 ctx.touch_write(regions::LU_UROW);
-                ctx.state.u_row = vals;
+                u_row.clear();
+                u_row.extend(msg.f64s());
             }
+            ctx.state.l_col = l_col;
+            ctx.state.u_row = u_row;
             ctx.touch_read(regions::LU_LCOL);
             ctx.touch_read(regions::LU_UROW);
             ctx.touch_modify(regions::LU_BLOCK);

@@ -277,14 +277,6 @@ impl Message {
         self.words::<8>("u64").map(u64::from_le_bytes).collect()
     }
 
-    /// The payload as a `Vec` of `f64` values ([`Message::f64s`] collected).
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 8.
-    pub fn as_f64s(&self) -> Vec<f64> {
-        self.f64s().collect()
-    }
-
     /// The first `u32` of the payload — convenient for single-word messages.
     ///
     /// # Panics
@@ -435,7 +427,7 @@ mod tests {
     fn f64_round_trip() {
         let vals = [1.5f64, -0.25, f64::MAX];
         let m = msg(encode_f64s(&vals));
-        assert_eq!(m.as_f64s(), vals);
+        assert_eq!(m.f64s().collect::<Vec<_>>(), vals);
         assert_eq!(m.word_f64(), 1.5);
     }
 
@@ -457,7 +449,7 @@ mod tests {
         let reals = [0.5f64, -3.0, 1e300];
         let m = with(pooled_f64s(&mut pool, &reals));
         assert_eq!(m.f64s().len(), 3);
-        assert_eq!(m.as_f64s(), reals);
+        assert_eq!(m.f64s().collect::<Vec<_>>(), reals);
         let m = with(pooled_u32s(&mut pool, &[9, 8]));
         assert!(matches!(m.payload, Payload::Inline { len: 8, .. }));
         assert_eq!(m.as_u32s(), [9, 8]);

@@ -86,6 +86,25 @@ fn golden_apsp() {
     });
 }
 
+/// The MasPar path: n = 8 gives M = 2 < sqrt(P) = 4 (doubling, then the
+/// ring); n = 32 gives M = 8 (ring only).
+#[test]
+fn golden_apsp_maspar() {
+    let pins = [
+        (8, ApspVariant::Words, 0x3ef39ed587bc6018),
+        (8, ApspVariant::Blocks, 0x9ff5da668670cf6a),
+        (32, ApspVariant::Words, 0xd37a4261f98a1f7b),
+        (32, ApspVariant::Blocks, 0x8cd649eb56ffe46e),
+    ];
+    for (n, variant, expected) in pins {
+        check(
+            &format!("apsp {variant:?} n={n} maspar p=16"),
+            expected,
+            || apsp::run(&Platform::maspar_with(16), n, variant, SEED),
+        );
+    }
+}
+
 #[test]
 fn golden_lu() {
     check("lu blocks n=16 gcel p=16", 0x7b7af3d765fd0da7, || {

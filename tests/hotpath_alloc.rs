@@ -24,6 +24,7 @@
 
 use std::sync::{Arc, Once};
 
+use pcm::algos::apsp::{self, ApspVariant};
 use pcm_machines::Platform;
 use pcm_sim::{with_exchange_shards, with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
 
@@ -148,6 +149,18 @@ fn priced_delta(plat: &Platform) -> u64 {
     alloc_counter::allocations() - before
 }
 
+/// A whole APSP run, setup and verification included, on the fused
+/// exchange: allocations and supersteps. The scatter, doubling and ring
+/// closures move every piece through reused buffers, so the count grows
+/// by a small constant per superstep, not by one per processor.
+fn apsp_allocations(plat: &Platform, n: usize, variant: ApspVariant) -> (u64, usize) {
+    let before = alloc_counter::allocations();
+    let r = with_sequential(|| apsp::run(plat, n, variant, 1996));
+    let allocs = alloc_counter::allocations() - before;
+    assert!(r.verified, "{} APSP n={n} failed", plat.name());
+    (allocs, r.breakdown.supersteps)
+}
+
 fn main() {
     force_pool();
     let sequential = steady_state_delta(None, false);
@@ -182,6 +195,22 @@ fn main() {
             "{} priced hot path allocated {priced} times in 100 supersteps",
             plat.name()
         );
+    }
+    // APSP closures: fewer than 8 allocations per superstep over a whole
+    // run on each machine, word and block traffic alike.
+    for plat in [
+        Platform::maspar_with(256),
+        Platform::gcel_with(64),
+        Platform::cm5_with(64),
+    ] {
+        for variant in [ApspVariant::Words, ApspVariant::Blocks] {
+            let (allocs, steps) = apsp_allocations(&plat, 64, variant);
+            assert!(
+                allocs < 8 * steps as u64,
+                "{} APSP {variant:?} allocated {allocs} times in {steps} supersteps",
+                plat.name()
+            );
+        }
     }
     // Tracing ON must preserve the property: the probe's row log is
     // preallocated when the machine is constructed, so observed

@@ -85,9 +85,17 @@ proptest! {
         plat_pick in 0usize..3,
     ) {
         let plat = platforms16()[plat_pick];
-        let n = 4 * blocks; // sqrt(16) = 4
-        let r = apsp::run(&plat, n, ApspVariant::Words, seed);
-        prop_assert!(r.verified, "{} N={n}", plat.name());
+        let n = 4 * blocks; // sqrt(16) = 4, so M = blocks
+        // The MasPar (pick 0) doubles pieces, so M < sqrt(P) must leave
+        // sqrt(P)/M a power of two (`run` documents a panic otherwise);
+        // with sqrt(P) = 4 that holds exactly when M divides 4.
+        if plat_pick == 0 && blocks < 4 && 4 % blocks != 0 {
+            let run = std::panic::catch_unwind(|| apsp::run(&plat, n, ApspVariant::Words, seed));
+            prop_assert!(run.is_err(), "{} N={n} must reject M={blocks}", plat.name());
+        } else {
+            let r = apsp::run(&plat, n, ApspVariant::Words, seed);
+            prop_assert!(r.verified, "{} N={n}", plat.name());
+        }
     }
 
     #[test]
