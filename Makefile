@@ -93,14 +93,14 @@ figures-gate:
 			|| { echo "figures-gate: the $$w workload did not verify against perfbench/golden.txt" >&2; exit 1; }; \
 	done
 
-# Traced exact counts: one traced run of the exchange and analyzers
-# benchmark workloads. Its observer sees every machine only if each
-# fanned-out sweep stays inside the observer's scope, so the pinned
-# supersteps, send records and machine counts in perfbench/golden.txt
-# must repeat exactly; the last output line must report `"correct": true`
-# and `"failed": 0`.
+# Traced exact counts: one traced run of the kernels, exchange and
+# analyzers benchmark workloads. Its observer sees every machine only if
+# each fanned-out sweep and kernel figure stays inside the observer's
+# scope, so the pinned supersteps, send records and machine counts in
+# perfbench/golden.txt must repeat exactly; the last output line must
+# report `"correct": true` and `"failed": 0`.
 trace-counts-gate:
-	for w in exchange analyzers; do \
+	for w in kernels exchange analyzers; do \
 		python3 perfbench/run.py --workload $$w --trace 1 --seconds 1 | tail -n 1 | python3 -c \
 			'import json, sys; r = json.load(sys.stdin); sys.exit(r["correct"] is not True or r["failed"] != 0)' \
 			|| { echo "trace-counts-gate: the traced $$w workload missed its pinned counts" >&2; exit 1; }; \

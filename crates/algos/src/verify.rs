@@ -85,32 +85,42 @@ pub fn check_sorted_permutation(original: &[u32], keys: &[u32]) -> bool {
 
 /// Sequential Floyd–Warshall on a row-major `n x n` distance matrix
 /// (in-place semantics, returns the closure).
+///
+/// Each row relaxes in the select form `apsp`'s closures use, which
+/// compiles to a vector minimum and writes the same bits as the in-place
+/// conditional store. Rows read row `k` from a copy that holds what the
+/// in-place loop reads: the row before this round up to row `k` itself,
+/// and after row `k`'s own update for the rows below it.
 pub fn floyd_reference(d: &[f64], n: usize) -> Vec<f64> {
     assert_eq!(d.len(), n * n);
     let mut m = d.to_vec();
+    let mut row_k = vec![0.0; n];
     for k in 0..n {
-        for i in 0..n {
-            let dik = m[i * n + k];
-            if !dik.is_finite() {
-                continue;
-            }
-            for j in 0..n {
-                let alt = dik + m[k * n + j];
-                if alt < m[i * n + j] {
-                    m[i * n + j] = alt;
+        row_k.copy_from_slice(&m[k * n..(k + 1) * n]);
+        for (i, row) in m.chunks_exact_mut(n).enumerate() {
+            let dik = row[k];
+            if dik.is_finite() {
+                for (cell, &dkj) in row.iter_mut().zip(&row_k) {
+                    let alt = dik + dkj;
+                    *cell = if alt < *cell { alt } else { *cell };
                 }
+            }
+            if i == k {
+                row_k.copy_from_slice(row);
             }
         }
     }
     m
 }
 
-/// Compares two distance matrices entry-wise (infinities must match).
+/// Compares two distance matrices entry-wise (infinities must match,
+/// sign included).
 pub fn check_distances(expect: &[f64], got: &[f64]) -> bool {
     expect.len() == got.len()
         && expect.iter().zip(got).all(|(&e, &g)| {
             if e.is_infinite() {
-                g.is_infinite()
+                // Only the same infinity matches.
+                g.to_bits() == e.to_bits()
             } else {
                 (e - g).abs() <= 1e-9 * (1.0 + e.abs())
             }
@@ -203,6 +213,65 @@ mod tests {
         let mut bad = m.clone();
         bad[2] = 4.0;
         assert!(!check_distances(&m, &bad));
+    }
+
+    #[test]
+    fn check_distances_requires_the_sign_of_an_infinity() {
+        let inf = f64::INFINITY;
+        let expect = [0.0, 1.0, inf, 2.0];
+        assert!(check_distances(&expect, &expect));
+        assert!(!check_distances(&expect, &[0.0, 1.0, -inf, 2.0]), "-inf");
+        assert!(!check_distances(&expect, &[0.0, 1.0, f64::NAN, 2.0]), "NaN");
+        assert!(!check_distances(&expect, &[0.0, inf, inf, 2.0]), "finite");
+    }
+
+    /// The in-place conditional-store loop `floyd_reference` replaced.
+    fn floyd_in_place(d: &[f64], n: usize) -> Vec<f64> {
+        let mut m = d.to_vec();
+        for k in 0..n {
+            for i in 0..n {
+                let dik = m[i * n + k];
+                if !dik.is_finite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let alt = dik + m[k * n + j];
+                    if alt < m[i * n + j] {
+                        m[i * n + j] = alt;
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn floyd_select_form_is_bit_identical_to_the_in_place_loop(
+            n in 0usize..24,
+            missing_pick in 0usize..4,
+            negative in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Edge weights, with a share of missing (`inf`) edges; some
+            // graphs draw negative weights too, so a negative diagonal
+            // changes row `k` during round `k`.
+            let missing = [0.0, 0.2, 0.6, 0.95][missing_pick];
+            let low = if negative { -1.0 } else { 0.0 };
+            let mut rng = seeded(seed);
+            let d: Vec<f64> = (0..n * n)
+                .map(|_| {
+                    if rng.random_range(0.0..1.0) < missing {
+                        f64::INFINITY
+                    } else {
+                        rng.random_range(low..4.0)
+                    }
+                })
+                .collect();
+            let bits = |m: Vec<f64>| m.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(floyd_reference(&d, n)), bits(floyd_in_place(&d, n)));
+        }
     }
 
     #[test]

@@ -9,17 +9,20 @@
 //! and reports the per-key cost relative to the MP-BPRAM (whole-list
 //! block) version — the "difference" of the quote.
 
-use pcm_algos::sort::bitonic::{self, ExchangeMode};
+use pcm_algos::sort::bitonic::ExchangeMode;
 use pcm_core::Table;
 use pcm_machines::Platform;
 
 use crate::report::{Output, Scale};
+use crate::runs::{run_verified, RunKey};
 
-/// Per-key time of a bitonic run, in µs.
-fn per_key(plat: &Platform, m: usize, mode: ExchangeMode, seed: u64) -> f64 {
-    let r = bitonic::run(plat, m, mode, seed);
-    assert!(r.verified);
-    r.time.as_micros() / m as f64
+/// Per-key times of bitonic runs, in µs, in input order.
+fn per_key(keys: &[RunKey]) -> Vec<f64> {
+    let runs = run_verified(keys);
+    keys.iter()
+        .zip(runs)
+        .map(|(k, r)| r.time.as_micros() / k.n as f64)
+        .collect()
 }
 
 /// Runs the granularity study on the MasPar and the CM-5.
@@ -44,12 +47,26 @@ pub fn run(scale: Scale, seed: u64) -> Output {
             "ratio @16 B".into(),
         ],
     );
-    for plat in [Platform::maspar(), Platform::cm5()] {
-        let w = plat.word();
-        let words = per_key(&plat, m, ExchangeMode::Packets { bytes: w }, seed);
-        let p16 = per_key(&plat, m, ExchangeMode::Packets { bytes: 16 }, seed);
-        let p64 = per_key(&plat, m, ExchangeMode::Packets { bytes: 64 }, seed);
-        let blocks = per_key(&plat, m, ExchangeMode::Block, seed);
+    let plats = [Platform::maspar(), Platform::cm5()];
+    // One word, 16 B and 64 B packets, then the whole-list block.
+    let keys: Vec<RunKey> = plats
+        .iter()
+        .flat_map(|&plat| {
+            let packets = |bytes| ExchangeMode::Packets { bytes };
+            [
+                packets(plat.word()),
+                packets(16),
+                packets(64),
+                ExchangeMode::Block,
+            ]
+            .map(|mode| RunKey::bitonic(mode, plat, m, seed))
+        })
+        .collect();
+    let times = per_key(&keys);
+    for (plat, row) in plats.iter().zip(times.chunks_exact(4)) {
+        let &[words, p16, p64, blocks] = row else {
+            unreachable!("four modes per platform")
+        };
         t.push_row(vec![
             plat.name().to_string(),
             format!("{words:.1}"),
@@ -84,11 +101,11 @@ mod tests {
 
     #[test]
     fn bigger_packets_are_monotonically_cheaper() {
-        let plat = Platform::cm5();
-        let m = 256;
-        let a = per_key(&plat, m, ExchangeMode::Packets { bytes: 8 }, 1);
-        let b = per_key(&plat, m, ExchangeMode::Packets { bytes: 32 }, 1);
-        let c = per_key(&plat, m, ExchangeMode::Packets { bytes: 128 }, 1);
+        let keys = [8, 32, 128]
+            .map(|bytes| RunKey::bitonic(ExchangeMode::Packets { bytes }, Platform::cm5(), 256, 1));
+        let &[a, b, c] = &per_key(&keys)[..] else {
+            unreachable!("three runs")
+        };
         assert!(a > b && b > c, "{a} > {b} > {c} expected");
     }
 }

@@ -22,6 +22,7 @@ pub mod matmul_figs;
 pub mod model_fit;
 pub mod paper;
 pub mod report;
+pub mod runs;
 pub mod sort_figs;
 pub mod table1;
 

@@ -1,14 +1,14 @@
 //! Matrix-multiplication figures: 3, 4, 8, 9 (evaluation), 16
 //! (model comparison), 19 and 20 (vendor-library comparison).
 
-use pcm_algos::matmul::{self, MatmulVariant};
-use pcm_algos::vendor;
+use pcm_algos::matmul::MatmulVariant;
 use pcm_core::{Figure, Series};
 use pcm_machines::Platform;
 use pcm_models::predict;
 use pcm_sim::ComputeModel as _;
 
 use crate::report::{Output, Scale};
+use crate::runs::{sweep, Algo};
 
 /// Matrix sides swept by the MasPar matmul figures (3, 8, 19).
 /// q = 10 on the MasPar: N must be a multiple of 100.
@@ -34,9 +34,8 @@ pub fn fig03(scale: Scale, seed: u64) -> Output {
     let ns = maspar_ns(scale);
     let mut measured = Series::new("Measured");
     let mut predicted = Series::new("Predicted (MP-BSP)");
-    for &n in &ns {
-        let r = matmul::run(&plat, n, MatmulVariant::BspStaggered, seed);
-        assert!(r.verified, "matmul result check failed at N = {n}");
+    let runs = sweep(plat, &ns, [Algo::Matmul(MatmulVariant::BspStaggered)], seed);
+    for (&n, [r]) in ns.iter().zip(runs) {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
@@ -63,10 +62,8 @@ pub fn fig04(scale: Scale, seed: u64) -> Output {
     let mut naive = Series::new("Measured (naive)");
     let mut staggered = Series::new("Staggered");
     let mut predicted = Series::new("Predicted (BSP)");
-    for &n in &ns {
-        let rn = matmul::run(&plat, n, MatmulVariant::BspNaive, seed);
-        let rs = matmul::run(&plat, n, MatmulVariant::BspStaggered, seed);
-        assert!(rn.verified && rs.verified);
+    let algos = [MatmulVariant::BspNaive, MatmulVariant::BspStaggered].map(Algo::Matmul);
+    for (&n, [rn, rs]) in ns.iter().zip(sweep(plat, &ns, algos, seed)) {
         naive.push(pcm_core::DataPoint::new(n as f64, rn.time.as_millis()));
         staggered.push(pcm_core::DataPoint::new(n as f64, rs.time.as_millis()));
         predicted.push(pcm_core::DataPoint::new(
@@ -93,9 +90,8 @@ pub fn fig08(scale: Scale, seed: u64) -> Output {
     let ns = maspar_ns(scale);
     let mut measured = Series::new("Measured");
     let mut predicted = Series::new("Predicted (MP-BPRAM)");
-    for &n in &ns {
-        let r = matmul::run(&plat, n, MatmulVariant::Bpram, seed);
-        assert!(r.verified);
+    let runs = sweep(plat, &ns, [Algo::Matmul(MatmulVariant::Bpram)], seed);
+    for (&n, [r]) in ns.iter().zip(runs) {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
@@ -122,9 +118,8 @@ pub fn fig09(scale: Scale, seed: u64) -> Output {
     let mut measured = Series::new("Measured");
     let mut predicted = Series::new("Predicted (alpha = 0.29)");
     let mut cache_aware = Series::new("Predicted (measured kernel)");
-    for &n in &ns {
-        let r = matmul::run(&plat, n, MatmulVariant::Bpram, seed);
-        assert!(r.verified);
+    let runs = sweep(plat, &ns, [Algo::Matmul(MatmulVariant::Bpram)], seed);
+    for (&n, [r]) in ns.iter().zip(runs) {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_millis()));
         let params = plat.model_params();
         predicted.push(pcm_core::DataPoint::new(
@@ -161,10 +156,8 @@ pub fn fig16(scale: Scale, seed: u64) -> Output {
     let ns = cm5_ns(scale);
     let mut bsp = Series::new("BSP (staggered, short messages)");
     let mut bpram = Series::new("MP-BPRAM (block transfers)");
-    for &n in &ns {
-        let rs = matmul::run(&plat, n, MatmulVariant::BspStaggered, seed);
-        let rb = matmul::run(&plat, n, MatmulVariant::Bpram, seed);
-        assert!(rs.verified && rb.verified);
+    let algos = [MatmulVariant::BspStaggered, MatmulVariant::Bpram].map(Algo::Matmul);
+    for (&n, [rs, rb]) in ns.iter().zip(sweep(plat, &ns, algos, seed)) {
         bsp.push(pcm_core::DataPoint::new(n as f64, rs.stats.mflops));
         bpram.push(pcm_core::DataPoint::new(n as f64, rb.stats.mflops));
     }
@@ -188,11 +181,12 @@ pub fn fig19(scale: Scale, seed: u64) -> Output {
     let mut mp_bsp = Series::new("MP-BSP (words)");
     let mut bpram = Series::new("MP-BPRAM (blocks)");
     let mut intrinsic = Series::new("matmul intrinsic (xnet Cannon)");
-    for &n in &ns {
-        let rw = matmul::run(&plat, n, MatmulVariant::BspStaggered, seed);
-        let rb = matmul::run(&plat, n, MatmulVariant::Bpram, seed);
-        let ri = vendor::maspar_matmul(&plat, n, seed);
-        assert!(rw.verified && rb.verified && ri.verified);
+    let algos = [
+        Algo::Matmul(MatmulVariant::BspStaggered),
+        Algo::Matmul(MatmulVariant::Bpram),
+        Algo::MplMatmul,
+    ];
+    for (&n, [rw, rb, ri]) in ns.iter().zip(sweep(plat, &ns, algos, seed)) {
         mp_bsp.push(pcm_core::DataPoint::new(n as f64, rw.stats.mflops));
         bpram.push(pcm_core::DataPoint::new(n as f64, rb.stats.mflops));
         intrinsic.push(pcm_core::DataPoint::new(n as f64, ri.stats.mflops));
@@ -218,11 +212,12 @@ pub fn fig20(scale: Scale, seed: u64) -> Output {
     let mut bsp = Series::new("BSP (staggered)");
     let mut bpram = Series::new("MP-BPRAM");
     let mut cmssl = Series::new("gen_matrix_mult (CMSSL)");
-    for &n in &ns {
-        let rs = matmul::run(&plat, n, MatmulVariant::BspStaggered, seed);
-        let rb = matmul::run(&plat, n, MatmulVariant::Bpram, seed);
-        let rc = vendor::cmssl_matmul(&plat, n, seed);
-        assert!(rs.verified && rb.verified && rc.verified);
+    let algos = [
+        Algo::Matmul(MatmulVariant::BspStaggered),
+        Algo::Matmul(MatmulVariant::Bpram),
+        Algo::CmsslMatmul,
+    ];
+    for (&n, [rs, rb, rc]) in ns.iter().zip(sweep(plat, &ns, algos, seed)) {
         bsp.push(pcm_core::DataPoint::new(n as f64, rs.stats.mflops));
         bpram.push(pcm_core::DataPoint::new(n as f64, rb.stats.mflops));
         cmssl.push(pcm_core::DataPoint::new(n as f64, rc.stats.mflops));

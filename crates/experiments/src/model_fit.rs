@@ -9,13 +9,14 @@
 //! programs on their machines, and E-BSP wins wherever communication is
 //! unbalanced.
 
-use pcm_algos::sort::bitonic::{self, ExchangeMode};
+use pcm_algos::sort::bitonic::ExchangeMode;
 use pcm_core::Table;
 use pcm_machines::Platform;
 use pcm_models::account_run;
 use pcm_sim::collect_traces;
 
 use crate::report::{Output, Scale};
+use crate::runs::{run_keys, RunKey};
 
 /// Runs bitonic sort in word and block modes on every machine, accounts
 /// the traces under all four models, and reports each model's relative
@@ -42,36 +43,38 @@ pub fn run(scale: Scale, seed: u64) -> Output {
         ],
     );
 
-    for plat in [Platform::maspar(), Platform::gcel(), Platform::cm5()] {
-        let params = plat.model_params();
-        for (label, mode) in [
-            ("words", ExchangeMode::Words),
-            ("blocks", ExchangeMode::Block),
-        ] {
-            let r = bitonic::run(&plat, m, mode, seed);
-            assert!(r.verified);
-            // The accountant charges the traces of an observed re-run of
-            // the same deterministic simulation. perfbench/golden.txt pins
-            // the simulation counts of this figure with the re-run in
-            // them; charging the first run's traces instead waits for a
-            // re-pin of those counts.
-            let (again, traces) = collect_traces(|| bitonic::run(&plat, m, mode, seed));
-            assert_eq!(again.time, r.time, "re-run must reproduce the measurement");
-            let acc = account_run(&params, &traces);
-            let measured = r.time;
-            let err = |t: pcm_core::SimTime| {
-                format!("{:+.0}%", 100.0 * ((t + acc.compute) / measured - 1.0))
-            };
-            let (best, _) = acc.best_fit(measured);
-            t.push_row(vec![
-                format!("{} {label}", plat.name()),
-                err(acc.bsp),
-                err(acc.mp_bsp),
-                err(acc.bpram),
-                err(acc.ebsp),
-                best.to_string(),
-            ]);
-        }
+    let labels = [
+        ("words", ExchangeMode::Words),
+        ("blocks", ExchangeMode::Block),
+    ];
+    let keys: Vec<RunKey> = [Platform::maspar(), Platform::gcel(), Platform::cm5()]
+        .into_iter()
+        .flat_map(|plat| labels.map(|(_, mode)| RunKey::bitonic(mode, plat, m, seed)))
+        .collect();
+    // Each point is one unit of work: the measured run, then the observed
+    // re-run of the same deterministic simulation whose traces the
+    // accountant charges. perfbench/golden.txt pins the simulation counts
+    // of this figure with the re-run in them; charging the first run's
+    // traces instead waits for a re-pin of those counts.
+    let fits = run_keys(&keys, |key| {
+        let r = key.run();
+        assert!(r.verified);
+        let (again, traces) = collect_traces(|| key.run());
+        assert_eq!(again.time, r.time, "re-run must reproduce the measurement");
+        (r.time, account_run(&key.platform.model_params(), &traces))
+    });
+    for ((key, (label, _)), (measured, acc)) in keys.iter().zip(labels.iter().cycle()).zip(fits) {
+        let err =
+            |t: pcm_core::SimTime| format!("{:+.0}%", 100.0 * ((t + acc.compute) / measured - 1.0));
+        let (best, _) = acc.best_fit(measured);
+        t.push_row(vec![
+            format!("{} {label}", key.platform.name()),
+            err(acc.bsp),
+            err(acc.mp_bsp),
+            err(acc.bpram),
+            err(acc.ebsp),
+            best.to_string(),
+        ]);
     }
     Output::Tab(t)
 }

@@ -1,13 +1,15 @@
 //! Sorting figures: 5, 6, 10, 11 (evaluation), 17 and 18 (comparison).
 //! All plot "time per key" — total time divided by the keys per processor.
 
-use pcm_algos::sort::bitonic::{self, ExchangeMode};
-use pcm_algos::sort::sample::{self, SampleVariant};
-use pcm_core::{DataPoint, Figure, Series};
+use pcm_algos::sort::bitonic::ExchangeMode;
+use pcm_algos::sort::sample::SampleVariant;
+use pcm_algos::RunResult;
+use pcm_core::{Figure, Series};
 use pcm_machines::Platform;
 use pcm_models::predict;
 
 use crate::report::{Output, Scale};
+use crate::runs::{sweep, Algo};
 
 /// Keys per processor swept by the MasPar bitonic figures (5, 10, 17).
 pub fn maspar_ms(scale: Scale) -> Vec<usize> {
@@ -33,20 +35,30 @@ pub fn fig18_ms(scale: Scale) -> Vec<usize> {
     }
 }
 
-fn per_key_series(
+/// The time per key of the runs at `ms` keys per processor, in order.
+fn per_key_series<'a>(
     label: &str,
-    plat: &Platform,
+    ms: &[usize],
+    runs: impl IntoIterator<Item = &'a RunResult>,
+) -> Series {
+    Series::from_points(
+        label,
+        ms.iter()
+            .zip(runs)
+            .map(|(&m, r)| (m as f64, r.time.as_micros() / m as f64)),
+    )
+}
+
+/// One per-key series of bitonic sort in `mode` at `ms`.
+fn bitonic_series(
+    label: &str,
+    plat: Platform,
     ms: &[usize],
     mode: ExchangeMode,
     seed: u64,
 ) -> Series {
-    let mut s = Series::new(label);
-    for &m in ms {
-        let r = bitonic::run(plat, m, mode, seed);
-        assert!(r.verified, "bitonic failed to sort at M = {m}");
-        s.push(DataPoint::new(m as f64, r.time.as_micros() / m as f64));
-    }
-    s
+    let runs = sweep(plat, ms, [Algo::Bitonic(mode)], seed);
+    per_key_series(label, ms, runs.iter().map(|[r]| r))
 }
 
 fn predicted_series(label: &str, ms: &[usize], f: impl Fn(usize) -> pcm_core::SimTime) -> Series {
@@ -63,7 +75,7 @@ pub fn fig05(scale: Scale, seed: u64) -> Output {
     let plat = Platform::maspar();
     let ms = maspar_ms(scale);
     let params = plat.model_params();
-    let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Words, seed);
+    let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Words, seed);
     let predicted = predicted_series("Predicted (MP-BSP)", &ms, |m| {
         predict::bitonic::mp_bsp(&params, m)
     });
@@ -85,19 +97,16 @@ pub fn fig06(scale: Scale, seed: u64) -> Output {
     let plat = Platform::gcel();
     let ms = gcel_ms(scale);
     let params = plat.model_params();
-    let unsynced = per_key_series(
-        "Measured (no resync)",
-        &plat,
-        &ms,
+    let modes = [
         ExchangeMode::Words,
-        seed,
-    );
+        ExchangeMode::WordsResync { interval: 256 },
+    ];
+    let runs = sweep(plat, &ms, modes.map(Algo::Bitonic), seed);
+    let unsynced = per_key_series("Measured (no resync)", &ms, runs.iter().map(|[u, _]| u));
     let synced = per_key_series(
         "Measured (barrier every 256)",
-        &plat,
         &ms,
-        ExchangeMode::WordsResync { interval: 256 },
-        seed,
+        runs.iter().map(|[_, s]| s),
     );
     let predicted = predicted_series("Predicted (BSP)", &ms, |m| {
         predict::bitonic::bsp(&params, m)
@@ -121,7 +130,7 @@ pub fn fig10(scale: Scale, seed: u64) -> Output {
     let plat = Platform::maspar();
     let ms = maspar_ms(scale);
     let params = plat.model_params();
-    let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Block, seed);
+    let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
         predict::bitonic::bpram(&params, m)
     });
@@ -143,7 +152,7 @@ pub fn fig11(scale: Scale, seed: u64) -> Output {
     let plat = Platform::gcel();
     let ms = gcel_ms(scale);
     let params = plat.model_params();
-    let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Block, seed);
+    let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
         predict::bitonic::bpram(&params, m)
     });
@@ -164,8 +173,10 @@ pub fn fig11(scale: Scale, seed: u64) -> Output {
 pub fn fig17(scale: Scale, seed: u64) -> Output {
     let plat = Platform::maspar();
     let ms = maspar_ms(scale);
-    let words = per_key_series("MP-BSP (words)", &plat, &ms, ExchangeMode::Words, seed);
-    let blocks = per_key_series("MP-BPRAM (blocks)", &plat, &ms, ExchangeMode::Block, seed);
+    let modes = [ExchangeMode::Words, ExchangeMode::Block];
+    let runs = sweep(plat, &ms, modes.map(Algo::Bitonic), seed);
+    let words = per_key_series("MP-BSP (words)", &ms, runs.iter().map(|[w, _]| w));
+    let blocks = per_key_series("MP-BPRAM (blocks)", &ms, runs.iter().map(|[_, b]| b));
     Output::Fig(
         Figure::new(
             "Fig. 17",
@@ -188,18 +199,27 @@ pub fn fig17(scale: Scale, seed: u64) -> Output {
 pub fn fig18(scale: Scale, seed: u64) -> Output {
     let plat = Platform::gcel();
     let ms = fig18_ms(scale);
-    let oversampling = 64;
-    let bitonic_s = per_key_series("Bitonic (MP-BPRAM)", &plat, &ms, ExchangeMode::Block, seed);
-    let mut sample_s = Series::new("Sample sort (MP-BPRAM)");
-    let mut staggered_s = Series::new("Sample sort (staggered direct)");
-    for &m in &ms {
-        let r = sample::run(&plat, m, oversampling, SampleVariant::Bpram, seed);
-        assert!(r.verified, "sample sort failed at M = {m}");
-        sample_s.push(DataPoint::new(m as f64, r.time.as_micros() / m as f64));
-        let r = sample::run(&plat, m, oversampling, SampleVariant::BpramStaggered, seed);
-        assert!(r.verified);
-        staggered_s.push(DataPoint::new(m as f64, r.time.as_micros() / m as f64));
-    }
+    let sample = |variant| Algo::Sample {
+        variant,
+        oversampling: 64,
+    };
+    let algos = [
+        Algo::Bitonic(ExchangeMode::Block),
+        sample(SampleVariant::Bpram),
+        sample(SampleVariant::BpramStaggered),
+    ];
+    let runs = sweep(plat, &ms, algos, seed);
+    let bitonic_s = per_key_series("Bitonic (MP-BPRAM)", &ms, runs.iter().map(|[b, _, _]| b));
+    let sample_s = per_key_series(
+        "Sample sort (MP-BPRAM)",
+        &ms,
+        runs.iter().map(|[_, s, _]| s),
+    );
+    let staggered_s = per_key_series(
+        "Sample sort (staggered direct)",
+        &ms,
+        runs.iter().map(|[_, _, s]| s),
+    );
     Output::Fig(
         Figure::new(
             "Fig. 18",

@@ -4,8 +4,9 @@
 //! fork/join over a small mutable task slice, run on a lazily-initialized
 //! persistent worker pool. The simulator's per-processor closures, its
 //! sharded exchange engine and the sweep drivers all fan out with it. The
-//! caller runs the first chunk itself and help-drains the shared queue
-//! while waiting, so nested fan-outs cannot deadlock the fixed-width pool.
+//! caller runs the first chunk itself and, while waiting, runs its own
+//! fan-out's chunks that no worker took yet. Nested fan-outs run inline,
+//! so they cannot deadlock the fixed-width pool.
 //!
 //! Differences from real rayon, acceptable for this workspace:
 //! - no work-stealing: chunks are static, fine for the uniform-cost tasks
@@ -52,9 +53,11 @@ pub fn in_pool_worker() -> bool {
 /// - tasks are chunked contiguously (one task per chunk while the task
 ///   count fits [`MAX_PIECES`]), so effects on `tasks` are exactly the
 ///   sequential loop's once the join completes;
-/// - the caller executes the first chunk itself and *help-drains* the
-///   shared queue while waiting, so a `scoped_join` issued while other
-///   fan-outs are in flight makes progress instead of blocking a slot;
+/// - the caller executes the first chunk itself and *help-drains* its
+///   own chunks that are still queued while waiting, so a `scoped_join`
+///   issued while other fan-outs occupy the workers still makes
+///   progress; it never runs another fan-out's chunk, which would put
+///   that work inside the caller's thread-local scopes;
 /// - on a pool worker or inside another fan-out's task (nested use), or
 ///   on a single-thread pool, it degrades to the inline sequential loop;
 /// - while the caller runs its chunk and help-drains it counts as nested
@@ -195,11 +198,12 @@ mod pool {
     //! The persistent worker pool and the scoped fork/join built on it.
     //!
     //! `fan_out` parks chunk descriptors on the *caller's stack*, enqueues
-    //! type-erased jobs, runs chunk 0 itself and help-drains the queue
-    //! until a latch reports that the workers finished. The latch wait
-    //! establishes the happens-before edge that makes lending stack data
-    //! to detached worker threads sound, so no per-call thread spawning
-    //! (or heap-allocated closure boxing) is needed.
+    //! type-erased jobs, runs chunk 0 itself and help-drains its own jobs
+    //! from the queue until a latch reports that the workers finished.
+    //! The latch wait establishes the happens-before edge that makes
+    //! lending stack data to detached worker threads sound, so no
+    //! per-call thread spawning (or heap-allocated closure boxing) is
+    //! needed.
 
     use std::any::Any;
     use std::cell::Cell;
@@ -268,6 +272,8 @@ mod pool {
     struct RawJob {
         data: *mut (),
         run: unsafe fn(*mut ()),
+        /// The latch of the fan-out the job belongs to, as an identity.
+        owner: *const Latch,
     }
 
     // SAFETY: the pointed-to FanJob is only touched by exactly one
@@ -421,20 +427,25 @@ mod pool {
         unsafe { (*job.latch).signal(result) };
     }
 
-    /// Blocks until `latch` clears, executing queued jobs from the shared
-    /// pool while waiting (help-first join). Running a job that belongs to
-    /// *another* in-flight fan-out is sound and useful: every `RawJob` is
-    /// self-contained (it carries its own latch pointer), and draining it
-    /// is exactly what keeps nested fan-outs from deadlocking the
-    /// fixed-width pool. Returns the first payload of a chunk that
-    /// panicked.
+    /// Blocks until `latch` clears, executing this fan-out's jobs that are
+    /// still queued while waiting (help-first join). Jobs of *other*
+    /// in-flight fan-outs stay in the queue for the workers: a caller's
+    /// thread-local scopes (observers, strategy overrides) must not reach
+    /// work another thread issued. Waiting only on its own chunks cannot
+    /// deadlock, since a running chunk never blocks: nested fan-outs run
+    /// inline. Returns the first payload of a chunk that panicked.
     fn help_wait(latch: &Latch) -> Option<Panic> {
         let pool = pool();
+        let me: *const Latch = latch;
         loop {
             if latch.remaining.load(Ordering::Acquire) == 0 {
                 return latch.take_panic();
             }
-            let job = pool.queue.lock().expect("pool queue poisoned").pop_front();
+            let job = {
+                let mut q = pool.queue.lock().expect("pool queue poisoned");
+                let own = q.iter().position(|job| job.owner == me);
+                own.and_then(|i| q.remove(i))
+            };
             match job {
                 Some(job) => {
                     let span = crate::stats::job_start(true);
@@ -456,9 +467,9 @@ mod pool {
     /// The pooled body of [`super::scoped_join`]: splits `tasks` into one
     /// chunk per element (contiguous multi-element chunks once the count
     /// exceeds the descriptor array), runs chunk 0 on the caller and
-    /// help-drains the queue until every chunk signalled. The caller
-    /// counts as nested meanwhile, like the workers running the other
-    /// chunks.
+    /// help-drains its own queued chunks until every chunk signalled. The
+    /// caller counts as nested meanwhile, like the workers running the
+    /// other chunks.
     pub fn fan_out<T, F>(tasks: &mut [T], f: &F)
     where
         T: Send,
@@ -506,6 +517,7 @@ mod pool {
                     // SAFETY: k < n <= MAX_PIECES; in-bounds element.
                     data: unsafe { jobs_base.add(k) }.cast::<()>(),
                     run: run_fan::<T, F>,
+                    owner: &latch,
                 });
             }
             pool.available.notify_all();

@@ -12,6 +12,8 @@
 //! * `map_ordered` fan-outs keep every unit inside the caller's
 //!   thread-local scopes, and fanned-out figures equal their sequential
 //!   runs;
+//! * the kernel figures' run helper keeps heavy runs alone and the light
+//!   runs in flight within its memory budget;
 //! * the closures run in one contiguous pid-ordered chunk per pool
 //!   thread, and a closure's panic reaches `Machine::superstep`'s caller
 //!   with its original payload without wedging the pool.
@@ -23,7 +25,8 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, Once};
+use std::time::{Duration, Instant};
 
 use pcm::algos::catalog::SEED;
 use pcm::algos::discipline::RaceConfig;
@@ -32,7 +35,8 @@ use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::RunResult;
 use pcm::calibrate::microbench;
 use pcm::core::stats::Summary;
-use pcm::experiments::{apsp_figs, Output, Scale};
+use pcm::experiments::runs::{run_keys, Algo, RunKey, BUDGET_BYTES};
+use pcm::experiments::{apsp_figs, granularity, matmul_figs, model_fit, sort_figs, Output, Scale};
 use pcm::Platform;
 use pcm_check::{digest_run, render};
 use pcm_race::{check_races, errors};
@@ -320,6 +324,146 @@ fn fanned_out_figures_match_forced_sequential() {
         figure_bits(&with_sequential(fig)),
         "fig13 diverged"
     );
+}
+
+/// A figure's point bits, or a table's rendered text.
+fn output_bits(out: &Output) -> String {
+    match out {
+        Output::Fig(_) => format!("{:?}", figure_bits(out)),
+        Output::Tab(_) => out.render(),
+    }
+}
+
+type FigureFn = fn(Scale, u64) -> Output;
+
+/// Kernel figures whose runs fan out, at quick scale: id, function and the
+/// number of machines they build.
+const KERNEL_FIGURES: [(&str, FigureFn, usize); 4] = [
+    ("fig04", matmul_figs::fig04, 6),
+    ("fig17", sort_figs::fig17, 4),
+    ("sec8", granularity::run, 8),
+    ("modelfit", model_fit::run, 12),
+];
+
+/// The kernel figures' fanned-out runs equal their sequential runs bit
+/// for bit.
+#[test]
+fn fanned_out_kernel_figures_match_forced_sequential() {
+    force_pool();
+    for (id, fig, _) in KERNEL_FIGURES {
+        let run = || fig(Scale::Quick, SEED);
+        assert_eq!(
+            output_bits(&run()),
+            output_bits(&with_sequential(run)),
+            "{id} diverged"
+        );
+    }
+}
+
+/// An observer scope around a kernel figure sees one machine per run
+/// (modelfit's re-runs included).
+#[test]
+fn probe_scope_counts_one_machine_per_kernel_run() {
+    force_pool();
+    for (id, fig, machines) in KERNEL_FIGURES {
+        let built = Rc::new(Cell::new(0usize));
+        let counter = built.clone();
+        with_probe(
+            move |_| {
+                counter.set(counter.get() + 1);
+                Box::new(Quiet)
+            },
+            || fig(Scale::Quick, SEED),
+        );
+        assert_eq!(built.get(), machines, "{id}: machines escaped the scope");
+    }
+}
+
+/// What the run helper has in flight.
+#[derive(Default)]
+struct InFlight {
+    runs: usize,
+    bytes: usize,
+    heavy: bool,
+    most_runs: usize,
+}
+
+/// Runs `keys` through the helper without simulating them, and checks
+/// every start: a heavy key starts with nothing else in flight, nothing
+/// starts beside a heavy key, and the footprints in flight stay within
+/// the budget. Returns the most runs that were in flight at once.
+///
+/// Until two runs have overlapped, a light run waits (up to 20 s) for a
+/// second one to start: other tests may keep the pool's workers busy
+/// meanwhile, and the helper's own lane would then take every key alone.
+fn most_in_flight(keys: &[RunKey]) -> usize {
+    let state = Mutex::new(InFlight::default());
+    let company = rayon::current_num_threads() >= 2;
+    let sizes = run_keys(keys, |key| {
+        {
+            let mut s = state.lock().unwrap();
+            assert!(!s.heavy, "{key:?} started beside a heavy run");
+            assert!(
+                !key.heavy() || s.runs == 0,
+                "heavy {key:?} started beside {} runs",
+                s.runs
+            );
+            s.runs += 1;
+            s.bytes += key.footprint();
+            s.heavy = key.heavy();
+            s.most_runs = s.most_runs.max(s.runs);
+            assert!(s.bytes <= BUDGET_BYTES, "{} bytes in flight", s.bytes);
+        }
+        let t0 = Instant::now();
+        while company
+            && !key.heavy()
+            && state.lock().unwrap().most_runs < 2
+            && t0.elapsed() < Duration::from_secs(20)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(3));
+        let mut s = state.lock().unwrap();
+        s.runs -= 1;
+        s.bytes -= key.footprint();
+        s.heavy = false;
+        key.n
+    });
+    let expect: Vec<usize> = keys.iter().map(|k| k.n).collect();
+    assert_eq!(sizes, expect, "results out of input order");
+    let most = state.lock().unwrap().most_runs;
+    most
+}
+
+/// The helper keeps heavy keys alone and the light keys in flight within
+/// the budget, yet still runs light keys side by side.
+#[test]
+fn kernel_runs_share_the_memory_budget() {
+    force_pool();
+    let stag = Algo::Matmul(MatmulVariant::BspStaggered);
+    let bitonic = |plat, m| RunKey::bitonic(ExchangeMode::Block, plat, m, SEED);
+    let mut keys = vec![
+        bitonic(Platform::gcel(), 256),
+        RunKey::new(stag, Platform::cm5(), 1024, SEED),
+        bitonic(Platform::maspar(), 2048),
+        RunKey::new(stag, Platform::maspar(), 700, SEED),
+        RunKey::new(Algo::CmsslMatmul, Platform::cm5(), 1024, SEED),
+    ];
+    for n in [64, 128, 256, 512, 512, 512] {
+        keys.push(RunKey::new(stag, Platform::cm5(), n, SEED));
+    }
+    for m in [1024, 2048, 2048, 512] {
+        keys.push(bitonic(Platform::maspar(), m));
+    }
+    assert_eq!(keys.iter().filter(|k| k.heavy()).count(), 3);
+    let light: Vec<RunKey> = keys.iter().filter(|k| !k.heavy()).copied().collect();
+    for list in [&keys, &light] {
+        let most = most_in_flight(list);
+        assert!(
+            most >= 2.min(rayon::current_num_threads()),
+            "light runs never ran side by side"
+        );
+    }
 }
 
 /// Per-processor record of the closure-dispatch test: how often the pid
