@@ -1,9 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test examples kernel-fma sanitize race golden shard pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
+.PHONY: ci build test examples kernel-fma sanitize race golden pool-odd audit audit-gate sym sym-gate trace trace-gate figures-gate trace-counts-gate analyze doc fmt clippy pricing-gate
 
 # The workflow's steps in its order.
-ci: build test examples kernel-fma sanitize race golden shard pool-odd audit-gate sym-gate
+ci: build test examples kernel-fma sanitize race golden pool-odd audit-gate sym-gate
 	$(MAKE) trace-gate figures-gate trace-counts-gate pricing-gate doc fmt clippy
 
 build:
@@ -41,13 +41,9 @@ race:
 golden:
 	cargo test -q --test golden
 
-# Sharded-exchange bit-identity sweep (families x machines x shard counts).
-shard:
-	cargo test -q --test exchange_shard
-
 # The pooled executor at an odd width: uneven closure chunks (p mod 3 != 0)
-# and the allocation-free hot path. exchange_shard asserts width 4, so it
-# stays out.
+# and the allocation-free hot path, including the family, recycling and
+# analyzer bit-identity checks in tests/pooling.rs.
 pool-odd:
 	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test hotpath_alloc
 

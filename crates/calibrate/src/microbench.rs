@@ -17,8 +17,8 @@ use pcm_core::rng::{
 use pcm_core::stats::Summary;
 use pcm_core::SimTime;
 use pcm_machines::Platform;
-use pcm_sim::map_ordered;
 use pcm_sim::topology::hypercube_partner;
+use pcm_sim::{map_ordered, with_sequential};
 
 /// One planned send of the microbenchmark superstep.
 #[derive(Clone, Copy, Debug)]
@@ -138,6 +138,10 @@ pub fn full_h_relation(platform: &Platform, h: usize, trials: usize, seed: u64) 
 /// The trials run one after another, unlike the other benchmarks: a trial
 /// holds `p * bytes` of payload (16 MiB for Table 1's 16 KiB MasPar
 /// point), so two at once would double the reproduction's peak memory.
+/// Each trial's closures also run on the calling thread
+/// ([`with_sequential`]): pooled, the payloads would be allocated from two
+/// threads' heaps, and Table 1's peak would swing between about 21 and
+/// 29 MiB from run to run.
 pub fn block_permutation(platform: &Platform, bytes: usize, trials: usize, seed: u64) -> Summary {
     let p = platform.p();
     let w = platform.word();
@@ -154,7 +158,7 @@ pub fn block_permutation(platform: &Platform, bytes: usize, trials: usize, seed:
                     }]
                 })
                 .collect();
-            measure(platform, &plan, seed ^ t as u64)
+            with_sequential(|| measure(platform, &plan, seed ^ t as u64))
         })
         .collect();
     summarize(times)

@@ -3,16 +3,15 @@
 //! The simulator's results must not depend on whether processor bodies run
 //! under rayon or sequentially — per-(superstep, pid) seeded RNGs and
 //! ordered outbox collection are supposed to guarantee that. The auditor
-//! proves it per algorithm: it runs the same closure three times — once
-//! normally, once inside `pcm_sim::with_sequential` (the single-thread
-//! oracle: sequential processors *and* the fused sequential exchange), and
-//! once inside `pcm_sim::with_exchange_shards` with a deliberately awkward
-//! shard count (the sharded engine, on machines big enough for it) — and
-//! compares a caller-supplied state digest (rule D01) and the full
-//! superstep trace stream (rule D02) across the legs.
+//! proves it per algorithm: it runs the same closure twice — once
+//! normally (processor closures fanned across the pool on big machines)
+//! and once inside `pcm_sim::with_sequential` (the single-thread oracle)
+//! — and compares a caller-supplied state digest (rule D01) and the full
+//! superstep trace stream (rule D02) across the legs. The exchange is the
+//! same fused sweep in both legs.
 
 use pcm_algos::RunResult;
-use pcm_sim::{collect_traces, with_exchange_shards, with_sequential, SuperstepTrace};
+use pcm_sim::{collect_traces, with_sequential, SuperstepTrace};
 
 use crate::rules::{RuleId, Violation};
 
@@ -119,54 +118,41 @@ pub fn digest_traces(traces: &[SuperstepTrace]) -> u64 {
     d.finish()
 }
 
-/// Shard count forced on the third auditor leg: odd, rarely divides `p`,
-/// so the lane geometry is uneven and shard boundaries cut through the
-/// middle of real communication patterns.
-const FORCED_SHARD_LEG: usize = 3;
-
-/// Runs `run` three times — rayon-on (default exchange), forced
-/// sequential, and forced-sharded exchange — and compares the state
-/// digests it returns (D01) and the recorded traces (D02) of each
-/// parallel leg against the sequential reference.
+/// Runs `run` twice — pooled closures, then forced sequential — and
+/// compares the state digest it returns (D01) and the recorded traces
+/// (D02) of the pooled leg against the sequential reference.
 ///
 /// `run` must be self-contained: construct the machine, execute the
 /// algorithm with a fixed seed, and fold everything the caller considers
 /// "the result" into the returned digest (use [`Digest`]).
 pub fn audit_determinism(label: &str, run: impl Fn() -> u64) -> Vec<Violation> {
-    let (digest_par, traces_par) = collect_traces(&run);
+    let (digest, traces) = collect_traces(&run);
     let (digest_seq, traces_seq) = with_sequential(|| collect_traces(&run));
-    let (digest_shard, traces_shard) =
-        with_exchange_shards(FORCED_SHARD_LEG, || collect_traces(&run));
 
     let mut violations = Vec::new();
-    for (leg, digest, traces) in [
-        ("parallel", digest_par, &traces_par),
-        ("sharded-exchange", digest_shard, &traces_shard),
-    ] {
-        if digest != digest_seq {
-            violations.push(Violation {
-                rule: RuleId::StateDigest,
-                step: 0,
-                pid: None,
-                detail: format!(
-                    "{label}: {leg} run digest {digest:#018x} != sequential {digest_seq:#018x}"
-                ),
-            });
-        }
-        if digest_traces(traces) != digest_traces(&traces_seq) {
-            let step = first_divergence(traces, &traces_seq);
-            violations.push(Violation {
-                rule: RuleId::TraceDigest,
-                step,
-                pid: None,
-                detail: format!(
-                    "{label}: {leg} trace stream diverges from sequential at superstep {step} \
-                     ({} vs {} supersteps)",
-                    traces.len(),
-                    traces_seq.len()
-                ),
-            });
-        }
+    if digest != digest_seq {
+        violations.push(Violation {
+            rule: RuleId::StateDigest,
+            step: 0,
+            pid: None,
+            detail: format!(
+                "{label}: parallel run digest {digest:#018x} != sequential {digest_seq:#018x}"
+            ),
+        });
+    }
+    if digest_traces(&traces) != digest_traces(&traces_seq) {
+        let step = first_divergence(&traces, &traces_seq);
+        violations.push(Violation {
+            rule: RuleId::TraceDigest,
+            step,
+            pid: None,
+            detail: format!(
+                "{label}: parallel trace stream diverges from sequential at superstep {step} \
+                 ({} vs {} supersteps)",
+                traces.len(),
+                traces_seq.len()
+            ),
+        });
     }
     violations
 }

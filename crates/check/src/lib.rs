@@ -13,10 +13,9 @@
 //!    `SuperstepTrace` stream against the `CostContract` its predictor in
 //!    `pcm-models` declares — superstep count (C01), per-step h-relation
 //!    bound (C02) and admissible message kinds (C03).
-//! 3. **Determinism auditor** ([`determinism`]): runs an algorithm three
-//!    times with the same seed — rayon on, forced sequential (the fused
-//!    engine) and forced sharded exchange — and compares state digests
-//!    (D01) and trace digests (D02).
+//! 3. **Determinism auditor** ([`determinism`]): runs an algorithm twice
+//!    with the same seed — pooled closures and forced sequential — and
+//!    compares state digests (D01) and trace digests (D02).
 //!
 //! Every violation carries a stable [`RuleId`], the superstep index and,
 //! where one can be named, the processor involved. `tests/sanitizer.rs` at

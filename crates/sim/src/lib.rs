@@ -18,11 +18,15 @@
 //!   superstep, where `route` sees the full ordered communication pattern —
 //!   including the per-processor *send order* that distinguishes staggered
 //!   from naive schedules.
+//!
+//! How a superstep executes is a strategy that never moves a bit: the
+//! per-processor closures fan out across the rayon shim's pool on big
+//! machines, and the exchange that prices and delivers their messages is
+//! always one sequential fused sweep ([`Machine`]).
 
 pub mod cache;
 pub mod compute;
 pub mod ctx;
-mod exchange;
 pub mod machine;
 pub mod message;
 pub mod network;
@@ -37,7 +41,6 @@ pub mod topology;
 pub use cache::{CacheStats, PricingCache};
 pub use compute::{ComputeModel, UniformCompute};
 pub use ctx::Ctx;
-pub use exchange::MAX_SHARDS;
 pub use machine::Machine;
 pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
 pub use network::{IdealNetwork, LogPNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
@@ -49,4 +52,4 @@ pub use probe::{
 };
 pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
 pub use step::{RunBreakdown, SuperstepTrace};
-pub use strategy::{map_ordered, with_exchange_shards, with_sequential};
+pub use strategy::{map_ordered, with_sequential};

@@ -29,17 +29,15 @@
 //! Within a superstep the processors are independent (the BSP contract), so
 //! a machine of at least `PARALLEL_CUTOFF` processors splits them into one
 //! contiguous chunk per pool thread and runs the chunks with the rayon
-//! shim's `scoped_join`, the same primitive the sharded exchange and
-//! [`crate::map_ordered`] fan out with. All randomness is seeded: the same
-//! seed gives bit-identical simulated times and results.
+//! shim's `scoped_join`, the same primitive [`crate::map_ordered`] fans out
+//! with. All randomness is seeded: the same seed gives bit-identical
+//! simulated times and results.
 //!
-//! The exchange phase runs on one of two engines: the fused sequential
-//! sweep, or the sharded parallel engine (`exchange.rs`) on big machines
-//! with a multi-worker pool. Only the execution strategy picks between
-//! them ([`crate::with_sequential`], [`crate::with_exchange_shards`]);
-//! they are bit-identical, and observers installed with
-//! [`crate::with_probe`] receive the same reports from both, so every
-//! analyzer checks the engines the figures run.
+//! The exchange phase is one engine on every machine: a fused sequential
+//! sweep that recycles the consumed payloads, rebuilds the pattern while
+//! it delivers the new messages, then prices the pattern. Observers
+//! installed with [`crate::with_probe`] see exactly that engine, so every
+//! analyzer checks the code the figures run.
 
 use std::sync::Arc;
 
@@ -49,7 +47,6 @@ use rand::rngs::StdRng;
 
 use crate::compute::ComputeModel;
 use crate::ctx::{Ctx, ProcAux};
-use crate::exchange::{ExchangeScratch, MAX_SHARDS};
 use crate::message::MsgKind;
 use crate::network::NetworkModel;
 use crate::pattern::{CommPattern, SendRecord};
@@ -83,11 +80,6 @@ pub struct Machine<S> {
     stat_active: Vec<bool>,
     /// Tracing scratch: per-round max block bytes.
     stat_round_max: Vec<usize>,
-    /// Exchange shard count. Above 1 the machine runs the sharded
-    /// parallel exchange engine; at 1 it keeps the fused sequential one.
-    shards: usize,
-    /// Reusable lane grid for the sharded exchange.
-    exchange: ExchangeScratch,
     /// Observers installed via [`crate::probe::with_probe`] or
     /// [`crate::extract_plans`] at construction time, outermost scope
     /// first. Empty on the unobserved hot path — one emptiness test per
@@ -99,28 +91,11 @@ pub struct Machine<S> {
     /// Dry run (inside [`crate::extract_plans`]): nothing is priced and
     /// no traces are stored.
     dry: bool,
-    /// Per-shard record scratch handed to observers (allocated once at
-    /// construction, only when observed).
-    probe_shards: Vec<u64>,
 }
 
 /// Smallest machine whose closures fan out across the pool: below it the
 /// dispatch handshake costs more than the closures themselves.
 const PARALLEL_CUTOFF: usize = 32;
-
-/// Default shard count: one shard per pool worker, but only on machines
-/// big enough for the lane bookkeeping to pay off; small machines keep
-/// the fused exchange. So do machines built inside a fan-out (a
-/// [`crate::map_ordered`] unit, on a pool worker or on the caller running
-/// its own task): there the lane fan-out would run inline, so the lanes
-/// would cost memory and time for no parallelism.
-fn default_shards(p: usize) -> usize {
-    if p >= 64 && !rayon::in_pool_worker() {
-        rayon::current_num_threads().min(MAX_SHARDS).min(p)
-    } else {
-        1
-    }
-}
 
 impl<S: Send> Machine<S> {
     /// Creates a machine with one state per processor.
@@ -134,11 +109,6 @@ impl<S: Send> Machine<S> {
         assert!(p > 0, "a machine needs at least one processor");
         let (observers, dry) = probe::install(p);
         let schedule = observers.iter().any(|o| o.needs() == Needs::Schedule);
-        let probe_shards = if observers.is_empty() {
-            Vec::new()
-        } else {
-            vec![0u64; MAX_SHARDS]
-        };
         Machine {
             p,
             procs: (0..p).map(|_| ProcAux::default()).collect(),
@@ -159,24 +129,15 @@ impl<S: Send> Machine<S> {
             stat_recv: vec![0; p],
             stat_active: vec![false; p],
             stat_round_max: Vec::new(),
-            shards: strategy::forced_shards()
-                .map_or_else(|| default_shards(p), |s| s.clamp(1, p.min(MAX_SHARDS))),
-            exchange: ExchangeScratch::default(),
             observers,
             schedule,
             dry,
-            probe_shards,
         }
     }
 
     /// Disables per-superstep tracing (saves memory on very long runs).
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
-    }
-
-    /// The configured exchange shard count.
-    pub fn exchange_shards(&self) -> usize {
-        self.shards
     }
 
     /// Number of processors.
@@ -274,10 +235,9 @@ impl<S: Send> Machine<S> {
         };
 
         let t_compute = probe::mark(!self.observers.is_empty());
-        // One contiguous pid-ordered chunk per pool thread, split like the
-        // exchange's shards; a single chunk (run inline) on small machines
-        // and under `with_sequential`. The chunk table lives on the stack,
-        // so dispatch never touches the heap.
+        // One contiguous pid-ordered chunk per pool thread; a single chunk
+        // (run inline) on small machines and under `with_sequential`. The
+        // chunk table lives on the stack, so dispatch never touches the heap.
         let n = if self.parallel && p >= PARALLEL_CUTOFF {
             rayon::current_num_threads().min(p)
         } else {
@@ -305,14 +265,8 @@ impl<S: Send> Machine<S> {
 
         let compute_ns = probe::since(t_compute);
 
-        // Exchange: pattern rebuild, pricing, delivery, observation. Both
-        // engines report identically to every observer; `with_sequential`
-        // pins the fused one.
-        if self.parallel && self.shards > 1 {
-            self.exchange_sharded(step, compute_ns);
-        } else {
-            self.exchange_fused(step, compute_ns);
-        }
+        // Exchange: pattern rebuild, delivery, pricing, observation.
+        self.exchange_fused(step, compute_ns);
 
         self.step_count += 1;
     }
@@ -337,25 +291,13 @@ impl<S: Send> Machine<S> {
     /// stores its trace. Runs after the clock update and delivery, reading
     /// only values the machine already computed, so it cannot perturb the
     /// simulation.
-    fn record_step(
-        &mut self,
-        trace: SuperstepTrace,
-        records: usize,
-        path: ExchangePath,
-        phases: PhaseNanos,
-    ) {
+    fn record_step(&mut self, trace: SuperstepTrace, records: usize, phases: PhaseNanos) {
         if !self.observers.is_empty() {
-            let shard_count = if path == ExchangePath::Sharded {
-                self.exchange.shard_records(&mut self.probe_shards)
-            } else {
-                0
-            };
             let obs = StepObs {
                 trace: &trace,
                 clock: self.clock,
                 records,
-                path,
-                shard_records: &self.probe_shards[..shard_count],
+                path: ExchangePath::Fused,
                 phases,
                 memo: self.net.route_memo_stats(),
                 terms: self.net.cost_terms(),
@@ -373,76 +315,13 @@ impl<S: Send> Machine<S> {
         }
     }
 
-    /// The sharded parallel exchange: scatter (pattern rebuild + lane
-    /// fill), price, gather (delivery + recycle staging), sender-affine
-    /// recycle, ordered trace-partial merge. Bit-identical to
-    /// [`Self::exchange_fused`] — see `exchange.rs` for the argument.
-    fn exchange_sharded(&mut self, step: usize, compute_ns: u64) {
-        let observed = !self.observers.is_empty();
-        let stats = self.tracing || observed;
-        let t = probe::mark(observed);
-        let a = self.exchange.scatter(
-            self.p,
-            self.shards,
-            &mut self.procs,
-            &mut self.pattern,
-            &mut self.stat_active,
-            stats,
-        );
-        let scatter_ns = probe::since(t);
-        let t = probe::mark(observed);
-        let (compute_time, comm) = self.price(a.total_records, a.max_compute);
-        let price_ns = probe::since(t);
-        let t = probe::mark(observed);
-        let b = self.exchange.gather(
-            &mut self.procs,
-            &mut self.stat_recv,
-            &mut self.stat_active,
-            stats,
-        );
-        let gather_ns = probe::since(t);
-        let t = probe::mark(observed);
-        if b.heap_staged > 0 {
-            self.exchange.recycle(&mut self.procs);
-        }
-        let recycle_ns = probe::since(t);
-        if stats {
-            let (block_steps, block_bytes_sum) =
-                self.exchange.merge_rounds(&mut self.stat_round_max);
-            let trace = SuperstepTrace {
-                index: step,
-                compute: compute_time,
-                comm,
-                messages: a.messages,
-                bytes: a.bytes,
-                h_send: a.h_send,
-                h_recv: b.h_recv,
-                active: b.active,
-                block_steps,
-                block_bytes_sum,
-                word_msgs: a.word_msgs,
-                block_msgs: a.block_msgs,
-                xnet_msgs: a.xnet_msgs,
-            };
-            let phases = PhaseNanos {
-                compute: compute_ns,
-                scatter: scatter_ns,
-                price: price_ns,
-                gather: gather_ns,
-                recycle: recycle_ns,
-            };
-            self.record_step(trace, a.total_records, ExchangePath::Sharded, phases);
-        }
-    }
-
     /// Single-sweep sequential exchange: one pass over the outboxes both
     /// rebuilds the pattern records and moves each message to its
     /// destination inbox, instead of touching every message twice.
     /// Delivery runs before pricing here, which is unobservable — pricing
     /// reads only the finished pattern and the network rng, delivery only
     /// moves messages, and observers read the detail each processor
-    /// snapshotted before delivery. This is the oracle the sharded engine
-    /// is held to.
+    /// snapshotted before delivery.
     fn exchange_fused(&mut self, step: usize, compute_ns: u64) {
         let observed = !self.observers.is_empty();
         let t = probe::mark(observed);
@@ -504,7 +383,7 @@ impl<S: Send> Machine<S> {
                 gather: gather_ns,
                 recycle: 0,
             };
-            self.record_step(trace, total_records, ExchangePath::Fused, phases);
+            self.record_step(trace, total_records, phases);
         }
     }
 

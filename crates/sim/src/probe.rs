@@ -6,8 +6,8 @@
 //! protocol sanitizer (`pcm-check`), the happens-before analyzer
 //! (`pcm-race`) and the dry-run plan recorder behind
 //! [`crate::extract_plans`]. The machine
-//! reports each superstep *after* the clock update and delivery, on
-//! whichever production engine ran it (fused or sharded), so the
+//! reports each superstep *after* the clock update and delivery, from
+//! the one exchange engine every machine runs (the fused sweep), so the
 //! analyzers certify exactly the code the figures run.
 //!
 //! * **Declarations.** An observer declares what it reads through
@@ -57,9 +57,11 @@ use crate::step::SuperstepTrace;
 /// Which exchange engine ran the superstep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExchangePath {
-    /// Single-sweep sequential exchange (the common configuration).
+    /// Single-sweep sequential exchange: every superstep reports it.
     Fused,
-    /// Sharded parallel exchange (scatter/price/gather/recycle).
+    /// The former sharded parallel exchange. No engine produces it any
+    /// more; the variant stays so existing exhaustive matches and report
+    /// columns keep their meaning (they read zero).
     Sharded,
     /// The former sequential reference exchange. No engine produces it
     /// any more; the variant stays so existing exhaustive matches and
@@ -78,20 +80,21 @@ impl ExchangePath {
     }
 }
 
-/// Wall-clock nanoseconds per engine phase of one superstep. Phases not
-/// run by the active exchange path are zero (the fused path folds
-/// delivery into `gather`; only the sharded path has `scatter`/`recycle`).
+/// Wall-clock nanoseconds per engine phase of one superstep. The fused
+/// exchange folds pattern rebuild, delivery and recycling into `gather`,
+/// so `scatter` and `recycle` are always zero; they stay so existing
+/// readers of the phase breakdown keep their meaning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Processor execution (the user closure over all processors).
     pub compute: u64,
-    /// Sharded pattern rebuild + lane fill.
+    /// Phase of the former sharded exchange; always zero.
     pub scatter: u64,
     /// Network pricing (`route`/`barrier`).
     pub price: u64,
-    /// Delivery (lane merge, or the fused delivery sweep).
+    /// The fused sweep: payload recycling, pattern rebuild and delivery.
     pub gather: u64,
-    /// Sender-affine heap-payload recycling (+ trace-partial merge).
+    /// Phase of the former sharded exchange; always zero.
     pub recycle: u64,
 }
 
@@ -127,11 +130,8 @@ pub struct StepObs<'a> {
     /// Total send records of the superstep (0 means the network priced a
     /// bare barrier).
     pub records: usize,
-    /// Which exchange engine ran.
+    /// Which exchange engine ran (always [`ExchangePath::Fused`]).
     pub path: ExchangePath,
-    /// Per-shard send-record counts (empty unless `path` is `Sharded`);
-    /// the deterministic shard-imbalance observable.
-    pub shard_records: &'a [u64],
     /// Wall-clock phase breakdown (non-deterministic; diagnostics only).
     pub phases: PhaseNanos,
     /// Cumulative route-memo statistics of the network model, if any.
@@ -145,7 +145,7 @@ pub struct StepObs<'a> {
 }
 
 /// Per-processor schedule detail of one superstep, snapshotted before
-/// delivery. Identical on both exchange engines and at any shard count.
+/// delivery. Identical on pooled and sequential runs.
 #[derive(Clone, Copy)]
 pub struct StepDetail<'a> {
     /// The full ordered communication pattern of the superstep.

@@ -1,26 +1,17 @@
-//! Execution-strategy overrides: thread-local scopes that pin how the
-//! machines created inside them execute, without changing any result.
+//! Execution strategy: a thread-local scope that pins how the machines
+//! created inside it execute, without changing any result, and the
+//! fan-out the sweeps share.
 //!
 //! [`with_sequential`] serves the determinism auditor: it forces machines
-//! created in its scope to run processors sequentially, so a rayon-on vs.
-//! rayon-off digest comparison can be driven from the outside. It also
-//! covers the exchange phase: a sequential machine always takes the
-//! single-threaded fused exchange, never the sharded engine, so the
-//! auditor's sequential leg is the oracle the other legs are held to.
-//!
-//! [`with_exchange_shards`] is the matching override for the sharded
-//! exchange engine: machines created in its scope use exactly the given
-//! shard count (clamped to `[1, min(p, MAX_SHARDS)]`), regardless of the
-//! pool width or processor count. The determinism auditor uses it to pin
-//! a forced-sharded leg against the sequential one; tests use it to
-//! exercise the lane engine on machines too small to shard by default.
-//! The override composes with every observer scope ([`crate::probe`]), so
-//! the analyzers run on the sharded engine too.
+//! created in its scope to run their processors' closures on the calling
+//! thread, so a pooled vs. sequential digest comparison can be driven from
+//! the outside. The exchange is one sequential sweep on every machine, so
+//! the sequential leg differs from the pooled one in the closures only.
 //!
 //! [`map_ordered`] is the fan-out the sweep drivers and the figures share:
 //! it runs independent work units side by side on the rayon shim's pool,
-//! one whole unit per task. Every scope above, and every observer scope,
-//! is thread-local, so a machine built on another thread would escape it;
+//! one whole unit per task. That scope, and every observer scope, is
+//! thread-local, so a machine built on another thread would escape it;
 //! `map_ordered` therefore runs its plain loop on the calling thread
 //! whenever one of them is active.
 
@@ -30,7 +21,6 @@ use crate::probe;
 
 thread_local! {
     static FORCE_SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
-    static FORCE_SHARDS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Runs `body` with machines forced to sequential processor execution
@@ -42,42 +32,31 @@ pub fn with_sequential<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// Runs `body` with machines forced to use exactly `shards` exchange
-/// shards (clamped at construction to `[1, min(p, MAX_SHARDS)]`). The
-/// determinism auditor uses this to pin a forced-sharded leg against the
-/// sequential one even on machines too small to shard by default.
-/// Nests; the previous override is restored on exit (also on panic).
-pub fn with_exchange_shards<R>(shards: usize, body: impl FnOnce() -> R) -> R {
-    let prev = FORCE_SHARDS.with(|f| f.replace(Some(shards)));
-    let _guard = ShardGuard { prev };
-    body()
-}
-
 /// Applies `f` to every item and returns the results in input order;
 /// `f(i, item)` receives the item's input index.
 ///
 /// The items run side by side on the worker pool, one task each. Work
 /// units usually build [`crate::Machine`]s, and the pool counts every
 /// task of a fan-out as nested (see `rayon::in_pool_worker`), so those
-/// machines run their supersteps sequentially on the fused exchange: for
-/// many small simulations the cores are better spent across units than
-/// inside each superstep. Results do not depend on this: the simulator is
+/// machines run their closures inline on the task's thread: for many
+/// small simulations the cores are better spent across units than inside
+/// each superstep. Results do not depend on this: the simulator is
 /// bit-identical across execution strategies, so each result depends only
 /// on its unit's inputs, never on the thread that ran it.
 ///
 /// Runs the plain sequential loop instead when the calling thread has an
-/// observer scope ([`crate::with_probe`], [`crate::extract_plans`]),
-/// [`with_sequential`] or [`with_exchange_shards`] active, so every
-/// machine a unit builds stays inside those scopes. The pool itself runs
-/// the loop inline on a single-thread pool, inside another fan-out, and
-/// for fewer than two items.
+/// observer scope ([`crate::with_probe`], [`crate::extract_plans`]) or
+/// [`with_sequential`] active, so every machine a unit builds stays
+/// inside those scopes. The pool itself runs the loop inline on a
+/// single-thread pool, inside another fan-out, and for fewer than two
+/// items.
 pub fn map_ordered<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    if probe::scoped_here() || sequential_forced() || forced_shards().is_some() {
+    if probe::scoped_here() || sequential_forced() {
         return items
             .into_iter()
             .enumerate()
@@ -100,10 +79,6 @@ pub(crate) fn sequential_forced() -> bool {
     FORCE_SEQUENTIAL.with(Cell::get)
 }
 
-pub(crate) fn forced_shards() -> Option<usize> {
-    FORCE_SHARDS.with(Cell::get)
-}
-
 struct SeqGuard {
     prev: bool,
 }
@@ -111,16 +86,6 @@ struct SeqGuard {
 impl Drop for SeqGuard {
     fn drop(&mut self) {
         FORCE_SEQUENTIAL.with(|f| f.set(self.prev));
-    }
-}
-
-struct ShardGuard {
-    prev: Option<usize>,
-}
-
-impl Drop for ShardGuard {
-    fn drop(&mut self) {
-        FORCE_SHARDS.with(|f| f.set(self.prev));
     }
 }
 
@@ -201,7 +166,6 @@ mod tests {
         let threads = || map_ordered(vec![(); 8], |_, ()| std::thread::current().id());
         for ids in [
             with_sequential(threads),
-            with_exchange_shards(2, threads),
             crate::with_probe(|_| unreachable!("no machine is built"), threads),
         ] {
             assert!(
@@ -209,15 +173,5 @@ mod tests {
                 "a unit left the scope's thread"
             );
         }
-    }
-
-    #[test]
-    fn shard_scope_nests_and_restores() {
-        with_exchange_shards(3, || {
-            assert_eq!(machine(8).exchange_shards(), 3);
-            with_exchange_shards(5, || assert_eq!(forced_shards(), Some(5)));
-            assert_eq!(forced_shards(), Some(3));
-        });
-        assert_eq!(forced_shards(), None);
     }
 }

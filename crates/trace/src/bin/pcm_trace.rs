@@ -5,8 +5,8 @@
 //! Outputs:
 //! * `TRACE_report.json` (default `--out`) — deterministic attribution
 //!   report, committed and drift-gated in CI (`git diff --exit-code`).
-//!   Replays pin one exchange shard and a fixed seed, and the report
-//!   carries only simulated quantities, so regeneration is byte-stable.
+//!   Replays pin a fixed seed, and the report carries only simulated
+//!   quantities, so regeneration is byte-stable.
 //! * `--export chrome` — Chrome trace-event JSON (`--trace-out`, default
 //!   `TRACE_chrome.json`) viewable in `chrome://tracing` / Perfetto. The
 //!   timeline is simulated µs; wall-clock phase ns ride in `args`. Not
@@ -18,18 +18,17 @@
 //! Flags: `--wall` adds wall-phase totals to the report (diagnostics
 //! only — do not commit such a report).
 //!
-//! Exit status is non-zero if a replay name is missing from the catalog,
-//! or any replay fails verification or exact attribution: the binary is
-//! itself the strongest runtime gate on the tracing layer.
+//! Exit status is 2 for a malformed command line, and 1 if an output
+//! cannot be written, a replay name is missing from the catalog, or any
+//! replay fails verification or exact attribution: the binary is itself
+//! the strongest runtime gate on the tracing layer.
 
 use pcm_algos::catalog::{self, RunFn, SEED};
 use pcm_core::fsio::write_atomic;
 use pcm_machines::Platform;
-use pcm_sim::with_exchange_shards;
 use pcm_trace::{capture, chrome, ChromeRun, MachineRun, RunRecord, TraceReport};
 
-/// Exchange shards pinned for deterministic delivery order.
-const SHARDS: usize = 1;
+const USAGE: &str = "usage: pcm-trace [--wall] [--out FILE] [--export chrome] [--trace-out FILE]";
 
 /// The replayed `(family, variant)` pairs, each at its family's first
 /// catalog grid point.
@@ -79,8 +78,7 @@ fn points() -> Result<Vec<Point>, String> {
 /// Replays one point on one platform; returns the report record and the
 /// attribution rows of the machine that produced the result.
 fn replay(point: &Point, plat: &Platform) -> (RunRecord, Option<MachineRun>) {
-    let (result, mut cap) =
-        with_exchange_shards(SHARDS, || capture(|| (point.run)(plat, point.n, SEED)));
+    let (result, mut cap) = capture(|| (point.run)(plat, point.n, SEED));
     let (time, verified) = (result.time, result.verified);
     let idx = {
         let bits = time.as_micros().to_bits();
@@ -134,21 +132,25 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--trace-out" => trace_out = args.next().expect("--trace-out needs a path"),
-            "--export" => {
-                let what = args.next().expect("--export needs a format");
-                assert_eq!(what, "chrome", "supported export formats: chrome");
-                export_chrome = true;
+            "--out" => {
+                out_path = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--out needs a path"));
             }
+            "--trace-out" => {
+                trace_out = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--trace-out needs a path"));
+            }
+            "--export" => match args.next().as_deref() {
+                Some("chrome") => export_chrome = true,
+                Some(other) => usage_error(&format!(
+                    "unsupported export format `{other}` (supported: chrome)"
+                )),
+                None => usage_error("--export needs a format"),
+            },
             "--wall" => wall = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: pcm-trace [--wall] [--out FILE] [--export chrome] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
@@ -186,7 +188,6 @@ fn main() {
 
     let report = TraceReport {
         seed: SEED,
-        shards: SHARDS,
         runs: records,
     };
     let ok = report.all_exact();
@@ -206,8 +207,7 @@ fn main() {
         );
     }
 
-    write_atomic(&out_path, report.render())
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    write_or_exit(&out_path, report.render());
     eprintln!("pcm-trace: wrote {out_path}");
 
     if export_chrome {
@@ -218,8 +218,7 @@ fn main() {
                 run,
             })
             .collect();
-        write_atomic(&trace_out, chrome::render(&runs))
-            .unwrap_or_else(|e| panic!("cannot write {trace_out}: {e}"));
+        write_or_exit(&trace_out, chrome::render(&runs));
         eprintln!("pcm-trace: wrote {trace_out} ({} runs)", runs.len());
     }
 
@@ -237,6 +236,22 @@ fn main() {
 
     if !ok {
         eprintln!("pcm-trace: FAILED — a replay did not verify or did not attribute exactly");
+        std::process::exit(1);
+    }
+}
+
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("pcm-trace: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Writes `text` to `path`, or reports the I/O error and exits with
+/// status 1.
+fn write_or_exit(path: &str, text: String) {
+    if let Err(e) = write_atomic(path, text) {
+        eprintln!("pcm-trace: cannot write {path}: {e}");
         std::process::exit(1);
     }
 }

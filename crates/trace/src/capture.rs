@@ -34,10 +34,6 @@ pub struct StepRow {
     pub records: u64,
     /// Exchange engine that ran.
     pub path: ExchangePath,
-    /// Shard count (sharded path only).
-    pub shards: u32,
-    /// Largest per-shard record count (sharded path only).
-    pub shard_max: u64,
     /// Wall-clock engine-phase breakdown (diagnostics only).
     pub phases: PhaseNanos,
     /// Cumulative route-memo stats after the step, if the model memoizes.
@@ -146,8 +142,6 @@ impl SuperstepProbe for RowProbe {
                 clock: obs.clock,
                 records: obs.records as u64, // usize fits in u64
                 path: obs.path,
-                shards: u32::try_from(obs.shard_records.len()).unwrap_or(u32::MAX),
-                shard_max: obs.shard_records.iter().copied().max().unwrap_or(0),
                 phases: obs.phases,
                 memo: obs.memo,
                 terms: obs.terms,

@@ -63,12 +63,10 @@ pub fn render(runs: &[ChromeRun<'_>]) -> String {
             let wall_comm = row.phases.total() - row.phases.compute;
             push(
                 format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {step} {comm_name}\",\"ts\":{},\"dur\":{comm},\"args\":{{\"records\":{},\"path\":\"{}\",\"shards\":{},\"shard_max\":{},\"wall_ns\":{wall_comm}}}}}",
+                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"name\":\"step {step} {comm_name}\",\"ts\":{},\"dur\":{comm},\"args\":{{\"records\":{},\"path\":\"{}\",\"wall_ns\":{wall_comm}}}}}",
                     ts + compute,
                     row.records,
-                    row.path.label(),
-                    row.shards,
-                    row.shard_max
+                    row.path.label()
                 ),
                 &mut first,
             );
@@ -110,8 +108,6 @@ mod tests {
                 clock,
                 records: u64::from(step % 2),
                 path: ExchangePath::Fused,
-                shards: 0,
-                shard_max: 0,
                 phases: PhaseNanos::default(),
                 memo: None,
                 terms: None,

@@ -5,8 +5,8 @@
 //! per-machine log. A row embeds the machine's own [`pcm_sim::SuperstepTrace`]
 //! (the exact `compute`/`comm` contribution to the simulated clock plus
 //! the step's h-relation and block-round statistics) next to the clock,
-//! the exchange engine that ran, wall time per engine phase, shard
-//! imbalance, and the route-memo and network cost-term counters. The rows
+//! the exchange engine that ran, wall time per engine phase, and the
+//! route-memo and network cost-term counters. The rows
 //! are then attributed and exported.
 //!
 //! The crate's three invariants, in order of importance:

@@ -72,8 +72,6 @@ impl RunRecord {
 pub struct TraceReport {
     /// Seed every replay used.
     pub seed: u64,
-    /// Exchange shard count the replays pinned (1 ⇒ deterministic order).
-    pub shards: usize,
     /// The replayed points.
     pub runs: Vec<RunRecord>,
 }
@@ -89,10 +87,7 @@ impl TraceReport {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        s.push_str(&format!(
-            "  \"config\": {{ \"seed\": {}, \"exchange_shards\": {} }},\n",
-            self.seed, self.shards
-        ));
+        s.push_str(&format!("  \"config\": {{ \"seed\": {} }},\n", self.seed));
         s.push_str(&format!("  \"all_exact\": {},\n", self.all_exact()));
         s.push_str("  \"runs\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
@@ -173,7 +168,6 @@ mod tests {
     fn renders_deterministically() {
         let rep = TraceReport {
             seed: 2026,
-            shards: 1,
             runs: vec![record()],
         };
         let a = rep.render();
@@ -200,7 +194,6 @@ mod tests {
         });
         let rep = TraceReport {
             seed: 1,
-            shards: 1,
             runs: vec![r],
         };
         assert!(rep.render().contains("\"wall_ns\""));
@@ -212,7 +205,6 @@ mod tests {
         bad.exact = false;
         let rep = TraceReport {
             seed: 1,
-            shards: 1,
             runs: vec![record(), bad],
         };
         assert!(!rep.all_exact());

@@ -2,10 +2,10 @@
 //!
 //! Provides one fan-out primitive, [`scoped_join`]: a flat scoped
 //! fork/join over a small mutable task slice, run on a lazily-initialized
-//! persistent worker pool. The simulator's per-processor closures, its
-//! sharded exchange engine and the sweep drivers all fan out with it. The
-//! caller runs the first chunk itself and, while waiting, runs its own
-//! fan-out's chunks that no worker took yet. Nested fan-outs run inline,
+//! persistent worker pool. The simulator's per-processor closures and the
+//! sweep drivers both fan out with it. The caller runs the first chunk
+//! itself and, while waiting, runs its own fan-out's chunks that no worker
+//! took yet. Nested fan-outs run inline,
 //! so they cannot deadlock the fixed-width pool.
 //!
 //! Differences from real rayon, acceptable for this workspace:
@@ -45,9 +45,9 @@ pub fn in_pool_worker() -> bool {
 /// Scoped flat fork/join: runs `f(index, &mut tasks[index])` for every
 /// element of `tasks`, fanned across the pool, and returns when all calls
 /// finished. There is **no sequential cutoff**: even two tasks dispatch in
-/// parallel, because callers (the machine's closure chunks, the sharded
-/// exchange engine, grid-sweep drivers) hand over a handful of coarse
-/// tasks whose bodies dwarf the latch handshake.
+/// parallel, because callers (the machine's closure chunks, grid-sweep
+/// drivers) hand over a handful of coarse tasks whose bodies dwarf the
+/// latch handshake.
 ///
 /// Guarantees:
 /// - tasks are chunked contiguously (one task per chunk while the task

@@ -7,11 +7,9 @@
 //! supersteps, and the pooled executor keeps its scratch on the caller's
 //! stack.
 //!
-//! The sharded parallel exchange preserves the property with >1 worker:
-//! lane vectors keep their capacity across supersteps (the transpose
-//! moves `Vec` headers, never elements), task descriptors live in stack
-//! arrays, and heap payloads circulate sender-affine through the
-//! recycle lanes back into the per-processor pools.
+//! Pooled closures preserve the property with >1 worker: the chunk table
+//! lives on the stack, and heap payloads drawn from a sender's pool
+//! return to it when the fused exchange recycles the consumed inbox.
 //!
 //! The binary installs a counting global allocator and runs without the
 //! libtest harness (`harness = false` in Cargo.toml): other tests in the
@@ -26,7 +24,7 @@ use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
 use pcm_machines::Platform;
-use pcm_sim::{with_exchange_shards, with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
+use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -60,8 +58,8 @@ fn word_step(ctx: &mut Ctx<'_, u64>) {
 }
 
 /// One superstep of mixed traffic: inline words plus a 128-byte heap
-/// block drawn from the sender's payload pool. Exercises the sharded
-/// exchange's recycle lanes (heap payloads staged back to their senders).
+/// block drawn from the sender's payload pool. Exercises the exchange's
+/// recycling of consumed heap payloads back to their senders' pools.
 fn mixed_step(ctx: &mut Ctx<'_, u64>) {
     ctx.charge(1.0);
     let mut sum = 0u32;
@@ -79,9 +77,9 @@ fn mixed_step(ctx: &mut Ctx<'_, u64>) {
     ctx.send_block_u32((pid + 1) % p, &block);
 }
 
-/// `shards: None` runs the machine sequentially (fused exchange);
-/// `Some(s)` pins the sharded exchange engine at `s` shards.
-fn steady_state_delta(shards: Option<usize>, heap_traffic: bool) -> u64 {
+/// `pooled: false` runs the closures sequentially on the calling thread;
+/// `true` fans them out in one chunk per pool thread.
+fn steady_state_delta(pooled: bool, heap_traffic: bool) -> u64 {
     let p = 256;
     let build = || {
         Machine::new(
@@ -91,20 +89,15 @@ fn steady_state_delta(shards: Option<usize>, heap_traffic: bool) -> u64 {
             99,
         )
     };
-    let mut m = match shards {
-        None => with_sequential(build),
-        Some(s) => {
-            let m = with_exchange_shards(s, build);
-            assert_eq!(m.exchange_shards(), s, "forced shard count must stick");
-            m
-        }
+    let mut m = if pooled {
+        build()
+    } else {
+        with_sequential(build)
     };
     m.set_tracing(false);
     let step: fn(&mut Ctx<'_, u64>) = if heap_traffic { mixed_step } else { word_step };
-    // Warm-up: grows outbox/inbox/pattern/lane capacities, spawns the
-    // pool workers and latches per-thread parker state. The sharded
-    // lane capacities ping-pong between the src- and dst-major views,
-    // so they need two supersteps per configuration to stabilize.
+    // Warm-up: grows outbox/inbox/pattern capacities and the payload
+    // pools, spawns the pool workers and latches per-thread parker state.
     for _ in 0..50 {
         m.superstep(step);
     }
@@ -163,26 +156,25 @@ fn apsp_allocations(plat: &Platform, n: usize, variant: ApspVariant) -> (u64, us
 
 fn main() {
     force_pool();
-    let sequential = steady_state_delta(None, false);
+    let sequential = steady_state_delta(false, false);
     assert_eq!(
         sequential, 0,
         "sequential hot path allocated {sequential} times in 100 supersteps"
     );
-    // With RAYON_NUM_THREADS=4 and p=256 the default heuristic engages
-    // the sharded exchange at 4 shards; pin it explicitly so the test
-    // keeps meaning the same thing if the heuristic moves.
-    let pooled = steady_state_delta(Some(4), false);
+    // At p=256 the closures fan out in one chunk per pool thread (uneven
+    // under `make pool-odd`'s width 3).
+    let pooled = steady_state_delta(true, false);
     assert_eq!(
         pooled, 0,
-        "sharded hot path allocated {pooled} times in 100 supersteps"
+        "pooled hot path allocated {pooled} times in 100 supersteps"
     );
-    // Uneven shard cut (7 does not divide 256) plus heap payloads: the
-    // recycle lanes and sender-affine pools must also reach a
-    // zero-allocation steady state.
-    let heap = steady_state_delta(Some(7), true);
+    // Pooled closures plus heap payloads: payloads drawn on the workers
+    // and recycled by the exchange must also reach a zero-allocation
+    // steady state.
+    let heap = steady_state_delta(true, true);
     assert_eq!(
         heap, 0,
-        "sharded heap-payload path allocated {heap} times in 100 supersteps"
+        "pooled heap-payload path allocated {heap} times in 100 supersteps"
     );
     // Priced supersteps: the full pricing stack (pattern fingerprinting,
     // route memo, delta-router scratch, port-load folds) on each machine
@@ -215,7 +207,7 @@ fn main() {
     // Tracing ON must preserve the property: the probe's row log is
     // preallocated when the machine is constructed, so observed
     // supersteps stay allocation-free too.
-    let (traced_seq, cap) = pcm::trace::capture(|| steady_state_delta(None, false));
+    let (traced_seq, cap) = pcm::trace::capture(|| steady_state_delta(false, false));
     assert_eq!(
         traced_seq, 0,
         "traced sequential hot path allocated {traced_seq} times in 100 supersteps"
@@ -224,10 +216,10 @@ fn main() {
         cap.runs.iter().all(|r| r.attribution_exact()),
         "traced steady state must also attribute exactly"
     );
-    let (traced_sharded, _) = pcm::trace::capture(|| steady_state_delta(Some(4), true));
+    let (traced_pooled, _) = pcm::trace::capture(|| steady_state_delta(true, true));
     assert_eq!(
-        traced_sharded, 0,
-        "traced sharded heap-payload path allocated {traced_sharded} times in 100 supersteps"
+        traced_pooled, 0,
+        "traced pooled heap-payload path allocated {traced_pooled} times in 100 supersteps"
     );
     for plat in [Platform::maspar_with(64), Platform::gcel(), Platform::cm5()] {
         let (traced_priced, cap) = pcm::trace::capture(|| priced_delta(&plat));

@@ -5,10 +5,13 @@
 //! an execution strategy:
 //!
 //! * pooled and forced-sequential runs produce bit-identical simulated
-//!   times, states and run digests on all three machines;
+//!   times, states and run digests on all three machines, for every
+//!   algorithm family and variant;
 //! * recycled inboxes and payload buffers never leak stale bytes,
 //!   messages or shadow events into a later superstep;
-//! * the `pcm-race` analyzer stays clean on the pooled path;
+//! * the `pcm-race` analyzer stays clean on the pooled path, and every
+//!   analyzer observes the fused exchange and reports the same findings,
+//!   traces and plans pooled and sequential;
 //! * `map_ordered` fan-outs keep every unit inside the caller's
 //!   thread-local scopes, and fanned-out figures equal their sequential
 //!   runs;
@@ -28,8 +31,8 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
-use pcm::algos::catalog::SEED;
-use pcm::algos::discipline::RaceConfig;
+use pcm::algos::catalog::{self, SEED};
+use pcm::algos::discipline::{Discipline, RaceConfig};
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::RunResult;
@@ -38,11 +41,11 @@ use pcm::core::stats::Summary;
 use pcm::experiments::runs::{run_keys, Algo, RunKey, BUDGET_BYTES};
 use pcm::experiments::{apsp_figs, granularity, matmul_figs, model_fit, sort_figs, Output, Scale};
 use pcm::Platform;
-use pcm_check::{digest_run, render};
+use pcm_check::{audit_determinism, check_protocol, digest_run, render, Digest};
 use pcm_race::{check_races, errors};
 use pcm_sim::{
-    map_ordered, with_exchange_shards, with_probe, with_sequential, Ctx, IdealNetwork, Machine,
-    StepObs, SuperstepProbe, UniformCompute,
+    collect_traces, extract_plans, map_ordered, with_probe, with_sequential, Ctx, ExchangePath,
+    IdealNetwork, Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute,
 };
 
 /// Pool width 4 at or above `p = 32` engages the pooled path even on a
@@ -96,6 +99,41 @@ fn pooled_kernels_match_forced_sequential() {
                 "{label} on {}: run digest diverged",
                 plat.name()
             );
+        }
+    }
+}
+
+/// Every catalog family and variant × machine, at the family's first grid
+/// point whose closures fan out (`p >= 32`): identical time bits and run
+/// digests pooled and sequential. The variants cover word, block and xnet
+/// traffic, inline and heap payloads, and the vendor schedules.
+#[test]
+fn pooled_families_match_forced_sequential() {
+    force_pool();
+    for fam in catalog::families() {
+        let &(n, p) = fam
+            .grid
+            .iter()
+            .find(|&&(_, p)| p >= 32)
+            .unwrap_or_else(|| panic!("{}: no grid point at p >= 32", fam.name));
+        for plat in Platform::all_with(p) {
+            for v in &fam.variants {
+                let label = format!("{}/{} n={n} p={p} on {}", fam.name, v.name, plat.name());
+                let run = || (v.run)(&plat, n, SEED);
+                let pooled = run();
+                let sequential = with_sequential(run);
+                assert!(sequential.verified, "{label}: sequential run failed");
+                assert_eq!(
+                    pooled.time.as_micros().to_bits(),
+                    sequential.time.as_micros().to_bits(),
+                    "{label}: simulated time diverged"
+                );
+                assert_eq!(
+                    digest_run(&pooled),
+                    digest_run(&sequential),
+                    "{label}: run digest diverged"
+                );
+            }
         }
     }
 }
@@ -278,18 +316,6 @@ fn probe_scope_observes_every_fanned_out_machine() {
         },
     );
     assert_eq!(built.get(), units, "machines escaped the observer scope");
-}
-
-/// A shard override reaches the machine of every fanned-out unit.
-#[test]
-fn shard_scope_reaches_every_fanned_out_machine() {
-    force_pool();
-    let shards = with_exchange_shards(3, || {
-        map_ordered((0..12u64).collect(), |_, seed| {
-            stepped_machine(seed).exchange_shards()
-        })
-    });
-    assert_eq!(shards, vec![3; 12]);
 }
 
 /// Bit patterns of every point of a figure.
@@ -584,4 +610,186 @@ fn closure_panics_surface_from_superstep() {
             "superstep after the panic at pid {bad}"
         );
     }
+}
+
+/// A p=64 run that trips analyzer rules on purpose, so the comparisons
+/// below are over non-empty findings: odd processors never read their
+/// inbox (R02, W04) and overwrite a region nobody reads (W04), every
+/// eighth processor also writes into one shared `(dst 0, tag 3)` cell
+/// (W01), untagged reads see several tags (W03), and the last superstep's
+/// messages are still pending at drop. Word, heap-block and xnet traffic
+/// all cross the closure chunks.
+fn analyzed_run() -> u64 {
+    let p = 64;
+    let mut m = Machine::new(
+        Box::new(TextbookBspNetwork {
+            g: 2.0,
+            l: 10.0,
+            sigma: 0.5,
+            ell: 3.0,
+        }),
+        Arc::new(UniformCompute::test_model()),
+        vec![0u64; p],
+        SEED,
+    );
+    for round in 0..4u32 {
+        m.superstep(move |ctx| {
+            let pid = ctx.pid();
+            let p = ctx.nprocs();
+            ctx.charge(f64::from(round) + pid as f64 * 0.5);
+            if pid % 2 == 0 {
+                let mut acc = *ctx.state;
+                for msg in ctx.msgs() {
+                    for b in msg.data() {
+                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(*b));
+                    }
+                }
+                *ctx.state = acc;
+                ctx.touch_read(0);
+            }
+            ctx.touch_write(0);
+            let word = round * 1000 + pid as u32;
+            ctx.send_words_u32_tagged((pid * 7 + 3) % p, 1, &[word, word + 1]);
+            let block: Vec<u32> = (0..32).map(|i| i + word).collect();
+            ctx.send_block_u32_tagged((pid + 1) % p, 2, &block);
+            if pid % 8 == 0 {
+                ctx.send_words_u32_tagged(0, 3, &[word]);
+            }
+            if round == 2 {
+                ctx.send_xnet_u32((pid + 8) % p, &[word; 4]);
+            }
+        });
+    }
+    let mut d = Digest::new();
+    d.push_f64(m.time().as_micros());
+    for s in m.states() {
+        d.push_u64(*s);
+    }
+    d.finish()
+}
+
+/// Supersteps observed per exchange engine.
+#[derive(Clone, Copy, Debug, Default)]
+struct PathCounts {
+    fused: usize,
+    other: usize,
+}
+
+struct PathCounter {
+    needs: Needs,
+    counts: Rc<Cell<PathCounts>>,
+}
+
+impl SuperstepProbe for PathCounter {
+    fn needs(&self) -> Needs {
+        self.needs
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let mut c = self.counts.get();
+        if obs.path == ExchangePath::Fused {
+            c.fused += 1;
+        } else {
+            c.other += 1;
+        }
+        self.counts.set(c);
+    }
+}
+
+/// Runs `body` under a path counter declaring `needs` (plan extraction's
+/// dry steps reach schedule observers only).
+fn count_paths(needs: Needs, body: impl FnOnce()) -> PathCounts {
+    let counts = Rc::new(Cell::new(PathCounts::default()));
+    let hook = counts.clone();
+    with_probe(
+        move |_p| {
+            Box::new(PathCounter {
+                needs,
+                counts: hook.clone(),
+            })
+        },
+        body,
+    );
+    counts.get()
+}
+
+type AnalyzerRun = Box<dyn Fn()>;
+
+/// Every analyzer observes the fused exchange — the one the figures run —
+/// on a machine whose closures fan out, and never another path.
+#[test]
+fn analyzers_observe_the_fused_engine() {
+    force_pool();
+    let analyzers: [(&str, Needs, AnalyzerRun); 5] = [
+        (
+            "audit_determinism",
+            Needs::Cost,
+            Box::new(|| {
+                let v = audit_determinism("analyzed run", analyzed_run);
+                assert!(v.is_empty(), "{}", render(&v));
+            }),
+        ),
+        (
+            "check_protocol",
+            Needs::Cost,
+            Box::new(|| {
+                check_protocol(Discipline::any(), analyzed_run);
+            }),
+        ),
+        (
+            "check_races",
+            Needs::Cost,
+            Box::new(|| {
+                check_races(RaceConfig::exclusive(), analyzed_run);
+            }),
+        ),
+        (
+            "collect_traces",
+            Needs::Cost,
+            Box::new(|| {
+                collect_traces(analyzed_run);
+            }),
+        ),
+        (
+            "extract_plans",
+            Needs::Schedule,
+            Box::new(|| {
+                extract_plans(analyzed_run);
+            }),
+        ),
+    ];
+    for (label, needs, run) in &analyzers {
+        let counts = count_paths(*needs, run);
+        assert!(counts.fused > 0, "{label}: no fused steps: {counts:?}");
+        assert_eq!(counts.other, 0, "{label}: other paths: {counts:?}");
+        if *label == "audit_determinism" {
+            // A pooled leg and the sequential leg, four steps each.
+            assert_eq!(counts.fused, 8, "{counts:?}");
+        }
+    }
+}
+
+/// Findings, traces and plans are the same pooled and sequential.
+#[test]
+fn analyzer_reports_match_pooled_and_sequential() {
+    force_pool();
+    let reports = || {
+        let (_, protocol) = check_protocol(Discipline::any(), analyzed_run);
+        let (_, races) = check_races(RaceConfig::exclusive(), analyzed_run);
+        let (_, traces) = collect_traces(analyzed_run);
+        let (_, plans) = extract_plans(analyzed_run);
+        (protocol, races, traces, plans)
+    };
+    let pooled = reports();
+    let (protocol, races, traces, plans) = &pooled;
+    assert!(
+        !protocol.is_empty() && !races.is_empty(),
+        "findings must not be vacuous"
+    );
+    assert_eq!((traces.len(), plans.len()), (4, 1));
+    assert_eq!(
+        with_sequential(reports),
+        pooled,
+        "sequential reports diverged from the pooled ones"
+    );
 }

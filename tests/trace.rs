@@ -10,8 +10,8 @@
 //!   additions in the same order);
 //! * **zero perturbation** — running under a trace scope changes nothing
 //!   observable: simulated times and run digests are bit-identical with
-//!   and without the probe, on every machine and on both exchange
-//!   engines;
+//!   and without the probe, on every machine, and pooled and sequential
+//!   runs record identical rows;
 //! * **one record** — each row carries the machine's own
 //!   [`pcm_sim::SuperstepTrace`], so the row log and
 //!   [`pcm_sim::Machine::traces`] agree step for step.
@@ -24,7 +24,7 @@ use pcm::algos::RunResult;
 use pcm::models::account_run;
 use pcm::trace::{capture, capture_sized, ChromeRun};
 use pcm::Platform;
-use pcm_sim::with_exchange_shards;
+use pcm_sim::with_sequential;
 
 fn bits(t: pcm::SimTime) -> u64 {
     t.as_micros().to_bits()
@@ -44,7 +44,7 @@ fn attribution_reproduces_total_cost_bit_identically() {
                 Box::new(|| bitonic::run(&plat, 16, ExchangeMode::Words, SEED)),
             ),
         ] {
-            let (result, cap) = with_exchange_shards(1, || capture(run));
+            let (result, cap) = capture(run);
             assert!(result.verified, "{name} on {} must verify", plat.name());
             let mrun = cap
                 .run_matching(result.time)
@@ -89,30 +89,46 @@ fn tracing_does_not_perturb_time_or_digest() {
     }
 }
 
+/// Pool width 4 before the rayon shim latches it, so `p = 64` machines
+/// fan their closures out even on a single-core runner. Best-effort: if
+/// another test latched the width first, a multi-core host still fans out.
+fn force_pool() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        if std::env::var_os("RAYON_NUM_THREADS").is_none() {
+            std::env::set_var("RAYON_NUM_THREADS", "4");
+        }
+    });
+}
+
 #[test]
-fn sharded_exchange_attributes_exactly_and_identically() {
-    let plat = Platform::cm5_with(16);
-    let run = || bitonic::run(&plat, 16, ExchangeMode::Words, SEED);
-    let (r1, c1) = with_exchange_shards(1, || capture(run));
-    let (r4, c4) = with_exchange_shards(4, || capture(run));
-    assert_eq!(
-        bits(r1.time),
-        bits(r4.time),
-        "shard count is an execution strategy, not a cost"
-    );
-    let m1 = c1.run_matching(r1.time).expect("shards=1 run");
-    let m4 = c4.run_matching(r4.time).expect("shards=4 run");
-    assert!(m1.attribution_exact());
-    assert!(m4.attribution_exact());
-    assert_eq!(m1.rows.len(), m4.rows.len());
-    for (a, b) in m1.rows.iter().zip(&m4.rows) {
+fn pooled_and_sequential_runs_record_identical_rows() {
+    force_pool();
+    for plat in Platform::all_with(64) {
+        let run = || bitonic::run(&plat, 24, ExchangeMode::Words, SEED);
+        let (pooled, cp) = capture(run);
+        let (sequential, cs) = with_sequential(|| capture(run));
         assert_eq!(
-            bits(a.clock),
-            bits(b.clock),
-            "step {}: per-step clocks must match across shard counts",
-            a.trace.index
+            bits(pooled.time),
+            bits(sequential.time),
+            "{}: pooling is an execution strategy, not a cost",
+            plat.name()
         );
-        assert_eq!(a.records, b.records);
+        let mp = cp.run_matching(pooled.time).expect("pooled run");
+        let ms = cs.run_matching(sequential.time).expect("sequential run");
+        assert!(mp.attribution_exact() && ms.attribution_exact());
+        assert_eq!(mp.rows.len(), ms.rows.len(), "{}", plat.name());
+        for (a, b) in mp.rows.iter().zip(&ms.rows) {
+            let step = a.trace.index;
+            assert_eq!(bits(a.clock), bits(b.clock), "{} step {step}", plat.name());
+            assert_eq!(a.trace, b.trace, "{} step {step}", plat.name());
+            assert_eq!(
+                (a.machine, a.records, a.path, a.memo, a.terms),
+                (b.machine, b.records, b.path, b.memo, b.terms),
+                "{} step {step}: rows differ outside wall time",
+                plat.name()
+            );
+        }
     }
 }
 
@@ -170,9 +186,7 @@ fn row_log_is_the_machines_record() {
 #[test]
 fn cost_terms_accumulate_in_the_rows() {
     let plat = Platform::maspar_with(16);
-    let (result, cap) = with_exchange_shards(1, || {
-        capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED))
-    });
+    let (result, cap) = capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED));
     assert!(result.verified);
     let mrun = cap.run_matching(result.time).expect("traced run");
     let terms = mrun
@@ -191,9 +205,7 @@ fn cost_terms_accumulate_in_the_rows() {
 #[test]
 fn chrome_export_tiles_the_simulated_timeline() {
     let plat = Platform::cm5_with(16);
-    let (result, cap) = with_exchange_shards(1, || {
-        capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED))
-    });
+    let (result, cap) = capture(|| matmul::run(&plat, 8, MatmulVariant::BspStaggered, SEED));
     let mrun = cap.run_matching(result.time).expect("traced run");
     let doc = pcm::trace::chrome::render(&[ChromeRun {
         name: String::from("matmul/BspStaggered @ CM-5"),
@@ -212,9 +224,7 @@ fn chrome_export_tiles_the_simulated_timeline() {
 #[test]
 fn tiny_row_logs_drop_rows_and_void_exactness() {
     let plat = Platform::cm5_with(16);
-    let (result, cap) = with_exchange_shards(1, || {
-        capture_sized(2, || bitonic::run(&plat, 16, ExchangeMode::Words, SEED))
-    });
+    let (result, cap) = capture_sized(2, || bitonic::run(&plat, 16, ExchangeMode::Words, SEED));
     assert!(result.verified, "tracing overflow must not affect the run");
     let mrun = cap.runs.last().expect("a machine ran");
     assert!(mrun.dropped > 0, "bitonic runs more than 2 supersteps");
