@@ -43,9 +43,10 @@ golden:
 
 # The pooled executor at an odd width: uneven closure chunks (p mod 3 != 0)
 # and the allocation-free hot path, including the family, recycling and
-# analyzer bit-identity checks in tests/pooling.rs.
+# analyzer bit-identity checks in tests/pooling.rs and the chunk-boundary
+# exchange checks in tests/exchange_shard.rs.
 pool-odd:
-	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test hotpath_alloc
+	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc
 
 # Static schedule audit: full sweep + machine-readable findings report.
 audit:
