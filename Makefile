@@ -109,8 +109,10 @@ analyze: sanitize race audit-gate sym-gate trace-gate figures-gate trace-counts-
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Route-memo differential gate: memo on vs off must be bit-identical, and
-# the rewritten router must match the reference implementation.
+# Pricing differential gate: each machine's pattern memo on vs off must
+# give bit-identical clocks (tests/pricing_memo.rs), and the delta router
+# must match its embedded reference implementation on random and
+# degenerate rounds (tests/router_delta.rs).
 pricing-gate:
 	cargo test -q --test pricing_memo
 	cargo test -q --test router_delta

@@ -188,7 +188,9 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::samplesort(),
             contract: Some(contract::samplesort()),
             grid: &[(16, 16), (24, 64), (16, 256)],
-            valid: |_n, p| p.is_power_of_two(),
+            // The splitter phase needs 2^k processors, and the block
+            // variants tile them sqrt(P)-wise.
+            valid: |_n, p| p.is_power_of_two() && sqrt_exact(p).is_some(),
             // Bucket routing fans keys from every source into each
             // destination and the receiver folds the queue
             // order-insensitively: the queued race config.
@@ -452,6 +454,33 @@ mod tests {
                 "{}: grid not ordered by p",
                 f.name
             );
+        }
+    }
+
+    #[test]
+    fn every_variant_runs_wherever_its_family_is_valid() {
+        // Off-grid processor counts, square and not: wherever `valid`
+        // admits a point at the family's first grid `n`, every variant
+        // must run there and verify.
+        for f in families() {
+            let n = f.grid[0].0;
+            for p in [32, 64, 128] {
+                if !(f.valid)(n, p) {
+                    continue;
+                }
+                for plat in [Platform::maspar_with(p), Platform::cm5_with(p)] {
+                    for v in &f.variants {
+                        let r = (v.run)(&plat, n, SEED);
+                        assert!(
+                            r.verified,
+                            "{}/{} failed at n = {n} on {} p = {p}",
+                            f.name,
+                            v.name,
+                            plat.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -7,10 +7,13 @@
 //!
 //! `--fast` restricts each family to its first grid point on the MasPar
 //! (the smoke configuration); `--out` writes the JSON findings report.
-//! Exit status is 1 when any finding fired, so CI can gate on it.
+//! Exit status is 2 for a malformed command line, and 1 when the report
+//! cannot be written or any finding fired, so CI can gate on it.
 
 use pcm_audit::{render, render_json, sweep, SweepOptions};
 use pcm_core::fsio::write_atomic;
+
+const USAGE: &str = "usage: pcm-audit [--fast] [--out PATH]";
 
 fn main() {
     let mut fast = false;
@@ -20,19 +23,16 @@ fn main() {
         match arg.as_str() {
             "--fast" => fast = true,
             "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }));
+                out = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--out requires a path")),
+                );
             }
             "--help" | "-h" => {
-                eprintln!("usage: pcm-audit [--fast] [--out PATH]");
+                eprintln!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
@@ -48,7 +48,7 @@ fn main() {
         let json = render_json(&outcome, fast);
         if let Err(e) = write_atomic(&path, json) {
             eprintln!("pcm-audit: cannot write {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         }
         println!("pcm-audit: report written to {path}");
     }
@@ -63,4 +63,12 @@ fn main() {
         );
         std::process::exit(1);
     }
+}
+
+/// Reports a malformed command line with the usage line and exits with
+/// status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("pcm-audit: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }

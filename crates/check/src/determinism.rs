@@ -60,13 +60,6 @@ impl Digest {
         }
     }
 
-    /// Absorbs a slice of `f64` values.
-    pub fn push_f64s(&mut self, vals: &[f64]) {
-        for &v in vals {
-            self.push_f64(v);
-        }
-    }
-
     /// The accumulated digest.
     pub fn finish(self) -> u64 {
         self.0

@@ -98,11 +98,6 @@ impl Accumulator {
         self.max = self.max.max(sample);
     }
 
-    /// Adds one simulated-time sample (in microseconds).
-    pub fn push_time(&mut self, t: SimTime) {
-        self.push(t.as_micros());
-    }
-
     /// Number of samples pushed so far.
     pub fn len(&self) -> usize {
         self.n

@@ -1,10 +1,10 @@
 //! Canonical pattern fingerprints for the machines' pricing memos.
 //!
-//! The GCel and CM-5 memoize whole-pattern pricing results keyed on the
-//! complete send list; the MasPar memoizes per-round router outcomes with
-//! its own `(src, dst)` encoding. In all cases the [`PricingCache`]
-//! verifies the *full* stored key on lookup, so the encoding here only
-//! has to be injective, not collision-resistant.
+//! All three machines memoize whole-pattern pricing results keyed on the
+//! complete send list (the MasPar stores the deterministic coefficient of
+//! every jitter draw). The [`PricingCache`] verifies the *full* stored key
+//! on lookup, so the encoding here only has to be injective, not
+//! collision-resistant.
 //!
 //! [`PricingCache`]: pcm_sim::PricingCache
 

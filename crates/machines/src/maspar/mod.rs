@@ -21,11 +21,11 @@ use pcm_sim::{CommPattern, NetTerms, NetworkModel, PatternScratch};
 use crate::loads::PortLoads;
 use router::{DeltaRouter, RouteOutcome, CLUSTER};
 
-/// Route-memo slots (direct-mapped; see `pcm_sim::cache`).
+/// Pattern-memo slots (direct-mapped; see `pcm_sim::cache`).
 const MEMO_SLOTS: usize = 4096;
-/// Longest cacheable round fingerprint, in key words (= messages). A
-/// round bigger than this bypasses the memo instead of pinning megabytes
-/// of key storage; the bypass is counted, not silent.
+/// Longest cacheable pattern fingerprint, in key words. A pattern bigger
+/// than this bypasses the memo instead of pinning megabytes of key
+/// storage; the bypass is counted, not silent.
 const MEMO_MAX_KEY: usize = 1 << 14;
 
 /// Tunable cost constants of the MasPar model, chosen so that the
@@ -82,7 +82,7 @@ impl Default for MasParCosts {
 ///
 /// Owns all pricing scratch: the pattern-iteration buffers, the reusable
 /// `(src, dst)` pair list, the canonical-fingerprint buffer and the
-/// collision-safe route memo. After a warm-up superstep, pricing a
+/// collision-safe pattern memo. After a warm-up superstep, pricing a
 /// repeated pattern performs no heap allocation.
 pub struct MasParNetwork {
     p: usize,
@@ -337,19 +337,10 @@ impl NetworkModel for MasParNetwork {
 
     fn set_route_memo(&mut self, enabled: bool) {
         self.memo_enabled = enabled;
-        self.router.set_memo(enabled);
     }
 
     fn route_memo_stats(&self) -> Option<CacheStats> {
-        // Combined accounting over both layers: pattern-level coefficient
-        // hits plus round-level router-outcome hits.
-        let (a, b) = (self.pat_memo.stats(), self.router.memo_stats());
-        Some(CacheStats {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-            evictions: a.evictions + b.evictions,
-            bypasses: a.bypasses + b.bypasses,
-        })
+        Some(self.pat_memo.stats())
     }
 
     fn cost_terms(&self) -> Option<NetTerms> {

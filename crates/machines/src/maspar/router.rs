@@ -20,25 +20,15 @@
 //!   loads shrink, pass counts drop, and the measured time follows the
 //!   paper's `T_unb(P') = 0.84·P' + 11.8·sqrt(P') + 73.3` curve (Fig. 2).
 
-use pcm_sim::cache::{CacheStats, PricingCache};
-
 /// PEs per router cluster (one router channel each) on the MP-1.
 pub const CLUSTER: usize = 16;
 
-/// Round-memo slots (direct-mapped; see `pcm_sim::cache`).
-const MEMO_SLOTS: usize = 4096;
-/// Longest cacheable round fingerprint, in key words (= messages). A
-/// round bigger than this bypasses the memo instead of pinning megabytes
-/// of key storage; the bypass is counted, not silent.
-const MEMO_MAX_KEY: usize = 1 << 14;
-
 /// Cumulative routed-round totals of a [`DeltaRouter`], for the tracing
-/// layer. Memo hits count too (the stored outcome still describes the
-/// passes that round needs), so the totals are a pure function of the
-/// round sequence — bit-reproducible, memo on or off.
+/// layer. The totals are a pure function of the round sequence, so they
+/// are bit-reproducible.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterTotals {
-    /// Non-empty rounds routed (or answered from the memo).
+    /// Non-empty rounds routed.
     pub rounds: u64,
     /// Cumulative greedy passes across those rounds.
     pub passes: u64,
@@ -90,7 +80,7 @@ pub struct DeltaRouter {
     pe_busy: Vec<u32>,
     /// Current pass stamp for the `*_busy` maps.
     stamp: u32,
-    /// Round-stamped load counters behind [`DeltaRouter::min_passes`].
+    /// Round-stamped load counters behind the pass lower bound.
     out_load: Vec<u32>,
     in_load: Vec<u32>,
     pe_in: Vec<u32>,
@@ -99,17 +89,6 @@ pub struct DeltaRouter {
     /// Round-stamped "this PE already sent" marker (fast-path gating).
     src_seen: Vec<u32>,
     round: u32,
-    /// Round fingerprint scratch (one word per `(src, dst)` pair).
-    key_buf: Vec<u64>,
-    /// Collision-safe memo of completed round outcomes. This replaces the
-    /// old network-private `route_cache`, which keyed on a bare
-    /// `DefaultHasher` u64 with **no collision verification** (two rounds
-    /// hashing alike silently shared a `RouteOutcome`) and stopped caching
-    /// at 4096 entries without telling anyone. The shared [`PricingCache`]
-    /// stores and verifies the full fingerprint, evicts for real, and
-    /// counts hits/misses/evictions/bypasses.
-    memo: PricingCache<RouteOutcome>,
-    memo_enabled: bool,
     /// Cumulative routed-round totals (observability only; never read by
     /// the pricing path).
     totals: RouterTotals,
@@ -145,23 +124,8 @@ impl DeltaRouter {
             pe_stamp: vec![0; p],
             src_seen: vec![0; p],
             round: 0,
-            key_buf: Vec::new(),
-            memo: PricingCache::new(MEMO_SLOTS, MEMO_MAX_KEY),
-            memo_enabled: true,
             totals: RouterTotals::default(),
         }
-    }
-
-    /// Enables or disables the round-outcome memo (differential testing:
-    /// outcomes must be identical either way, only the time to produce
-    /// them changes).
-    pub fn set_memo(&mut self, enabled: bool) {
-        self.memo_enabled = enabled;
-    }
-
-    /// Hit/miss accounting of the round-outcome memo.
-    pub fn memo_stats(&self) -> CacheStats {
-        self.memo.stats()
     }
 
     /// Cumulative routed-round totals (see [`RouterTotals`]).
@@ -174,42 +138,14 @@ impl DeltaRouter {
         self.ports
     }
 
-    /// The cluster port of a PE.
-    #[inline]
-    pub fn port_of(&self, pe: usize) -> usize {
-        pe / CLUSTER
-    }
-
-    /// Lower bound on the number of passes for a round.
-    pub fn min_passes(&self, sends: &[(usize, usize)]) -> usize {
-        let mut out_load = vec![0usize; self.ports];
-        let mut in_load = vec![0usize; self.ports];
-        let mut pe_in = vec![0usize; self.p];
-        for &(src, dst) in sends {
-            out_load[self.port_of(src)] += 1;
-            in_load[self.port_of(dst)] += 1;
-            pe_in[dst] += 1;
-        }
-        let a = out_load.into_iter().max().unwrap_or(0);
-        let b = in_load.into_iter().max().unwrap_or(0);
-        let c = pe_in.into_iter().max().unwrap_or(0);
-        a.max(b).max(c).max(usize::from(!sends.is_empty()))
-    }
-
     /// Routes one round of `(src PE, dst PE)` messages and reports the
     /// pass counts. Deterministic: retry order rotates with the pass index.
     ///
-    /// Three tiers, fastest first:
-    ///
-    /// 1. a memo hit on the round fingerprint returns the stored outcome
-    ///    in O(m) — algorithms replay the same rounds for thousands of
-    ///    supersteps, so this is the steady state;
-    /// 2. rounds whose shape makes the greedy retry loop provably achieve
-    ///    `min_passes` (uniform XOR-mask permutations, single-destination
-    ///    fan-in, single-port fan-out) are priced in O(m) without
-    ///    simulating a single pass;
-    /// 3. everything else runs the greedy pass simulation on persistent
-    ///    scratch, bit-identical to the original retry loop.
+    /// Rounds whose shape makes the greedy retry loop provably achieve
+    /// `min_passes` (uniform XOR-mask permutations, single-destination
+    /// fan-in, single-port fan-out) are priced in O(m) without simulating
+    /// a single pass; everything else runs the greedy pass simulation on
+    /// persistent scratch, bit-identical to the original retry loop.
     pub fn route(&mut self, sends: &[(usize, usize)]) -> RouteOutcome {
         if sends.is_empty() {
             return RouteOutcome {
@@ -217,31 +153,15 @@ impl DeltaRouter {
                 min_passes: 0,
             };
         }
-        let out = if !self.memo_enabled {
-            self.simulate(sends)
-        } else {
-            self.key_buf.clear();
-            for &(s, d) in sends {
-                self.key_buf.push(((s as u64) << 32) | d as u64);
-            }
-            if let Some(out) = self.memo.lookup(&self.key_buf) {
-                out
-            } else {
-                let out = self.simulate(sends);
-                let key = std::mem::take(&mut self.key_buf);
-                self.memo.insert(&key, out);
-                self.key_buf = key;
-                out
-            }
-        };
+        let out = self.simulate(sends);
         self.totals.rounds += 1;
         self.totals.passes += out.passes as u64;
         self.totals.min_passes += out.min_passes as u64;
         out
     }
 
-    /// The greedy pass simulation behind [`DeltaRouter::route`] (tiers 2
-    /// and 3 of its docs). `sends` must be non-empty.
+    /// The fast paths and greedy pass simulation behind
+    /// [`DeltaRouter::route`]. `sends` must be non-empty.
     fn simulate(&mut self, sends: &[(usize, usize)]) -> RouteOutcome {
         // One O(m) analysis pass: the load lower bound plus the
         // round-shape flags that gate the exact fast paths.

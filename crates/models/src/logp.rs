@@ -50,11 +50,6 @@ impl LogP {
         }
     }
 
-    /// Time for one point-to-point small message: `2o + L`.
-    pub fn point_to_point(&self) -> SimTime {
-        SimTime::from_micros(2.0 * self.overhead + self.latency)
-    }
-
     /// Time for a processor to send `n` back-to-back small messages
     /// (pipelined): `o + (n-1)·max(g, o) + L + o`.
     pub fn send_sequence(&self, n: usize) -> SimTime {

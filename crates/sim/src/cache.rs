@@ -1,8 +1,7 @@
 //! Collision-safe memoization of deterministic pricing results.
 //!
-//! All three machine models price a superstep from *canonical pattern
-//! fingerprints* — the `(src, dst)` round pattern for the MasPar router,
-//! the full record list for the GCel/CM-5 closed forms — and algorithms
+//! All three machine models price a superstep from a *canonical pattern
+//! fingerprint* — the superstep's full send-record list — and algorithms
 //! repeat the same patterns for thousands of supersteps (a bitonic sort
 //! replays a handful of bit-flip exchanges; a stencil replays one shift).
 //! [`PricingCache`] memoizes the deterministic part of those prices.
@@ -169,49 +168,6 @@ impl<V> PricingCache<V> {
         }
         self.slots[idx].value.as_ref().expect("hit or just stored")
     }
-
-    /// First half of a split lookup/insert transaction, for callers whose
-    /// value computation needs `&mut` state that the
-    /// [`PricingCache::get_or_insert_with`] closure cannot borrow. A hit
-    /// is counted here; a plain miss is counted by the matching
-    /// [`PricingCache::insert`]; an over-long key counts as a bypass here
-    /// and `insert` then ignores it.
-    pub fn lookup(&mut self, key: &[u64]) -> Option<V>
-    where
-        V: Copy,
-    {
-        if key.len() > self.max_key_words {
-            self.stats.bypasses += 1;
-            return None;
-        }
-        let h = hash_key(key);
-        let slot = &self.slots[self.slot_index(h)];
-        if slot.value.is_some() && slot.hash == h && slot.key == key {
-            self.stats.hits += 1;
-            slot.value
-        } else {
-            None
-        }
-    }
-
-    /// Second half of a split transaction: stores the value computed after
-    /// a [`PricingCache::lookup`] miss. Counts the miss (and any eviction);
-    /// over-long keys were already counted as bypasses by `lookup`.
-    pub fn insert(&mut self, key: &[u64], value: V) {
-        if key.len() > self.max_key_words {
-            return;
-        }
-        let h = hash_key(key);
-        let slot = &mut self.slots[self.slot_index(h)];
-        if slot.value.is_some() {
-            self.stats.evictions += 1;
-        }
-        self.stats.misses += 1;
-        slot.hash = h;
-        slot.key.clear();
-        slot.key.extend_from_slice(key);
-        slot.value = Some(value);
-    }
 }
 
 #[cfg(test)]
@@ -256,20 +212,6 @@ mod tests {
         assert_eq!(*c.get_or_insert_with(&[], || 1), 1);
         assert_eq!(*c.get_or_insert_with(&[0], || 2), 2);
         assert_eq!(c.stats().hits, 0);
-    }
-
-    #[test]
-    fn split_lookup_insert_matches_combined_accounting() {
-        let mut c: PricingCache<u64> = PricingCache::new(4, 4);
-        assert_eq!(c.lookup(&[1, 2]), None);
-        c.insert(&[1, 2], 12);
-        assert_eq!(c.lookup(&[1, 2]), Some(12));
-        let long = [0u64; 5];
-        assert_eq!(c.lookup(&long), None);
-        c.insert(&long, 99);
-        assert_eq!(c.lookup(&long), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.bypasses), (1, 1, 2));
     }
 
     #[test]

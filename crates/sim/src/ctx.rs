@@ -5,9 +5,7 @@ use std::cell::{Cell, RefCell};
 use rand::rngs::StdRng;
 
 use crate::compute::ComputeModel;
-use crate::message::{
-    pooled_f64s, pooled_u32s, pooled_u64s, Message, MsgKind, Payload, PayloadPool, ProcId,
-};
+use crate::message::{pooled_f64s, pooled_u32s, Message, MsgKind, Payload, PayloadPool, ProcId};
 use crate::shadow::{ConsumeFilter, RegionId, ShadowEvent};
 
 /// Per-processor scratch owned by the [`crate::machine::Machine`] and
@@ -388,11 +386,6 @@ impl<'a, S> Ctx<'a, S> {
         self.send_words_u32(dst, &[val]);
     }
 
-    /// Sends one word message carrying an `f64`.
-    pub fn send_word_f64(&mut self, dst: ProcId, val: f64) {
-        self.send_words_f64(dst, &[val]);
-    }
-
     /// Sends one block message of `u32` values.
     pub fn send_block_u32(&mut self, dst: ProcId, vals: &[u32]) {
         self.send_block_u32_tagged(dst, 0, vals);
@@ -402,12 +395,6 @@ impl<'a, S> Ctx<'a, S> {
     pub fn send_block_u32_tagged(&mut self, dst: ProcId, tag: u32, vals: &[u32]) {
         let payload = pooled_u32s(self.pool, vals);
         self.push(dst, tag, MsgKind::Block, vals.len(), payload);
-    }
-
-    /// Sends one block message of `u64` values.
-    pub fn send_block_u64(&mut self, dst: ProcId, vals: &[u64]) {
-        let payload = pooled_u64s(self.pool, vals);
-        self.push(dst, 0, MsgKind::Block, vals.len(), payload);
     }
 
     /// Sends one block message of `f64` values.

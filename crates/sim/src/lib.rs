@@ -43,7 +43,7 @@ pub use compute::{ComputeModel, UniformCompute};
 pub use ctx::Ctx;
 pub use machine::Machine;
 pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
-pub use network::{IdealNetwork, LogPNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
+pub use network::{IdealNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
 pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView, SendRecord};
 pub use plan::{extract_plans, RunPlan, StepPlan};
 pub use probe::{

@@ -150,12 +150,6 @@ impl<S: Send> Machine<S> {
         self.clock
     }
 
-    /// Resets the simulated clock and traces (keeps states and inboxes).
-    pub fn reset_clock(&mut self) {
-        self.clock = SimTime::ZERO;
-        self.traces.clear();
-    }
-
     /// Number of supersteps executed.
     pub fn supersteps(&self) -> usize {
         self.step_count
@@ -186,11 +180,6 @@ impl<S: Send> Machine<S> {
     /// Aggregated compute/communication breakdown of the run.
     pub fn breakdown(&self) -> RunBreakdown {
         RunBreakdown::from_traces(&self.traces)
-    }
-
-    /// The platform's compute model.
-    pub fn compute_model(&self) -> &dyn ComputeModel {
-        &*self.compute
     }
 
     /// Enables or disables the network model's route memo (models without
@@ -690,16 +679,6 @@ mod tests {
             first.windows(2).any(|w| w[0] != w[1]),
             "different procs draw differently"
         );
-    }
-
-    #[test]
-    fn reset_clock_keeps_state() {
-        let mut m = test_machine(2);
-        m.superstep(|ctx| ctx.charge(10.0));
-        m.reset_clock();
-        assert_eq!(m.time(), SimTime::ZERO);
-        assert!(m.traces().is_empty());
-        assert_eq!(m.states()[1], vec![1]);
     }
 
     #[test]

@@ -358,7 +358,6 @@ macro_rules! pooled_encode {
 }
 
 pooled_encode!(pooled_u32s, u32, 4);
-pooled_encode!(pooled_u64s, u64, 8);
 pooled_encode!(pooled_f64s, f64, 8);
 
 #[cfg(test)]
@@ -443,9 +442,6 @@ mod tests {
         let m = with(pooled_u32s(&mut pool, &words));
         assert_eq!(m.u32s().len(), words.len());
         assert!(m.u32s().eq(words.iter().copied()));
-        let longs = [7u64, u64::MAX, 1 << 40];
-        let m = with(pooled_u64s(&mut pool, &longs));
-        assert_eq!(m.as_u64s(), longs);
         let reals = [0.5f64, -3.0, 1e300];
         let m = with(pooled_f64s(&mut pool, &reals));
         assert_eq!(m.f64s().len(), 3);

@@ -126,76 +126,6 @@ impl NetworkModel for TextbookBspNetwork {
     }
 }
 
-/// A LogP-style reference network: per-message overhead/gap at the
-/// sender, finite per-destination capacity `ceil(L/g)`, and a logarithmic
-/// software barrier. Unlike [`TextbookBspNetwork`], this model is
-/// *schedule-sensitive*: rounds whose in-degree exceeds the capacity stall
-/// their senders — the effect the paper credits the LogP model with
-/// capturing (the unstaggered CM-5 matrix multiplication, Fig. 4).
-#[derive(Debug, Clone)]
-pub struct LogPNetwork {
-    /// Network latency for a small message (µs).
-    pub latency: f64,
-    /// CPU overhead per send or receive (µs).
-    pub overhead: f64,
-    /// Gap between consecutive messages of one processor (µs).
-    pub gap: f64,
-    /// Per-byte gap for bulk transfers (the LogGP `G`), µs/byte.
-    pub big_gap: f64,
-    /// Number of processors (for the barrier tree).
-    pub p: usize,
-}
-
-impl LogPNetwork {
-    /// The capacity constraint: at most `ceil(L/g)` messages in flight to
-    /// one destination.
-    pub fn capacity(&self) -> usize {
-        // L/g is a small message count (both are microsecond-scale).
-        #[allow(clippy::cast_possible_truncation)]
-        let cap = (self.latency / self.gap).ceil().max(1.0) as usize;
-        cap
-    }
-
-    fn barrier_us(&self) -> f64 {
-        let rounds = (self.p.max(2) as f64).log2().ceil();
-        rounds * (self.latency + 2.0 * self.overhead)
-    }
-}
-
-impl NetworkModel for LogPNetwork {
-    fn route(&mut self, pattern: &CommPattern, _rng: &mut StdRng) -> SimTime {
-        let per_msg = self.gap.max(self.overhead);
-        let capacity = self.capacity() as f64;
-        let mut t = 0.0;
-        let mut scratch = PatternScratch::new();
-        pattern.visit_word_segments(&mut scratch, |seg| {
-            // Senders issue one message per `per_msg`; once more than
-            // `capacity` messages head for one destination, the extra
-            // senders stall behind the receiver.
-            let stall = (seg.max_in_degree() as f64 / capacity).max(1.0);
-            t += seg.rounds as f64 * per_msg * stall;
-        });
-        pattern.visit_block_rounds(&mut scratch, |round| {
-            let stall = (round.max_in_degree() as f64 / capacity).max(1.0);
-            t += 2.0 * self.overhead
-                + self.latency
-                + round.max_bytes() as f64 * self.big_gap * stall;
-        });
-        if pattern.h_send() > 0 || pattern.h_recv() > 0 {
-            t += self.latency + 2.0 * self.overhead;
-        }
-        SimTime::from_micros(t + self.barrier_us())
-    }
-
-    fn barrier(&mut self) -> SimTime {
-        SimTime::from_micros(self.barrier_us())
-    }
-
-    fn name(&self) -> &str {
-        "logp"
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests assert exact simulated values
 mod tests {
@@ -240,9 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn logp_network_is_schedule_sensitive() {
+    fn textbook_bsp_network_is_schedule_blind() {
         // Two schedules of the same h-relation: staggered (permutation
         // rounds) vs naive (all senders hit one destination per round).
+        // A textbook BSP machine prices only `h`, so it cannot tell them
+        // apart.
         let make = |staggered: bool| -> CommPattern {
             let sends = (0..4usize)
                 .map(|src| {
@@ -262,46 +194,17 @@ mod tests {
                 .collect();
             CommPattern { p: 8, sends }
         };
-        let mut net = LogPNetwork {
-            latency: 22.5,
-            overhead: 4.55,
-            gap: 9.1,
-            big_gap: 0.27,
-            p: 8,
-        };
-        let mut rng = seeded(1);
-        let stag = net.route(&make(true), &mut rng);
-        let naive = net.route(&make(false), &mut rng);
-        assert!(
-            naive > stag,
-            "LogP's capacity constraint must punish the naive schedule: {naive} vs {stag}"
-        );
-        // A textbook BSP machine cannot tell them apart.
         let mut bsp = TextbookBspNetwork {
             g: 9.1,
             l: 45.0,
             sigma: 0.27,
             ell: 75.0,
         };
+        let mut rng = seeded(1);
         assert_eq!(
             bsp.route(&make(true), &mut rng),
             bsp.route(&make(false), &mut rng)
         );
-    }
-
-    #[test]
-    fn logp_capacity_and_barrier() {
-        let mut net = LogPNetwork {
-            latency: 22.5,
-            overhead: 4.55,
-            gap: 9.1,
-            big_gap: 0.27,
-            p: 64,
-        };
-        assert_eq!(net.capacity(), 3);
-        // Tree barrier: 6 rounds of (L + 2o).
-        let b = net.barrier().as_micros();
-        assert!((b - 6.0 * (22.5 + 9.1)).abs() < 1e-9);
     }
 
     #[test]

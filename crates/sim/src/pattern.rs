@@ -277,21 +277,6 @@ impl CommPattern {
         recv
     }
 
-    /// Number of processors that send or receive at least one message —
-    /// the "active PEs" count of the paper's partial-permutation study.
-    pub fn active_processors(&self) -> usize {
-        let mut active = vec![false; self.p];
-        for (src, recs) in self.sends.iter().enumerate() {
-            for r in recs {
-                if r.words > 0 {
-                    active[src] = true;
-                    active[r.dst] = true;
-                }
-            }
-        }
-        active.iter().filter(|&&a| a).count()
-    }
-
     /// Splits the word rounds into maximal constant-pattern segments and
     /// visits them in round order, without allocating: the segment send
     /// lists live in `scratch` and are only valid for the duration of each
@@ -565,7 +550,6 @@ mod tests {
         assert_eq!(p.h_recv(), 5, "proc 1 receives 3 + 2 words");
         assert_eq!(p.total_messages(), 6);
         assert_eq!(p.total_bytes(), 24);
-        assert_eq!(p.active_processors(), 3);
         assert!(!p.is_empty());
     }
 
@@ -580,7 +564,6 @@ mod tests {
         assert_eq!(p.h_recv(), 0);
         assert!(segments_of(&p).is_empty());
         assert!(blocks_per_round(&p).is_empty());
-        assert_eq!(p.active_processors(), 0);
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!
 //! `--fast` runs fewer differential rounds and skips the priced-simulator
 //! crossover replays (the smoke configuration); `--out` writes the JSON
-//! findings report. Exit status is 1 when any finding fired, so CI can
-//! gate on it.
+//! findings report. Exit status is 2 for a malformed command line, and 1
+//! when the report cannot be written or any finding fired, so CI can gate
+//! on it.
 
 use pcm_core::fsio::write_atomic;
 use pcm_sym::{render, render_json, sweep, SweepOptions};
+
+const USAGE: &str = "usage: pcm-sym [--fast] [--out PATH]";
 
 fn main() {
     let mut fast = false;
@@ -22,19 +25,16 @@ fn main() {
         match arg.as_str() {
             "--fast" => fast = true,
             "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }));
+                out = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--out requires a path")),
+                );
             }
             "--help" | "-h" => {
-                eprintln!("usage: pcm-sym [--fast] [--out PATH]");
+                eprintln!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
@@ -58,7 +58,7 @@ fn main() {
         let json = render_json(&outcome, fast);
         if let Err(e) = write_atomic(&path, json) {
             eprintln!("pcm-sym: cannot write {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         }
         println!("pcm-sym: report written to {path}");
     }
@@ -73,4 +73,12 @@ fn main() {
         );
         std::process::exit(1);
     }
+}
+
+/// Reports a malformed command line with the usage line and exits with
+/// status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("pcm-sym: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }

@@ -1,13 +1,14 @@
-//! Differential gate for the route memo: with memoization on or off,
+//! Differential gate for the pattern memo: with memoization on or off,
 //! every machine must produce bit-identical simulated clocks.
 //!
-//! The memo layers (the pattern-level coefficient memo and the
-//! delta-router's round-outcome memo) cache only *deterministic* pricing
-//! values; jitter is always drawn live from the machine's sequential rng.
-//! If a cached entry ever leaked a jitter draw — or a collision returned
-//! the wrong entry — the clocks would drift. The sweep below repeats
-//! patterns (to force warm hits), interleaves distinct shapes (to force
-//! evictions and re-misses) and mixes word with block traffic.
+//! Each machine memoizes the deterministic part of a superstep's price,
+//! keyed on the full send-record list (the MasPar stores the cost
+//! coefficient of every jitter draw); jitter is always drawn live from
+//! the machine's sequential rng. If a cached entry ever leaked a jitter
+//! draw — or a collision returned the wrong entry — the clocks would
+//! drift. The sweep below repeats patterns (to force warm hits),
+//! interleaves distinct shapes (to force evictions and re-misses) and
+//! mixes word with block traffic.
 
 // Tests cast small pids freely and compare exact simulated times.
 #![allow(clippy::cast_possible_truncation, clippy::float_cmp)]
