@@ -43,10 +43,11 @@ golden:
 
 # The pooled executor at an odd width: uneven closure chunks (p mod 3 != 0)
 # and the allocation-free hot path, including the family, recycling and
-# analyzer bit-identity checks in tests/pooling.rs and the chunk-boundary
-# exchange checks in tests/exchange_shard.rs.
+# analyzer bit-identity checks in tests/pooling.rs, the chunk-boundary
+# exchange checks in tests/exchange_shard.rs and the p=256 APSP digests in
+# tests/golden.rs.
 pool-odd:
-	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc
+	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc --test golden
 
 # Static schedule audit: full sweep + machine-readable findings report.
 audit:

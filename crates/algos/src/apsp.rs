@@ -19,6 +19,8 @@
 //!   ring rotation over the piece holders (`M` communication steps — the
 //!   `M·T_unb(P)` term of Fig. 12).
 
+use std::ops::Range;
+
 use pcm_core::units::{log2_exact, sqrt_exact, tag_u32};
 use pcm_machines::Platform;
 use pcm_sim::topology::Grid;
@@ -38,23 +40,6 @@ pub enum ApspVariant {
     Blocks,
 }
 
-/// A piece of the active column or row: its index among the `sqrt(P)`
-/// chunks of the segment (`None` while the processor holds none) and its
-/// values, in a buffer reused from one iteration to the next.
-#[derive(Clone, Debug, Default)]
-struct Piece {
-    idx: Option<usize>,
-    vals: Vec<f64>,
-}
-
-impl Piece {
-    fn set(&mut self, idx: usize, vals: impl IntoIterator<Item = f64>) {
-        self.idx = Some(idx);
-        self.vals.clear();
-        self.vals.extend(vals);
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 struct ApspState {
     /// My `M x M` block, row-major.
@@ -63,17 +48,20 @@ struct ApspState {
     x: Vec<f64>,
     /// Assembled active row segment (length M).
     y: Vec<f64>,
-    /// The piece currently travelling the row ring.
-    x_piece: Piece,
-    /// The piece currently travelling the column ring.
-    y_piece: Piece,
+    /// The index among the `sqrt(P)` chunks of the piece travelling the
+    /// row ring, `None` while the processor holds none. Its values are
+    /// `x[chunk(m, side, idx)]`: every piece of one index on one row
+    /// carries the same values.
+    x_piece: Option<usize>,
+    /// Likewise for the column ring and `y`.
+    y_piece: Option<usize>,
     /// Scratch for the segment a scatter owner splits into pieces.
     seg: Vec<f64>,
 }
 
 impl ApspState {
-    /// The assembled segment and the travelling piece on `axis`.
-    fn axis_mut(&mut self, axis: u32) -> (&mut Vec<f64>, &mut Piece) {
+    /// The assembled segment and the travelling piece's index on `axis`.
+    fn axis_mut(&mut self, axis: u32) -> (&mut Vec<f64>, &mut Option<usize>) {
         if axis == TAG_COL {
             (&mut self.x, &mut self.x_piece)
         } else {
@@ -100,20 +88,107 @@ fn send(
 }
 
 /// Sends my piece on `axis` (if I hold one) to each of `dsts`, straight
-/// from its buffer; the piece stays mine.
+/// from the assembled segment; the piece stays mine. `send` borrows
+/// `ctx`, so the segment is lent out of the state meanwhile.
 fn forward(
     ctx: &mut pcm_sim::Ctx<'_, ApspState>,
     variant: ApspVariant,
     axis: u32,
+    ranges: &[Range<usize>],
     dsts: impl IntoIterator<Item = usize>,
 ) {
-    let piece = std::mem::take(ctx.state.axis_mut(axis).1);
-    if let Some(idx) = piece.idx {
-        for dst in dsts {
-            send(ctx, variant, dst, 2 * tag_u32(idx) + axis, &piece.vals);
+    let (seg, piece) = ctx.state.axis_mut(axis);
+    let Some(idx) = *piece else {
+        return;
+    };
+    let seg = std::mem::take(seg);
+    for dst in dsts {
+        send(
+            ctx,
+            variant,
+            dst,
+            2 * tag_u32(idx) + axis,
+            &seg[ranges[idx].clone()],
+        );
+    }
+    *ctx.state.axis_mut(axis).0 = seg;
+}
+
+/// Per-run lookup tables. The hot closures, above all the MasPar ring
+/// rotations (most of every `k`'s supersteps), look a processor's place,
+/// partners and piece ranges up here instead of redoing
+/// `grid.coords(embed.to_logical(pid))` and the ring arithmetic in every
+/// call.
+struct Layout {
+    /// Each processor's grid place `(r, c)`.
+    place: Vec<(usize, usize)>,
+    /// `chunk(m, side, idx)` for every piece index `idx < side`.
+    ranges: Vec<Range<usize>>,
+    /// MasPar path: each processor's successor on its row ring
+    /// (`TAG_COL`) and on its column ring (`TAG_ROW`), over subgroups of
+    /// `pieces` consecutive holders.
+    ring: Vec<[usize; 2]>,
+    /// MasPar path: `p` entries per doubling span `pieces << j`, in step
+    /// order; each holds the column and row partner, `None` where the
+    /// processor sends nothing on that axis.
+    doubling: Vec<[Option<usize>; 2]>,
+    /// Pipelined path: each processor's all-gather destinations in
+    /// staggered order without itself, `side - 1` along its row and then
+    /// `side - 1` down its column.
+    gather: Vec<usize>,
+}
+
+impl Layout {
+    fn new(grid: Grid, embed: &Embedding, m: usize, pipelining: bool) -> Self {
+        let side = grid.side;
+        let p = side * side;
+        let at = |r: usize, c: usize| embed.to_machine(grid.id(r, c));
+        let place: Vec<(usize, usize)> = (0..p)
+            .map(|pid| grid.coords(embed.to_logical(pid)))
+            .collect();
+        let ranges = (0..side).map(|idx| chunk(m, side, idx)).collect();
+        let (mut ring, mut doubling, mut gather) = (Vec::new(), Vec::new(), Vec::new());
+        if pipelining {
+            gather.reserve(p * 2 * side.saturating_sub(1));
+            for &(r, c) in &place {
+                gather.extend(staggered(c, side).skip(1).map(|t| at(r, t)));
+                gather.extend(staggered(r, side).skip(1).map(|t| at(t, c)));
+            }
+        } else if m > 0 {
+            let pieces = m.min(side);
+            let next = |i: usize| {
+                let base = (i / pieces) * pieces;
+                base + (i - base + 1) % pieces
+            };
+            ring = place
+                .iter()
+                .map(|&(r, c)| [at(r, next(c)), at(next(r), c)])
+                .collect();
+            for j in 0..log2_exact(side / pieces) {
+                let span = pieces << j;
+                doubling.extend(place.iter().map(|&(r, c)| {
+                    [
+                        (c < span).then(|| at(r, c + span)),
+                        (r < span).then(|| at(r + span, c)),
+                    ]
+                }));
+            }
+        }
+        Layout {
+            place,
+            ranges,
+            ring,
+            doubling,
+            gather,
         }
     }
-    *ctx.state.axis_mut(axis).1 = piece;
+
+    /// The all-gather destinations of `pid`: along its row, down its
+    /// column.
+    fn gather(&self, pid: usize) -> (&[usize], &[usize]) {
+        let per = self.gather.len() / self.place.len();
+        self.gather[pid * per..(pid + 1) * per].split_at(per / 2)
+    }
 }
 
 /// Runs blocked Floyd on a deterministic random digraph and verifies the
@@ -152,13 +227,17 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
         Embedding::scrambled(p, seed ^ 0xA9_5D)
     };
     let embed = &embed;
+    let layout = Layout::new(grid, embed, m, pipelining);
+    let layout = &layout;
+    let ranges = &layout.ranges[..];
 
     let mut rng = pcm_core::rng::seeded(seed);
     let d0 = pcm_core::rng::random_digraph(n, 0.25, 100.0, &mut rng);
 
-    let states: Vec<ApspState> = (0..p)
-        .map(|pid| {
-            let (r, c) = grid.coords(embed.to_logical(pid));
+    let states: Vec<ApspState> = layout
+        .place
+        .iter()
+        .map(|&(r, c)| {
             let mut block = Vec::with_capacity(m * m);
             for i in 0..m {
                 let gr = r * m + i;
@@ -182,9 +261,9 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
         // column. Only 2·sqrt(P) processors send.
         machine.superstep(|ctx| {
             let pid = ctx.pid();
-            let (r, c) = grid.coords(embed.to_logical(pid));
-            ctx.state.x_piece.idx = None;
-            ctx.state.y_piece.idx = None;
+            let (r, c) = layout.place[pid];
+            ctx.state.x_piece = None;
+            ctx.state.y_piece = None;
             // `send` borrows `ctx`, so the segment is split from a buffer
             // moved out of the state.
             let mut seg = std::mem::take(&mut ctx.state.seg);
@@ -192,13 +271,13 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                 seg.clear();
                 seg.extend((0..m).map(|i| ctx.state.d[i * m + local_k]));
                 for t in staggered(r, side) {
-                    let piece = &seg[chunk(m, side, t)];
+                    let piece = &seg[ranges[t].clone()];
                     if piece.is_empty() {
                         continue;
                     }
                     let dst = embed.to_machine(grid.id(r, t));
                     if dst == pid {
-                        ctx.state.x_piece.set(t, piece.iter().copied());
+                        ctx.state.x_piece = Some(t);
                     } else {
                         send(ctx, variant, dst, 2 * tag_u32(t) + TAG_COL, piece);
                     }
@@ -208,13 +287,13 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                 seg.clear();
                 seg.extend_from_slice(&ctx.state.d[local_k * m..(local_k + 1) * m]);
                 for t in staggered(c, side) {
-                    let piece = &seg[chunk(m, side, t)];
+                    let piece = &seg[ranges[t].clone()];
                     if piece.is_empty() {
                         continue;
                     }
                     let dst = embed.to_machine(grid.id(t, c));
                     if dst == pid {
-                        ctx.state.y_piece.set(t, piece.iter().copied());
+                        ctx.state.y_piece = Some(t);
                     } else {
                         send(ctx, variant, dst, 2 * tag_u32(t) + TAG_ROW, piece);
                     }
@@ -233,13 +312,20 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
                 seg.clear();
                 seg.resize(m, f64::INFINITY);
             }
-            absorb_pieces(ctx, m, side);
-            // Own pieces (set during the scatter) also enter the assembly.
-            for axis in [TAG_COL, TAG_ROW] {
-                let (seg, piece) = ctx.state.axis_mut(axis);
-                if let Some(idx) = piece.idx {
-                    seg[chunk(m, side, idx)].copy_from_slice(&piece.vals);
+            absorb_pieces(ctx, ranges);
+            // An owner's own piece (kept during the scatter) enters the
+            // assembly straight from its block, which the scatter read.
+            // Owners receive nothing on their own axis.
+            let (r, c) = layout.place[ctx.pid()];
+            let st = &mut *ctx.state;
+            if let Some(idx) = st.x_piece.filter(|_| c == owner) {
+                for i in ranges[idx].clone() {
+                    st.x[i] = st.d[i * m + local_k];
                 }
+            }
+            if let Some(idx) = st.y_piece.filter(|_| r == owner) {
+                let row = &st.d[local_k * m..(local_k + 1) * m];
+                st.y[ranges[idx].clone()].copy_from_slice(&row[ranges[idx].clone()]);
             }
         });
 
@@ -247,57 +333,38 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
             // All-gather in one superstep: everyone re-broadcasts its piece
             // along the row / column, then relaxes.
             machine.superstep(|ctx| {
-                let pid = ctx.pid();
-                let (r, c) = grid.coords(embed.to_logical(pid));
-                let others = |dst: &usize| *dst != pid;
-                let row = staggered(c, side).map(|t| embed.to_machine(grid.id(r, t)));
-                forward(ctx, variant, TAG_COL, row.filter(others));
-                let col = staggered(r, side).map(|t| embed.to_machine(grid.id(t, c)));
-                forward(ctx, variant, TAG_ROW, col.filter(others));
+                let (row, col) = layout.gather(ctx.pid());
+                forward(ctx, variant, TAG_COL, ranges, row.iter().copied());
+                forward(ctx, variant, TAG_ROW, ranges, col.iter().copied());
             });
             machine.superstep(|ctx| {
-                absorb_pieces(ctx, m, side);
+                absorb_pieces(ctx, ranges);
                 relax(ctx, m);
             });
         } else {
             // MasPar path: doubling (if M < sqrt(P)) then ring rotations.
-            let repl = side / pieces; // power of two, checked up front
-            for j in 0..log2_exact(repl) {
-                let span = pieces << j;
-                machine.superstep(move |ctx| {
-                    absorb_pieces(ctx, m, side);
-                    let pid = ctx.pid();
-                    let (r, c) = grid.coords(embed.to_logical(pid));
-                    if c < span {
-                        let dst = embed.to_machine(grid.id(r, c + span));
-                        forward(ctx, variant, TAG_COL, [dst]);
-                    }
-                    if r < span {
-                        let dst = embed.to_machine(grid.id(r + span, c));
-                        forward(ctx, variant, TAG_ROW, [dst]);
-                    }
+            // One step per span `pieces << j`, `log(sqrt(P)/M)` in all.
+            for partners in layout.doubling.chunks_exact(p) {
+                machine.superstep(|ctx| {
+                    absorb_pieces(ctx, ranges);
+                    let [x_dst, y_dst] = partners[ctx.pid()];
+                    forward(ctx, variant, TAG_COL, ranges, x_dst);
+                    forward(ctx, variant, TAG_ROW, ranges, y_dst);
                 });
             }
             // Ring rotations over the subgroup of `pieces` consecutive
             // holders: pass the current piece one step around, absorbing
             // whatever arrived.
             for _rot in 0..pieces.saturating_sub(1) {
-                machine.superstep(move |ctx| {
-                    absorb_pieces(ctx, m, side);
-                    let pid = ctx.pid();
-                    let (r, c) = grid.coords(embed.to_logical(pid));
-                    let bs_c = (c / pieces) * pieces;
-                    let next_c = bs_c + (c - bs_c + 1) % pieces;
-                    let dst = embed.to_machine(grid.id(r, next_c));
-                    forward(ctx, variant, TAG_COL, [dst]);
-                    let bs_r = (r / pieces) * pieces;
-                    let next_r = bs_r + (r - bs_r + 1) % pieces;
-                    let dst = embed.to_machine(grid.id(next_r, c));
-                    forward(ctx, variant, TAG_ROW, [dst]);
+                machine.superstep(|ctx| {
+                    absorb_pieces(ctx, ranges);
+                    let [x_dst, y_dst] = layout.ring[ctx.pid()];
+                    forward(ctx, variant, TAG_COL, ranges, [x_dst]);
+                    forward(ctx, variant, TAG_ROW, ranges, [y_dst]);
                 });
             }
             machine.superstep(|ctx| {
-                absorb_pieces(ctx, m, side);
+                absorb_pieces(ctx, ranges);
                 relax(ctx, m);
             });
         }
@@ -306,8 +373,7 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
     let time = machine.time();
     // Reconstruct the distance matrix and verify.
     let mut result = vec![0.0f64; n * n];
-    for (pid, st) in machine.states().iter().enumerate() {
-        let (r, c) = grid.coords(embed.to_logical(pid));
+    for (&(r, c), st) in layout.place.iter().zip(machine.states()) {
         for i in 0..m {
             let gr = r * m + i;
             result[gr * n + c * m..gr * n + c * m + m].copy_from_slice(&st.d[i * m..(i + 1) * m]);
@@ -318,12 +384,10 @@ pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> Ru
     RunResult::new(time, machine.breakdown(), verified)
 }
 
-/// Absorbs scatter/ring/doubling deliveries: updates the travelling piece
-/// and accumulates it into the assembled `x`/`y`. Tags encode
-/// `2·piece_index + axis` with axis 0 = column (X), 1 = row (Y).
-fn absorb_pieces(ctx: &mut pcm_sim::Ctx<'_, ApspState>, m: usize, side: usize) {
-    // The inbox borrows `ctx`: decode into the state moved out of it.
-    let mut st = std::mem::take(&mut *ctx.state);
+/// Absorbs scatter/ring/doubling deliveries: each becomes the travelling
+/// piece and is decoded into its range of the assembled `x`/`y`. Tags
+/// encode `2·piece_index + axis` with axis 0 = column (X), 1 = row (Y).
+fn absorb_pieces(ctx: &mut pcm_sim::Ctx<'_, ApspState>, ranges: &[Range<usize>]) {
     let msgs = ctx.msgs();
     if !msgs.is_empty() {
         ctx.touch_modify(regions::APSP_X);
@@ -331,11 +395,15 @@ fn absorb_pieces(ctx: &mut pcm_sim::Ctx<'_, ApspState>, m: usize, side: usize) {
     }
     for msg in msgs {
         let idx = (msg.tag / 2) as usize;
-        let (seg, piece) = st.axis_mut(msg.tag % 2);
-        piece.set(idx, msg.f64s());
-        seg[chunk(m, side, idx)].copy_from_slice(&piece.vals);
+        let (seg, piece) = ctx.state.axis_mut(msg.tag % 2);
+        *piece = Some(idx);
+        let dst = &mut seg[ranges[idx].clone()];
+        let vals = msg.f64s();
+        assert_eq!(vals.len(), dst.len(), "piece {idx} has the wrong length");
+        for (slot, v) in dst.iter_mut().zip(vals) {
+            *slot = v;
+        }
     }
-    *ctx.state = st;
 }
 
 /// The Floyd relaxation of the local block, charged at `alpha` per entry.
@@ -413,6 +481,78 @@ mod tests {
     fn maspar_rejects_m_that_cannot_double() {
         // 16 PEs -> side 4; n = 12 -> M = 3, and 4/3 is no power of two.
         run(&Platform::maspar_with(16), 12, ApspVariant::Words, 0);
+    }
+
+    /// Every table entry equals the per-closure expression it replaces,
+    /// for every pid, on scrambled and identity embeddings.
+    #[test]
+    fn layout_tables_match_the_grid_arithmetic() {
+        for p in [16, 64, 256, 1024] {
+            let side = sqrt_exact(p).unwrap();
+            let grid = Grid { side };
+            for embed in [Embedding::identity(p), Embedding::scrambled(p, 0xA9_5D)] {
+                let at = |r: usize, c: usize| embed.to_machine(grid.id(r, c));
+                // MasPar path: M below sqrt(P) (doubling), equal, and above
+                // it with uneven piece ranges.
+                for m in [1, 2, side / 2, side, side + 3] {
+                    let layout = Layout::new(grid, &embed, m, false);
+                    for idx in 0..side {
+                        assert_eq!(layout.ranges[idx], chunk(m, side, idx));
+                    }
+                    let pieces = m.min(side);
+                    let spans: Vec<usize> = (0..log2_exact(side / pieces))
+                        .map(|j| pieces << j)
+                        .collect();
+                    assert_eq!(layout.doubling.len(), spans.len() * p);
+                    for pid in 0..p {
+                        let (r, c) = grid.coords(embed.to_logical(pid));
+                        assert_eq!(layout.place[pid], (r, c));
+                        let bs_c = (c / pieces) * pieces;
+                        let next_c = bs_c + (c - bs_c + 1) % pieces;
+                        let bs_r = (r / pieces) * pieces;
+                        let next_r = bs_r + (r - bs_r + 1) % pieces;
+                        assert_eq!(layout.ring[pid], [at(r, next_c), at(next_r, c)]);
+                        for (j, &span) in spans.iter().enumerate() {
+                            let x = if c < span {
+                                Some(at(r, c + span))
+                            } else {
+                                None
+                            };
+                            let y = if r < span {
+                                Some(at(r + span, c))
+                            } else {
+                                None
+                            };
+                            assert_eq!(
+                                layout.doubling[j * p + pid],
+                                [x, y],
+                                "p {p} m {m} span {span}"
+                            );
+                        }
+                    }
+                }
+                // Pipelined path: all-gather destinations.
+                for m in [1, 3, side, side + 3] {
+                    let layout = Layout::new(grid, &embed, m, true);
+                    for idx in 0..side {
+                        assert_eq!(layout.ranges[idx], chunk(m, side, idx));
+                    }
+                    for pid in 0..p {
+                        let (r, c) = grid.coords(embed.to_logical(pid));
+                        assert_eq!(layout.place[pid], (r, c));
+                        let row: Vec<usize> = staggered(c, side)
+                            .map(|t| at(r, t))
+                            .filter(|&dst| dst != pid)
+                            .collect();
+                        let col: Vec<usize> = staggered(r, side)
+                            .map(|t| at(t, c))
+                            .filter(|&dst| dst != pid)
+                            .collect();
+                        assert_eq!(layout.gather(pid), (&row[..], &col[..]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -213,24 +213,19 @@ pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunR
             let (r, c) = grid.coords(pid);
             // The two panels travel on separate tags; read each stream
             // through its own filter so the analyzer can prove they never
-            // alias. Both are decoded into the reused panel buffers, moved
-            // out of the state while the inbox borrows `ctx`.
-            let mut l_col = std::mem::take(&mut ctx.state.l_col);
-            let mut u_row = std::mem::take(&mut ctx.state.u_row);
+            // alias. Both are decoded into the reused panel buffers.
             let l_in = ctx.msgs_tagged(TAG_L).last();
             let u_in = ctx.msgs_tagged(TAG_U).last();
             if let Some(msg) = l_in {
                 ctx.touch_write(regions::LU_LCOL);
-                l_col.clear();
-                l_col.extend(msg.f64s());
+                ctx.state.l_col.clear();
+                ctx.state.l_col.extend(msg.f64s());
             }
             if let Some(msg) = u_in {
                 ctx.touch_write(regions::LU_UROW);
-                u_row.clear();
-                u_row.extend(msg.f64s());
+                ctx.state.u_row.clear();
+                ctx.state.u_row.extend(msg.f64s());
             }
-            ctx.state.l_col = l_col;
-            ctx.state.u_row = u_row;
             ctx.touch_read(regions::LU_LCOL);
             ctx.touch_read(regions::LU_UROW);
             ctx.touch_modify(regions::LU_BLOCK);

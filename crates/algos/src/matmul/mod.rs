@@ -202,18 +202,16 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         }
         // Start from the locally retained partial (if any).
         ctx.touch_modify(regions::MATMUL_C);
-        let mut c_sub = std::mem::take(&mut ctx.state.c_sub);
-        if c_sub.is_empty() {
-            c_sub = vec![0.0f64; sn * bn];
+        if ctx.state.c_sub.is_empty() {
+            ctx.state.c_sub = vec![0.0f64; sn * bn];
         }
         for msg in ctx.msgs() {
             debug_assert_eq!(msg.tag, TAG_C);
-            for (acc, v) in c_sub.iter_mut().zip(msg.f64s()) {
+            for (acc, v) in ctx.state.c_sub.iter_mut().zip(msg.f64s()) {
                 *acc += v;
             }
         }
         ctx.charge_copy_words((q * sn * bn) as u64);
-        ctx.state.c_sub = c_sub;
     });
 
     let time = machine.time();

@@ -184,15 +184,15 @@ fn equal_list_len<S: BitonicList>(machine: &mut Machine<S>) -> usize {
 
 /// Decodes the keys that arrived at the last barrier onto the stash.
 fn absorb<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>) {
-    let mut stash = std::mem::take(ctx.state.stash_mut());
+    let msgs = ctx.msgs();
+    let stash = ctx.state.stash_mut();
     let before = stash.len();
-    for msg in ctx.msgs() {
+    for msg in msgs {
         stash.extend(msg.u32s());
     }
     if stash.len() > before {
         ctx.touch_modify(ctx.state.stash_region());
     }
-    *ctx.state.stash_mut() = stash;
 }
 
 /// Compare-splits the list with the partner's list in the stash. The merge

@@ -330,12 +330,10 @@ pub fn run(
 
 /// Appends every key that arrived at the last barrier to the bucket.
 fn absorb_bucket(ctx: &mut Ctx<'_, SampleState>) {
-    let mut bucket = std::mem::take(&mut ctx.state.bucket);
     for msg in ctx.msgs() {
-        bucket.extend(msg.u32s());
+        ctx.state.bucket.extend(msg.u32s());
     }
     ctx.touch_modify(regions::SAMPLE_BUCKET);
-    ctx.state.bucket = bucket;
 }
 
 /// Word-message multi-scan: 2 supersteps of `P`-relations, cost

@@ -283,21 +283,28 @@ impl<'a, S> Ctx<'a, S> {
 
     /// Messages delivered at the previous barrier, ordered by source id and
     /// then by send order.
-    pub fn msgs(&self) -> &[Message] {
+    ///
+    /// The inbox borrow outlives `&self`: it lives as long as the context
+    /// (`'a`), so a closure may write `ctx.state` or send while it walks
+    /// the messages. The consume is recorded when this is called, not as
+    /// the messages are read.
+    pub fn msgs(&self) -> &'a [Message] {
         self.read_inbox.set(true);
         self.record_consume(ConsumeFilter::Any);
         self.inbox
     }
 
-    /// Messages from a particular source.
-    pub fn msgs_from(&self, src: ProcId) -> impl Iterator<Item = &Message> {
+    /// Messages from a particular source. Like [`Ctx::msgs`], the
+    /// iterator borrows the inbox for `'a`, not `self`.
+    pub fn msgs_from(&self, src: ProcId) -> impl Iterator<Item = &'a Message> {
         self.read_inbox.set(true);
         self.record_consume(ConsumeFilter::From(src));
         self.inbox.iter().filter(move |m| m.src == src)
     }
 
-    /// Messages carrying a particular tag.
-    pub fn msgs_tagged(&self, tag: u32) -> impl Iterator<Item = &Message> {
+    /// Messages carrying a particular tag. Like [`Ctx::msgs`], the
+    /// iterator borrows the inbox for `'a`, not `self`.
+    pub fn msgs_tagged(&self, tag: u32) -> impl Iterator<Item = &'a Message> {
         self.read_inbox.set(true);
         self.record_consume(ConsumeFilter::Tag(tag));
         self.inbox.iter().filter(move |m| m.tag == tag)

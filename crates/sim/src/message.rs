@@ -269,14 +269,6 @@ impl Message {
         self.u32s().collect()
     }
 
-    /// The payload as a `Vec` of `u64` values.
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 8.
-    pub fn as_u64s(&self) -> Vec<u64> {
-        self.words::<8>("u64").map(u64::from_le_bytes).collect()
-    }
-
     /// The first `u32` of the payload — convenient for single-word messages.
     ///
     /// # Panics
@@ -305,15 +297,6 @@ impl Message {
 /// Encodes `u32` values to little-endian bytes.
 pub fn encode_u32s(vals: &[u32]) -> Box<[u8]> {
     let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.into_boxed_slice()
-}
-
-/// Encodes `u64` values to little-endian bytes.
-pub fn encode_u64s(vals: &[u64]) -> Box<[u8]> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
     for v in vals {
         out.extend_from_slice(&v.to_le_bytes());
     }
@@ -413,13 +396,6 @@ mod tests {
         let m = msg(encode_u32s(&vals));
         assert_eq!(m.as_u32s(), vals);
         assert_eq!(m.word_u32(), 1);
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let vals = [42u64, u64::MAX];
-        let m = msg(encode_u64s(&vals));
-        assert_eq!(m.as_u64s(), vals);
     }
 
     #[test]

@@ -105,6 +105,52 @@ fn golden_apsp_maspar() {
     }
 }
 
+/// The MasPar path at `p` = 256 (`side` 16, scrambled embedding): n = 32
+/// and 64 give M = 2 and 4 (doubling steps, then ring rotations); n = 256
+/// gives M = `side` (ring rotations only). Width 3 splits these 256
+/// closures into uneven chunks.
+#[test]
+fn golden_apsp_maspar_256() {
+    let pins = [
+        (32, ApspVariant::Words, 0x8e25f5ecf93755c4),
+        (32, ApspVariant::Blocks, 0x291e76196ecb60ef),
+        (64, ApspVariant::Words, 0xeb6c026c12edf489),
+        (64, ApspVariant::Blocks, 0x4b772f5b4915340f),
+        (256, ApspVariant::Words, 0xa63aec5e7401be12),
+        (256, ApspVariant::Blocks, 0x135967cd674bbcbc),
+    ];
+    for (n, variant, expected) in pins {
+        check(
+            &format!("apsp {variant:?} n={n} maspar p=256"),
+            expected,
+            || apsp::run(&Platform::maspar_with(256), n, variant, SEED),
+        );
+    }
+}
+
+/// The pipelined all-gather at `p` = 64 on both pipelined machines.
+#[test]
+fn golden_apsp_pipelined_64() {
+    let pins = [
+        ("gcel", ApspVariant::Words, 0x3433f879a770e787),
+        ("gcel", ApspVariant::Blocks, 0x2f794ce476e6751c),
+        ("cm5", ApspVariant::Words, 0x31b30b9cf6f9d927),
+        ("cm5", ApspVariant::Blocks, 0x4c2226b46cb3a132),
+    ];
+    for (machine, variant, expected) in pins {
+        let plat = if machine == "gcel" {
+            Platform::gcel_with(64)
+        } else {
+            Platform::cm5_with(64)
+        };
+        check(
+            &format!("apsp {variant:?} n=64 {machine} p=64"),
+            expected,
+            || apsp::run(&plat, 64, variant, SEED),
+        );
+    }
+}
+
 #[test]
 fn golden_lu() {
     check("lu blocks n=16 gcel p=16", 0x7b7af3d765fd0da7, || {
