@@ -5,3 +5,23 @@ pub mod bitonic;
 pub mod parallel_radix;
 pub mod radix;
 pub mod sample;
+
+use pcm_sim::Message;
+
+/// Copies a message's `u32` payload into `dst` without allocating.
+///
+/// # Panics
+/// If the payload is not exactly `dst.len()` words.
+fn copy_u32s(dst: &mut [u32], msg: &Message) {
+    let words = msg.u32s();
+    assert_eq!(words.len(), dst.len(), "payload length mismatch");
+    for (d, v) in dst.iter_mut().zip(words) {
+        *d = v;
+    }
+}
+
+/// Groups decoded words into consecutive `(first, second)` pairs,
+/// dropping an odd trailing word.
+fn u32_pairs(mut words: impl Iterator<Item = u32>) -> impl Iterator<Item = (u32, u32)> {
+    std::iter::from_fn(move || Some((words.next()?, words.next()?)))
+}

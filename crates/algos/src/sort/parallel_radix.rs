@@ -17,6 +17,7 @@ use pcm_core::units::{log2_exact, tag_u32};
 use pcm_machines::Platform;
 use pcm_sim::Machine;
 
+use super::{copy_u32s, u32_pairs};
 use crate::primitives::plan::staggered;
 use crate::regions;
 use crate::run::RunResult;
@@ -140,7 +141,7 @@ fn radix_pass(
         ctx.touch_read(regions::RADIX_COUNTS);
         rows[pid].copy_from_slice(&ctx.state.prefix);
         for msg in ctx.msgs() {
-            rows[msg.src].copy_from_slice(&msg.as_u32s());
+            copy_u32s(&mut rows[msg.src], msg);
         }
         let mut totals = vec![0u32; buckets_per_proc];
         let mut prefixes = vec![vec![0u32; buckets_per_proc]; p];
@@ -244,10 +245,7 @@ fn radix_pass(
         ctx.touch_read(regions::RADIX_BUCKET);
         let mut pairs = std::mem::take(&mut ctx.state.incoming);
         for msg in ctx.msgs() {
-            let vals = msg.as_u32s();
-            for ch in vals.chunks_exact(2) {
-                pairs.push((ch[0], ch[1]));
-            }
+            pairs.extend(u32_pairs(msg.u32s()));
         }
         debug_assert_eq!(pairs.len(), m, "every slot must be filled");
         for (pos, k) in pairs {

@@ -28,6 +28,7 @@ use pcm_sim::{Ctx, Machine, RegionId};
 
 use super::bitonic::{merge_phases, BitonicList, ExchangeMode};
 use super::radix::{radix_sort, KEY_BITS, RADIX_BITS};
+use super::{copy_u32s, u32_pairs};
 use crate::primitives::plan::{bucket_counts, staggered};
 use crate::regions;
 use crate::run::{RunResult, RunStats};
@@ -186,7 +187,7 @@ pub fn run(
             all[group * side..(group + 1) * side].copy_from_slice(&ctx.state.stash);
             for msg in ctx.msgs() {
                 let g = msg.tag as usize;
-                all[g * side..(g + 1) * side].copy_from_slice(&msg.as_u32s());
+                copy_u32s(&mut all[g * side..(g + 1) * side], msg);
             }
             ctx.state.stash.clear();
             // Drop processor 0's candidate: splitters are ranks S..(P-1)S.
@@ -328,6 +329,12 @@ pub fn run(
     })
 }
 
+/// Appends the `(bucket, key)` pairs of one decoded block, skipping the
+/// padding pairs.
+fn unpack(held: &mut Vec<(u32, u32)>, words: impl Iterator<Item = u32>) {
+    held.extend(u32_pairs(words).filter(|&(b, _)| b != PAD));
+}
+
 /// Appends every key that arrived at the last barrier to the bucket.
 fn absorb_bucket(ctx: &mut Ctx<'_, SampleState>) {
     for msg in ctx.msgs() {
@@ -415,7 +422,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         ctx.touch_read(regions::SAMPLE_STASH);
         rowdata[x].copy_from_slice(&ctx.state.stash);
         for msg in ctx.msgs() {
-            rowdata[msg.tag as usize].copy_from_slice(&msg.as_u32s());
+            copy_u32s(&mut rowdata[msg.tag as usize], msg);
         }
         ctx.state.stash.clear();
         // Stagger by (x + r): intermediates sharing x live in different
@@ -434,7 +441,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         let mut counts_by_src = vec![0u32; p];
         for msg in ctx.msgs() {
             let sender_row = msg.tag as usize;
-            for (c, v) in msg.as_u32s().into_iter().enumerate() {
+            for (c, v) in msg.u32s().enumerate() {
                 counts_by_src[sender_row * side + c] = v;
             }
         }
@@ -465,7 +472,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         ctx.touch_read(regions::SAMPLE_STASH);
         per_bucketcol[x].copy_from_slice(&ctx.state.stash);
         for msg in ctx.msgs() {
-            per_bucketcol[msg.tag as usize].copy_from_slice(&msg.as_u32s());
+            copy_u32s(&mut per_bucketcol[msg.tag as usize], msg);
         }
         ctx.state.stash.clear();
         for t in staggered((x + r) % side, side) {
@@ -478,7 +485,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         let mut offsets = vec![0u32; p];
         for msg in ctx.msgs() {
             let bucket_row = msg.tag as usize;
-            for (bc, v) in msg.as_u32s().into_iter().enumerate() {
+            for (bc, v) in msg.u32s().enumerate() {
                 offsets[bucket_row * side + bc] = v;
             }
         }
@@ -507,13 +514,6 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
             block.push(0);
         }
         block
-    };
-    let unpack = |msgs: &mut Vec<(u32, u32)>, data: &[u32]| {
-        for ch in data.chunks_exact(2) {
-            if ch[0] != PAD {
-                msgs.push((ch[0], ch[1]));
-            }
-        }
     };
 
     // Phase A: balance pairs across the row.
@@ -552,7 +552,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
         let (r, c) = (pid / side, pid % side);
         let mut held = std::mem::take(&mut ctx.state.hold);
         for msg in ctx.msgs() {
-            unpack(&mut held, &msg.as_u32s());
+            unpack(&mut held, msg.u32s());
         }
         for t in staggered(c, side) {
             let slice: Vec<(u32, u32)> = held
@@ -574,7 +574,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
         let (r, c) = (pid / side, pid % side);
         let mut held = std::mem::take(&mut ctx.state.hold);
         for msg in ctx.msgs() {
-            unpack(&mut held, &msg.as_u32s());
+            unpack(&mut held, msg.u32s());
         }
         for t in staggered(r, side) {
             let slice: Vec<(u32, u32)> = held.iter().skip(t).step_by(side).copied().collect();
@@ -592,7 +592,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
         let (r, c) = (pid / side, pid % side);
         let mut held = std::mem::take(&mut ctx.state.hold);
         for msg in ctx.msgs() {
-            unpack(&mut held, &msg.as_u32s());
+            unpack(&mut held, msg.u32s());
         }
         for t in staggered(r, side) {
             let slice: Vec<(u32, u32)> = held
@@ -617,7 +617,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
         let pid = ctx.pid();
         let mut held = Vec::new();
         for msg in ctx.msgs() {
-            unpack(&mut held, &msg.as_u32s());
+            unpack(&mut held, msg.u32s());
         }
         ctx.touch_modify(regions::SAMPLE_BUCKET);
         for (b, k) in held {
