@@ -63,6 +63,9 @@ sym:
 	cargo run --release -p pcm-sym --bin pcm-sym -- --out SYM_report.json
 
 # Symbolic drift gate: the regenerated report must match the committed one.
+# Its differential_points/max_ulp count the evaluated closed forms checked
+# against crates/sym/data/s04_pinned.txt, so a formula that moves a plotted
+# value by more than 0 ulp changes the report.
 sym-gate: sym
 	git diff --exit-code SYM_report.json
 

@@ -4,7 +4,8 @@
 use pcm_algos::apsp::{self, ApspVariant};
 use pcm_core::{Figure, Series};
 use pcm_machines::Platform;
-use pcm_models::predict;
+use pcm_models::predict::{self, apsp as model, Build};
+use pcm_models::MachineParams;
 use pcm_sim::map_ordered;
 
 use crate::report::{Output, Scale};
@@ -34,6 +35,15 @@ fn measured_series(plat: &Platform, ns: &[usize], seed: u64) -> Series {
     Series::from_points("Measured", ns.iter().map(|&n| n as f64).zip(secs))
 }
 
+/// A closed-form APSP prediction at each `N`, in seconds.
+fn predicted_series(label: &str, build: Build, params: &MachineParams, ns: &[usize]) -> Series {
+    Series::from_points(
+        label,
+        ns.iter()
+            .map(|&n| (n as f64, predict::eval(build, params, n).as_secs())),
+    )
+}
+
 /// Fig. 12: APSP on the MasPar — MP-BSP overestimates badly (unbalanced
 /// communication), E-BSP with `T_unb` lands close.
 pub fn fig12(scale: Scale, seed: u64) -> Output {
@@ -46,16 +56,8 @@ pub fn fig12(scale: Scale, seed: u64) -> Output {
     };
     let params = plat.model_params();
     let measured = measured_series(&plat, &ns, seed);
-    let mp_bsp = Series::from_points(
-        "Predicted (MP-BSP)",
-        ns.iter()
-            .map(|&n| (n as f64, predict::apsp::mp_bsp(&params, n).as_secs())),
-    );
-    let ebsp = Series::from_points(
-        "Predicted (E-BSP)",
-        ns.iter()
-            .map(|&n| (n as f64, predict::apsp::ebsp(&params, n).as_secs())),
-    );
+    let mp_bsp = predicted_series("Predicted (MP-BSP)", model::mp_bsp, &params, &ns);
+    let ebsp = predicted_series("Predicted (E-BSP)", model::ebsp, &params, &ns);
     Output::Fig(
         Figure::new(
             "Fig. 12",
@@ -79,15 +81,12 @@ pub fn fig13(scale: Scale, seed: u64) -> Output {
     };
     let params = plat.model_params();
     let measured = measured_series(&plat, &ns, seed);
-    let bsp = Series::from_points(
-        "Predicted (BSP)",
-        ns.iter()
-            .map(|&n| (n as f64, predict::apsp::bsp(&params, n).as_secs())),
-    );
-    let refined = Series::from_points(
+    let bsp = predicted_series("Predicted (BSP)", model::bsp, &params, &ns);
+    let refined = predicted_series(
         "Predicted (g_mscat refined)",
-        ns.iter()
-            .map(|&n| (n as f64, predict::apsp::gcel_refined(&params, n).as_secs())),
+        model::gcel_refined,
+        &params,
+        &ns,
     );
     Output::Fig(
         Figure::new(
@@ -112,11 +111,7 @@ pub fn fig15(scale: Scale, seed: u64) -> Output {
     };
     let params = plat.model_params();
     let measured = measured_series(&plat, &ns, seed);
-    let bsp = Series::from_points(
-        "Predicted (BSP)",
-        ns.iter()
-            .map(|&n| (n as f64, predict::apsp::bsp(&params, n).as_secs())),
-    );
+    let bsp = predicted_series("Predicted (BSP)", model::bsp, &params, &ns);
     Output::Fig(
         Figure::new(
             "Fig. 15",

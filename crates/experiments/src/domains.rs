@@ -71,7 +71,6 @@ pub fn grids() -> Vec<GridSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcm_models::Predictor as _;
 
     #[test]
     fn every_grid_point_is_in_the_declared_domain() {

@@ -39,7 +39,7 @@ pub fn fig03(scale: Scale, seed: u64) -> Output {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::mp_bsp(&plat.model_params(), n).as_secs(),
+            predict::eval(predict::matmul::mp_bsp, &plat.model_params(), n).as_secs(),
         ));
     }
     Output::Fig(
@@ -68,7 +68,7 @@ pub fn fig04(scale: Scale, seed: u64) -> Output {
         staggered.push(pcm_core::DataPoint::new(n as f64, rs.time.as_millis()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bsp(&plat.model_params(), n).as_millis(),
+            predict::eval(predict::matmul::bsp, &plat.model_params(), n).as_millis(),
         ));
     }
     Output::Fig(
@@ -95,7 +95,7 @@ pub fn fig08(scale: Scale, seed: u64) -> Output {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&plat.model_params(), n).as_secs(),
+            predict::eval(predict::matmul::bpram, &plat.model_params(), n).as_secs(),
         ));
     }
     Output::Fig(
@@ -124,7 +124,7 @@ pub fn fig09(scale: Scale, seed: u64) -> Output {
         let params = plat.model_params();
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&params, n).as_millis(),
+            predict::eval(predict::matmul::bpram, &params, n).as_millis(),
         ));
         // Replace alpha with the kernel model's effective rate at the
         // local block shape — "provided that the local computations are
@@ -134,7 +134,7 @@ pub fn fig09(scale: Scale, seed: u64) -> Output {
         precise.alpha_mm = pcm_machines::Cm5Compute::new().matmul_op_time(n / q, n / q, n / q);
         cache_aware.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&precise, n).as_millis(),
+            predict::eval(predict::matmul::bpram, &precise, n).as_millis(),
         ));
     }
     Output::Fig(

@@ -77,7 +77,7 @@ pub fn fig05(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Words, seed);
     let predicted = predicted_series("Predicted (MP-BSP)", &ms, |m| {
-        predict::bitonic::mp_bsp(&params, m)
+        predict::eval(predict::bitonic::mp_bsp, &params, m)
     });
     Output::Fig(
         Figure::new(
@@ -109,7 +109,7 @@ pub fn fig06(scale: Scale, seed: u64) -> Output {
         runs.iter().map(|[_, s]| s),
     );
     let predicted = predicted_series("Predicted (BSP)", &ms, |m| {
-        predict::bitonic::bsp(&params, m)
+        predict::eval(predict::bitonic::bsp, &params, m)
     });
     Output::Fig(
         Figure::new(
@@ -132,7 +132,7 @@ pub fn fig10(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
-        predict::bitonic::bpram(&params, m)
+        predict::eval(predict::bitonic::bpram, &params, m)
     });
     Output::Fig(
         Figure::new(
@@ -154,7 +154,7 @@ pub fn fig11(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = bitonic_series("Measured", plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
-        predict::bitonic::bpram(&params, m)
+        predict::eval(predict::bitonic::bpram, &params, m)
     });
     Output::Fig(
         Figure::new(

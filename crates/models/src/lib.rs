@@ -13,12 +13,12 @@
 //! * [`logp`] — LogP/LogGP as an extension for the model shoot-out.
 //!
 //! Where each model's charge lives: per superstep in [`account`], which
-//! prices a run's superstep traces under all four models; per algorithm
-//! in [`predict`], the closed-form running times of Section 4; and op for
-//! op in [`symbolic`], which restates each closed form for the `pcm-sym`
-//! verifier. [`params`] holds the Table 1 machine parameters and
-//! [`contract`] the cost contracts the auditor certifies schedules
-//! against.
+//! prices a run's superstep traces under all four models; and per
+//! algorithm in [`predict`], the closed-form running times of Section 4,
+//! each stated once as a typed expression that the figures evaluate and
+//! the `pcm-sym` verifier certifies through the [`symbolic`] registry.
+//! [`params`] holds the Table 1 machine parameters and [`contract`] the
+//! cost contracts the auditor certifies schedules against.
 
 pub mod account;
 pub mod contract;
@@ -31,7 +31,7 @@ pub use account::{account_run, account_step, ModelAccount};
 pub use contract::{ContractBreach, CostContract, KindMask};
 pub use logp::{LogGP, LogP};
 pub use params::{cm5, gcel, maspar, unit_env, EbspParams, MachineParams};
-pub use symbolic::{bindings, ClosedForm, DomainSpec, DomainViolation, Predictor};
+pub use symbolic::{bindings, ClosedForm, DomainSpec, DomainViolation};
 
 // One test module per model: each pins the charge `account_step` makes at
 // the Table 1 parameters where the paper quotes that model's formula.

@@ -103,14 +103,6 @@ impl MachineParams {
     pub fn bulk_gain_mp(&self) -> f64 {
         (self.g + self.l) / (exact_f64(self.w) * self.sigma)
     }
-
-    /// Cost of the local radix sort of `n` keys (`b`-bit keys, radix `2^r`):
-    /// `T_local_sort = (b/r)·(beta·2^r + gamma·n)`, in µs.
-    pub fn local_sort(&self, n: usize, key_bits: usize, radix_bits: usize) -> f64 {
-        let passes = exact_f64(key_bits) / exact_f64(radix_bits);
-        passes
-            * (self.radix_beta * exact_f64(1usize << radix_bits) + self.radix_gamma * exact_f64(n))
-    }
 }
 
 /// Declared units of every symbol the predictors' symbolic forms use —
@@ -298,13 +290,5 @@ mod tests {
         assert_eq!(env.get("sigma"), Some(Dim::US_PER_BYTE));
         assert_eq!(env.get("w"), Some(Dim::BYTES_PER_WORD));
         assert_eq!(env.get("n"), Some(Dim::NONE));
-    }
-
-    #[test]
-    fn local_sort_formula() {
-        let p = cm5();
-        let t = p.local_sort(1000, 32, 8);
-        let expect = 4.0 * (0.45 * 256.0 + 0.55 * 1000.0);
-        assert!((t - expect).abs() < 1e-9);
     }
 }

@@ -6,111 +6,151 @@
 //! and column and then updates the local block (`M²` compound operations).
 //! The broadcast is two supersteps (scatter along the row/column, then
 //! all-gather), with an extra `log(sqrt(P)/M)`-step doubling phase when
-//! `M < sqrt(P)`.
+//! `M < sqrt(P)`. That step count is frozen at the builders' `n_hint`.
 
+use super::{n_sym, num};
 use crate::params::{EbspParams, MachineParams};
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
-use pcm_core::SimTime;
 
-/// `M = N / sqrt(P)` — the side of each processor's block.
-pub fn block_side(m: &MachineParams, n: usize) -> f64 {
-    exact_f64(n) / exact_f64(m.p).sqrt()
-}
-
-fn extra_phase_steps(m: &MachineParams, n: usize) -> f64 {
+/// `M = N/sqrt(P)` as an expression, and the doubling-phase step count
+/// `log2(sqrt(P)/M)` at `n_hint` (zero once `M >= sqrt(P)`).
+fn block_side_and_doubling(m: &MachineParams, n_hint: usize) -> (Expr, f64) {
     let sq = exact_f64(m.p).sqrt();
-    let mm = block_side(m, n);
-    if mm >= sq {
+    let mm_hint = exact_f64(n_hint) / sq;
+    let extra = if mm_hint >= sq {
         0.0
     } else {
-        (sq / mm).log2()
-    }
+        (sq / mm_hint).log2()
+    };
+    (Expr::div(n_sym(), num(sq)), extra)
+}
+
+/// The `(g+L)·extra` doubling term common to the BSP-style broadcasts.
+fn doubling_term(extra: f64) -> Expr {
+    Expr::mul(vec![
+        Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
+        Expr::words(num(extra)),
+    ])
 }
 
 /// BSP cost of one row/column broadcast:
 /// `2·(g·M + L)` plus `(g + L)·log(sqrt(P)/M)` when `M < sqrt(P)`.
-pub fn bcast_bsp(m: &MachineParams, n: usize) -> SimTime {
-    let mm = block_side(m, n);
-    let t = 2.0 * (m.g * mm + m.l) + (m.g + m.l) * extra_phase_steps(m, n);
-    SimTime::from_micros(t)
+fn bcast_bsp(m: &MachineParams, n_hint: usize) -> Expr {
+    let (mm, extra) = block_side_and_doubling(m, n_hint);
+    Expr::add(vec![
+        Expr::mul(vec![
+            num(2.0),
+            Expr::add(vec![
+                Expr::mul(vec![Expr::sym("g"), Expr::words(mm)]),
+                Expr::sym("L"),
+            ]),
+        ]),
+        doubling_term(extra),
+    ])
 }
 
 /// MP-BSP cost of one broadcast:
-/// `2·(g+L)·M` plus `(g+L)·log(sqrt(P)/M)` when `M < sqrt(P)`.
-pub fn bcast_mp_bsp(m: &MachineParams, n: usize) -> SimTime {
-    let mm = block_side(m, n);
-    let t = (m.g + m.l) * (2.0 * mm + extra_phase_steps(m, n));
-    SimTime::from_micros(t)
+/// `(g+L)·(2·M + log(sqrt(P)/M))`.
+fn bcast_mp_bsp(m: &MachineParams, n_hint: usize) -> Expr {
+    let (mm, extra) = block_side_and_doubling(m, n_hint);
+    Expr::mul(vec![
+        Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
+        Expr::words(Expr::add(vec![Expr::mul(vec![num(2.0), mm]), num(extra)])),
+    ])
 }
 
 /// E-BSP (MasPar) cost of one broadcast: the scatter phase runs `M`
 /// communication steps with only `sqrt(P)` active PEs, the gather phase `M`
 /// steps with all PEs active:
 /// `M·T_unb(sqrt(P)) + M·T_unb(P)`, plus `sum_i T_unb(2^i·N)` for the
-/// doubling phase when `M < sqrt(P)`.
-pub fn bcast_ebsp(m: &MachineParams, n: usize) -> SimTime {
+/// doubling phase when `M < sqrt(P)`. Machines without a partial-
+/// permutation refinement fall back to [`bcast_bsp`].
+fn bcast_ebsp(m: &MachineParams, n_hint: usize) -> Expr {
     let EbspParams::PartialPermutation { .. } = m.ebsp else {
-        return bcast_bsp(m, n);
+        return bcast_bsp(m, n_hint);
     };
+    let (mm, extra) = block_side_and_doubling(m, n_hint);
     let sq = exact_f64(m.p).sqrt();
-    let mm = block_side(m, n);
-    let t_unb = |active: f64| {
-        m.ebsp
-            .t_unb(active.min(exact_f64(m.p)))
-            .expect("the PartialPermutation guard above makes t_unb defined")
+    let t_unb = |active: Expr| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("t_unb_a"), active.clone()]),
+            Expr::mul(vec![Expr::sym("t_unb_b"), Expr::sqrt(active)]),
+            Expr::sym("t_unb_c"),
+        ])
     };
-    let mut t = mm * t_unb(sq) + mm * t_unb(exact_f64(m.p));
-    // A doubling-step count: a handful at most.
-    #[allow(clippy::cast_possible_truncation)]
-    let extra = extra_phase_steps(m, n) as usize;
-    for i in 0..extra {
-        t += t_unb(exact_f64(1usize << i) * exact_f64(n));
+    let mut terms = vec![
+        Expr::mul(vec![mm.clone(), t_unb(num(sq))]),
+        Expr::mul(vec![mm, t_unb(num(exact_f64(m.p)))]),
+    ];
+    // A doubling-step count: a handful at most. Step `i` has `2^i·N < P`
+    // active PEs.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let steps = extra as usize;
+    for i in 0..steps {
+        terms.push(t_unb(Expr::mul(vec![num(exact_f64(1usize << i)), n_sym()])));
     }
-    SimTime::from_micros(t)
+    Expr::add(terms)
 }
 
 /// Refined GCel cost of one broadcast: the scatter superstep is a
 /// multinode scatter and is charged with `g_mscat` instead of `g`:
 /// `(g_mscat·M + L) + (g·M + L)` plus the doubling term.
-pub fn bcast_gcel_refined(m: &MachineParams, n: usize) -> SimTime {
+fn bcast_gcel_refined(m: &MachineParams, n_hint: usize) -> Expr {
     let g_scatter = match m.ebsp {
-        EbspParams::MultinodeScatter { g_mscat } => g_mscat,
-        _ => m.g,
+        EbspParams::MultinodeScatter { .. } => Expr::sym("g_mscat"),
+        _ => Expr::sym("g"),
     };
-    let mm = block_side(m, n);
-    let t = (g_scatter * mm + m.l) + (m.g * mm + m.l) + (m.g + m.l) * extra_phase_steps(m, n);
-    SimTime::from_micros(t)
+    let (mm, extra) = block_side_and_doubling(m, n_hint);
+    Expr::add(vec![
+        Expr::add(vec![
+            Expr::mul(vec![g_scatter, Expr::words(mm.clone())]),
+            Expr::sym("L"),
+        ]),
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(mm)]),
+            Expr::sym("L"),
+        ]),
+        doubling_term(extra),
+    ])
 }
 
-fn total_with_bcast(m: &MachineParams, n: usize, bcast: SimTime) -> SimTime {
-    let compute = m.alpha * exact_f64(n).powi(3) / exact_f64(m.p);
-    SimTime::from_micros(compute) + 2.0 * exact_f64(n) * bcast
+/// `alpha·N³/P + (2·N)·T_bcast`.
+fn total(m: &MachineParams, bcast: Expr) -> Expr {
+    Expr::add(vec![
+        Expr::div(
+            Expr::mul(vec![Expr::sym("alpha"), Expr::ops(Expr::powi(n_sym(), 3))]),
+            num(exact_f64(m.p)),
+        ),
+        Expr::mul(vec![Expr::mul(vec![num(2.0), n_sym()]), bcast]),
+    ])
 }
 
 /// BSP total: `alpha·N³/P + 2·N·T_bcast`.
-pub fn bsp(m: &MachineParams, n: usize) -> SimTime {
-    total_with_bcast(m, n, bcast_bsp(m, n))
+pub fn bsp(m: &MachineParams, n_hint: usize) -> Expr {
+    total(m, bcast_bsp(m, n_hint))
 }
 
 /// MP-BSP total.
-pub fn mp_bsp(m: &MachineParams, n: usize) -> SimTime {
-    total_with_bcast(m, n, bcast_mp_bsp(m, n))
+pub fn mp_bsp(m: &MachineParams, n_hint: usize) -> Expr {
+    total(m, bcast_mp_bsp(m, n_hint))
 }
 
 /// E-BSP total (MasPar refinement).
-pub fn ebsp(m: &MachineParams, n: usize) -> SimTime {
-    total_with_bcast(m, n, bcast_ebsp(m, n))
+pub fn ebsp(m: &MachineParams, n_hint: usize) -> Expr {
+    total(m, bcast_ebsp(m, n_hint))
 }
 
 /// Refined GCel total (multinode-scatter coefficient in superstep 1).
-pub fn gcel_refined(m: &MachineParams, n: usize) -> SimTime {
-    total_with_bcast(m, n, bcast_gcel_refined(m, n))
+pub fn gcel_refined(m: &MachineParams, n_hint: usize) -> Expr {
+    total(m, bcast_gcel_refined(m, n_hint))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{cm5, gcel, maspar};
+    use crate::predict::{eval, eval_at};
 
     #[test]
     fn maspar_anchors_at_n_512() {
@@ -118,12 +158,12 @@ mod tests {
         // seconds but the measured time is 30.3 seconds" — and the E-BSP
         // estimate is close to the measurement.
         let m = maspar();
-        let predicted = mp_bsp(&m, 512).as_secs();
+        let predicted = eval(mp_bsp, &m, 512).as_secs();
         assert!(
             (predicted - 53.9).abs() < 4.0,
             "MP-BSP predicts {predicted} s"
         );
-        let refined = ebsp(&m, 512).as_secs();
+        let refined = eval(ebsp, &m, 512).as_secs();
         assert!((refined - 30.3).abs() < 4.0, "E-BSP predicts {refined} s");
     }
 
@@ -131,10 +171,11 @@ mod tests {
     fn maspar_block_side_and_extra_phase() {
         let m = maspar();
         // N = 512, sqrt(P) = 32 -> M = 16 < 32: one doubling step.
-        assert!((block_side(&m, 512) - 16.0).abs() < 1e-12);
-        assert!((extra_phase_steps(&m, 512) - 1.0).abs() < 1e-12);
+        let (mm, extra) = block_side_and_doubling(&m, 512);
+        assert!((eval_at(&mm, &m, 512) - 16.0).abs() < 1e-12);
+        assert!((extra - 1.0).abs() < 1e-12);
         // N = 1024 -> M = 32: no doubling step.
-        assert!(extra_phase_steps(&m, 1024).abs() < 1e-12);
+        assert!(block_side_and_doubling(&m, 1024).1.abs() < 1e-12);
     }
 
     #[test]
@@ -142,7 +183,7 @@ mod tests {
         let m = gcel();
         for n in [128usize, 256, 512] {
             assert!(
-                gcel_refined(&m, n) < bsp(&m, n),
+                eval(gcel_refined, &m, n) < eval(bsp, &m, n),
                 "g_mscat refinement must reduce the predicted time"
             );
         }
@@ -150,20 +191,20 @@ mod tests {
         // broadcast should cost roughly (1 + 1/9.1)/2 of the BSP one for
         // large M (ignoring L).
         let n = 512;
-        let ratio = bcast_gcel_refined(&m, n) / bcast_bsp(&m, n);
+        let ratio = eval_at(&bcast_gcel_refined(&m, n), &m, n) / eval_at(&bcast_bsp(&m, n), &m, n);
         assert!(ratio > 0.5 && ratio < 0.65, "ratio = {ratio}");
     }
 
     #[test]
     fn cm5_ebsp_equals_bsp() {
         let m = cm5();
-        assert_eq!(ebsp(&m, 256), bsp(&m, 256));
+        assert_eq!(eval(ebsp, &m, 256), eval(bsp, &m, 256));
     }
 
     #[test]
     fn compute_term_dominates_for_huge_n() {
         let m = cm5();
-        let t = bsp(&m, 2048).as_micros();
+        let t = eval(bsp, &m, 2048).as_micros();
         let compute = m.alpha * 2048f64.powi(3) / 64.0;
         assert!(compute / t > 0.65, "compute share = {}", compute / t);
     }

@@ -5,7 +5,9 @@
 //! On machines whose processor count is not a perfect cube (the 1024-PE
 //! MasPar) the largest embedded cube is used: `q = 10`, `P_eff = 1000`.
 
+use super::{n_sym, num};
 use crate::params::MachineParams;
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
 use pcm_core::SimTime;
 
@@ -25,42 +27,90 @@ pub fn q_for(p: usize) -> usize {
     q.max(1)
 }
 
-/// Shared compute part: `alpha·N³/P + beta·N²/q²`.
-fn compute_part(m: &MachineParams, n: usize, q: usize) -> f64 {
-    let nf = exact_f64(n);
+/// Shared compute part: `alpha_mm·N³/P_eff + copy·N²/q²`.
+fn compute(q: usize) -> Expr {
     let p_eff = exact_f64(q * q * q);
     let qf = exact_f64(q);
-    m.alpha_mm * nf.powi(3) / p_eff + m.copy * nf * nf / (qf * qf)
+    Expr::add(vec![
+        Expr::div(
+            Expr::mul(vec![
+                Expr::sym("alpha_mm"),
+                Expr::ops(Expr::powi(n_sym(), 3)),
+            ]),
+            num(p_eff),
+        ),
+        Expr::div(
+            Expr::mul(vec![Expr::sym("copy"), Expr::words(n_sym()), n_sym()]),
+            num(qf * qf),
+        ),
+    ])
 }
 
 /// BSP prediction:
 /// `T = alpha·N³/P + beta·N²/q² + 3·g·N²/q² + 2·L`.
-pub fn bsp(m: &MachineParams, n: usize) -> SimTime {
+pub fn bsp(m: &MachineParams, _n_hint: usize) -> Expr {
     let q = q_for(m.p);
-    let nf = exact_f64(n);
     let qf = exact_f64(q);
-    let comm = 3.0 * m.g * nf * nf / (qf * qf) + 2.0 * m.l;
-    SimTime::from_micros(compute_part(m, n, q) + comm)
+    Expr::add(vec![
+        compute(q),
+        Expr::add(vec![
+            Expr::div(
+                Expr::mul(vec![
+                    num(3.0),
+                    Expr::sym("g"),
+                    Expr::words(n_sym()),
+                    n_sym(),
+                ]),
+                num(qf * qf),
+            ),
+            Expr::mul(vec![num(2.0), Expr::sym("L")]),
+        ]),
+    ])
 }
 
 /// MP-BSP prediction (every word message is its own communication step):
 /// `T = alpha·N³/P + beta·N²/q² + 3·(g+L)·N²/q²`.
-pub fn mp_bsp(m: &MachineParams, n: usize) -> SimTime {
+pub fn mp_bsp(m: &MachineParams, _n_hint: usize) -> Expr {
     let q = q_for(m.p);
-    let nf = exact_f64(n);
     let qf = exact_f64(q);
-    let comm = 3.0 * (m.g + m.l) * nf * nf / (qf * qf);
-    SimTime::from_micros(compute_part(m, n, q) + comm)
+    Expr::add(vec![
+        compute(q),
+        Expr::div(
+            Expr::mul(vec![
+                num(3.0),
+                Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
+                Expr::words(n_sym()),
+                n_sym(),
+            ]),
+            num(qf * qf),
+        ),
+    ])
 }
 
 /// MP-BPRAM prediction (block transfers of `N²/P` words):
 /// `T = alpha·N³/P + beta·N²/q² + 3·q·(sigma·w·N²/P + ell)`.
-pub fn bpram(m: &MachineParams, n: usize) -> SimTime {
+pub fn bpram(m: &MachineParams, _n_hint: usize) -> Expr {
     let q = q_for(m.p);
-    let nf = exact_f64(n);
     let p_eff = exact_f64(q * q * q);
-    let comm = 3.0 * exact_f64(q) * (m.sigma * exact_f64(m.w) * nf * nf / p_eff + m.ell);
-    SimTime::from_micros(compute_part(m, n, q) + comm)
+    Expr::add(vec![
+        compute(q),
+        Expr::mul(vec![
+            num(3.0),
+            num(exact_f64(q)),
+            Expr::add(vec![
+                Expr::div(
+                    Expr::mul(vec![
+                        Expr::sym("sigma"),
+                        Expr::sym("w"),
+                        Expr::words(n_sym()),
+                        n_sym(),
+                    ]),
+                    num(p_eff),
+                ),
+                Expr::sym("ell"),
+            ]),
+        ]),
+    ])
 }
 
 /// Megaflops implied by a prediction (`2·N³` flops).
@@ -72,6 +122,7 @@ pub fn mflops(n: usize, t: SimTime) -> f64 {
 mod tests {
     use super::*;
     use crate::params::{cm5, maspar};
+    use crate::predict::eval;
 
     #[test]
     fn q_for_common_machine_sizes() {
@@ -90,8 +141,7 @@ mod tests {
         // 188 milliseconds". With alpha = 0.29 the compute part alone is
         // 0.29·256³/64 ≈ 76 ms and the communication part 3·9.1·256²/16
         // ≈ 112 ms.
-        let t = bsp(&cm5(), 256);
-        let ms = t.as_millis();
+        let ms = eval(bsp, &cm5(), 256).as_millis();
         assert!((ms - 188.0).abs() < 8.0, "predicted {ms} ms");
     }
 
@@ -100,7 +150,7 @@ mod tests {
         // Fig. 16: the long-message version is faster.
         let m = cm5();
         for n in [128usize, 256, 512, 1024] {
-            assert!(bpram(&m, n) < bsp(&m, n), "n = {n}");
+            assert!(eval(bpram, &m, n) < eval(bsp, &m, n), "n = {n}");
         }
     }
 
@@ -108,16 +158,14 @@ mod tests {
     fn mp_bsp_dominates_bsp_on_maspar() {
         // Without memory pipelining each word pays L: MP-BSP ≥ BSP cost.
         let m = maspar();
-        assert!(mp_bsp(&m, 300) > bsp(&m, 300));
+        assert!(eval(mp_bsp, &m, 300) > eval(bsp, &m, 300));
     }
 
     #[test]
     fn maspar_bpram_mflops_anchor() {
         // Fig. 19: "At N = 700, the measured performance of the MP-BPRAM
         // version is 39.9 Mflops".
-        let m = maspar();
-        let t = bpram(&m, 700);
-        let mf = mflops(700, t);
+        let mf = mflops(700, eval(bpram, &maspar(), 700));
         assert!((mf - 39.9).abs() < 4.0, "predicted {mf} Mflops");
     }
 
@@ -125,8 +173,7 @@ mod tests {
     fn cm5_bpram_mflops_anchor() {
         // Fig. 16/20: the MP-BPRAM version reaches ~370-400 Mflops at
         // N = 512 (measured 366, peaking at 372).
-        let m = cm5();
-        let mf = mflops(512, bpram(&m, 512));
+        let mf = mflops(512, eval(bpram, &cm5(), 512));
         assert!(mf > 330.0 && mf < 440.0, "predicted {mf} Mflops");
     }
 }

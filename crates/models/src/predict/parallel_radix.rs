@@ -2,12 +2,14 @@
 //!
 //! Each of the `32/r` passes performs: a local histogram (`gamma`-rate scan
 //! of `M` keys plus `2^r` bucket slots), a count exchange and its reply
-//! (two supersteps moving `2^r` words per processor), and the key routing
-//! (`2·M` words per processor — `(position, key)` pairs).
+//! (two supersteps moving `2^r` words per processor), the key routing
+//! (`2·M` words per processor — `(position, key)` pairs), and the local
+//! placement of the `M` received keys.
 
+use super::{n_sym, num};
 use crate::params::MachineParams;
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
-use pcm_core::SimTime;
 
 /// Radix width used by the implementation.
 pub const RADIX_BITS: usize = 8;
@@ -16,46 +18,88 @@ fn passes() -> f64 {
     32.0 / exact_f64(RADIX_BITS)
 }
 
-/// BSP prediction of one pass with `m` keys per processor.
-fn pass_bsp(p: &MachineParams, m: usize) -> f64 {
-    let radix = exact_f64(1usize << RADIX_BITS);
-    let histogram = p.radix_gamma * exact_f64(m) + p.radix_beta * radix;
-    // Counts out, prefixes + totals back: ~2·radix words each way.
-    let scans = 2.0 * (p.g * radix + p.l);
-    // Keys travel as (position, key) pairs.
-    let routing = p.g * 2.0 * exact_f64(m) + p.l;
-    let placing = p.copy * exact_f64(m);
-    histogram + scans + routing + placing
+fn radix() -> f64 {
+    exact_f64(1usize << RADIX_BITS)
 }
 
-/// MP-BPRAM prediction of one pass: the exchanges become at most `P`
-/// staggered blocks per processor.
-fn pass_bpram(p: &MachineParams, m: usize) -> f64 {
-    let radix = exact_f64(1usize << RADIX_BITS);
-    let histogram = p.radix_gamma * exact_f64(m) + p.radix_beta * radix;
-    let blocks_per_step = exact_f64(p.p) - 1.0;
-    let scans = 2.0 * blocks_per_step * (p.sigma * exact_f64(p.w) * radix / exact_f64(p.p) + p.ell);
-    let routing =
-        blocks_per_step * (p.sigma * exact_f64(p.w) * 2.0 * exact_f64(m) / exact_f64(p.p) + p.ell);
-    let placing = p.copy * exact_f64(m);
-    histogram + scans + routing + placing
+/// Local histogram of one pass: `gamma·M + beta·2^r`.
+fn histogram() -> Expr {
+    Expr::add(vec![
+        Expr::mul(vec![Expr::sym("radix_gamma"), Expr::ops(n_sym())]),
+        Expr::mul(vec![Expr::sym("radix_beta"), Expr::ops(num(radix()))]),
+    ])
 }
 
-/// Total BSP prediction.
-pub fn bsp(p: &MachineParams, keys_per_proc: usize) -> SimTime {
-    SimTime::from_micros(passes() * pass_bsp(p, keys_per_proc))
+/// `32/r` passes of histogram, count scans, routing and placing.
+fn over_passes(scans: Expr, routing: Expr) -> Expr {
+    let placing = Expr::mul(vec![Expr::sym("copy"), Expr::words(n_sym())]);
+    Expr::mul(vec![
+        num(passes()),
+        Expr::add(vec![histogram(), scans, routing, placing]),
+    ])
 }
 
-/// Total MP-BPRAM prediction.
-pub fn bpram(p: &MachineParams, keys_per_proc: usize) -> SimTime {
-    SimTime::from_micros(passes() * pass_bpram(p, keys_per_proc))
+/// BSP prediction: per pass the counts go out and the prefixes and totals
+/// come back (`2·(g·2^r + L)`), and the keys travel as `(position, key)`
+/// pairs (`g·2·M + L`).
+pub fn bsp(_m: &MachineParams, _n_hint: usize) -> Expr {
+    let scans = Expr::mul(vec![
+        num(2.0),
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(num(radix()))]),
+            Expr::sym("L"),
+        ]),
+    ]);
+    let routing = Expr::add(vec![
+        Expr::mul(vec![Expr::sym("g"), Expr::words(num(2.0)), n_sym()]),
+        Expr::sym("L"),
+    ]);
+    over_passes(scans, routing)
+}
+
+/// MP-BPRAM prediction: the exchanges become at most `P - 1` staggered
+/// blocks per processor.
+pub fn bpram(m: &MachineParams, _n_hint: usize) -> Expr {
+    let p = exact_f64(m.p);
+    let bps = p - 1.0;
+    let scans = Expr::mul(vec![
+        num(2.0),
+        num(bps),
+        Expr::add(vec![
+            Expr::div(
+                Expr::mul(vec![
+                    Expr::sym("sigma"),
+                    Expr::sym("w"),
+                    Expr::words(num(radix())),
+                ]),
+                num(p),
+            ),
+            Expr::sym("ell"),
+        ]),
+    ]);
+    let routing = Expr::mul(vec![
+        num(bps),
+        Expr::add(vec![
+            Expr::div(
+                Expr::mul(vec![
+                    Expr::sym("sigma"),
+                    Expr::sym("w"),
+                    Expr::words(num(2.0)),
+                    n_sym(),
+                ]),
+                num(p),
+            ),
+            Expr::sym("ell"),
+        ]),
+    ]);
+    over_passes(scans, routing)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{cm5, gcel};
-    use crate::predict::bitonic;
+    use crate::predict::{bitonic, eval};
 
     #[test]
     fn radix_beats_bitonic_for_large_inputs_on_the_cm5() {
@@ -63,8 +107,8 @@ mod tests {
         // Radix moves Theta(M) words per pass x 4 passes = 8M words total;
         // bitonic moves 21·M — the constant-pass structure wins.
         let m = 4096;
-        assert!(bpram(&p, m) < bitonic::bpram(&p, m));
-        assert!(bsp(&p, m) < bitonic::bsp(&p, m));
+        assert!(eval(bpram, &p, m) < eval(bitonic::bpram, &p, m));
+        assert!(eval(bsp, &p, m) < eval(bitonic::bsp, &p, m));
     }
 
     #[test]
@@ -72,15 +116,15 @@ mod tests {
         let p = gcel();
         // With 63 block startups per exchange and three exchanges per
         // pass, tiny inputs are painful.
-        let small = bpram(&p, 16).as_micros();
+        let small = eval(bpram, &p, 16).as_micros();
         assert!(small > 4.0 * 3.0 * 63.0 * p.ell * 0.5, "small = {small}");
     }
 
     #[test]
     fn predictions_grow_linearly_in_m() {
         let p = cm5();
-        let t1 = bsp(&p, 1000).as_micros();
-        let t2 = bsp(&p, 2000).as_micros();
+        let t1 = eval(bsp, &p, 1000).as_micros();
+        let t2 = eval(bsp, &p, 2000).as_micros();
         let ratio = t2 / t1;
         assert!(ratio > 1.5 && ratio < 2.1, "ratio = {ratio}");
     }

@@ -15,87 +15,131 @@
 //! (`2·sqrt(P)` block steps), the multi-scan `4·sqrt(P)` block steps, and
 //! the send substep uses the JáJá–Ryu routing scheme costing
 //! `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)`.
+//!
+//! Both predictions take `S` = [`SAMPLE_OVERSAMPLING`] and the bucket
+//! bound `M_max = 2·M`.
 
-use super::bitonic;
+use super::bitonic::{self, local_sort};
+use super::{n_sym, num};
 use crate::params::MachineParams;
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
-use pcm_core::SimTime;
 
-/// Cost of the BSP splitter phase with oversampling ratio `s`:
-/// `T_bsp_bitonic(P·S) + g·(P-1) + L` (the bitonic sort runs with `S` keys
-/// per processor).
-pub fn splitter_bsp(m: &MachineParams, s: usize) -> SimTime {
-    let bitonic = bitonic::bsp(m, s);
-    bitonic + SimTime::from_micros(m.g * (exact_f64(m.p) - 1.0) + m.l)
+/// Oversampling ratio the sample-sort predictors assume (keys per
+/// processor in the splitter bitonic sort).
+pub const SAMPLE_OVERSAMPLING: usize = 64;
+
+/// `M_max = 2·M` — the bucket-size convention the predictions use (a
+/// factor-2 oversampling-quality bound).
+fn m_max() -> Expr {
+    Expr::mul(vec![num(2.0), n_sym()])
 }
 
-/// Cost of the BSP multi-scan used to compute receive addresses:
-/// `2·(g·P + L)`.
-pub fn scan_bsp(m: &MachineParams) -> SimTime {
-    SimTime::from_micros(2.0 * (m.g * exact_f64(m.p) + m.l))
+/// Local part of the send phase: `T_local_sort(M) + alpha·(M + P)`.
+fn send_local(p: f64) -> Expr {
+    Expr::add(vec![
+        local_sort(n_sym()),
+        Expr::mul(vec![
+            Expr::sym("alpha"),
+            Expr::ops(Expr::add(vec![n_sym(), num(p)])),
+        ]),
+    ])
 }
 
-/// Cost of the BSP send phase given the observed maximum bucket size:
-/// `T_local_sort(M) + alpha·(M+P) + T_scan + g·M_max + L`.
-pub fn send_bsp(m: &MachineParams, keys_per_proc: usize, m_max: usize) -> SimTime {
-    let local = m.local_sort(keys_per_proc, bitonic::KEY_BITS, bitonic::RADIX_BITS);
-    let bucketing = m.alpha * exact_f64(keys_per_proc + m.p);
-    SimTime::from_micros(local + bucketing)
-        + scan_bsp(m)
-        + SimTime::from_micros(m.g * exact_f64(m_max) + m.l)
+/// BSP prediction: the splitter phase `T_bsp_bitonic(P·S) + g·(P-1) + L`,
+/// the send phase `T_local_sort(M) + alpha·(M+P) + 2·(g·P + L) +
+/// g·M_max + L`, and the bucket sort `T_local_sort(M_max)`.
+pub fn bsp(m: &MachineParams, _n_hint: usize) -> Expr {
+    let p = exact_f64(m.p);
+    let splitter = Expr::add(vec![
+        bitonic::bsp_with(m, num(exact_f64(SAMPLE_OVERSAMPLING))),
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(num(p - 1.0))]),
+            Expr::sym("L"),
+        ]),
+    ]);
+    let scan = Expr::mul(vec![
+        num(2.0),
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(num(p))]),
+            Expr::sym("L"),
+        ]),
+    ]);
+    let send = Expr::add(vec![
+        send_local(p),
+        scan,
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(m_max())]),
+            Expr::sym("L"),
+        ]),
+    ]);
+    Expr::add(vec![splitter, send, local_sort(m_max())])
 }
 
-/// Cost of the final local bucket sort: `T_local_sort(M_max)`.
-pub fn sort_buckets(m: &MachineParams, m_max: usize) -> SimTime {
-    SimTime::from_micros(m.local_sort(m_max, bitonic::KEY_BITS, bitonic::RADIX_BITS))
-}
-
-/// Total BSP sample-sort prediction.
-pub fn bsp_total(m: &MachineParams, keys_per_proc: usize, s: usize, m_max: usize) -> SimTime {
-    splitter_bsp(m, s) + send_bsp(m, keys_per_proc, m_max) + sort_buckets(m, m_max)
-}
-
-/// Block-transfer cost of the splitter broadcast (a `P x P` transpose):
-/// `2·sqrt(P)·(sigma·w·sqrt(P) + ell)`.
-pub fn splitter_broadcast_bpram(m: &MachineParams) -> SimTime {
-    let sq = (exact_f64(m.p)).sqrt();
-    SimTime::from_micros(2.0 * sq * (m.sigma * exact_f64(m.w) * sq + m.ell))
-}
-
-/// Block-transfer cost of the multi-scan:
-/// `4·sqrt(P)·(sigma·w·sqrt(P) + ell)`.
-pub fn scan_bpram(m: &MachineParams) -> SimTime {
-    let sq = (exact_f64(m.p)).sqrt();
-    SimTime::from_micros(4.0 * sq * (m.sigma * exact_f64(m.w) * sq + m.ell))
+/// `k·sqrt(P)` block steps of `sqrt(P)` words each:
+/// `k·sqrt(P)·(sigma·w·sqrt(P) + ell)` — the splitter transpose (`k = 2`)
+/// and the multi-scan (`k = 4`).
+fn block_steps(k: f64, sq: f64) -> Expr {
+    Expr::mul(vec![
+        num(k),
+        num(sq),
+        Expr::add(vec![
+            Expr::mul(vec![
+                Expr::sym("sigma"),
+                Expr::sym("w"),
+                Expr::words(num(sq)),
+            ]),
+            Expr::sym("ell"),
+        ]),
+    ])
 }
 
 /// Block-transfer cost of routing the keys to their buckets
-/// (JáJá–Ryu): `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)`.
-pub fn send_to_buckets_bpram(m: &MachineParams, total_keys: usize) -> SimTime {
-    let p = exact_f64(m.p);
+/// (JáJá–Ryu): `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)` with `N = M·P`.
+fn send_to_buckets(p: f64) -> Expr {
     let sq = p.sqrt();
-    SimTime::from_micros(
-        4.0 * sq * (4.0 * m.sigma * exact_f64(m.w) * exact_f64(total_keys) / (p * sq) + m.ell),
-    )
+    Expr::mul(vec![
+        num(4.0),
+        num(sq),
+        Expr::add(vec![
+            Expr::div(
+                Expr::mul(vec![
+                    num(4.0),
+                    Expr::sym("sigma"),
+                    Expr::sym("w"),
+                    Expr::words(Expr::mul(vec![n_sym(), num(p)])),
+                ]),
+                num(p * sq),
+            ),
+            Expr::sym("ell"),
+        ]),
+    ])
 }
 
-/// Total MP-BPRAM sample-sort prediction.
-pub fn bpram_total(m: &MachineParams, keys_per_proc: usize, s: usize, m_max: usize) -> SimTime {
-    let splitters = bitonic::bpram(m, s) + splitter_broadcast_bpram(m);
-    let local = m.local_sort(keys_per_proc, bitonic::KEY_BITS, bitonic::RADIX_BITS)
-        + m.alpha * exact_f64(keys_per_proc + m.p);
-    let total_keys = keys_per_proc * m.p;
-    splitters
-        + SimTime::from_micros(local)
-        + scan_bpram(m)
-        + send_to_buckets_bpram(m, total_keys)
-        + sort_buckets(m, m_max)
+/// MP-BPRAM prediction: `T_bpram_bitonic(P·S)` plus the splitter
+/// transpose, the send phase's local part, the block multi-scan, the
+/// JáJá–Ryu routing and the bucket sort `T_local_sort(M_max)`.
+pub fn bpram(m: &MachineParams, _n_hint: usize) -> Expr {
+    let p = exact_f64(m.p);
+    let sq = p.sqrt();
+    let splitters = Expr::add(vec![
+        bitonic::bpram_with(m, num(exact_f64(SAMPLE_OVERSAMPLING))),
+        block_steps(2.0, sq),
+    ]);
+    Expr::add(vec![
+        splitters,
+        send_local(p),
+        block_steps(4.0, sq),
+        send_to_buckets(p),
+        local_sort(m_max()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::gcel;
+    use crate::predict::{eval, eval_at};
 
     #[test]
     fn send_substep_dominates_on_gcel() {
@@ -103,8 +147,9 @@ mod tests {
         // 16·sigma·w·N/P µs" — 4·sqrt(P)·4·sigma·w·N/P^1.5 = 16·sigma·w·N/P
         // for any P.
         let m = gcel();
-        let n = 64 * 4096;
-        let t = send_to_buckets_bpram(&m, n).as_micros();
+        let keys = 4096;
+        let n = 64 * keys;
+        let t = eval_at(&send_to_buckets(exact_f64(m.p)), &m, keys);
         let dominant = 16.0 * m.sigma * exact_f64(m.w) * exact_f64(n) / exact_f64(m.p);
         let startup = 4.0 * 8.0 * m.ell;
         assert!((t - (dominant + startup)).abs() < 1e-6);
@@ -118,12 +163,8 @@ mod tests {
     #[test]
     fn totals_are_monotone_in_keys() {
         let m = gcel();
-        let a = bpram_total(&m, 1024, 64, 1400);
-        let b = bpram_total(&m, 4096, 64, 5600);
-        assert!(b > a);
-        let c = bsp_total(&m, 1024, 64, 1400);
-        let d = bsp_total(&m, 4096, 64, 5600);
-        assert!(d > c);
+        assert!(eval(bpram, &m, 4096) > eval(bpram, &m, 1024));
+        assert!(eval(bsp, &m, 4096) > eval(bsp, &m, 1024));
     }
 
     #[test]
@@ -131,7 +172,10 @@ mod tests {
         let m = gcel();
         let sq = 8.0;
         let expect = 2.0 * sq * (m.sigma * 4.0 * sq + m.ell);
-        assert!((splitter_broadcast_bpram(&m).as_micros() - expect).abs() < 1e-9);
-        assert!((scan_bpram(&m).as_micros() - 2.0 * expect).abs() < 1e-9);
+        // The splitter transpose and the multi-scan do not depend on n.
+        for n in [1, 4096] {
+            assert!((eval_at(&block_steps(2.0, sq), &m, n) - expect).abs() < 1e-9);
+            assert!((eval_at(&block_steps(4.0, sq), &m, n) - 2.0 * expect).abs() < 1e-9);
+        }
     }
 }

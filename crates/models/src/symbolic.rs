@@ -1,40 +1,20 @@
-//! The [`Predictor`] hook: every closed-form prediction re-expressed as a
-//! typed symbolic expression over the declared machine-parameter units.
+//! The closed-form registry the `pcm-sym` verifier consumes.
 //!
-//! Each predictor in [`crate::predict`] appears here as a [`ClosedForm`]
-//! carrying three things the `pcm-sym` verifier consumes:
-//!
-//! * a [`DomainSpec`] — the divisibility and processor-shape preconditions
-//!   under which the formula is meaningful (rule S02);
-//! * a [`Predictor::symbolic`] builder returning an [`Expr`] over the
-//!   [`crate::params::unit_env`] symbols (rules S01, S03, S05, S06);
-//! * the original hand-coded Rust formula as [`Predictor::closed_form`]
-//!   (the S04 differential-test reference).
-//!
-//! **The builders mirror the Rust formulas' floating-point operation order
-//! exactly** — sums and products appear in the same order and grouping as
-//! the hand-coded arithmetic, divisions stay divisions, and integer counts
-//! become pre-computed constants using the same conversion sequence. That
-//! is what lets S04 demand agreement to ≤ 1 ulp rather than a loose
-//! relative tolerance: any discrepancy beyond rounding is a transcription
-//! divergence in one of the two copies.
-//!
-//! One formula is not a fixed polynomial in `n`: the APSP broadcast adds a
-//! `log2(sqrt(P)/M)`-step doubling phase whose step count varies with `n`.
-//! [`Predictor::symbolic`] therefore takes an `n_hint` and freezes that
-//! step count at the hint; callers (S04) rebuild the expression per
-//! evaluation point.
+//! Each predictor in [`crate::predict`] appears here as a [`ClosedForm`]:
+//! its family and model name, its [`DomainSpec`] — the divisibility and
+//! processor-shape preconditions under which the formula is meaningful
+//! (rule S02) — and its [`crate::predict`] builder, the one statement of
+//! the formula. The verifier certifies that expression (rules S01, S03,
+//! S05, S06) and checks its values against a pinned table of the values
+//! the figures have always plotted (S04); the figures evaluate the same
+//! builder with [`crate::predict::eval`].
 
 use crate::params::{EbspParams, MachineParams};
-use crate::predict::{apsp, bitonic, lu, matmul, parallel_radix, samplesort};
+use crate::predict::{self, apsp, bitonic, lu, matmul, parallel_radix, samplesort, Build};
 use pcm_core::symexpr::{Bindings, Expr};
 use pcm_core::units::exact_f64;
 use pcm_core::SimTime;
 use std::fmt;
-
-/// Oversampling ratio the sample-sort predictors assume (keys per
-/// processor in the splitter bitonic sort).
-pub const SAMPLE_OVERSAMPLING: usize = 64;
 
 /// A violated domain precondition (rule S02).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,78 +115,69 @@ impl DomainSpec {
     }
 }
 
-/// A cost predictor that can state its formula symbolically.
-pub trait Predictor {
-    /// Algorithm family name ("matmul", "bitonic", ...).
-    fn family(&self) -> &'static str;
-    /// Model name ("bsp", "mp_bsp", "bpram", "ebsp", "gcel_refined").
-    fn model(&self) -> &'static str;
-    /// Declared domain preconditions.
-    fn domain(&self) -> DomainSpec;
-    /// The closed form as a typed expression over [`crate::params::unit_env`]
-    /// symbols, with machine constants baked in and the problem size left
-    /// as the free symbol `n`. Piecewise step counts (APSP's doubling
-    /// phase) are frozen at `n_hint`.
-    fn symbolic(&self, m: &MachineParams, n_hint: usize) -> Expr;
-    /// The original hand-coded formula (no domain check).
-    fn closed_form(&self, m: &MachineParams, n: usize) -> SimTime;
-    /// Domain-checked evaluation: the closed form where the preconditions
-    /// hold, a [`DomainViolation`] otherwise.
-    ///
-    /// # Errors
-    /// The first violated [`DomainSpec`] precondition.
-    fn predict(&self, m: &MachineParams, n: usize) -> Result<SimTime, DomainViolation> {
-        self.domain().check(n, m.p)?;
-        Ok(self.closed_form(m, n))
-    }
-}
-
-/// The canonical [`Predictor`]: one closed form of one family under one
-/// model.
+/// One closed form of one family under one model.
 pub struct ClosedForm {
     family: &'static str,
     model: &'static str,
     domain: DomainSpec,
-    build: fn(&MachineParams, usize) -> Expr,
-    run: fn(&MachineParams, usize) -> SimTime,
+    build: Build,
 }
 
 impl ClosedForm {
     /// Builds a predictor record. The verifier's broken-fixture tests use
-    /// this to construct deliberately wrong transcriptions; production
+    /// this to construct deliberately wrong formulas; production
     /// predictors come from [`all`].
     pub fn new(
         family: &'static str,
         model: &'static str,
         domain: DomainSpec,
-        build: fn(&MachineParams, usize) -> Expr,
-        run: fn(&MachineParams, usize) -> SimTime,
+        build: Build,
     ) -> ClosedForm {
         ClosedForm {
             family,
             model,
             domain,
             build,
-            run,
         }
     }
-}
 
-impl Predictor for ClosedForm {
-    fn family(&self) -> &'static str {
+    /// Algorithm family name ("matmul", "bitonic", ...).
+    pub fn family(&self) -> &'static str {
         self.family
     }
-    fn model(&self) -> &'static str {
+
+    /// Model name ("bsp", "mp_bsp", "bpram", "ebsp", "gcel_refined").
+    pub fn model(&self) -> &'static str {
         self.model
     }
-    fn domain(&self) -> DomainSpec {
+
+    /// Declared domain preconditions.
+    pub fn domain(&self) -> DomainSpec {
         self.domain
     }
-    fn symbolic(&self, m: &MachineParams, n_hint: usize) -> Expr {
+
+    /// The closed form as a typed expression over [`crate::params::unit_env`]
+    /// symbols, with machine constants baked in and the problem size left
+    /// as the free symbol `n`. Piecewise step counts (APSP's doubling
+    /// phase) are frozen at `n_hint`.
+    pub fn symbolic(&self, m: &MachineParams, n_hint: usize) -> Expr {
         (self.build)(m, n_hint)
     }
-    fn closed_form(&self, m: &MachineParams, n: usize) -> SimTime {
-        (self.run)(m, n)
+
+    /// The closed form evaluated at `(m, n)` with [`predict::eval`] (no
+    /// domain check).
+    pub fn eval(&self, m: &MachineParams, n: usize) -> SimTime {
+        predict::eval(self.build, m, n)
+    }
+
+    /// Domain-checked evaluation: the closed form where the preconditions
+    /// hold, a [`DomainViolation`] otherwise.
+    ///
+    /// # Errors
+    /// The first violated [`DomainSpec`] precondition.
+    pub fn predict(&self, m: &MachineParams, n: usize) -> Result<SimTime, DomainViolation> {
+        self.domain.check(n, m.p)?;
+        Ok(self.eval(m, n))
     }
 }
 
@@ -236,511 +207,6 @@ pub fn bindings(m: &MachineParams, n: usize) -> Bindings {
         EbspParams::Uniform => {}
     }
     b
-}
-
-// ---- shared builder shorthand ---------------------------------------------
-
-fn n_sym() -> Expr {
-    Expr::sym("n")
-}
-
-fn num(v: f64) -> Expr {
-    Expr::num(v)
-}
-
-// ---- matmul (Section 4.1) -------------------------------------------------
-
-/// `alpha_mm·N³/P_eff + copy·N²/q²` — the shared compute part.
-fn matmul_compute(q: usize) -> Expr {
-    let p_eff = exact_f64(q * q * q);
-    let qf = exact_f64(q);
-    Expr::add(vec![
-        Expr::div(
-            Expr::mul(vec![
-                Expr::sym("alpha_mm"),
-                Expr::ops(Expr::powi(n_sym(), 3)),
-            ]),
-            num(p_eff),
-        ),
-        Expr::div(
-            Expr::mul(vec![Expr::sym("copy"), Expr::words(n_sym()), n_sym()]),
-            num(qf * qf),
-        ),
-    ])
-}
-
-fn matmul_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let q = matmul::q_for(m.p);
-    let qf = exact_f64(q);
-    Expr::add(vec![
-        matmul_compute(q),
-        Expr::add(vec![
-            Expr::div(
-                Expr::mul(vec![
-                    num(3.0),
-                    Expr::sym("g"),
-                    Expr::words(n_sym()),
-                    n_sym(),
-                ]),
-                num(qf * qf),
-            ),
-            Expr::mul(vec![num(2.0), Expr::sym("L")]),
-        ]),
-    ])
-}
-
-fn matmul_mp_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let q = matmul::q_for(m.p);
-    let qf = exact_f64(q);
-    Expr::add(vec![
-        matmul_compute(q),
-        Expr::div(
-            Expr::mul(vec![
-                num(3.0),
-                Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
-                Expr::words(n_sym()),
-                n_sym(),
-            ]),
-            num(qf * qf),
-        ),
-    ])
-}
-
-fn matmul_bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let q = matmul::q_for(m.p);
-    let p_eff = exact_f64(q * q * q);
-    Expr::add(vec![
-        matmul_compute(q),
-        Expr::mul(vec![
-            num(3.0),
-            num(exact_f64(q)),
-            Expr::add(vec![
-                Expr::div(
-                    Expr::mul(vec![
-                        Expr::sym("sigma"),
-                        Expr::sym("w"),
-                        Expr::words(n_sym()),
-                        n_sym(),
-                    ]),
-                    num(p_eff),
-                ),
-                Expr::sym("ell"),
-            ]),
-        ]),
-    ])
-}
-
-// ---- local radix sort (shared by the sorting predictors) ------------------
-
-/// `(b/r)·(beta·2^r + gamma·count)` with the workspace-wide 32-bit keys
-/// and 8-bit radix.
-fn local_sort_expr(count: Expr) -> Expr {
-    let passes = exact_f64(bitonic::KEY_BITS) / exact_f64(bitonic::RADIX_BITS);
-    let radix = exact_f64(1usize << bitonic::RADIX_BITS);
-    Expr::mul(vec![
-        num(passes),
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("radix_beta"), Expr::ops(num(radix))]),
-            Expr::mul(vec![Expr::sym("radix_gamma"), Expr::ops(count)]),
-        ]),
-    ])
-}
-
-// ---- bitonic sort (Section 4.2) -------------------------------------------
-
-fn bitonic_bsp_with(m: &MachineParams, count: Expr) -> Expr {
-    let s = exact_f64(bitonic::merge_steps(m.p));
-    Expr::add(vec![
-        local_sort_expr(count.clone()),
-        Expr::mul(vec![
-            num(s),
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
-                Expr::mul(vec![Expr::sym("g"), Expr::words(count)]),
-                Expr::sym("L"),
-            ]),
-        ]),
-    ])
-}
-
-fn bitonic_mp_bsp_with(m: &MachineParams, count: Expr) -> Expr {
-    let s = exact_f64(bitonic::merge_steps(m.p));
-    Expr::add(vec![
-        local_sort_expr(count.clone()),
-        Expr::mul(vec![
-            num(s),
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
-                Expr::mul(vec![
-                    Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
-                    Expr::words(count),
-                ]),
-            ]),
-        ]),
-    ])
-}
-
-fn bitonic_bpram_with(m: &MachineParams, count: Expr) -> Expr {
-    let s = exact_f64(bitonic::merge_steps(m.p));
-    Expr::add(vec![
-        local_sort_expr(count.clone()),
-        Expr::mul(vec![
-            num(s),
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
-                Expr::mul(vec![Expr::sym("sigma"), Expr::sym("w"), Expr::words(count)]),
-                Expr::sym("ell"),
-            ]),
-        ]),
-    ])
-}
-
-fn bitonic_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    bitonic_bsp_with(m, n_sym())
-}
-
-fn bitonic_mp_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    bitonic_mp_bsp_with(m, n_sym())
-}
-
-fn bitonic_bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    bitonic_bpram_with(m, n_sym())
-}
-
-// ---- sample sort (Section 4.3) --------------------------------------------
-
-/// `M_max = 2·M` — the bucket-size convention the sweep evaluates the
-/// formulas under (a factor-2 oversampling-quality bound).
-fn m_max_expr() -> Expr {
-    Expr::mul(vec![num(2.0), n_sym()])
-}
-
-fn samplesort_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let p = exact_f64(m.p);
-    let splitter = Expr::add(vec![
-        bitonic_bsp_with(m, num(exact_f64(SAMPLE_OVERSAMPLING))),
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(num(p - 1.0))]),
-            Expr::sym("L"),
-        ]),
-    ]);
-    let scan = Expr::mul(vec![
-        num(2.0),
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(num(p))]),
-            Expr::sym("L"),
-        ]),
-    ]);
-    let send = Expr::add(vec![
-        Expr::add(vec![
-            local_sort_expr(n_sym()),
-            Expr::mul(vec![
-                Expr::sym("alpha"),
-                Expr::ops(Expr::add(vec![n_sym(), num(p)])),
-            ]),
-        ]),
-        scan,
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(m_max_expr())]),
-            Expr::sym("L"),
-        ]),
-    ]);
-    Expr::add(vec![splitter, send, local_sort_expr(m_max_expr())])
-}
-
-fn samplesort_bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let p = exact_f64(m.p);
-    let sq = p.sqrt();
-    let block_step = |count: f64| {
-        Expr::add(vec![
-            Expr::mul(vec![
-                Expr::sym("sigma"),
-                Expr::sym("w"),
-                Expr::words(num(count)),
-            ]),
-            Expr::sym("ell"),
-        ])
-    };
-    let splitters = Expr::add(vec![
-        bitonic_bpram_with(m, num(exact_f64(SAMPLE_OVERSAMPLING))),
-        Expr::mul(vec![num(2.0), num(sq), block_step(sq)]),
-    ]);
-    let local = Expr::add(vec![
-        local_sort_expr(n_sym()),
-        Expr::mul(vec![
-            Expr::sym("alpha"),
-            Expr::ops(Expr::add(vec![n_sym(), num(p)])),
-        ]),
-    ]);
-    let scan = Expr::mul(vec![num(4.0), num(sq), block_step(sq)]);
-    let send = Expr::mul(vec![
-        num(4.0),
-        num(sq),
-        Expr::add(vec![
-            Expr::div(
-                Expr::mul(vec![
-                    num(4.0),
-                    Expr::sym("sigma"),
-                    Expr::sym("w"),
-                    Expr::words(Expr::mul(vec![n_sym(), num(p)])),
-                ]),
-                num(p * sq),
-            ),
-            Expr::sym("ell"),
-        ]),
-    ]);
-    Expr::add(vec![
-        splitters,
-        local,
-        scan,
-        send,
-        local_sort_expr(m_max_expr()),
-    ])
-}
-
-// ---- APSP (Section 4.4) ---------------------------------------------------
-
-/// `M = n/sqrt(P)` as an expression, plus the doubling-phase step count
-/// frozen at `n_hint` (computed with the same float ops as the Rust
-/// `extra_phase_steps`).
-fn apsp_mm_and_extra(m: &MachineParams, n_hint: usize) -> (Expr, f64) {
-    let sq = exact_f64(m.p).sqrt();
-    let mm_hint = exact_f64(n_hint) / sq;
-    let extra = if mm_hint >= sq {
-        0.0
-    } else {
-        (sq / mm_hint).log2()
-    };
-    (Expr::div(n_sym(), num(sq)), extra)
-}
-
-/// The `(g+L)·extra` doubling term common to the BSP-style broadcasts.
-fn doubling_term(extra: f64) -> Expr {
-    Expr::mul(vec![
-        Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
-        Expr::words(num(extra)),
-    ])
-}
-
-fn apsp_bcast_bsp(m: &MachineParams, n_hint: usize) -> Expr {
-    let (mm, extra) = apsp_mm_and_extra(m, n_hint);
-    Expr::add(vec![
-        Expr::mul(vec![
-            num(2.0),
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(mm)]),
-                Expr::sym("L"),
-            ]),
-        ]),
-        doubling_term(extra),
-    ])
-}
-
-fn apsp_bcast_mp_bsp(m: &MachineParams, n_hint: usize) -> Expr {
-    let (mm, extra) = apsp_mm_and_extra(m, n_hint);
-    Expr::mul(vec![
-        Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
-        Expr::words(Expr::add(vec![Expr::mul(vec![num(2.0), mm]), num(extra)])),
-    ])
-}
-
-fn apsp_bcast_ebsp(m: &MachineParams, n_hint: usize) -> Expr {
-    let EbspParams::PartialPermutation { .. } = m.ebsp else {
-        return apsp_bcast_bsp(m, n_hint);
-    };
-    let (mm, extra) = apsp_mm_and_extra(m, n_hint);
-    let sq = exact_f64(m.p).sqrt();
-    let t_unb = |active: Expr| {
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("t_unb_a"), active.clone()]),
-            Expr::mul(vec![Expr::sym("t_unb_b"), Expr::sqrt(active)]),
-            Expr::sym("t_unb_c"),
-        ])
-    };
-    let mut terms = vec![
-        Expr::mul(vec![mm.clone(), t_unb(num(sq))]),
-        Expr::mul(vec![mm, t_unb(num(exact_f64(m.p)))]),
-    ];
-    // The doubling step count; exact truncation mirrors the Rust loop.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let steps = extra as usize;
-    for i in 0..steps {
-        terms.push(t_unb(Expr::mul(vec![num(exact_f64(1usize << i)), n_sym()])));
-    }
-    Expr::add(terms)
-}
-
-fn apsp_bcast_gcel_refined(m: &MachineParams, n_hint: usize) -> Expr {
-    let g_scatter = match m.ebsp {
-        EbspParams::MultinodeScatter { .. } => Expr::sym("g_mscat"),
-        _ => Expr::sym("g"),
-    };
-    let (mm, extra) = apsp_mm_and_extra(m, n_hint);
-    Expr::add(vec![
-        Expr::add(vec![
-            Expr::mul(vec![g_scatter, Expr::words(mm.clone())]),
-            Expr::sym("L"),
-        ]),
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(mm)]),
-            Expr::sym("L"),
-        ]),
-        doubling_term(extra),
-    ])
-}
-
-/// `alpha·N³/P + (2·N)·T_bcast`.
-fn apsp_total(m: &MachineParams, bcast: Expr) -> Expr {
-    Expr::add(vec![
-        Expr::div(
-            Expr::mul(vec![Expr::sym("alpha"), Expr::ops(Expr::powi(n_sym(), 3))]),
-            num(exact_f64(m.p)),
-        ),
-        Expr::mul(vec![Expr::mul(vec![num(2.0), n_sym()]), bcast]),
-    ])
-}
-
-fn apsp_bsp_expr(m: &MachineParams, n_hint: usize) -> Expr {
-    apsp_total(m, apsp_bcast_bsp(m, n_hint))
-}
-
-fn apsp_mp_bsp_expr(m: &MachineParams, n_hint: usize) -> Expr {
-    apsp_total(m, apsp_bcast_mp_bsp(m, n_hint))
-}
-
-fn apsp_ebsp_expr(m: &MachineParams, n_hint: usize) -> Expr {
-    apsp_total(m, apsp_bcast_ebsp(m, n_hint))
-}
-
-fn apsp_gcel_refined_expr(m: &MachineParams, n_hint: usize) -> Expr {
-    apsp_total(m, apsp_bcast_gcel_refined(m, n_hint))
-}
-
-// ---- LU decomposition -----------------------------------------------------
-
-fn lu_bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let sq = exact_f64(m.p).sqrt();
-    let steps = (sq - 1.0).max(1.0);
-    let mm = Expr::div(n_sym(), num(sq));
-    let per_iter = Expr::add(vec![
-        // Pivot broadcast: a 1-relation superstep.
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(num(1.0))]),
-            Expr::sym("L"),
-        ]),
-        Expr::mul(vec![
-            num(2.0),
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(mm.clone()), num(steps)]),
-                Expr::sym("L"),
-            ]),
-        ]),
-        Expr::mul(vec![Expr::sym("alpha"), Expr::ops(mm.clone()), mm]),
-    ]);
-    Expr::mul(vec![n_sym(), per_iter])
-}
-
-fn lu_bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let sq = exact_f64(m.p).sqrt();
-    let steps = (sq - 1.0).max(1.0);
-    let mm = Expr::div(n_sym(), num(sq));
-    let per_iter = Expr::add(vec![
-        Expr::add(vec![
-            Expr::mul(vec![
-                Expr::sym("sigma"),
-                Expr::sym("w"),
-                Expr::words(num(1.0)),
-            ]),
-            Expr::sym("ell"),
-        ]),
-        Expr::mul(vec![
-            num(2.0),
-            num(steps),
-            Expr::add(vec![
-                Expr::mul(vec![
-                    Expr::sym("sigma"),
-                    Expr::sym("w"),
-                    Expr::words(mm.clone()),
-                ]),
-                Expr::sym("ell"),
-            ]),
-        ]),
-        Expr::mul(vec![Expr::sym("alpha"), Expr::ops(mm.clone()), mm]),
-    ]);
-    Expr::mul(vec![n_sym(), per_iter])
-}
-
-// ---- parallel radix sort --------------------------------------------------
-
-fn radix_histogram() -> Expr {
-    let radix = exact_f64(1usize << parallel_radix::RADIX_BITS);
-    Expr::add(vec![
-        Expr::mul(vec![Expr::sym("radix_gamma"), Expr::ops(n_sym())]),
-        Expr::mul(vec![Expr::sym("radix_beta"), Expr::ops(num(radix))]),
-    ])
-}
-
-fn radix_bsp_expr(_m: &MachineParams, _n_hint: usize) -> Expr {
-    let radix = exact_f64(1usize << parallel_radix::RADIX_BITS);
-    let passes = 32.0 / exact_f64(parallel_radix::RADIX_BITS);
-    let scans = Expr::mul(vec![
-        num(2.0),
-        Expr::add(vec![
-            Expr::mul(vec![Expr::sym("g"), Expr::words(num(radix))]),
-            Expr::sym("L"),
-        ]),
-    ]);
-    let routing = Expr::add(vec![
-        Expr::mul(vec![Expr::sym("g"), Expr::words(num(2.0)), n_sym()]),
-        Expr::sym("L"),
-    ]);
-    let placing = Expr::mul(vec![Expr::sym("copy"), Expr::words(n_sym())]);
-    Expr::mul(vec![
-        num(passes),
-        Expr::add(vec![radix_histogram(), scans, routing, placing]),
-    ])
-}
-
-fn radix_bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
-    let radix = exact_f64(1usize << parallel_radix::RADIX_BITS);
-    let passes = 32.0 / exact_f64(parallel_radix::RADIX_BITS);
-    let p = exact_f64(m.p);
-    let bps = p - 1.0;
-    let scans = Expr::mul(vec![
-        num(2.0),
-        num(bps),
-        Expr::add(vec![
-            Expr::div(
-                Expr::mul(vec![
-                    Expr::sym("sigma"),
-                    Expr::sym("w"),
-                    Expr::words(num(radix)),
-                ]),
-                num(p),
-            ),
-            Expr::sym("ell"),
-        ]),
-    ]);
-    let routing = Expr::mul(vec![
-        num(bps),
-        Expr::add(vec![
-            Expr::div(
-                Expr::mul(vec![
-                    Expr::sym("sigma"),
-                    Expr::sym("w"),
-                    Expr::words(num(2.0)),
-                    n_sym(),
-                ]),
-                num(p),
-            ),
-            Expr::sym("ell"),
-        ]),
-    ]);
-    let placing = Expr::mul(vec![Expr::sym("copy"), Expr::words(n_sym())]);
-    Expr::mul(vec![
-        num(passes),
-        Expr::add(vec![radix_histogram(), scans, routing, placing]),
-    ])
 }
 
 // ---- registry -------------------------------------------------------------
@@ -809,119 +275,102 @@ pub fn all() -> Vec<ClosedForm> {
             family: "matmul",
             model: "bsp",
             domain: matmul_domain(),
-            build: matmul_bsp_expr,
-            run: |m, n| matmul::bsp(m, n),
+            build: matmul::bsp,
         },
         ClosedForm {
             family: "matmul",
             model: "mp_bsp",
             domain: matmul_domain(),
-            build: matmul_mp_bsp_expr,
-            run: |m, n| matmul::mp_bsp(m, n),
+            build: matmul::mp_bsp,
         },
         ClosedForm {
             family: "matmul",
             model: "bpram",
             domain: matmul_domain(),
-            build: matmul_bpram_expr,
-            run: |m, n| matmul::bpram(m, n),
+            build: matmul::bpram,
         },
         ClosedForm {
             family: "bitonic",
             model: "bsp",
             domain: sort_domain(),
-            build: bitonic_bsp_expr,
-            run: |m, n| bitonic::bsp(m, n),
+            build: bitonic::bsp,
         },
         ClosedForm {
             family: "bitonic",
             model: "mp_bsp",
             domain: sort_domain(),
-            build: bitonic_mp_bsp_expr,
-            run: |m, n| bitonic::mp_bsp(m, n),
+            build: bitonic::mp_bsp,
         },
         ClosedForm {
             family: "bitonic",
             model: "bpram",
             domain: sort_domain(),
-            build: bitonic_bpram_expr,
-            run: |m, n| bitonic::bpram(m, n),
+            build: bitonic::bpram,
         },
         ClosedForm {
             family: "samplesort",
             model: "bsp",
             domain: samplesort_domain(),
-            build: samplesort_bsp_expr,
-            run: |m, n| samplesort::bsp_total(m, n, SAMPLE_OVERSAMPLING, 2 * n),
+            build: samplesort::bsp,
         },
         ClosedForm {
             family: "samplesort",
             model: "bpram",
             domain: samplesort_domain(),
-            build: samplesort_bpram_expr,
-            run: |m, n| samplesort::bpram_total(m, n, SAMPLE_OVERSAMPLING, 2 * n),
+            build: samplesort::bpram,
         },
         ClosedForm {
             family: "apsp",
             model: "bsp",
             domain: blocked_domain(),
-            build: apsp_bsp_expr,
-            run: |m, n| apsp::bsp(m, n),
+            build: apsp::bsp,
         },
         ClosedForm {
             family: "apsp",
             model: "mp_bsp",
             domain: blocked_domain(),
-            build: apsp_mp_bsp_expr,
-            run: |m, n| apsp::mp_bsp(m, n),
+            build: apsp::mp_bsp,
         },
         ClosedForm {
             family: "apsp",
             model: "ebsp",
             domain: blocked_domain(),
-            build: apsp_ebsp_expr,
-            run: |m, n| apsp::ebsp(m, n),
+            build: apsp::ebsp,
         },
         ClosedForm {
             family: "apsp",
             model: "gcel_refined",
             domain: blocked_domain(),
-            build: apsp_gcel_refined_expr,
-            run: |m, n| apsp::gcel_refined(m, n),
+            build: apsp::gcel_refined,
         },
         ClosedForm {
             family: "lu",
             model: "bsp",
             domain: blocked_domain(),
-            build: lu_bsp_expr,
-            run: |m, n| lu::bsp(m, n),
+            build: lu::bsp,
         },
         ClosedForm {
             family: "lu",
             model: "bpram",
             domain: blocked_domain(),
-            build: lu_bpram_expr,
-            run: |m, n| lu::bpram(m, n),
+            build: lu::bpram,
         },
         ClosedForm {
             family: "parallel_radix",
             model: "bsp",
             domain: sort_domain(),
-            build: radix_bsp_expr,
-            run: |m, n| parallel_radix::bsp(m, n),
+            build: parallel_radix::bsp,
         },
         ClosedForm {
             family: "parallel_radix",
             model: "bpram",
             domain: sort_domain(),
-            build: radix_bpram_expr,
-            run: |m, n| parallel_radix::bpram(m, n),
+            build: parallel_radix::bpram,
         },
     ]
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // the whole point: symbolic == hand-coded, bit for bit
 mod tests {
     use super::*;
     use crate::params::{cm5, gcel, maspar, unit_env};
@@ -953,29 +402,6 @@ mod tests {
                     pred.model(),
                     m.name
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn symbolic_eval_is_bit_identical_to_the_rust_formulas() {
-        for m in machines() {
-            for pred in all() {
-                let d = (pred.domain().n_divisor)(m.p);
-                for k in [1usize, 2, 4, 8] {
-                    let n = (d * k).max(pred.domain().min_n.next_multiple_of(d));
-                    let expr = pred.symbolic(&m, n);
-                    let sym = expr.eval(&bindings(&m, n)).expect("bindings cover env");
-                    let rust = pred.closed_form(&m, n).as_micros();
-                    assert_eq!(
-                        sym,
-                        rust,
-                        "{}/{} on {} at n = {n}",
-                        pred.family(),
-                        pred.model(),
-                        m.name
-                    );
-                }
             }
         }
     }
@@ -1045,14 +471,12 @@ mod tests {
         let with = apsp_bsp.symbolic(&m, 512);
         let without = apsp_bsp.symbolic(&m, 1024);
         assert_ne!(with, without);
-        // And each matches the Rust value at its own hint.
-        assert_eq!(
-            with.eval(&bindings(&m, 512)).expect("eval"),
-            apsp::bsp(&m, 512).as_micros()
-        );
-        assert_eq!(
-            without.eval(&bindings(&m, 1024)).expect("eval"),
-            apsp::bsp(&m, 1024).as_micros()
-        );
+        // Evaluation builds at its own size: at n = 512 that is the
+        // expression with the doubling step, which the one frozen at
+        // n = 1024 undercounts.
+        let at_512 = apsp_bsp.eval(&m, 512).as_micros();
+        let with_512 = with.eval(&bindings(&m, 512)).expect("eval");
+        assert_eq!(with_512.to_bits(), at_512.to_bits());
+        assert!(without.eval(&bindings(&m, 512)).expect("eval") < at_512);
     }
 }

@@ -214,7 +214,6 @@ pub fn crossovers() -> Vec<Crossover> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcm_models::Predictor as _;
 
     #[test]
     fn every_claim_references_a_registered_predictor() {

@@ -4,9 +4,8 @@
 //! rule id, continuing the analyzer numbering convention (`R`/`C`/`D`
 //! sanitizer, `W` races, `A` schedule audit). `S` rules fire on the *typed
 //! closed forms* the predictors declare — no simulation is needed to break
-//! one; a finding means a formula, a declared precondition, or the
-//! transcription between the Rust arithmetic and its symbolic twin is
-//! wrong.
+//! one; a finding means a formula or a declared precondition is wrong, or
+//! a formula's values moved off the pinned ones.
 
 /// Stable identifier of one symbolic verification rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,8 +19,8 @@ pub enum SymRule {
     /// A declared cross-model dominance lemma has no symbolic certificate,
     /// or a numeric spot check contradicts it.
     Dominance,
-    /// The symbolic expression and the hand-coded Rust formula disagree by
-    /// more than 1 ulp on a randomized parameter grid.
+    /// An evaluated expression differs by more than 1 ulp from its pinned
+    /// value on the randomized parameter grid.
     Differential,
     /// The communication part's leading term disagrees with the growth of
     /// the family's `CostContract` volume bound, or the contract's bounds

@@ -22,6 +22,10 @@ use crate::rules::Finding;
 /// workspace uses.
 pub const SEED: u64 = 2026;
 
+/// Differential rounds per (machine, predictor) pair in the full sweep;
+/// the `--fast` sweep runs the first two.
+pub const FULL_ROUNDS: usize = 8;
+
 /// Sweep configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepOptions {
@@ -43,7 +47,8 @@ pub struct SweepStats {
     pub lemmas_certified: usize,
     /// S04 randomized differential evaluation points.
     pub differential_points: usize,
-    /// Largest symbolic-vs-Rust ulp distance observed across S04.
+    /// Largest ulp distance between an evaluated expression and its pinned
+    /// value observed across S04.
     pub max_ulp: u64,
     /// S05 leading-term certificates (predictors × machines).
     pub leading_terms: usize,
@@ -67,7 +72,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     let machines: Vec<MachineParams> =
         vec![pcm_models::maspar(), pcm_models::gcel(), pcm_models::cm5()];
     let grids = pcm_experiments::domains::grids();
-    let rounds = if opts.fast { 2 } else { 8 };
+    let rounds = if opts.fast { 2 } else { FULL_ROUNDS };
 
     let mut findings = Vec::new();
     let mut stats = SweepStats {
@@ -85,7 +90,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
         findings.extend(fnds);
         stats.lemmas_certified += 1;
     }
-    let (diff_findings, max_ulp) = check_differential(&preds, &machines, rounds, SEED);
+    let (diff_findings, max_ulp) = check_differential(&preds, &machines, rounds);
     findings.extend(diff_findings);
     stats.max_ulp = max_ulp;
     findings.extend(check_leading(&preds, &machines));

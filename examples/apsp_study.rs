@@ -25,13 +25,13 @@ fn main() {
         assert!(r.verified, "distances checked against sequential Floyd");
         let (base, refined) = if params.memory_pipelining {
             (
-                predict::apsp::bsp(&params, n),
-                predict::apsp::gcel_refined(&params, n),
+                predict::eval(predict::apsp::bsp, &params, n),
+                predict::eval(predict::apsp::gcel_refined, &params, n),
             )
         } else {
             (
-                predict::apsp::mp_bsp(&params, n),
-                predict::apsp::ebsp(&params, n),
+                predict::eval(predict::apsp::mp_bsp, &params, n),
+                predict::eval(predict::apsp::ebsp, &params, n),
             )
         };
         println!(
@@ -80,8 +80,8 @@ fn main() {
             "{:>5} {:>11.2}s {:>13.2}s {:>11.2}s",
             n,
             r.time.as_secs(),
-            predict::apsp::mp_bsp(&params, n).as_secs(),
-            predict::apsp::ebsp(&params, n).as_secs()
+            predict::eval(predict::apsp::mp_bsp, &params, n).as_secs(),
+            predict::eval(predict::apsp::ebsp, &params, n).as_secs()
         );
     }
 }

@@ -32,12 +32,15 @@ fn main() {
         println!(
             "CM-5   short messages: measured {}, BSP {}",
             words.time,
-            err(predict::matmul::bsp(&params, n), words.time)
+            err(predict::eval(predict::matmul::bsp, &params, n), words.time)
         );
         println!(
             "CM-5   block transfer: measured {}, MP-BPRAM {}",
             blocks.time,
-            err(predict::matmul::bpram(&params, n), blocks.time)
+            err(
+                predict::eval(predict::matmul::bpram, &params, n),
+                blocks.time
+            )
         );
     }
     {
@@ -50,12 +53,18 @@ fn main() {
         println!(
             "MasPar short messages: measured {}, MP-BSP {}",
             words.time,
-            err(predict::matmul::mp_bsp(&params, n), words.time)
+            err(
+                predict::eval(predict::matmul::mp_bsp, &params, n),
+                words.time
+            )
         );
         println!(
             "MasPar block transfer: measured {}, MP-BPRAM {}",
             blocks.time,
-            err(predict::matmul::bpram(&params, n), blocks.time)
+            err(
+                predict::eval(predict::matmul::bpram, &params, n),
+                blocks.time
+            )
         );
     }
 
@@ -75,9 +84,9 @@ fn main() {
         );
         assert!(r.verified);
         let pred = if params.memory_pipelining {
-            predict::bitonic::bsp(&params, m)
+            predict::eval(predict::bitonic::bsp, &params, m)
         } else {
-            predict::bitonic::mp_bsp(&params, m)
+            predict::eval(predict::bitonic::mp_bsp, &params, m)
         };
         println!(
             "{:7} measured {}, (MP-)BSP {}",

@@ -47,8 +47,8 @@ fn main() {
     }
 
     println!();
-    let bsp = predict::matmul::bsp(&params, 256);
-    let bpram = predict::matmul::bpram(&params, 256);
+    let bsp = predict::eval(predict::matmul::bsp, &params, 256);
+    let bpram = predict::eval(predict::matmul::bpram, &params, 256);
     println!("BSP model predicts      {bsp}");
     println!("MP-BPRAM model predicts {bpram}");
     println!(

@@ -48,7 +48,7 @@
 //! // staggered BSP algorithm, and compare against the BSP prediction.
 //! let cm5 = Platform::cm5();
 //! let run = matmul::run(&cm5, 128, MatmulVariant::BspStaggered, 42);
-//! let predicted = predict::matmul::bsp(&cm5.model_params(), 128);
+//! let predicted = predict::eval(predict::matmul::bsp, &cm5.model_params(), 128);
 //! let err = predicted.relative_error(run.time);
 //! assert!(err < 0.35, "BSP prediction should be in the right ballpark");
 //! ```

@@ -138,7 +138,7 @@ fn accountant_matches_the_closed_form_for_block_bitonic() {
 
     let acc = account_run(&params, machine.traces());
     let accounted = acc.bpram + acc.compute;
-    let closed_form = pcm::models::predict::bitonic::bpram(&params, m);
+    let closed_form = pcm::models::predict::eval(pcm::models::predict::bitonic::bpram, &params, m);
     let err = accounted.relative_error(closed_form);
     assert!(
         err < 0.1,

@@ -5,13 +5,11 @@
 //! inverted lemma S03, a formula/transcription divergence S04, a wrong
 //! leading power S05 and a mis-ordered crossover S06.
 
-use pcm::core::units::exact_f64;
-use pcm::core::SimTime;
-use pcm::models::{ClosedForm, DomainSpec, MachineParams};
+use pcm::models::{predict, ClosedForm, DomainSpec, MachineParams};
 use pcm_experiments::domains::GridSpec;
 use pcm_sym::{
-    check_crossover, check_differential, check_domains, check_lemma, check_units, render, sweep,
-    Crossover, Expr, Finding, Lemma, SweepOptions, SymRule,
+    check_crossover, check_differential, check_domains, check_lemma, check_units, pinned_table,
+    render, sweep, Crossover, Expr, Finding, Lemma, SweepOptions, SymRule,
 };
 
 /// The full sweep — every predictor, machine, grid point, lemma,
@@ -28,7 +26,13 @@ fn full_sweep_is_clean() {
     assert_eq!(outcome.stats.lemmas_certified, 8);
     assert_eq!(outcome.stats.crossovers, 3);
     assert!(outcome.stats.grid_points >= 50, "sweep shrank unexpectedly");
-    assert!(outcome.stats.max_ulp <= 1, "symbolic transcription drifted");
+    assert!(
+        outcome.stats.max_ulp <= 1,
+        "a closed form moved off its pinned values"
+    );
+    // One pinned S04 row per differential point: a registry or round-count
+    // change cannot leave rows unchecked.
+    assert_eq!(outcome.stats.differential_points, pinned_table().len());
 }
 
 fn unconstrained() -> DomainSpec {
@@ -58,18 +62,12 @@ fn assert_only_rule(findings: &[Finding], rule: SymRule) {
 /// evaluated to a plausible number.
 #[test]
 fn s01_units_flags_words_bytes_confusion() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("sigma"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.sigma * exact_f64(n) + m.l),
-    );
+    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("sigma"), Expr::words(Expr::sym("n"))]),
+            Expr::sym("L"),
+        ])
+    });
     let findings = check_units(&[broken], &[pcm::models::maspar()]);
     assert_only_rule(&findings, SymRule::Units);
     assert!(findings[0].detail.contains("dimension"));
@@ -110,26 +108,21 @@ fn s03_dominance_flags_inverted_lemma() {
     assert_only_rule(&findings, SymRule::Dominance);
 }
 
-/// S04: a symbolic form with an extra `+L` the Rust formula does not have
-/// diverges by far more than 1 ulp on every random parameter draw.
+/// S04: the registered matmul/bsp formula with an extra `+L` drifts off
+/// the pinned values by far more than 1 ulp on every random parameter
+/// draw.
 #[test]
 fn s04_differential_flags_transcription_divergence() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.g * exact_f64(n) + m.l),
-    );
+    let matmul_bsp = &pcm::models::symbolic::all()[0];
+    assert_eq!((matmul_bsp.family(), matmul_bsp.model()), ("matmul", "bsp"));
+    let broken = ClosedForm::new("matmul", "bsp", matmul_bsp.domain(), |m, n| {
+        Expr::add(vec![predict::matmul::bsp(m, n), Expr::sym("L")])
+    });
     let machines: Vec<MachineParams> = vec![pcm::models::maspar()];
-    let (findings, max_ulp) = check_differential(&[broken], &machines, 2, 7);
+    let (findings, max_ulp) = check_differential(&[broken], &machines, 2);
     assert_only_rule(&findings, SymRule::Differential);
+    assert_eq!(findings.len(), 2, "one finding per round");
+    assert!(findings.iter().all(|f| f.detail.contains("ulp apart")));
     assert!(max_ulp > 1);
 }
 
@@ -137,18 +130,12 @@ fn s04_differential_flags_transcription_divergence() {
 /// the family contract's `n²/√p`-word volume bound.
 #[test]
 fn s05_leading_term_flags_wrong_growth() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.g * exact_f64(n) + m.l),
-    );
+    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
+            Expr::sym("L"),
+        ])
+    });
     let findings = pcm_sym::check_leading(&[broken], &[pcm::models::maspar()]);
     assert_only_rule(&findings, SymRule::LeadingTerm);
     assert!(findings[0].detail.contains("grows like"));
