@@ -82,7 +82,7 @@ pub fn broadcast(machine: &mut Machine<CollState>, root: usize) {
         let mut pieces: Vec<(usize, Vec<u32>)> = ctx
             .msgs()
             .iter()
-            .map(|m| (m.tag as usize, m.as_u32s()))
+            .map(|m| (m.tag as usize, m.u32s().collect()))
             .collect();
         ctx.touch_modify(regions::COLL_OUT);
         pieces.push((pid, ctx.state.out.clone()));
@@ -107,8 +107,11 @@ pub fn all_gather(machine: &mut Machine<CollState>) {
     });
     machine.superstep(move |ctx| {
         let pid = ctx.pid();
-        let mut pieces: Vec<(usize, Vec<u32>)> =
-            ctx.msgs().iter().map(|m| (m.src, m.as_u32s())).collect();
+        let mut pieces: Vec<(usize, Vec<u32>)> = ctx
+            .msgs()
+            .iter()
+            .map(|m| (m.src, m.u32s().collect()))
+            .collect();
         ctx.touch_read(regions::COLL_DATA);
         pieces.push((pid, ctx.state.data.clone()));
         pieces.sort_by_key(|(idx, _)| *idx);

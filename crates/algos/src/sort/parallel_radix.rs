@@ -185,14 +185,15 @@ fn radix_pass(
         };
         place(&mut prefix, pid, &own[..buckets_per_proc]);
         place(&mut totals, pid, &own[buckets_per_proc..]);
-        let incoming: Vec<(usize, Vec<u32>)> = ctx
-            .msgs()
-            .iter()
-            .map(|msg| (msg.src, msg.as_u32s()))
-            .collect();
-        for (src, vals) in incoming {
-            place(&mut prefix, src, &vals[..buckets_per_proc]);
-            place(&mut totals, src, &vals[buckets_per_proc..]);
+        // Each reply is [prefix ..., totals ...]: decode it in place.
+        for msg in ctx.msgs() {
+            let words = msg.u32s();
+            assert_eq!(words.len(), 2 * buckets_per_proc, "payload length mismatch");
+            let at = msg.src * buckets_per_proc..(msg.src + 1) * buckets_per_proc;
+            let slots = prefix[at.clone()].iter_mut().chain(&mut totals[at]);
+            for (slot, v) in slots.zip(words) {
+                *slot = v;
+            }
         }
         // Exclusive scan of the totals gives each bucket's global base.
         let mut base = vec![0u32; RADIX];

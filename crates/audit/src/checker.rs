@@ -65,8 +65,9 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
                 format!("superstep index {} at schedule position {i}", step.step),
             ));
         }
-        if step.pattern.p != p
-            || step.pattern.sends.len() != p
+        let pattern = step.pattern();
+        if pattern.p != p
+            || pattern.sends.len() != p
             || step.inbox_count.len() != p
             || step.inbox_read.len() != p
         {
@@ -76,8 +77,8 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
                 format!(
                     "plan width diverges from P={p}: pattern.p={}, {} send lists, \
                      {} inbox counts, {} read flags",
-                    step.pattern.p,
-                    step.pattern.sends.len(),
+                    pattern.p,
+                    pattern.sends.len(),
                     step.inbox_count.len(),
                     step.inbox_read.len()
                 ),
@@ -125,7 +126,7 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
         for d in delivered.iter_mut() {
             *d = 0;
         }
-        for recs in &step.pattern.sends {
+        for recs in &step.pattern().sends {
             for r in recs {
                 if r.dst < p {
                     delivered[r.dst] += 1;
@@ -157,7 +158,8 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
     if let Some(c) = cx.contract {
         let bound = c.h_bound(cx.n, cx.p);
         for step in &plan.steps {
-            let h = step.pattern.h_send().max(step.pattern.h_recv());
+            let pattern = step.pattern();
+            let h = pattern.h_send().max(pattern.h_recv());
             if h > bound {
                 findings.push(cx.finding(
                     AuditRule::HBound,
@@ -181,7 +183,8 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
     // and every single transfer against the pooled payload classes.
     let envelope = (cx.bounds.max_step_recv_bytes)(cx.n, cx.p, cx.word);
     for step in &plan.steps {
-        let recv = step.pattern.bytes_received();
+        let pattern = step.pattern();
+        let recv = pattern.bytes_received();
         if let Some((dst, &bytes)) = recv.iter().enumerate().max_by_key(|&(_, &b)| b) {
             if bytes > envelope {
                 findings.push(cx.finding(
@@ -194,9 +197,9 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
                 ));
             }
         }
-        for recs in &step.pattern.sends {
+        for recs in &pattern.sends {
             for r in recs {
-                if r.bytes > MAX_POOLED_PAYLOAD {
+                if r.logical_bytes as usize > MAX_POOLED_PAYLOAD {
                     findings.push(cx.finding(
                         AuditRule::BufferCapacity,
                         Some(step.step),
@@ -204,7 +207,7 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
                             "a {} transfer of {} bytes exceeds the largest pool class \
                              ({MAX_POOLED_PAYLOAD} bytes)",
                             kind_name(r.kind),
-                            r.bytes
+                            r.logical_bytes
                         ),
                     ));
                 }
@@ -215,12 +218,12 @@ pub fn audit_plan(plan: &RunPlan, cx: &PlanAudit<'_>) -> Vec<Finding> {
     // A05: word traffic must use the machine word or a declared packet
     // size, and stay inside the inline payload fast path.
     for step in &plan.steps {
-        for recs in &step.pattern.sends {
+        for recs in &step.pattern().sends {
             for r in recs {
-                if r.kind != MsgKind::Words || r.words == 0 {
+                if r.kind != MsgKind::Words || r.logical_words == 0 {
                     continue;
                 }
-                let per_msg = r.bytes.div_ceil(r.words);
+                let per_msg = r.logical_bytes.div_ceil(r.logical_words) as usize;
                 let declared = per_msg == cx.word
                     || cx.bounds.packet_bytes.iter().any(|&b| per_msg <= b)
                     // A partial trailing packet prices below the word size.
@@ -328,8 +331,9 @@ pub fn differential_gate(cx: &PlanAudit<'_>, run: &dyn Fn() -> bool) -> Vec<Find
         return findings;
     }
     for (step, (pl, tr)) in plan_steps.iter().zip(&traces).enumerate() {
-        let (h_send, h_recv) = (pl.pattern.h_send(), pl.pattern.h_recv());
-        let (messages, bytes) = (pl.pattern.total_messages(), pl.pattern.total_bytes());
+        let pattern = pl.pattern();
+        let (h_send, h_recv) = (pattern.h_send(), pattern.h_recv());
+        let (messages, bytes) = (pattern.total_messages(), pattern.total_bytes());
         if h_send != tr.h_send
             || h_recv != tr.h_recv
             || messages != tr.messages

@@ -183,7 +183,7 @@ mod tests {
         });
         let mut d = Digest::new();
         m.superstep(|ctx| {
-            let vals: Vec<u32> = ctx.msgs().iter().map(|m| m.as_u32s()[0]).collect();
+            let vals: Vec<u32> = ctx.msgs().iter().map(|m| m.word_u32()).collect();
             for v in vals {
                 *ctx.state = v;
             }

@@ -3,21 +3,26 @@
 
 use std::process::Command;
 
-/// Runs `reproduce` with `args`, returning its exit code and stderr.
-fn run(args: &[&str]) -> (Option<i32>, String) {
+/// Runs `reproduce` with `args`, returning its exit code, stdout and
+/// stderr.
+fn run(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
         .output()
         .expect("reproduce runs");
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
+/// `args` exit with status 2 and `message` on stderr, having run nothing:
+/// stdout stays empty.
 fn assert_usage_error(args: &[&str], message: &str) {
-    let (code, stderr) = run(args);
+    let (code, stdout, stderr) = run(args);
     assert_eq!(code, Some(2), "{args:?}: exit code, stderr:\n{stderr}");
+    assert!(stdout.is_empty(), "{args:?}: ran before failing:\n{stdout}");
     assert!(
         stderr.contains(message),
         "{args:?}: expected `{message}` in stderr:\n{stderr}"
@@ -41,4 +46,22 @@ fn trailing_out_is_a_usage_error() {
 #[test]
 fn unknown_experiment_is_a_usage_error() {
     assert_usage_error(&["no-such-figure"], "unknown experiment `no-such-figure`");
+}
+
+#[test]
+fn check_parses_its_flags_before_running() {
+    // The usage line names every command, so it shows the error came
+    // from the parser rather than from a run of `check`.
+    assert_usage_error(&["check", "--seed", "x"], "usage: reproduce");
+    assert_usage_error(&["check", "--seed", "x"], "--seed needs an integer");
+}
+
+#[test]
+fn unknown_id_after_a_known_one_runs_nothing() {
+    assert_usage_error(&["fig02", "nosuch"], "unknown experiment `nosuch`");
+}
+
+#[test]
+fn check_takes_no_experiment_ids() {
+    assert_usage_error(&["check", "fig01"], "take no experiment ids");
 }

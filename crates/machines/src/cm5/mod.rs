@@ -102,7 +102,7 @@ fn price_pattern(
     for (src, recs) in pattern.sends.iter().enumerate() {
         for rec in recs {
             if rec.kind == MsgKind::Words {
-                loads.add(src, rec.dst, rec.words);
+                loads.add(src, rec.dst, rec.logical_words as usize);
             }
         }
     }
@@ -283,7 +283,7 @@ impl ComputeModel for Cm5Compute {
 mod tests {
     use super::*;
     use pcm_core::rng::{random_h_relation, seeded};
-    use pcm_sim::{MsgKind, SendRecord};
+    use pcm_sim::{Message, MsgKind};
 
     fn route_us(net: &mut Cm5Network, pat: &CommPattern, seed: u64) -> f64 {
         let mut rng = seeded(seed);
@@ -300,14 +300,10 @@ mod tests {
                 p: 64,
                 sends: dests
                     .into_iter()
-                    .map(|ds| {
+                    .enumerate()
+                    .map(|(src, ds)| {
                         ds.into_iter()
-                            .map(|d| SendRecord {
-                                dst: d,
-                                words: 1,
-                                bytes: 8,
-                                kind: MsgKind::Words,
-                            })
+                            .map(|d| Message::header(src, d, MsgKind::Words, 1, 8))
                             .collect()
                     })
                     .collect(),
@@ -322,28 +318,18 @@ mod tests {
     fn identical_schedules_pay_contention() {
         // 4 senders all send 100 words to dst 0, then 100 to dst 1, ... —
         // the unstaggered matmul schedule.
-        let naive: Vec<Vec<SendRecord>> = (0..4)
-            .map(|_| {
+        let naive: Vec<Vec<Message>> = (0..4)
+            .map(|i| {
                 (0..4usize)
-                    .map(|d| SendRecord {
-                        dst: 8 + d,
-                        words: 100,
-                        bytes: 800,
-                        kind: MsgKind::Words,
-                    })
+                    .map(|d| Message::header(i, 8 + d, MsgKind::Words, 100, 800))
                     .collect()
             })
             .collect();
         // Staggered: sender i starts at destination i.
-        let staggered: Vec<Vec<SendRecord>> = (0..4usize)
+        let staggered: Vec<Vec<Message>> = (0..4usize)
             .map(|i| {
                 (0..4usize)
-                    .map(|d| SendRecord {
-                        dst: 8 + (i + d) % 4,
-                        words: 100,
-                        bytes: 800,
-                        kind: MsgKind::Words,
-                    })
+                    .map(|d| Message::header(i, 8 + (i + d) % 4, MsgKind::Words, 100, 800))
                     .collect()
             })
             .collect();
@@ -378,17 +364,12 @@ mod tests {
     #[test]
     fn sustained_hot_receiver_is_drain_bound() {
         // 63 procs send 10 words each to proc 0: receiver must drain 630.
-        let sends: Vec<Vec<SendRecord>> = (0..64)
+        let sends: Vec<Vec<Message>> = (0..64)
             .map(|i| {
                 if i == 0 {
                     Vec::new()
                 } else {
-                    vec![SendRecord {
-                        dst: 0,
-                        words: 10,
-                        bytes: 80,
-                        kind: MsgKind::Words,
-                    }]
+                    vec![Message::header(i, 0, MsgKind::Words, 10, 80)]
                 }
             })
             .collect();
@@ -401,15 +382,8 @@ mod tests {
     fn block_permutation_costs_sigma_m_plus_ell() {
         let mut net = Cm5Network::new(64);
         for &m in &[1024usize, 32768] {
-            let sends: Vec<Vec<SendRecord>> = (0..64)
-                .map(|i| {
-                    vec![SendRecord {
-                        dst: (i + 7) % 64,
-                        words: m / 8,
-                        bytes: m,
-                        kind: MsgKind::Block,
-                    }]
-                })
+            let sends: Vec<Vec<Message>> = (0..64)
+                .map(|i| vec![Message::header(i, (i + 7) % 64, MsgKind::Block, m / 8, m)])
                 .collect();
             let t = route_us(&mut net, &CommPattern { p: 64, sends }, m as u64);
             let expect = 0.27 * m as f64 + 75.0;

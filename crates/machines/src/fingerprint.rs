@@ -30,7 +30,8 @@ pub(crate) fn pattern_key(key_buf: &mut Vec<u64>, pattern: &CommPattern) {
     for (src, recs) in pattern.sends.iter().enumerate() {
         let src = src as u64;
         for rec in recs {
-            let (dst, words, bytes) = (rec.dst as u64, rec.words as u64, rec.bytes as u64);
+            let dst = rec.dst as u64;
+            let (words, bytes) = (u64::from(rec.logical_words), u64::from(rec.logical_bytes));
             let kind = rec.kind as u64;
             if src < (1 << 20) && dst < (1 << 20) && words < (1 << 11) && bytes < (1 << 10) {
                 key_buf.push(

@@ -187,16 +187,17 @@ fn price_pattern(
 
     for (src, recs) in pattern.sends.iter().enumerate() {
         for rec in recs {
-            max_hops = max_hops.max(xy_route(side, src, rec.dst, rec.bytes, links));
+            let bytes = rec.logical_bytes as usize;
+            max_hops = max_hops.max(xy_route(side, src, rec.dst, bytes, links));
             match rec.kind {
                 MsgKind::Words => {
-                    words.add(src, rec.dst, rec.words);
-                    any_words |= rec.words > 0;
+                    words.add(src, rec.dst, rec.logical_words as usize);
+                    any_words |= rec.logical_words > 0;
                 }
                 // The GCel has no xnet; such sends are ordinary blocks.
                 MsgKind::Block | MsgKind::Xnet => {
                     blk_count.add(src, rec.dst, 1);
-                    blk_bytes.add(src, rec.dst, rec.bytes);
+                    blk_bytes.add(src, rec.dst, bytes);
                 }
             }
         }
@@ -341,7 +342,7 @@ impl NetworkModel for GcelNetwork {
 mod tests {
     use super::*;
     use pcm_core::rng::{random_h_relation, seeded};
-    use pcm_sim::SendRecord;
+    use pcm_sim::Message;
 
     fn route_us(net: &mut GcelNetwork, pat: &CommPattern, seed: u64) -> f64 {
         let mut rng = seeded(seed);
@@ -355,14 +356,10 @@ mod tests {
             p,
             sends: dests
                 .into_iter()
-                .map(|ds| {
+                .enumerate()
+                .map(|(src, ds)| {
                     ds.into_iter()
-                        .map(|d| SendRecord {
-                            dst: d,
-                            words: 1,
-                            bytes: 4,
-                            kind: MsgKind::Words,
-                        })
+                        .map(|d| Message::header(src, d, MsgKind::Words, 1, 4))
                         .collect()
                 })
                 .collect(),
@@ -393,12 +390,7 @@ mod tests {
         for s in 0..8usize {
             for (k, d) in (8..64usize).enumerate() {
                 let _ = k;
-                sends[s].push(SendRecord {
-                    dst: d,
-                    words: 1,
-                    bytes: 4,
-                    kind: MsgKind::Words,
-                });
+                sends[s].push(Message::header(s, d, MsgKind::Words, 1, 4));
             }
         }
         let pat = CommPattern { p, sends };
@@ -415,15 +407,8 @@ mod tests {
     fn hh_permutations_drift_beyond_the_threshold() {
         let mut net = GcelNetwork::new(64);
         let per_h = |net: &mut GcelNetwork, h: usize| {
-            let sends: Vec<Vec<SendRecord>> = (0..64)
-                .map(|i| {
-                    vec![SendRecord {
-                        dst: (i + 1) % 64,
-                        words: h,
-                        bytes: 4 * h,
-                        kind: MsgKind::Words,
-                    }]
-                })
+            let sends: Vec<Vec<Message>> = (0..64)
+                .map(|i| vec![Message::header(i, (i + 1) % 64, MsgKind::Words, h, 4 * h)])
                 .collect();
             let pat = CommPattern { p: 64, sends };
             (route_us(net, &pat, h as u64) - 4500.0) / h as f64
@@ -441,15 +426,8 @@ mod tests {
     fn block_permutation_matches_sigma_ell() {
         let mut net = GcelNetwork::new(64);
         for &m in &[1024usize, 8192, 65536] {
-            let sends: Vec<Vec<SendRecord>> = (0..64)
-                .map(|i| {
-                    vec![SendRecord {
-                        dst: (i + 13) % 64,
-                        words: m / 4,
-                        bytes: m,
-                        kind: MsgKind::Block,
-                    }]
-                })
+            let sends: Vec<Vec<Message>> = (0..64)
+                .map(|i| vec![Message::header(i, (i + 13) % 64, MsgKind::Block, m / 4, m)])
                 .collect();
             let pat = CommPattern { p: 64, sends };
             let t = route_us(&mut net, &pat, m as u64);
@@ -465,16 +443,17 @@ mod tests {
         // right half: the middle links serialize.
         let mut net = GcelNetwork::new(64);
         let m = 10_000_000usize; // 10 MB each — wire-bound on purpose
-        let sends: Vec<Vec<SendRecord>> = (0..64)
+        let sends: Vec<Vec<Message>> = (0..64)
             .map(|i| {
                 let (r, c) = (i / 8, i % 8);
                 if c < 4 {
-                    vec![SendRecord {
-                        dst: r * 8 + (c + 4),
-                        words: m / 4,
-                        bytes: m,
-                        kind: MsgKind::Block,
-                    }]
+                    vec![Message::header(
+                        i,
+                        r * 8 + (c + 4),
+                        MsgKind::Block,
+                        m / 4,
+                        m,
+                    )]
                 } else {
                     Vec::new()
                 }

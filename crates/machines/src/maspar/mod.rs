@@ -359,21 +359,15 @@ mod tests {
     use super::*;
     use pcm_core::rng::{random_permutation, seeded};
     use pcm_sim::topology::hypercube_partner;
-    use pcm_sim::{MsgKind, SendRecord};
+    use pcm_sim::{Message, MsgKind};
 
     fn word_perm_pattern(p: usize, dests: &[usize]) -> CommPattern {
         CommPattern {
             p,
             sends: dests
                 .iter()
-                .map(|&d| {
-                    vec![SendRecord {
-                        dst: d,
-                        words: 1,
-                        bytes: 4,
-                        kind: MsgKind::Words,
-                    }]
-                })
+                .enumerate()
+                .map(|(src, &d)| vec![Message::header(src, d, MsgKind::Words, 1, 4)])
                 .collect(),
         }
     }
@@ -428,14 +422,8 @@ mod tests {
                 p: 64,
                 sends: dests
                     .iter()
-                    .map(|&d| {
-                        vec![SendRecord {
-                            dst: d,
-                            words: 50,
-                            bytes: 200,
-                            kind: MsgKind::Words,
-                        }]
-                    })
+                    .enumerate()
+                    .map(|(src, &d)| vec![Message::header(src, d, MsgKind::Words, 50, 200)])
                     .collect(),
             };
             route_us(&mut net, &pat, 2)
@@ -456,14 +444,8 @@ mod tests {
                 p: 1024,
                 sends: perm
                     .iter()
-                    .map(|&d| {
-                        vec![SendRecord {
-                            dst: d,
-                            words: m / 4,
-                            bytes: m,
-                            kind: MsgKind::Block,
-                        }]
-                    })
+                    .enumerate()
+                    .map(|(src, &d)| vec![Message::header(src, d, MsgKind::Block, m / 4, m)])
                     .collect(),
             };
             let t = route_us(&mut net, &pat, m as u64);
@@ -483,12 +465,13 @@ mod tests {
             sends: (0..1024usize)
                 .map(|i| {
                     let (r, c) = (i / side, i % side);
-                    vec![SendRecord {
-                        dst: r * side + (c + 1) % side,
-                        words: 100,
-                        bytes: 400,
-                        kind: MsgKind::Xnet,
-                    }]
+                    vec![Message::header(
+                        i,
+                        r * side + (c + 1) % side,
+                        MsgKind::Xnet,
+                        100,
+                        400,
+                    )]
                 })
                 .collect(),
         };

@@ -5,18 +5,21 @@ use std::cell::{Cell, RefCell};
 use rand::rngs::StdRng;
 
 use crate::compute::ComputeModel;
+use crate::inbox::Inbox;
 use crate::message::{pooled_f64s, pooled_u32s, Message, MsgKind, Payload, PayloadPool, ProcId};
 use crate::shadow::{ConsumeFilter, RegionId, ShadowEvent};
 
 /// Per-processor scratch owned by the [`crate::machine::Machine`] and
 /// *lent* to a fresh [`Ctx`] each superstep, so the hot path reuses the
-/// same inbox/outbox/event buffers (and payload arena) instead of
-/// reallocating them every step.
+/// same outbox/event buffers (and payload arena) instead of reallocating
+/// them every step. No message is copied into an inbox: a processor reads
+/// its delivered messages in place in their senders' previous outboxes
+/// (see [`crate::inbox`]).
 #[derive(Default)]
 pub(crate) struct ProcAux {
-    /// Messages delivered at the previous barrier.
-    pub inbox: Vec<Message>,
-    /// Messages sent this superstep, in program order.
+    /// Messages sent this superstep, in program order. The exchange swaps
+    /// it with the send list the machine's pattern holds, so the two
+    /// buffers alternate and keep their capacity.
     pub outbox: Vec<Message>,
     /// Recyclable heap payload buffers for this processor's sends.
     pub pool: PayloadPool,
@@ -31,27 +34,9 @@ pub(crate) struct ProcAux {
     pub charge_ok: bool,
     /// Whether the processor read its inbox this superstep.
     pub read_inbox: bool,
-    /// Schedule snapshot: messages in `inbox` during this superstep.
+    /// Schedule snapshot: messages delivered to this processor for this
+    /// superstep, taken before the exchange re-indexes delivery.
     pub inbox_seen: usize,
-    /// Schedule snapshot: the tags of this superstep's sends, in send
-    /// order, taken before delivery drains the outbox (the pattern keeps
-    /// the rest of each send's metadata).
-    pub sent_tags: Vec<u32>,
-    /// Number of heap-allocated payloads currently in `inbox`. When zero
-    /// the delivery pre-pass clears the inbox in place instead of
-    /// draining it message by message (recycling an inline payload is a
-    /// no-op, so the two are identical).
-    pub inbox_heap: usize,
-}
-
-impl ProcAux {
-    /// Snapshots the schedule detail delivery is about to consume: the
-    /// inbox size and the outbox's tags.
-    pub fn snapshot_schedule(&mut self) {
-        self.inbox_seen = self.inbox.len();
-        self.sent_tags.clear();
-        self.sent_tags.extend(self.outbox.iter().map(|m| m.tag));
-    }
 }
 
 /// The scalar outcome of one processor's superstep, as returned by
@@ -77,7 +62,7 @@ pub struct Ctx<'a, S> {
     p: usize,
     /// The processor's private state.
     pub state: &'a mut S,
-    inbox: &'a [Message],
+    inbox: Inbox<'a>,
     compute: &'a dyn ComputeModel,
     word: usize,
     outbox: &'a mut Vec<Message>,
@@ -108,6 +93,7 @@ impl<'a, S> Ctx<'a, S> {
         pid: ProcId,
         p: usize,
         state: &'a mut S,
+        inbox: Inbox<'a>,
         aux: &'a mut ProcAux,
         compute: &'a dyn ComputeModel,
         word: usize,
@@ -118,7 +104,6 @@ impl<'a, S> Ctx<'a, S> {
         aux.events.clear();
         aux.oob_sends.clear();
         let ProcAux {
-            inbox,
             outbox,
             pool,
             events,
@@ -282,13 +267,14 @@ impl<'a, S> Ctx<'a, S> {
     // ---- receiving -------------------------------------------------------
 
     /// Messages delivered at the previous barrier, ordered by source id and
-    /// then by send order.
+    /// then by send order: a `Copy` view with `len`, `iter`, `first` and
+    /// indexing, reading each message in place in its sender's outbox.
     ///
     /// The inbox borrow outlives `&self`: it lives as long as the context
     /// (`'a`), so a closure may write `ctx.state` or send while it walks
     /// the messages. The consume is recorded when this is called, not as
     /// the messages are read.
-    pub fn msgs(&self) -> &'a [Message] {
+    pub fn msgs(&self) -> Inbox<'a> {
         self.read_inbox.set(true);
         self.record_consume(ConsumeFilter::Any);
         self.inbox

@@ -27,6 +27,7 @@
 pub mod cache;
 pub mod compute;
 pub mod ctx;
+pub mod inbox;
 pub mod machine;
 pub mod message;
 pub mod network;
@@ -41,10 +42,11 @@ pub mod topology;
 pub use cache::{CacheStats, PricingCache};
 pub use compute::{ComputeModel, UniformCompute};
 pub use ctx::Ctx;
+pub use inbox::{Inbox, InboxIter};
 pub use machine::Machine;
 pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
 pub use network::{IdealNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
-pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView, SendRecord};
+pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView};
 pub use plan::{extract_plans, RunPlan, StepPlan};
 pub use probe::{
     collect_traces, with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs,

@@ -33,11 +33,15 @@
 //! with. All randomness is seeded: the same seed gives bit-identical
 //! simulated times and results.
 //!
-//! The exchange phase is one engine on every machine: a fused sequential
-//! sweep that recycles the consumed payloads, rebuilds the pattern while
-//! it delivers the new messages, then prices the pattern. Observers
-//! installed with [`crate::with_probe`] see exactly that engine, so every
-//! analyzer checks the code the figures run.
+//! The exchange phase is one engine on every machine, and it moves no
+//! message. Each processor has two outboxes that swap every superstep:
+//! the one it writes now, and the pattern's send list holding its last
+//! sends, which the receivers read now. A fused sequential sweep recycles
+//! the consumed payloads of the previous send lists into their senders'
+//! pools, swaps the new outboxes in as the pattern, and indexes them by
+//! destination (see [`crate::inbox`]); then it prices the pattern.
+//! Observers installed with [`crate::with_probe`] see exactly that
+//! engine, so every analyzer checks the code the figures run.
 
 use std::sync::Arc;
 
@@ -47,9 +51,10 @@ use rand::rngs::StdRng;
 
 use crate::compute::ComputeModel;
 use crate::ctx::{Ctx, ProcAux};
+use crate::inbox::DeliveryIndex;
 use crate::message::MsgKind;
 use crate::network::NetworkModel;
-use crate::pattern::{CommPattern, SendRecord};
+use crate::pattern::CommPattern;
 use crate::probe::{
     self, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs, SuperstepProbe,
 };
@@ -60,7 +65,7 @@ use crate::strategy;
 pub struct Machine<S> {
     p: usize,
     states: Vec<S>,
-    /// Per-processor scratch (inbox, outbox, event buffers, payload pool),
+    /// Per-processor scratch (outbox, event buffers, payload pool),
     /// reused across supersteps so the hot path stops allocating.
     procs: Vec<ProcAux>,
     net: Box<dyn NetworkModel>,
@@ -72,8 +77,12 @@ pub struct Machine<S> {
     traces: Vec<SuperstepTrace>,
     tracing: bool,
     parallel: bool,
-    /// The superstep's communication pattern, rebuilt in place each step.
+    /// The last superstep's communication pattern: each processor's
+    /// outbox, swapped in whole. Its messages are the ones delivered for
+    /// the current superstep.
     pattern: CommPattern,
+    /// Per-destination index into `pattern.sends`: each processor's inbox.
+    delivery: DeliveryIndex,
     /// Tracing scratch: words received per processor.
     stat_recv: Vec<usize>,
     /// Tracing scratch: per-processor activity flags.
@@ -126,6 +135,7 @@ impl<S: Send> Machine<S> {
                 p,
                 sends: (0..p).map(|_| Vec::new()).collect(),
             },
+            delivery: DeliveryIndex::new(p),
             stat_recv: vec![0; p],
             stat_active: vec![false; p],
             stat_round_max: Vec::new(),
@@ -207,20 +217,23 @@ impl<S: Send> Machine<S> {
         let compute: &dyn ComputeModel = &*self.compute;
         let word = compute.word_bytes();
         let schedule = self.schedule;
+        let (delivered, delivery) = (&self.pattern.sends, &self.delivery);
 
         let run_one = |pid: usize, state: &mut S, aux: &mut ProcAux| {
             let rng_seed = child_seed(seed, (step * p + pid) as u64);
+            let inbox = delivery.inbox(delivered, pid);
+            if schedule {
+                aux.inbox_seen = inbox.len();
+            }
             let outcome = {
-                let mut ctx = Ctx::new(pid, p, state, aux, compute, word, rng_seed, schedule);
+                let mut ctx =
+                    Ctx::new(pid, p, state, inbox, aux, compute, word, rng_seed, schedule);
                 f(&mut ctx);
                 ctx.finish()
             };
             aux.compute_us = outcome.compute_us;
             aux.charge_ok = outcome.charge_ok;
             aux.read_inbox = outcome.read_inbox;
-            if schedule {
-                aux.snapshot_schedule();
-            }
         };
 
         let t_compute = probe::mark(!self.observers.is_empty());
@@ -304,61 +317,29 @@ impl<S: Send> Machine<S> {
         }
     }
 
-    /// Single-sweep sequential exchange: one pass over the outboxes both
-    /// rebuilds the pattern records and moves each message to its
-    /// destination inbox, instead of touching every message twice.
+    /// Single-sweep sequential exchange that moves no message: each
+    /// processor's consumed send list hands its heap payloads back to the
+    /// sender's pool and is swapped with the fresh outbox, and the new
+    /// lists are indexed by destination for the next superstep's reads.
     /// Delivery runs before pricing here, which is unobservable — pricing
-    /// reads only the finished pattern and the network rng, delivery only
-    /// moves messages, and observers read the detail each processor
-    /// snapshotted before delivery.
+    /// reads only the finished pattern and the network rng, and observers
+    /// read the detail each processor snapshotted before the exchange.
     fn exchange_fused(&mut self, step: usize, compute_ns: u64) {
         let observed = !self.observers.is_empty();
         let t = probe::mark(observed);
-        let p = self.p;
-        // Drop consumed inboxes first so delivery can append in place.
-        // Recycling an inline payload is a no-op, so an inbox with no
-        // heap payloads is cleared without visiting its messages.
         let mut max_compute = 0.0f64;
-        for dst in 0..p {
-            max_compute = max_compute.max(self.procs[dst].compute_us);
-            if self.procs[dst].inbox_heap == 0 {
-                self.procs[dst].inbox.clear();
-            } else {
-                let mut inbox = std::mem::take(&mut self.procs[dst].inbox);
-                for msg in inbox.drain(..) {
-                    let src = msg.src;
-                    self.procs[src].pool.recycle(msg.into_payload());
-                }
-                let aux = &mut self.procs[dst];
-                aux.inbox = inbox;
-                aux.inbox_heap = 0;
-            }
-        }
-        // One sweep: record each outbox message in the pattern and push it
-        // to its inbox, preserving the (src, send-order) delivery order.
         let mut total_records = 0usize;
-        for src in 0..p {
-            if self.procs[src].outbox.is_empty() {
-                self.pattern.sends[src].clear();
-                continue;
+        for (aux, sends) in self.procs.iter_mut().zip(&mut self.pattern.sends) {
+            max_compute = max_compute.max(aux.compute_us);
+            // Every receiver has read this list; recycling an inline
+            // payload is a no-op, so only heap payloads return.
+            for msg in sends.drain(..) {
+                aux.pool.recycle(msg.into_payload());
             }
-            let mut outbox = std::mem::take(&mut self.procs[src].outbox);
-            let sends = &mut self.pattern.sends[src];
-            sends.clear();
-            total_records += outbox.len();
-            for msg in outbox.drain(..) {
-                sends.push(SendRecord {
-                    dst: msg.dst,
-                    words: msg.logical_words as usize,
-                    bytes: msg.logical_bytes as usize,
-                    kind: msg.kind,
-                });
-                let aux = &mut self.procs[msg.dst];
-                aux.inbox_heap += usize::from(msg.payload_is_heap());
-                aux.inbox.push(msg);
-            }
-            self.procs[src].outbox = outbox;
+            std::mem::swap(sends, &mut aux.outbox);
+            total_records += sends.len();
         }
+        self.delivery.rebuild(&self.pattern.sends);
         let gather_ns = probe::since(t);
         let t = probe::mark(observed);
         let (compute_time, comm) = self.price(total_records, max_compute);
@@ -377,8 +358,9 @@ impl<S: Send> Machine<S> {
     }
 
     /// The superstep trace: all pattern statistics in one pass over the
-    /// send records, using the machine's reusable scratch buffers.
-    /// Semantics are identical to the `CommPattern` query methods.
+    /// sent messages, using the machine's reusable scratch buffers.
+    /// Semantics are identical to the `CommPattern` query methods (a
+    /// property test in `tests/exchange_shard.rs` holds them equal).
     fn pattern_trace(
         &mut self,
         step: usize,
@@ -401,13 +383,14 @@ impl<S: Send> Machine<S> {
         for (src, recs) in pattern.sends.iter().enumerate() {
             let mut sent_words = 0usize;
             for r in recs {
-                bytes += r.bytes;
+                let words = r.logical_words as usize;
+                bytes += r.logical_bytes as usize;
                 match r.kind {
                     MsgKind::Words => {
-                        messages += r.words;
-                        word_msgs += r.words;
-                        sent_words += r.words;
-                        recv[r.dst] += r.words;
+                        messages += words;
+                        word_msgs += words;
+                        sent_words += words;
+                        recv[r.dst] += words;
                     }
                     MsgKind::Block => {
                         messages += 1;
@@ -418,7 +401,7 @@ impl<S: Send> Machine<S> {
                         xnet_msgs += 1;
                     }
                 }
-                if r.words > 0 {
+                if words > 0 {
                     active[src] = true;
                     active[r.dst] = true;
                 }
@@ -428,18 +411,23 @@ impl<S: Send> Machine<S> {
         let h_recv = recv.iter().copied().max().unwrap_or(0);
         let active = active.iter().filter(|&&a| a).count();
         // Block/xnet rounds: round `r` holds the `r`-th record of that
-        // kind from each source; its cost driver is the largest block.
+        // kind from each source; its cost driver is the largest block. A
+        // kind that was not sent has no rounds, so its walk is skipped.
         let mut block_steps = 0usize;
         let mut block_bytes_sum = 0usize;
-        for kind in [MsgKind::Block, MsgKind::Xnet] {
+        for (kind, sent) in [(MsgKind::Block, block_msgs), (MsgKind::Xnet, xnet_msgs)] {
+            if sent == 0 {
+                continue;
+            }
             let round_max = &mut self.stat_round_max;
             round_max.clear();
             for recs in &pattern.sends {
                 for (round, r) in recs.iter().filter(|r| r.kind == kind).enumerate() {
+                    let bytes = r.logical_bytes as usize;
                     if round == round_max.len() {
-                        round_max.push(r.bytes);
+                        round_max.push(bytes);
                     } else {
-                        round_max[round] = round_max[round].max(r.bytes);
+                        round_max[round] = round_max[round].max(bytes);
                     }
                 }
             }
@@ -473,7 +461,7 @@ impl<S> Drop for Machine<S> {
     fn drop(&mut self) {
         let end = RunEnd {
             supersteps: self.step_count,
-            procs: &self.procs,
+            delivery: &self.delivery,
         };
         for observer in &mut self.observers {
             observer.finish(&end);

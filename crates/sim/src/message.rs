@@ -22,8 +22,7 @@
 //! is sized once and filled through a `chunks_exact_mut` zip, which
 //! vectorizes. Receivers decode with [`Message::u32s`] or
 //! [`Message::f64s`], iterators over the payload that allocate nothing, so
-//! a closure can decode straight into the state it fills. The `as_*`
-//! methods collect the payload into a `Vec`.
+//! a closure can decode straight into the state it fills.
 
 /// Identifier of a virtual processor.
 pub type ProcId = usize;
@@ -131,7 +130,7 @@ const POOL_CLASS_CAP: usize = 32;
 /// A size-classed arena of heap payload buffers.
 ///
 /// Each virtual processor owns one pool. Sends draw buffers from the
-/// sender's pool; after a message is consumed, [`Machine`] delivery
+/// sender's pool; after a message is consumed, the [`Machine`] exchange
 /// recycles its heap buffer back to the *sender's* pool (sender-affine),
 /// so steady-state block traffic stops allocating even when the
 /// communication pattern is skewed.
@@ -207,8 +206,9 @@ pub struct Message {
     /// Pricing kind.
     pub kind: MsgKind,
     /// Number of logical machine words this message represents. `u32`
-    /// (with `logical_bytes`) keeps the struct — copied twice per
-    /// delivery — at 64 bytes; a single message cannot carry 4 Gi words.
+    /// (with `logical_bytes`) keeps the struct at 64 bytes, one cache
+    /// line per message in the outboxes that pricing walks and receivers
+    /// index into; a single message cannot carry 4 Gi words.
     pub logical_words: u32,
     /// Number of bytes on the (simulated) wire: `logical_words · w`.
     pub logical_bytes: u32,
@@ -217,6 +217,33 @@ pub struct Message {
 }
 
 impl Message {
+    /// A payload-free message: only the metadata that pricing and the
+    /// analyzers read, with tag 0. Recorded plans
+    /// ([`crate::StepPlan::pattern`]) and hand-built
+    /// [`crate::CommPattern`]s (pricing tests, synthetic audit plans) are
+    /// made of these.
+    ///
+    /// # Panics
+    /// Panics if `logical_words` or `logical_bytes` exceeds `u32::MAX`.
+    pub fn header(
+        src: ProcId,
+        dst: ProcId,
+        kind: MsgKind,
+        logical_words: usize,
+        logical_bytes: usize,
+    ) -> Message {
+        let size = |n: usize| u32::try_from(n).expect("a single message carries < 4 Gi words");
+        Message {
+            src,
+            dst,
+            tag: 0,
+            kind,
+            logical_words: size(logical_words),
+            logical_bytes: size(logical_bytes),
+            payload: Payload::empty(),
+        }
+    }
+
     /// The payload bytes (the actual values, for algorithm correctness).
     #[inline]
     pub fn data(&self) -> &[u8] {
@@ -226,12 +253,6 @@ impl Message {
     /// Consumes the message, yielding its payload for recycling.
     pub(crate) fn into_payload(self) -> Payload {
         self.payload
-    }
-
-    /// Whether the payload lives on the heap (and is worth recycling).
-    #[inline]
-    pub(crate) fn payload_is_heap(&self) -> bool {
-        matches!(self.payload, Payload::Heap(_))
     }
 
     /// The payload split into little-endian `N`-byte words.
@@ -259,14 +280,6 @@ impl Message {
     /// Panics if the payload length is not a multiple of 8.
     pub fn f64s(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.words::<8>("f64").map(f64::from_le_bytes)
-    }
-
-    /// The payload as a `Vec` of `u32` values ([`Message::u32s`] collected).
-    ///
-    /// # Panics
-    /// Panics if the payload length is not a multiple of 4.
-    pub fn as_u32s(&self) -> Vec<u32> {
-        self.u32s().collect()
     }
 
     /// The first `u32` of the payload — convenient for single-word messages.
@@ -394,7 +407,7 @@ mod tests {
     fn u32_round_trip() {
         let vals = [1u32, 0xDEAD_BEEF, u32::MAX];
         let m = msg(encode_u32s(&vals));
-        assert_eq!(m.as_u32s(), vals);
+        assert!(m.u32s().eq(vals));
         assert_eq!(m.word_u32(), 1);
     }
 
@@ -424,13 +437,13 @@ mod tests {
         assert_eq!(m.f64s().collect::<Vec<_>>(), reals);
         let m = with(pooled_u32s(&mut pool, &[9, 8]));
         assert!(matches!(m.payload, Payload::Inline { len: 8, .. }));
-        assert_eq!(m.as_u32s(), [9, 8]);
+        assert!(m.u32s().eq([9, 8]));
     }
 
     #[test]
     #[should_panic(expected = "aligned")]
     fn misaligned_payload_panics() {
         let m = msg(vec![1u8, 2, 3].into_boxed_slice());
-        m.as_u32s();
+        let _ = m.u32s();
     }
 }

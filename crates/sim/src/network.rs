@@ -130,32 +130,16 @@ impl NetworkModel for TextbookBspNetwork {
 #[allow(clippy::float_cmp)] // tests assert exact simulated values
 mod tests {
     use super::*;
-    use crate::message::MsgKind;
-    use crate::pattern::SendRecord;
+    use crate::message::{Message, MsgKind};
     use pcm_core::rng::seeded;
 
     fn pattern() -> CommPattern {
         CommPattern {
             p: 4,
             sends: vec![
-                vec![SendRecord {
-                    dst: 1,
-                    words: 10,
-                    bytes: 40,
-                    kind: MsgKind::Words,
-                }],
-                vec![SendRecord {
-                    dst: 0,
-                    words: 4,
-                    bytes: 16,
-                    kind: MsgKind::Words,
-                }],
-                vec![SendRecord {
-                    dst: 3,
-                    words: 25,
-                    bytes: 100,
-                    kind: MsgKind::Block,
-                }],
+                vec![Message::header(0, 1, MsgKind::Words, 10, 40)],
+                vec![Message::header(1, 0, MsgKind::Words, 4, 16)],
+                vec![Message::header(2, 3, MsgKind::Block, 25, 100)],
                 vec![],
             ],
         }
@@ -181,12 +165,7 @@ mod tests {
                     (0..4usize)
                         .map(|t| {
                             let dst = if staggered { 4 + (src + t) % 4 } else { 4 + t };
-                            SendRecord {
-                                dst,
-                                words: 50,
-                                bytes: 400,
-                                kind: MsgKind::Words,
-                            }
+                            Message::header(src, dst, MsgKind::Words, 50, 400)
                         })
                         .collect()
                 })

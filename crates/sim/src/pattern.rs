@@ -14,7 +14,7 @@
 //! does not change, so a network model can price one round and multiply —
 //! which is what makes simulating a 10⁶-round bitonic exchange affordable.
 
-use crate::message::{MsgKind, ProcId};
+use crate::message::{Message, MsgKind, ProcId};
 
 /// Reusable scratch for the allocation-free pattern iteration APIs
 /// ([`CommPattern::visit_word_segments`], [`CommPattern::visit_block_rounds`],
@@ -169,51 +169,32 @@ impl BlockRoundView<'_> {
     }
 }
 
-/// One entry of a processor's ordered send list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SendRecord {
-    /// Destination processor.
-    pub dst: ProcId,
-    /// Logical words in this record (1 word = 1 network message for
-    /// [`MsgKind::Words`]; for blocks this is the block length in words).
-    pub words: usize,
-    /// Logical bytes (`words · w`).
-    pub bytes: usize,
-    /// Word stream or bulk block.
-    pub kind: MsgKind,
-}
-
 /// The complete communication pattern of one superstep.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommPattern {
     /// Number of processors.
     pub p: usize,
-    /// Per-source ordered send records.
-    pub sends: Vec<Vec<SendRecord>>,
+    /// Per-source ordered sends. Pricing reads each message's `dst`,
+    /// `kind`, `logical_words` and `logical_bytes`; `sends[src]` holds
+    /// only messages sent by `src`.
+    pub sends: Vec<Vec<Message>>,
 }
 
 impl CommPattern {
-    /// `true` when nothing is sent.
-    pub fn is_empty(&self) -> bool {
-        self.sends.iter().all(|s| s.is_empty())
-    }
-
     /// Total number of logical messages `M` being routed (each word counts
     /// once, each block counts once) — the `M` of an `(M, h1, h2)`-relation.
     pub fn total_messages(&self) -> usize {
-        self.sends
-            .iter()
-            .flatten()
-            .map(|r| match r.kind {
-                MsgKind::Words => r.words,
-                MsgKind::Block | MsgKind::Xnet => 1,
-            })
-            .sum()
+        let (words, blocks, xnets) = self.kind_counts();
+        words + blocks + xnets
     }
 
     /// Total bytes on the wire.
     pub fn total_bytes(&self) -> usize {
-        self.sends.iter().flatten().map(|r| r.bytes).sum()
+        self.sends
+            .iter()
+            .flatten()
+            .map(|r| r.logical_bytes as usize)
+            .sum()
     }
 
     /// Logical message counts by kind: `(words, blocks, xnets)`. Each word
@@ -222,7 +203,7 @@ impl CommPattern {
         let (mut words, mut blocks, mut xnets) = (0usize, 0usize, 0usize);
         for r in self.sends.iter().flatten() {
             match r.kind {
-                MsgKind::Words => words += r.words,
+                MsgKind::Words => words += r.logical_words as usize,
                 MsgKind::Block => blocks += 1,
                 MsgKind::Xnet => xnets += 1,
             }
@@ -230,49 +211,38 @@ impl CommPattern {
         (words, blocks, xnets)
     }
 
-    /// Words sent per processor (blocks excluded).
-    pub fn words_sent(&self) -> Vec<usize> {
+    /// `h_s`: the maximum number of words sent by any processor (blocks
+    /// excluded).
+    pub fn h_send(&self) -> usize {
         self.sends
             .iter()
             .map(|recs| {
                 recs.iter()
                     .filter(|r| r.kind == MsgKind::Words)
-                    .map(|r| r.words)
+                    .map(|r| r.logical_words as usize)
                     .sum()
             })
-            .collect()
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Words received per processor (blocks excluded).
-    pub fn words_received(&self) -> Vec<usize> {
+    /// `h_r`: the maximum number of words received by any processor
+    /// (blocks excluded).
+    pub fn h_recv(&self) -> usize {
         let mut recv = vec![0usize; self.p];
-        for recs in &self.sends {
-            for r in recs {
-                if r.kind == MsgKind::Words {
-                    recv[r.dst] += r.words;
-                }
+        for r in self.sends.iter().flatten() {
+            if r.kind == MsgKind::Words {
+                recv[r.dst] += r.logical_words as usize;
             }
         }
-        recv
-    }
-
-    /// `h_s`: the maximum number of words sent by any processor.
-    pub fn h_send(&self) -> usize {
-        self.words_sent().into_iter().max().unwrap_or(0)
-    }
-
-    /// `h_r`: the maximum number of words received by any processor.
-    pub fn h_recv(&self) -> usize {
-        self.words_received().into_iter().max().unwrap_or(0)
+        recv.into_iter().max().unwrap_or(0)
     }
 
     /// Bytes received per processor, including blocks.
     pub fn bytes_received(&self) -> Vec<usize> {
         let mut recv = vec![0usize; self.p];
-        for recs in &self.sends {
-            for r in recs {
-                recv[r.dst] += r.bytes;
-            }
+        for r in self.sends.iter().flatten() {
+            recv[r.dst] += r.logical_bytes as usize;
         }
         recv
     }
@@ -303,18 +273,19 @@ impl CommPattern {
             let first = scratch.spans.len();
             let mut pos = 0usize;
             for r in recs {
-                if r.kind != MsgKind::Words || r.words == 0 {
+                let words = r.logical_words as usize;
+                if r.kind != MsgKind::Words || words == 0 {
                     continue;
                 }
-                let per_msg = r.bytes.div_ceil(r.words);
+                let per_msg = (r.logical_bytes as usize).div_ceil(words);
                 scratch.spans.push(Span {
                     start: pos,
-                    end: pos + r.words,
+                    end: pos + words,
                     src,
                     dst: r.dst,
                     per_msg,
                 });
-                pos += r.words;
+                pos += words;
                 scratch.boundaries.push(pos);
             }
             match scratch.spans.len() - first {
@@ -425,7 +396,7 @@ impl CommPattern {
             let first = scratch.blocks.len();
             for r in recs {
                 if r.kind == kind {
-                    scratch.blocks.push((r.dst, r.bytes));
+                    scratch.blocks.push((r.dst, r.logical_bytes as usize));
                 }
             }
             max_blocks = max_blocks.max(scratch.blocks.len() - first);
@@ -464,22 +435,43 @@ impl CommPattern {
 mod tests {
     use super::*;
 
-    fn words(dst: ProcId, words: usize) -> SendRecord {
-        SendRecord {
-            dst,
-            words,
-            bytes: words * 4,
-            kind: MsgKind::Words,
-        }
+    /// A record of `kind` sized in words and bytes. Its `src` is set by
+    /// [`pattern`], from the send list it lands in.
+    fn rec(dst: ProcId, kind: MsgKind, words: usize, bytes: usize) -> Message {
+        Message::header(0, dst, kind, words, bytes)
     }
 
-    fn block(dst: ProcId, bytes: usize) -> SendRecord {
-        SendRecord {
-            dst,
-            words: bytes / 4,
-            bytes,
-            kind: MsgKind::Block,
+    fn words(dst: ProcId, words: usize) -> Message {
+        rec(dst, MsgKind::Words, words, words * 4)
+    }
+
+    fn block(dst: ProcId, bytes: usize) -> Message {
+        rec(dst, MsgKind::Block, bytes / 4, bytes)
+    }
+
+    /// A pattern over `p` processors whose `sends[src]` are `sends[src]`
+    /// sent by `src`.
+    fn pattern(p: usize, mut sends: Vec<Vec<Message>>) -> CommPattern {
+        for (src, recs) in sends.iter_mut().enumerate() {
+            for r in recs {
+                r.src = src;
+            }
         }
+        CommPattern { p, sends }
+    }
+
+    /// Words sent per processor (blocks excluded).
+    fn words_sent(pattern: &CommPattern) -> Vec<usize> {
+        pattern
+            .sends
+            .iter()
+            .map(|recs| {
+                recs.iter()
+                    .filter(|r| r.kind == MsgKind::Words)
+                    .map(|r| r.logical_words as usize)
+                    .sum()
+            })
+            .collect()
     }
 
     /// Owned copy of one visited word segment.
@@ -542,24 +534,19 @@ mod tests {
     #[test]
     fn h_relation_statistics() {
         // 0 -> 1 (3 words), 1 -> 0 (1 word), 2 -> 1 (2 words)
-        let p = CommPattern {
-            p: 3,
-            sends: vec![vec![words(1, 3)], vec![words(0, 1)], vec![words(1, 2)]],
-        };
+        let p = pattern(
+            3,
+            vec![vec![words(1, 3)], vec![words(0, 1)], vec![words(1, 2)]],
+        );
         assert_eq!(p.h_send(), 3);
         assert_eq!(p.h_recv(), 5, "proc 1 receives 3 + 2 words");
         assert_eq!(p.total_messages(), 6);
         assert_eq!(p.total_bytes(), 24);
-        assert!(!p.is_empty());
     }
 
     #[test]
     fn empty_pattern() {
-        let p = CommPattern {
-            p: 4,
-            sends: vec![vec![]; 4],
-        };
-        assert!(p.is_empty());
+        let p = pattern(4, vec![vec![]; 4]);
         assert_eq!(p.h_send(), 0);
         assert_eq!(p.h_recv(), 0);
         assert!(segments_of(&p).is_empty());
@@ -569,15 +556,15 @@ mod tests {
     #[test]
     fn single_segment_for_uniform_exchange() {
         // Pairwise exchange of 100 words — the bitonic pattern.
-        let p = CommPattern {
-            p: 4,
-            sends: vec![
+        let p = pattern(
+            4,
+            vec![
                 vec![words(1, 100)],
                 vec![words(0, 100)],
                 vec![words(3, 100)],
                 vec![words(2, 100)],
             ],
-        };
+        );
         let segs = segments_of(&p);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].rounds, 100);
@@ -588,15 +575,15 @@ mod tests {
     #[test]
     fn staggered_schedule_produces_permutation_segments() {
         // Two procs send to two destinations in opposite (staggered) order.
-        let p = CommPattern {
-            p: 4,
-            sends: vec![
+        let p = pattern(
+            4,
+            vec![
                 vec![words(2, 10), words(3, 10)],
                 vec![words(3, 10), words(2, 10)],
                 vec![],
                 vec![],
             ],
-        };
+        );
         let segs = segments_of(&p);
         assert_eq!(segs.len(), 2);
         for s in &segs {
@@ -608,15 +595,15 @@ mod tests {
     #[test]
     fn naive_schedule_produces_contended_segments() {
         // Both procs hit destination 2 first: in-degree 2 in segment 1.
-        let p = CommPattern {
-            p: 4,
-            sends: vec![
+        let p = pattern(
+            4,
+            vec![
                 vec![words(2, 10), words(3, 10)],
                 vec![words(2, 10), words(3, 10)],
                 vec![],
                 vec![],
             ],
-        };
+        );
         let segs = segments_of(&p);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].max_in_degree, 2);
@@ -625,10 +612,7 @@ mod tests {
 
     #[test]
     fn unequal_word_counts_split_segments() {
-        let p = CommPattern {
-            p: 3,
-            sends: vec![vec![words(1, 5)], vec![words(2, 2)], vec![]],
-        };
+        let p = pattern(3, vec![vec![words(1, 5)], vec![words(2, 2)], vec![]]);
         let segs = segments_of(&p);
         // Rounds 0..2 have both senders; rounds 2..5 only proc 0.
         assert_eq!(segs.len(), 2);
@@ -640,14 +624,14 @@ mod tests {
 
     #[test]
     fn block_rounds_group_by_rank() {
-        let p = CommPattern {
-            p: 3,
-            sends: vec![
+        let p = pattern(
+            3,
+            vec![
                 vec![block(1, 400), block(2, 100)],
                 vec![block(2, 400)],
                 vec![],
             ],
-        };
+        );
         let rounds = blocks_per_round(&p);
         assert_eq!(rounds.len(), 2);
         assert_eq!(rounds[0].sends.len(), 2);
@@ -670,30 +654,25 @@ mod tests {
                 proptest::collection::vec(0usize..20, 0..4), 1..8)
         ) {
             let p = word_counts.len();
-            let sends: Vec<Vec<SendRecord>> = word_counts
+            let sends: Vec<Vec<Message>> = word_counts
                 .iter()
                 .enumerate()
                 .map(|(src, recs)| {
                     recs.iter()
                         .enumerate()
-                        .map(|(i, &wcount)| SendRecord {
-                            dst: (src + i + 1) % p,
-                            words: wcount,
-                            bytes: wcount * 4,
-                            kind: MsgKind::Words,
-                        })
+                        .map(|(i, &wcount)| words((src + i + 1) % p, wcount))
                         .collect()
                 })
                 .collect();
-            let pattern = CommPattern { p, sends };
+            let pattern = pattern(p, sends);
             let segs = segments_of(&pattern);
-            let max_words = pattern.words_sent().into_iter().max().unwrap_or(0);
+            let max_words = words_sent(&pattern).into_iter().max().unwrap_or(0);
             let total_rounds: usize = segs.iter().map(|s| s.rounds).sum();
             proptest::prop_assert_eq!(total_rounds, max_words);
             // Per-processor coverage: the rounds a processor participates
             // in must equal its total word count.
             for src in 0..p {
-                let mine = pattern.words_sent()[src];
+                let mine = words_sent(&pattern)[src];
                 let mut covered = 0usize;
                 for seg in &segs {
                     if seg.sends.iter().any(|&(s, _)| s == src) {
@@ -724,18 +703,18 @@ mod tests {
         ) {
             let p = 6usize;
             let kinds = [MsgKind::Words, MsgKind::Block, MsgKind::Xnet];
-            let sends: Vec<Vec<SendRecord>> = recs
+            let sends: Vec<Vec<Message>> = recs
                 .iter()
                 .map(|rs| {
                     rs.iter()
                         .map(|&v| {
                             let w = v / 6 % 11 + 1;
-                            SendRecord { dst: v % 6, words: w, bytes: w * 4, kind: kinds[v / 66] }
+                            rec(v % 6, kinds[v / 66], w, w * 4)
                         })
                         .collect()
                 })
                 .collect();
-            let pattern = CommPattern { p, sends };
+            let pattern = pattern(p, sends);
             let mut scratch = PatternScratch::new();
 
             for seg in segments(&pattern, &mut scratch) {
@@ -773,21 +752,16 @@ mod tests {
                 proptest::collection::vec(1usize..200, 0..5), 1..8)
         ) {
             let p = blocks.len();
-            let sends: Vec<Vec<SendRecord>> = blocks
+            let sends: Vec<Vec<Message>> = blocks
                 .iter()
                 .enumerate()
                 .map(|(src, bs)| {
                     bs.iter()
-                        .map(|&bytes| SendRecord {
-                            dst: (src + 1) % p,
-                            words: bytes.div_ceil(4),
-                            bytes,
-                            kind: MsgKind::Block,
-                        })
+                        .map(|&bytes| rec((src + 1) % p, MsgKind::Block, bytes.div_ceil(4), bytes))
                         .collect()
                 })
                 .collect();
-            let pattern = CommPattern { p, sends };
+            let pattern = pattern(p, sends);
             let rounds = blocks_per_round(&pattern);
             let total: usize = rounds.iter().map(|r| r.sends.len()).sum();
             let expect: usize = blocks.iter().map(|b| b.len()).sum();
@@ -806,10 +780,7 @@ mod tests {
 
     #[test]
     fn mixed_words_and_blocks_are_separated() {
-        let p = CommPattern {
-            p: 2,
-            sends: vec![vec![words(1, 3), block(1, 40)], vec![]],
-        };
+        let p = pattern(2, vec![vec![words(1, 3), block(1, 40)], vec![]]);
         assert_eq!(segments_of(&p).len(), 1);
         assert_eq!(blocks_per_round(&p).len(), 1);
         assert_eq!(p.total_messages(), 4, "3 words + 1 block");

@@ -13,9 +13,13 @@
 //!   zero, and no [`crate::SuperstepTrace`]s are stored: the
 //!   expensive *pricing* of each pattern is skipped entirely,
 //! * and a plan recorder — an ordinary [`Needs::Schedule`] observer in
-//!   a dry observer scope — clones every superstep's full ordered
-//!   [`CommPattern`] into a [`StepPlan`], together with the per-processor
-//!   inbox occupancy and read flags the conservation rules (A01/A02) need.
+//!   a dry observer scope — records every superstep's full ordered
+//!   [`CommPattern`] in a [`StepPlan`], together with the per-processor
+//!   inbox occupancy and read flags the conservation rules (A01/A02)
+//!   need. It keeps only what pricing reads of each send (destination,
+//!   kind, logical words and bytes) in 16 bytes, and no payload:
+//!   [`StepPlan::pattern`] rebuilds the pattern as payload-free
+//!   [`Message::header`]s when the analyzer asks for it.
 //!
 //! A dry step has no cost, so only schedule observers see it (see
 //! [`crate::probe`]). A machine's plan is finalized (pending inbox
@@ -27,6 +31,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::message::{Message, MsgKind};
 use crate::pattern::CommPattern;
 use crate::probe::{self, Needs, RunEnd, StepObs, SuperstepProbe};
 
@@ -35,14 +40,96 @@ use crate::probe::{self, Needs, RunEnd, StepObs, SuperstepProbe};
 pub struct StepPlan {
     /// Superstep index (0-based).
     pub step: usize,
-    /// The full ordered communication pattern of the superstep.
-    pub pattern: CommPattern,
+    /// Processor count of the recorded pattern.
+    p: usize,
+    /// Source `src`'s sends are `sends[ends[src - 1]..ends[src]]` (from 0
+    /// for the first source); one entry per send list.
+    ends: Vec<u32>,
+    /// Every send in (src, send-order) order.
+    sends: Vec<PlanSend>,
     /// Per-processor count of messages sitting in the inbox during this
     /// superstep (delivered at the previous barrier).
     pub inbox_count: Vec<usize>,
     /// Per-processor flag: did the processor read its inbox (any `msgs*`
     /// accessor) during this superstep?
     pub inbox_read: Vec<bool>,
+}
+
+/// What a plan keeps of one send. Plans of a whole run stay in memory
+/// while they are audited (the parallel radix plan at `p` = 256 holds
+/// 538K sends), so a send takes 16 bytes here against 64 for a message.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PlanSend {
+    dst: u32,
+    words: u32,
+    bytes: u32,
+    kind: MsgKind,
+}
+
+impl StepPlan {
+    /// The plan of superstep `step` with communication `pattern` and the
+    /// given per-processor inbox occupancy and read flags.
+    ///
+    /// # Panics
+    /// Panics if a destination or the send count exceeds `u32::MAX`.
+    pub fn new(
+        step: usize,
+        pattern: &CommPattern,
+        inbox_count: Vec<usize>,
+        inbox_read: Vec<bool>,
+    ) -> Self {
+        let narrow = |n: usize| u32::try_from(n).expect("plans index below 4 Gi");
+        let sends: Vec<PlanSend> = pattern
+            .sends
+            .iter()
+            .flatten()
+            .map(|m| PlanSend {
+                dst: narrow(m.dst),
+                words: m.logical_words,
+                bytes: m.logical_bytes,
+                kind: m.kind,
+            })
+            .collect();
+        let mut end = 0;
+        let ends = pattern
+            .sends
+            .iter()
+            .map(|list| {
+                end += list.len();
+                narrow(end)
+            })
+            .collect();
+        StepPlan {
+            step,
+            p: pattern.p,
+            ends,
+            sends,
+            inbox_count,
+            inbox_read,
+        }
+    }
+
+    /// The superstep's full ordered communication pattern, rebuilt as
+    /// payload-free [`Message::header`]s (tag 0).
+    pub fn pattern(&self) -> CommPattern {
+        let mut start = 0;
+        let sends = self
+            .ends
+            .iter()
+            .enumerate()
+            .map(|(src, &end)| {
+                let list = &self.sends[start..end as usize];
+                start = end as usize;
+                list.iter()
+                    .map(|s| {
+                        let (words, bytes) = (s.words as usize, s.bytes as usize);
+                        Message::header(src, s.dst as usize, s.kind, words, bytes)
+                    })
+                    .collect()
+            })
+            .collect();
+        CommPattern { p: self.p, sends }
+    }
 }
 
 /// The extracted communication plan of one machine's whole run.
@@ -74,12 +161,12 @@ impl SuperstepProbe for PlanRecorder {
     fn observe(&mut self, obs: &StepObs<'_>) {
         let d = obs.detail.expect("schedule observers get the detail");
         let p = d.nprocs();
-        self.current.steps.push(StepPlan {
-            step: obs.trace.index,
-            pattern: d.pattern.clone(),
-            inbox_count: (0..p).map(|pid| d.inbox_count(pid)).collect(),
-            inbox_read: (0..p).map(|pid| d.inbox_read(pid)).collect(),
-        });
+        self.current.steps.push(StepPlan::new(
+            obs.trace.index,
+            d.pattern,
+            (0..p).map(|pid| d.inbox_count(pid)).collect(),
+            (0..p).map(|pid| d.inbox_read(pid)).collect(),
+        ));
     }
 
     fn finish(&mut self, end: &RunEnd<'_>) {
@@ -155,7 +242,7 @@ mod tests {
         assert_eq!(plan.p, 4);
         assert_eq!(plan.steps.len(), 2);
         assert_eq!(plan.steps[0].step, 0);
-        assert_eq!(plan.steps[0].pattern.h_send(), 2);
+        assert_eq!(plan.steps[0].pattern().h_send(), 2);
         assert_eq!(plan.steps[0].inbox_count, vec![0; 4]);
         assert_eq!(plan.steps[1].inbox_count, vec![1; 4]);
         assert_eq!(plan.steps[1].inbox_read, vec![true; 4]);
@@ -183,6 +270,36 @@ mod tests {
             assert!(m.traces().is_empty(), "dry runs collect no traces");
         });
         assert_eq!(plans[0].steps.len(), 2);
+    }
+
+    #[test]
+    fn plans_keep_the_pattern_without_payloads() {
+        let ((), plans) = extract_plans(|| {
+            let mut m = machine(3);
+            m.superstep(|ctx| {
+                // A heap payload, an inline word and a self-send.
+                let pid = ctx.pid();
+                ctx.send_block_u32((pid + 1) % 3, &[7; 40]);
+                ctx.send_words_u32_tagged(pid, 9, &[1, 2]);
+            });
+            m.superstep(|ctx| {
+                let _ = ctx.msgs();
+            });
+        });
+        let pattern = plans[0].steps[0].pattern();
+        assert_eq!(pattern.p, 3);
+        for (src, list) in pattern.sends.iter().enumerate() {
+            let got: Vec<_> = list
+                .iter()
+                .map(|m| (m.src, m.dst, m.kind, m.logical_words, m.data().len()))
+                .collect();
+            let want = [
+                (src, (src + 1) % 3, MsgKind::Block, 40, 0),
+                (src, src, MsgKind::Words, 2, 0),
+            ];
+            assert_eq!(got, want);
+        }
+        assert_eq!(pattern.total_bytes(), 3 * (160 + 8));
     }
 
     #[test]

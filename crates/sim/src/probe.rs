@@ -49,6 +49,7 @@ use pcm_core::SimTime;
 
 use crate::cache::CacheStats;
 use crate::ctx::ProcAux;
+use crate::inbox::DeliveryIndex;
 use crate::network::NetTerms;
 use crate::pattern::CommPattern;
 use crate::shadow::{SendMeta, ShadowEvent};
@@ -81,9 +82,9 @@ impl ExchangePath {
 }
 
 /// Wall-clock nanoseconds per engine phase of one superstep. The fused
-/// exchange folds pattern rebuild, delivery and recycling into `gather`,
-/// so `scatter` and `recycle` are always zero; they stay so existing
-/// readers of the phase breakdown keep their meaning.
+/// exchange folds recycling, the outbox swap and the delivery index into
+/// `gather`, so `scatter` and `recycle` are always zero; they stay so
+/// existing readers of the phase breakdown keep their meaning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Processor execution (the user closure over all processors).
@@ -92,7 +93,8 @@ pub struct PhaseNanos {
     pub scatter: u64,
     /// Network pricing (`route`/`barrier`).
     pub price: u64,
-    /// The fused sweep: payload recycling, pattern rebuild and delivery.
+    /// The fused sweep: recycling the consumed payloads, swapping the
+    /// outboxes in as the pattern and indexing them by destination.
     pub gather: u64,
     /// Phase of the former sharded exchange; always zero.
     pub recycle: u64,
@@ -145,10 +147,12 @@ pub struct StepObs<'a> {
 }
 
 /// Per-processor schedule detail of one superstep, snapshotted before
-/// delivery. Identical on pooled and sequential runs.
+/// the exchange. Identical on pooled and sequential runs.
 #[derive(Clone, Copy)]
 pub struct StepDetail<'a> {
-    /// The full ordered communication pattern of the superstep.
+    /// The full ordered communication pattern of the superstep: the
+    /// messages themselves, payloads included, in their senders'
+    /// outboxes.
     pub pattern: &'a CommPattern,
     pub(crate) procs: &'a [ProcAux],
 }
@@ -190,13 +194,11 @@ impl<'a> StepDetail<'a> {
     /// Metadata of every deliverable message `pid` sent, in send order
     /// (out-of-range and empty sends excluded).
     pub fn sends(&self, pid: usize) -> impl Iterator<Item = SendMeta> + 'a {
-        let records = &self.pattern.sends[pid];
-        let tags = &self.procs[pid].sent_tags;
-        records.iter().zip(tags).map(|(r, &tag)| SendMeta {
-            dst: r.dst,
-            tag,
-            kind: r.kind,
-            words: r.words,
+        self.pattern.sends[pid].iter().map(|m| SendMeta {
+            dst: m.dst,
+            tag: m.tag,
+            kind: m.kind,
+            words: m.logical_words as usize,
         })
     }
 }
@@ -206,18 +208,19 @@ impl<'a> StepDetail<'a> {
 pub struct RunEnd<'a> {
     /// Number of supersteps the machine executed.
     pub supersteps: usize,
-    pub(crate) procs: &'a [ProcAux],
+    pub(crate) delivery: &'a DeliveryIndex,
 }
 
 impl RunEnd<'_> {
     /// Number of processors.
     pub fn nprocs(&self) -> usize {
-        self.procs.len()
+        self.delivery.nprocs()
     }
 
-    /// Messages delivered to `pid` at the last barrier and never consumed.
+    /// Messages delivered to `pid` at the last barrier and never consumed
+    /// (they are indexed for a superstep that never ran).
     pub fn pending_inbox(&self, pid: usize) -> usize {
-        self.procs[pid].inbox.len()
+        self.delivery.len_of(pid)
     }
 }
 

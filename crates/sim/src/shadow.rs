@@ -4,8 +4,8 @@
 //! every processor records a stream of [`ShadowEvent`]s during its
 //! superstep: inbox consumes (which `msgs*` accessor ran, what it matched)
 //! and explicit region touches (`ctx.touch_read` / `ctx.touch_write` /
-//! `ctx.touch_modify`), and snapshots its outbox as per-source
-//! [`SendMeta`] before delivery. Both streams ride on the superstep's
+//! `ctx.touch_modify`), and its sends are read back as per-source
+//! [`SendMeta`] from the pattern. Both streams ride on the superstep's
 //! [`crate::StepDetail`], so an external analyzer (the `pcm-race` crate)
 //! can reconstruct the run's dataflow across barriers without the
 //! simulator itself knowing any of the race rules.

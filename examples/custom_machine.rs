@@ -33,10 +33,10 @@ fn odd_even_sort(machine: &mut Machine<Vec<u32>>) {
         });
         machine.superstep(move |ctx| {
             let pid = ctx.pid();
-            let incoming = ctx.msgs().first().map(|msg| (msg.src, msg.as_u32s()));
-            if let Some((src, theirs)) = incoming {
+            if let Some(msg) = ctx.msgs().first() {
+                let src = msg.src;
                 let mut merged = ctx.state.clone();
-                merged.extend(theirs);
+                merged.extend(msg.u32s());
                 radix_sort(&mut merged);
                 let keep = ctx.state.len();
                 ctx.charge_merge(keep as u64);

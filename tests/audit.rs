@@ -8,7 +8,7 @@
 use pcm::algos::catalog::{families, SEED};
 use pcm::algos::matmul::{self, MatmulVariant};
 use pcm::models::contract;
-use pcm::sim::{extract_plans, CommPattern, MsgKind, RunPlan, SendRecord, StepPlan};
+use pcm::sim::{extract_plans, CommPattern, Message, MsgKind, RunPlan, StepPlan};
 use pcm::Platform;
 use pcm_audit::{
     audit_plan, certify_contract_shape, differential_gate, render, sweep, AuditRule, Finding,
@@ -142,13 +142,8 @@ fn synthetic_cx<'a>(bounds: &'a pcm::algos::bounds::AuditBounds) -> PlanAudit<'a
     }
 }
 
-fn word_record(dst: usize, words: usize, word: usize) -> SendRecord {
-    SendRecord {
-        dst,
-        words,
-        bytes: words * word,
-        kind: MsgKind::Words,
-    }
+fn word_record(src: usize, dst: usize, words: usize, word: usize) -> Message {
+    Message::header(src, dst, MsgKind::Words, words, words * word)
 }
 
 /// A message delivered but never accounted for (and one never consumed)
@@ -159,26 +154,26 @@ fn smuggled_and_unconsumed_messages_are_flagged_a01() {
     let plan = RunPlan {
         p: 2,
         steps: vec![
-            StepPlan {
-                step: 0,
-                pattern: CommPattern {
+            StepPlan::new(
+                0,
+                &CommPattern {
                     p: 2,
-                    sends: vec![vec![word_record(1, 2, 4)], vec![]],
+                    sends: vec![vec![word_record(0, 1, 2, 4)], vec![]],
                 },
-                inbox_count: vec![0, 0],
-                inbox_read: vec![false, false],
-            },
-            StepPlan {
-                step: 1,
-                pattern: CommPattern {
+                vec![0, 0],
+                vec![false, false],
+            ),
+            StepPlan::new(
+                1,
+                &CommPattern {
                     p: 2,
                     sends: vec![vec![], vec![]],
                 },
                 // Step 0 delivered 1 message to processor 1; claiming 3
                 // (and never reading them) breaks conservation twice.
-                inbox_count: vec![0, 3],
-                inbox_read: vec![false, false],
-            },
+                vec![0, 3],
+                vec![false, false],
+            ),
         ],
         pending_inbox: vec![0, 0],
     };
@@ -200,15 +195,15 @@ fn pending_inbox_at_drop_is_flagged_a01() {
     let bounds = pcm::algos::bounds::lu();
     let plan = RunPlan {
         p: 2,
-        steps: vec![StepPlan {
-            step: 0,
-            pattern: CommPattern {
+        steps: vec![StepPlan::new(
+            0,
+            &CommPattern {
                 p: 2,
-                sends: vec![vec![word_record(1, 1, 4)], vec![]],
+                sends: vec![vec![word_record(0, 1, 1, 4)], vec![]],
             },
-            inbox_count: vec![0, 0],
-            inbox_read: vec![false, false],
-        }],
+            vec![0, 0],
+            vec![false, false],
+        )],
         pending_inbox: vec![0, 1],
     };
     let findings = audit_plan(&plan, &synthetic_cx(&bounds));
@@ -227,15 +222,15 @@ fn shuffled_schedule_is_flagged_a02() {
     let bounds = pcm::algos::bounds::lu();
     let plan = RunPlan {
         p: 2,
-        steps: vec![StepPlan {
-            step: 5,
-            pattern: CommPattern {
+        steps: vec![StepPlan::new(
+            5,
+            &CommPattern {
                 p: 2,
                 sends: vec![vec![], vec![]],
             },
-            inbox_count: vec![0, 0],
-            inbox_read: vec![false, false],
-        }],
+            vec![0, 0],
+            vec![false, false],
+        )],
         pending_inbox: vec![0, 0],
     };
     let findings = audit_plan(&plan, &synthetic_cx(&bounds));
@@ -257,32 +252,24 @@ fn undeclared_packet_size_is_flagged_a05() {
     let plan = RunPlan {
         p: 2,
         steps: vec![
-            StepPlan {
-                step: 0,
-                pattern: CommPattern {
+            StepPlan::new(
+                0,
+                &CommPattern {
                     p: 2,
-                    sends: vec![
-                        vec![SendRecord {
-                            dst: 1,
-                            words: 1,
-                            bytes: 12,
-                            kind: MsgKind::Words,
-                        }],
-                        vec![],
-                    ],
+                    sends: vec![vec![Message::header(0, 1, MsgKind::Words, 1, 12)], vec![]],
                 },
-                inbox_count: vec![0, 0],
-                inbox_read: vec![false, false],
-            },
-            StepPlan {
-                step: 1,
-                pattern: CommPattern {
+                vec![0, 0],
+                vec![false, false],
+            ),
+            StepPlan::new(
+                1,
+                &CommPattern {
                     p: 2,
                     sends: vec![vec![], vec![]],
                 },
-                inbox_count: vec![0, 1],
-                inbox_read: vec![false, true],
-            },
+                vec![0, 1],
+                vec![false, true],
+            ),
         ],
         pending_inbox: vec![0, 0],
     };

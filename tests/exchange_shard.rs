@@ -9,16 +9,27 @@
 //!   bits pooled and sequential;
 //! * recycled payload buffers never leak stale bytes when messages cross
 //!   shard boundaries, on uneven shards and over several long/short
-//!   rounds.
+//!   rounds;
+//! * on random multi-superstep patterns, every receiver's `msgs()`,
+//!   `msgs_from` and `msgs_tagged` equal a reference built by walking the
+//!   sources in pid order and each source's sends in send order, pooled
+//!   and sequential runs agree bit for bit, and every superstep trace's
+//!   statistics equal the pattern's query methods.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::{Arc, Once};
 
 use pcm::algos::catalog::SEED;
-use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
-use rand::RngCore;
+use pcm_core::rng::seeded;
+use pcm_sim::{
+    with_probe, with_sequential, Ctx, IdealNetwork, Machine, Message, MsgKind, Needs, StepObs,
+    SuperstepProbe, TextbookBspNetwork, UniformCompute,
+};
+use rand::{RngCore, RngExt};
 
 /// Pins the pool width before the rayon shim latches it, so the closure
 /// chunks dispatch across real workers even on a single-core runner.
@@ -108,7 +119,7 @@ fn sharded_recycle_never_leaks_stale_data() {
                 "p={p} round {r}: stale bytes leaked"
             );
             let want: Vec<u32> = (0..len).map(|i| src * 1000 + r as u32 * 100 + i).collect();
-            assert_eq!(ctx.msgs()[0].as_u32s(), want, "p={p} round {r}: payload");
+            assert!(ctx.msgs()[0].u32s().eq(want), "p={p} round {r}: payload");
         };
         let send = move |ctx: &mut Ctx<'_, u32>, r: usize| {
             let (stride, len) = rounds[r];
@@ -133,5 +144,258 @@ fn sharded_recycle_never_leaks_stale_data() {
         m.superstep(|ctx| {
             assert!(ctx.msgs().is_empty(), "p={p}: stale messages survived");
         });
+    }
+}
+
+/// One planned send: destination, tag, pricing kind and payload values.
+/// Xnet payloads travel as `f64`s, the rest as `u32`s.
+#[derive(Clone, Debug)]
+struct PlannedSend {
+    dst: usize,
+    tag: u32,
+    kind: MsgKind,
+    vals: Vec<u32>,
+}
+
+impl PlannedSend {
+    /// The payload bytes a receiver must see.
+    fn bytes(&self) -> Vec<u8> {
+        match self.kind {
+            MsgKind::Xnet => self
+                .vals
+                .iter()
+                .flat_map(|&v| f64::from(v).to_le_bytes())
+                .collect(),
+            MsgKind::Words | MsgKind::Block => {
+                self.vals.iter().flat_map(|&v| v.to_le_bytes()).collect()
+            }
+        }
+    }
+}
+
+/// `plan[step][src]` is `src`'s sends in superstep `step`, in send order.
+type Plan = Vec<Vec<Vec<PlannedSend>>>;
+
+/// A random plan over `p` processors: 3–6 supersteps, about one in five
+/// of them silent; 0–5 sends per processor with self-sends, all three
+/// kinds, tags 0–3, and payloads of 0 values (dropped by the machine),
+/// 1–4 values (inline up to 16 bytes) or 5–40 values (on the heap).
+fn random_plan(p: usize, seed: u64) -> Plan {
+    let mut rng = seeded(seed);
+    let steps = rng.random_range(3..7usize);
+    (0..steps)
+        .map(|_| {
+            let silent = rng.random_range(0..5u32) == 0;
+            (0..p)
+                .map(|src| {
+                    let n = if silent {
+                        0
+                    } else {
+                        rng.random_range(0..6usize)
+                    };
+                    (0..n)
+                        .map(|_| {
+                            let dst = if rng.random_range(0..4u32) == 0 {
+                                src
+                            } else {
+                                rng.random_range(0..p)
+                            };
+                            let kind = [MsgKind::Words, MsgKind::Block, MsgKind::Xnet]
+                                [rng.random_range(0..3usize)];
+                            let len = match rng.random_range(0..3u32) {
+                                0 => rng.random_range(0..5usize),
+                                _ => rng.random_range(5..41usize),
+                            };
+                            let vals = (0..len).map(|_| rng.next_u32()).collect();
+                            let tag = rng.random_range(0..4u32);
+                            PlannedSend {
+                                dst,
+                                tag,
+                                kind,
+                                vals,
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// What `pid` must receive after superstep `step` of `plan`: the
+/// deliverable sends addressed to it, sources in pid order, each source's
+/// sends in send order, as `(src, send)`.
+fn reference_inbox(plan: &Plan, step: usize, pid: usize) -> Vec<(usize, &PlannedSend)> {
+    plan[step]
+        .iter()
+        .enumerate()
+        .flat_map(|(src, sends)| sends.iter().map(move |s| (src, s)))
+        .filter(|(_, s)| s.dst == pid && !s.vals.is_empty())
+        .collect()
+}
+
+/// Whether the delivered `got` matches the reference, field by field.
+fn same_messages<'a>(
+    got: impl Iterator<Item = &'a Message>,
+    want: &[(usize, &PlannedSend)],
+    pid: usize,
+) -> bool {
+    let got: Vec<&Message> = got.collect();
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(m, (src, s))| {
+            m.src == *src
+                && m.dst == pid
+                && m.tag == s.tag
+                && m.kind == s.kind
+                && m.logical_words as usize == s.vals.len()
+                && m.data() == s.bytes().as_slice()
+        })
+}
+
+/// Runs `plan` on a priced machine of `p` processors. Each processor
+/// checks its inbox against [`reference_inbox`] through all three
+/// accessors and keeps a record of every mismatch and a checksum of the
+/// bytes it read; returns the clock bits and those states.
+fn run_plan(p: usize, plan: &Plan) -> (u64, Vec<(Vec<String>, u64)>) {
+    let mut m = Machine::new(
+        Box::new(TextbookBspNetwork {
+            g: 2.0,
+            l: 10.0,
+            sigma: 0.5,
+            ell: 3.0,
+        }),
+        Arc::new(UniformCompute::test_model()),
+        vec![(Vec::<String>::new(), 0u64); p],
+        SEED,
+    );
+    for step in 0..=plan.len() {
+        m.superstep(|ctx| {
+            let pid = ctx.pid();
+            ctx.charge(1.0 + pid as f64 * 0.5);
+            if step > 0 {
+                let want = reference_inbox(plan, step - 1, pid);
+                let inbox = ctx.msgs();
+                if !same_messages(inbox.iter(), &want, pid) {
+                    ctx.state.0.push(format!("step {step}: msgs() differ"));
+                }
+                for (i, &(src, s)) in want.iter().enumerate().take(inbox.len()) {
+                    if inbox[i].src != src || inbox[i].data() != s.bytes().as_slice() {
+                        ctx.state
+                            .0
+                            .push(format!("step {step}: msgs()[{i}] differs"));
+                    }
+                }
+                if inbox.first().map(|m| m.src) != want.first().map(|w| w.0) {
+                    ctx.state.0.push(format!("step {step}: first() differs"));
+                }
+                for src in 0..ctx.nprocs() {
+                    let want_from: Vec<_> = want.iter().copied().filter(|w| w.0 == src).collect();
+                    if !same_messages(ctx.msgs_from(src), &want_from, pid) {
+                        ctx.state
+                            .0
+                            .push(format!("step {step}: msgs_from({src}) differs"));
+                    }
+                }
+                for tag in 0..4 {
+                    let want_tag: Vec<_> =
+                        want.iter().copied().filter(|w| w.1.tag == tag).collect();
+                    if !same_messages(ctx.msgs_tagged(tag), &want_tag, pid) {
+                        ctx.state
+                            .0
+                            .push(format!("step {step}: msgs_tagged({tag}) differs"));
+                    }
+                }
+                for msg in inbox {
+                    for &b in msg.data() {
+                        ctx.state.1 = ctx.state.1.wrapping_mul(31).wrapping_add(u64::from(b));
+                    }
+                }
+            }
+            for s in plan.get(step).map_or(&[][..], |sends| &sends[pid]) {
+                match s.kind {
+                    MsgKind::Words => ctx.send_words_u32_tagged(s.dst, s.tag, &s.vals),
+                    MsgKind::Block => ctx.send_block_u32_tagged(s.dst, s.tag, &s.vals),
+                    MsgKind::Xnet => {
+                        let vals: Vec<f64> = s.vals.iter().map(|&v| f64::from(v)).collect();
+                        ctx.send_xnet_f64_tagged(s.dst, s.tag, &vals);
+                    }
+                }
+            }
+        });
+    }
+    (m.time().as_micros().to_bits(), m.into_states())
+}
+
+/// Machine sizes for the random plans: a single processor, sizes below
+/// the parallel cutoff, at it, and uneven and large ones above it.
+const PLAN_SIZES: [usize; 6] = [1, 5, 31, 32, 37, 67];
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+    /// Every receiver reads exactly the reference delivery through
+    /// `msgs()`, indexing, `first()`, `msgs_from` and `msgs_tagged`, and
+    /// pooled execution equals `with_sequential` in time bits and states.
+    #[test]
+    fn delivery_matches_the_pid_order_reference(seed in proptest::any::<u64>()) {
+        force_pool();
+        for p in PLAN_SIZES {
+            let plan = random_plan(p, seed ^ p as u64);
+            let pooled = run_plan(p, &plan);
+            for (pid, (errors, _)) in pooled.1.iter().enumerate() {
+                proptest::prop_assert!(errors.is_empty(), "p={p} pid {pid}: {errors:?}");
+            }
+            let sequential = with_sequential(|| run_plan(p, &plan));
+            proptest::prop_assert_eq!(&pooled, &sequential, "p={}: pooled != sequential", p);
+        }
+    }
+
+    /// `SuperstepTrace`'s pattern statistics, computed in the exchange's
+    /// one pass, equal the `CommPattern` query methods on every superstep
+    /// of random plans.
+    #[test]
+    fn trace_statistics_equal_the_pattern_queries(seed in proptest::any::<u64>()) {
+        for p in PLAN_SIZES {
+            let plan = random_plan(p, seed ^ p as u64);
+            let steps = Rc::new(Cell::new(0usize));
+            let seen = steps.clone();
+            with_probe(
+                move |_p| Box::new(StatsCheck(seen.clone())),
+                || run_plan(p, &plan),
+            );
+            proptest::prop_assert_eq!(steps.get(), plan.len() + 1);
+        }
+    }
+}
+
+/// A schedule observer asserting the trace/pattern agreement per step.
+struct StatsCheck(Rc<Cell<usize>>);
+
+impl SuperstepProbe for StatsCheck {
+    fn needs(&self) -> Needs {
+        Needs::Schedule
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let pattern = obs
+            .detail
+            .expect("schedule observers get the detail")
+            .pattern;
+        let t = obs.trace;
+        let at = t.index;
+        assert_eq!(t.messages, pattern.total_messages(), "step {at}: messages");
+        assert_eq!(t.bytes, pattern.total_bytes(), "step {at}: bytes");
+        assert_eq!(t.h_send, pattern.h_send(), "step {at}: h_send");
+        assert_eq!(t.h_recv, pattern.h_recv(), "step {at}: h_recv");
+        assert_eq!(
+            (t.word_msgs, t.block_msgs, t.xnet_msgs),
+            pattern.kind_counts(),
+            "step {at}: kind counts"
+        );
+        assert_eq!(
+            obs.records,
+            pattern.sends.iter().map(Vec::len).sum::<usize>()
+        );
+        self.0.set(self.0.get() + 1);
     }
 }

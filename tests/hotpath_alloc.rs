@@ -2,14 +2,16 @@
 //!
 //! With tracing off and no observer installed, steady-state supersteps
 //! carrying word-sized traffic (inline payloads, <= 16 bytes) must not
-//! touch the heap at all: outboxes, inboxes, the communication pattern
-//! and the delivery pre-pass all reuse buffers warmed up in the first few
-//! supersteps, and the pooled executor keeps its scratch on the caller's
-//! stack.
+//! touch the heap at all: both outboxes of every processor (one is the
+//! communication pattern's send list), the per-destination delivery
+//! index and the tracing scratch all reuse buffers warmed up in the first
+//! few supersteps, and the pooled executor keeps its scratch on the
+//! caller's stack.
 //!
 //! Pooled closures preserve the property with >1 worker: the chunk table
 //! lives on the stack, and heap payloads drawn from a sender's pool
-//! return to it when the fused exchange recycles the consumed inbox.
+//! return to it when the exchange recycles the sender's consumed send
+//! list.
 //!
 //! The binary installs a counting global allocator and runs without the
 //! libtest harness (`harness = false` in Cargo.toml): other tests in the
@@ -96,7 +98,7 @@ fn steady_state_delta(pooled: bool, heap_traffic: bool) -> u64 {
     };
     m.set_tracing(false);
     let step: fn(&mut Ctx<'_, u64>) = if heap_traffic { mixed_step } else { word_step };
-    // Warm-up: grows outbox/inbox/pattern capacities and the payload
+    // Warm-up: grows both outboxes, the delivery index and the payload
     // pools, spawns the pool workers and latches per-thread parker state.
     for _ in 0..50 {
         m.superstep(step);
