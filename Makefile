@@ -45,9 +45,12 @@ golden:
 # and the allocation-free hot path, including the family, recycling and
 # analyzer bit-identity checks in tests/pooling.rs, the chunk-boundary
 # exchange checks in tests/exchange_shard.rs and the p=256 APSP digests in
-# tests/golden.rs.
+# tests/golden.rs. The audit sweep installs its dry scopes inside each
+# map_ordered unit, so its report must also hold at an uneven width.
 pool-odd:
 	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc --test golden
+	RAYON_NUM_THREADS=3 cargo run --release -p pcm-audit --bin pcm-audit -- --out AUDIT_report.json
+	git diff --exit-code AUDIT_report.json
 
 # Static schedule audit: full sweep + machine-readable findings report.
 audit:

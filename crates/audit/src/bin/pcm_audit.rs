@@ -39,7 +39,7 @@ fn main() {
     let outcome = sweep(SweepOptions { fast });
     let stats = outcome.stats;
     println!(
-        "pcm-audit: {} plan(s) audited over {} grid point(s), \
+        "pcm-audit: {} machine(s) audited over {} grid point(s), \
          {} differential replay(s), {} contract shape(s) certified",
         stats.plans_audited, stats.grid_points, stats.differential_points, stats.shape_contracts
     );

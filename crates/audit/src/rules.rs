@@ -3,7 +3,7 @@
 //! Every certificate the static auditor checks has a stable `A`-prefixed
 //! rule id, continuing the sanitizer's numbering convention (`R` protocol,
 //! `C` conformance, `D` determinism, `W` races). Unlike those layers, `A`
-//! rules fire on the *extracted plan* of a run — no network pricing ever
+//! rules fire on the schedule of a *dry* run — no network pricing ever
 //! executed — so a finding here means the schedule itself, not its cost,
 //! is wrong.
 
@@ -16,7 +16,7 @@ pub enum AuditRule {
     /// The superstep schedule is malformed: non-contiguous step indices or
     /// per-processor vectors that disagree with the machine width `P`.
     BarrierAlignment,
-    /// A superstep's static h-relation, or the plan's superstep count,
+    /// A superstep's static h-relation, or the run's superstep count,
     /// exceeds the bound the family's `CostContract` declares.
     HBound,
     /// A superstep's receive volume exceeds the family's declared buffer

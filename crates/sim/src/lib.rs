@@ -32,7 +32,6 @@ pub mod machine;
 pub mod message;
 pub mod network;
 pub mod pattern;
-pub mod plan;
 pub mod probe;
 pub mod shadow;
 pub mod step;
@@ -47,10 +46,9 @@ pub use machine::Machine;
 pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
 pub use network::{IdealNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
 pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView};
-pub use plan::{extract_plans, RunPlan, StepPlan};
 pub use probe::{
-    collect_traces, with_probe, ExchangePath, Needs, PhaseNanos, RunEnd, StepDetail, StepObs,
-    SuperstepProbe,
+    collect_traces, with_dry_probe, with_probe, ExchangePath, Needs, PhaseNanos, RunEnd,
+    StepDetail, StepObs, SuperstepProbe,
 };
 pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
 pub use step::{RunBreakdown, SuperstepTrace};

@@ -89,15 +89,15 @@ pub struct Machine<S> {
     stat_active: Vec<bool>,
     /// Tracing scratch: per-round max block bytes.
     stat_round_max: Vec<usize>,
-    /// Observers installed via [`crate::probe::with_probe`] or
-    /// [`crate::extract_plans`] at construction time, outermost scope
+    /// Observers installed via [`crate::with_probe`] or
+    /// [`crate::with_dry_probe`] at construction time, outermost scope
     /// first. Empty on the unobserved hot path — one emptiness test per
     /// superstep.
     observers: Vec<Box<dyn SuperstepProbe>>,
     /// Some observer declared [`Needs::Schedule`]: `Ctx` records shadow
     /// events and each processor snapshots its schedule detail.
     schedule: bool,
-    /// Dry run (inside [`crate::extract_plans`]): nothing is priced and
+    /// Dry run (inside [`crate::with_dry_probe`]): nothing is priced and
     /// no traces are stored.
     dry: bool,
 }

@@ -218,10 +218,8 @@ pub struct Message {
 
 impl Message {
     /// A payload-free message: only the metadata that pricing and the
-    /// analyzers read, with tag 0. Recorded plans
-    /// ([`crate::StepPlan::pattern`]) and hand-built
-    /// [`crate::CommPattern`]s (pricing tests, synthetic audit plans) are
-    /// made of these.
+    /// analyzers read, with tag 0. Hand-built [`crate::CommPattern`]s
+    /// (pricing tests, the audit rules' fixtures) are made of these.
     ///
     /// # Panics
     /// Panics if `logical_words` or `logical_bytes` exceeds `u32::MAX`.

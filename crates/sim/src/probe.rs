@@ -1,11 +1,11 @@
 //! Superstep observers: the simulator's one per-superstep hook.
 //!
 //! Every tool that watches a run implements [`SuperstepProbe`] and is
-//! installed with [`with_probe`]: cost tracing (`pcm-trace`, the
-//! benchmark's counters), the trace collector [`collect_traces`], the
-//! protocol sanitizer (`pcm-check`), the happens-before analyzer
-//! (`pcm-race`) and the dry-run plan recorder behind
-//! [`crate::extract_plans`]. The machine
+//! installed with [`with_probe`] or [`with_dry_probe`]: cost tracing
+//! (`pcm-trace`, the benchmark's counters), the trace collector
+//! [`collect_traces`], the protocol sanitizer (`pcm-check`), the
+//! happens-before analyzer (`pcm-race`) and the static schedule auditor
+//! (`pcm-audit`, in a dry scope). The machine
 //! reports each superstep *after* the clock update and delivery, from
 //! the one exchange engine every machine runs (the fused sweep), so the
 //! analyzers certify exactly the code the figures run.
@@ -25,13 +25,18 @@
 //!   machines internally (via `Platform::machine`); observers therefore
 //!   need no `Send` bound and can share state with their installer
 //!   through `Rc<RefCell<..>>`.
-//! * **Dry runs.** Inside [`crate::extract_plans`] machines run dry: no
-//!   pricing, the clock stays at zero, no traces are stored. A dry step
-//!   has no cost, so it is reported to `Schedule` observers only; cost
+//! * **Dry runs.** Inside a [`with_dry_probe`] scope machines run dry:
+//!   the closures run and messages carry their real payloads, so
+//!   data-dependent schedules stay exact, but nothing is priced, the
+//!   clock stays at zero and no traces are stored. A dry step has no
+//!   cost, so it is reported to `Schedule` observers only; cost
 //!   observers are still built (one factory call per machine) but see
 //!   nothing.
 //! * **End of run.** [`SuperstepProbe::finish`] runs when the machine is
-//!   dropped, with the messages still pending in each inbox.
+//!   dropped, with the messages still pending in each inbox. Machines
+//!   finish in drop order, so a scope's body must drop its machines
+//!   before it returns for their observers to report in time; every
+//!   algorithm entry point in `pcm-algos` does.
 //!
 //! Observation never perturbs the simulation: observers run strictly after
 //! the clock update and never touch the network rng, so simulated times,
@@ -263,6 +268,17 @@ pub fn with_probe<R>(
     scoped(Rc::new(factory), false, body)
 }
 
+/// Runs `body` with `factory` installed in a *dry* scope: like
+/// [`with_probe`], but every machine created inside it runs dry (see the
+/// module docs), so only its [`Needs::Schedule`] observers see its
+/// supersteps. The static schedule auditor runs in one.
+pub fn with_dry_probe<R>(
+    factory: impl Fn(usize) -> Box<dyn SuperstepProbe> + 'static,
+    body: impl FnOnce() -> R,
+) -> R {
+    scoped(Rc::new(factory), true, body)
+}
+
 /// A cost observer that keeps the [`SuperstepTrace`] of every priced
 /// superstep of every machine created in its scope.
 struct TraceCollector {
@@ -297,9 +313,8 @@ pub(crate) fn scoped_here() -> bool {
     SCOPES.with(|s| !s.borrow().is_empty())
 }
 
-/// Pushes one observer scope (a dry one for plan extraction) for the
-/// duration of `body`.
-pub(crate) fn scoped<R>(factory: ProbeFactory, dry: bool, body: impl FnOnce() -> R) -> R {
+/// Pushes one observer scope for the duration of `body`.
+fn scoped<R>(factory: ProbeFactory, dry: bool, body: impl FnOnce() -> R) -> R {
     SCOPES.with(|s| s.borrow_mut().push(Scope { factory, dry }));
     let _pop = ScopeGuard;
     body()
@@ -500,13 +515,29 @@ mod tests {
         assert_eq!(*order.borrow(), ["outer", "inner", "outer"]);
     }
 
+    /// Runs `body` in a dry scope under a schedule [`Recorder`].
+    fn dry_recording(body: impl FnOnce()) -> Vec<String> {
+        let log: Rc<RefCell<Vec<String>>> = Rc::default();
+        let sink = log.clone();
+        with_dry_probe(
+            move |_p| {
+                Box::new(Recorder {
+                    needs: Needs::Schedule,
+                    log: sink.clone(),
+                })
+            },
+            body,
+        );
+        log.take()
+    }
+
     #[test]
     fn dry_steps_reach_schedule_observers_only() {
         let factory_calls = Rc::new(Cell::new(0usize));
         let calls = factory_calls.clone();
         let cost_log: Rc<RefCell<Vec<String>>> = Rc::default();
         let sink = cost_log.clone();
-        let ((), plans) = with_probe(
+        let schedule = with_probe(
             move |_p| {
                 calls.set(calls.get() + 1);
                 Box::new(Recorder {
@@ -514,15 +545,86 @@ mod tests {
                     log: sink.clone(),
                 })
             },
-            || crate::extract_plans(|| send_then_read(&mut machine(2))),
+            || dry_recording(|| send_then_read(&mut machine(2))),
         );
         assert_eq!(factory_calls.get(), 1, "one factory call per machine");
         assert!(cost_log.borrow().is_empty(), "dry steps have no cost");
-        assert_eq!(plans[0].steps.len(), 2);
-        let schedule = recording(Needs::Schedule, || {
-            crate::extract_plans(|| send_then_read(&mut machine(2)));
-        });
         assert_eq!(schedule.len(), 3, "2 dry steps + finish: {schedule:?}");
+    }
+
+    #[test]
+    fn dry_run_skips_pricing_but_delivers_payloads() {
+        let log = dry_recording(|| {
+            let mut m = machine(2);
+            m.superstep(|ctx| {
+                ctx.charge(3.0);
+                if ctx.pid() == 0 {
+                    ctx.send_word_u32(1, 42);
+                }
+            });
+            m.superstep(|ctx| {
+                if ctx.pid() == 1 {
+                    // Payloads still flow: data-dependent schedules depend
+                    // on them being exact.
+                    assert_eq!(ctx.msgs()[0].word_u32(), 42);
+                }
+            });
+            assert_eq!(m.time(), SimTime::ZERO, "the clock never advanced");
+            assert!(m.traces().is_empty(), "dry runs collect no traces");
+        });
+        assert_eq!(
+            log,
+            [
+                "step 0 records 1 read Some([false, false])",
+                "step 1 records 0 read Some([false, true])",
+                "finish after 2 pending [0, 0]",
+            ]
+        );
+    }
+
+    #[test]
+    fn dry_scope_does_not_leak() {
+        let log = dry_recording(|| machine(2).sync());
+        assert_eq!(log.len(), 2, "{log:?}");
+        let mut m = machine(2);
+        m.superstep(|ctx| ctx.charge(1.0));
+        assert!(
+            m.time() > SimTime::ZERO,
+            "outside the scope the machine prices normally"
+        );
+    }
+
+    #[test]
+    fn dry_pending_messages_reach_finish() {
+        let log = dry_recording(|| {
+            let mut m = machine(2);
+            m.superstep(|ctx| {
+                if ctx.pid() == 0 {
+                    ctx.send_word_u32(1, 7);
+                }
+            });
+            // Dropped with the message delivered but never consumed.
+        });
+        assert_eq!(log.last().unwrap(), "finish after 1 pending [0, 1]");
+    }
+
+    #[test]
+    fn dry_machines_finish_in_drop_order() {
+        let log = dry_recording(|| {
+            let first = machine(2);
+            let mut second = machine(3);
+            second.sync();
+            drop(second);
+            drop(first);
+        });
+        assert_eq!(
+            log,
+            [
+                "step 0 records 0 read Some([false, false, false])",
+                "finish after 1 pending [0, 0, 0]",
+                "finish after 0 pending [0, 0]",
+            ]
+        );
     }
 
     #[test]

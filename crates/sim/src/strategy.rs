@@ -10,10 +10,12 @@
 //!
 //! [`map_ordered`] is the fan-out the sweep drivers and the figures share:
 //! it runs independent work units side by side on the rayon shim's pool,
-//! one whole unit per task. That scope, and every observer scope, is
-//! thread-local, so a machine built on another thread would escape it;
-//! `map_ordered` therefore runs its plain loop on the calling thread
-//! whenever one of them is active.
+//! one whole unit per task. That scope, and every observer scope (the
+//! audit's dry ones included), is thread-local, so a machine built on
+//! another thread would escape it; `map_ordered` therefore runs its plain
+//! loop on the calling thread whenever one of them is active. A sweep that
+//! wants both installs its scopes inside each unit, on the worker that
+//! runs it, as the audit sweep does.
 
 use std::cell::Cell;
 
@@ -45,7 +47,7 @@ pub fn with_sequential<R>(body: impl FnOnce() -> R) -> R {
 /// on its unit's inputs, never on the thread that ran it.
 ///
 /// Runs the plain sequential loop instead when the calling thread has an
-/// observer scope ([`crate::with_probe`], [`crate::extract_plans`]) or
+/// observer scope ([`crate::with_probe`], [`crate::with_dry_probe`]) or
 /// [`with_sequential`] active, so every machine a unit builds stays
 /// inside those scopes. The pool itself runs the loop inline on a
 /// single-thread pool, inside another fan-out, and for fewer than two

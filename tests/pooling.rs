@@ -11,7 +11,7 @@
 //!   payload bytes are checked in `tests/exchange_shard.rs`);
 //! * the `pcm-race` analyzer stays clean on the pooled path, and every
 //!   analyzer observes the fused exchange and reports the same findings,
-//!   traces and plans pooled and sequential;
+//!   traces and audit counts pooled and sequential;
 //! * `map_ordered` fan-outs keep every unit inside the caller's
 //!   thread-local scopes, and fanned-out figures equal their sequential
 //!   runs;
@@ -41,11 +41,12 @@ use pcm::core::stats::Summary;
 use pcm::experiments::runs::{run_keys, Algo, RunKey, BUDGET_BYTES};
 use pcm::experiments::{apsp_figs, granularity, matmul_figs, model_fit, sort_figs, Output, Scale};
 use pcm::Platform;
+use pcm_audit::{audit_run, PlanAudit};
 use pcm_check::{audit_determinism, check_protocol, digest_run, render, Digest};
 use pcm_race::{check_races, errors};
 use pcm_sim::{
-    collect_traces, extract_plans, map_ordered, with_probe, with_sequential, Ctx, ExchangePath,
-    IdealNetwork, Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute,
+    collect_traces, map_ordered, with_probe, with_sequential, Ctx, ExchangePath, IdealNetwork,
+    Machine, Needs, StepObs, SuperstepProbe, TextbookBspNetwork, UniformCompute,
 };
 
 /// Pool width 4 at or above `p = 32` engages the pooled path even on a
@@ -651,8 +652,8 @@ impl SuperstepProbe for PathCounter {
     }
 }
 
-/// Runs `body` under a path counter declaring `needs` (plan extraction's
-/// dry steps reach schedule observers only).
+/// Runs `body` under a path counter declaring `needs` (the audit's dry
+/// steps reach schedule observers only).
 fn count_paths(needs: Needs, body: impl FnOnce()) -> PathCounts {
     let counts = Rc::new(Cell::new(PathCounts::default()));
     let hook = counts.clone();
@@ -706,10 +707,10 @@ fn analyzers_observe_the_fused_engine() {
             }),
         ),
         (
-            "extract_plans",
+            "audit_run",
             Needs::Schedule,
             Box::new(|| {
-                extract_plans(analyzed_run);
+                audit_run(analyzed_cx(), analyzed_run);
             }),
         ),
     ];
@@ -724,7 +725,22 @@ fn analyzers_observe_the_fused_engine() {
     }
 }
 
-/// Findings, traces and plans are the same pooled and sequential.
+/// The audit context [`analyzed_run`] is checked against: no contract,
+/// so its findings are the unread inboxes and pending messages (A01).
+fn analyzed_cx() -> PlanAudit {
+    PlanAudit {
+        family: "analyzed",
+        variant: "run",
+        machine: "textbook",
+        n: 8,
+        p: 64,
+        word: 4,
+        bounds: pcm::algos::bounds::lu(),
+        contract: None,
+    }
+}
+
+/// Findings, traces and audit counts are the same pooled and sequential.
 #[test]
 fn analyzer_reports_match_pooled_and_sequential() {
     force_pool();
@@ -732,16 +748,17 @@ fn analyzer_reports_match_pooled_and_sequential() {
         let (_, protocol) = check_protocol(Discipline::any(), analyzed_run);
         let (_, races) = check_races(RaceConfig::exclusive(), analyzed_run);
         let (_, traces) = collect_traces(analyzed_run);
-        let (_, plans) = extract_plans(analyzed_run);
-        (protocol, races, traces, plans)
+        let (_, audit) = audit_run(analyzed_cx(), analyzed_run);
+        (protocol, races, traces, audit)
     };
     let pooled = reports();
-    let (protocol, races, traces, plans) = &pooled;
+    let (protocol, races, traces, audit) = &pooled;
     assert!(
-        !protocol.is_empty() && !races.is_empty(),
+        !protocol.is_empty() && !races.is_empty() && !audit.findings.is_empty(),
         "findings must not be vacuous"
     );
-    assert_eq!((traces.len(), plans.len()), (4, 1));
+    assert_eq!(traces.len(), 4);
+    assert_eq!((audit.machines, audit.supersteps), (1, 4));
     assert_eq!(
         with_sequential(reports),
         pooled,
