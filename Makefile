@@ -49,6 +49,7 @@ golden:
 # map_ordered unit, so its report must also hold at an uneven width.
 pool-odd:
 	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc --test golden
+	RAYON_NUM_THREADS=3 cargo test -q --test extensions bitonic_merge_phases_sort_adversarial_keys
 	RAYON_NUM_THREADS=3 cargo run --release -p pcm-audit --bin pcm-audit -- --out AUDIT_report.json
 	git diff --exit-code AUDIT_report.json
 

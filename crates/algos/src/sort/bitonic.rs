@@ -18,9 +18,9 @@
 use pcm_core::units::log2_exact;
 use pcm_machines::Platform;
 use pcm_sim::topology::hypercube_partner;
-use pcm_sim::{Machine, RegionId};
+use pcm_sim::{Ctx, Machine, RegionId};
 
-use super::radix::{merge_split_into, radix_sort, KEY_BITS, RADIX_BITS};
+use super::radix::{compare_split, radix_sort, Keys, LeKeys, KEY_BITS, RADIX_BITS};
 use crate::regions;
 use crate::run::RunResult;
 use crate::verify::check_sorted_permutation;
@@ -53,6 +53,10 @@ pub trait BitonicList: Send {
     fn list_mut(&mut self) -> &mut Vec<u32>;
     /// Scratch buffer for partially received partner lists.
     fn stash_mut(&mut self) -> &mut Vec<u32>;
+    /// Merge output buffer, swapped with the list after each compare-split
+    /// that takes keys from both lists. Its contents between steps are
+    /// scratch, so it has no shadow region.
+    fn spare_mut(&mut self) -> &mut Vec<u32>;
     /// Shadow region id of the list (see [`crate::regions`]).
     fn list_region(&self) -> RegionId;
     /// Shadow region id of the stash.
@@ -66,6 +70,8 @@ pub struct SortState {
     pub keys: Vec<u32>,
     /// Receive stash.
     pub stash: Vec<u32>,
+    /// Merge output buffer.
+    pub spare: Vec<u32>,
 }
 
 impl BitonicList for SortState {
@@ -75,6 +81,10 @@ impl BitonicList for SortState {
 
     fn stash_mut(&mut self) -> &mut Vec<u32> {
         &mut self.stash
+    }
+
+    fn spare_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.spare
     }
 
     fn list_region(&self) -> RegionId {
@@ -133,13 +143,7 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
         let prev = if s > 0 { Some(steps[s - 1]) } else { None };
         for c in 0..nchunks {
             machine.superstep(|ctx| {
-                // Absorb whatever arrived at the last barrier.
-                absorb(ctx);
-                if c == 0 {
-                    if let Some((ps, pb)) = prev {
-                        finish_merge(ctx, ps, pb);
-                    }
-                }
+                receive(ctx, if c == 0 { prev } else { None });
                 // Send chunk c of the (current) list to this step's partner.
                 // The list leaves the state while it is sent: the send
                 // borrows the context mutably.
@@ -159,10 +163,7 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
 
     // Final merge.
     let last = *steps.last().unwrap();
-    machine.superstep(|ctx| {
-        absorb(ctx);
-        finish_merge(ctx, last.0, last.1);
-    });
+    machine.superstep(|ctx| receive(ctx, Some(last)));
 }
 
 /// The common length of every processor's list.
@@ -182,36 +183,52 @@ fn equal_list_len<S: BitonicList>(machine: &mut Machine<S>) -> usize {
     m
 }
 
-/// Decodes the keys that arrived at the last barrier onto the stash.
-fn absorb<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>) {
+/// Takes in the partner's keys that arrived at the last barrier and, when
+/// `merge` names the step `(stage, bit)` they complete, compare-splits the
+/// list with the partner's.
+///
+/// A partner list that arrived as one message (every step of the `Words`,
+/// `Block` and `Packets` modes) is read where it lies, in that message's
+/// payload. Only chunks that arrive over several supersteps
+/// (`WordsResync`) are decoded onto the stash, and the compare-split reads
+/// the stash once the last chunk is in. The shadow touches and the merge
+/// charge are the same on both paths.
+fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>) {
     let msgs = ctx.msgs();
     let stash = ctx.state.stash_mut();
-    let before = stash.len();
-    for msg in msgs {
-        stash.extend(msg.u32s());
+    let whole = match msgs.first() {
+        Some(msg) if merge.is_some() && msgs.len() == 1 && stash.is_empty() => Some(msg),
+        _ => None,
+    };
+    if whole.is_none() {
+        for msg in msgs {
+            stash.extend(msg.u32s());
+        }
     }
-    if stash.len() > before {
+    if msgs.iter().any(|msg| !msg.data().is_empty()) {
         ctx.touch_modify(ctx.state.stash_region());
     }
-}
-
-/// Compare-splits the list with the partner's list in the stash. The merge
-/// is written behind the partner's keys in the stash buffer and copied
-/// back, so after the first step neither buffer allocates.
-fn finish_merge<S: BitonicList>(ctx: &mut pcm_sim::Ctx<'_, S>, stage: u32, bit: u32) {
+    let Some((stage, bit)) = merge else {
+        return;
+    };
     let low = keeps_low(ctx.pid(), stage, bit);
     ctx.touch_read(ctx.state.stash_region());
     ctx.touch_modify(ctx.state.list_region());
+    let mut spare = std::mem::take(ctx.state.spare_mut());
     let mut stash = std::mem::take(ctx.state.stash_mut());
     let list = ctx.state.list_mut();
     let keep = list.len();
-    debug_assert_eq!(stash.len(), keep, "partner list must be complete");
-    stash.resize(2 * keep, 0);
-    let (theirs, merged) = stash.split_at_mut(keep);
-    merge_split_into(list, theirs, low, merged);
-    list.copy_from_slice(merged);
-    stash.clear();
+    if let Some(msg) = whole {
+        let theirs = LeKeys::new(msg.data());
+        debug_assert_eq!(theirs.len(), keep, "partner list must be complete");
+        compare_split(list, theirs, low, &mut spare);
+    } else {
+        debug_assert_eq!(stash.len(), keep, "partner list must be complete");
+        compare_split(list, &stash[..], low, &mut spare);
+        stash.clear();
+    }
     *ctx.state.stash_mut() = stash;
+    *ctx.state.spare_mut() = spare;
     // The paper charges alpha·M for the linear merge of each step.
     ctx.charge_merge(keep as u64);
 }
@@ -225,7 +242,7 @@ pub fn run(platform: &Platform, keys_per_proc: usize, mode: ExchangeMode, seed: 
     let states: Vec<SortState> = (0..p)
         .map(|i| SortState {
             keys: all_keys[i * keys_per_proc..(i + 1) * keys_per_proc].to_vec(),
-            stash: Vec::new(),
+            ..SortState::default()
         })
         .collect();
 
@@ -332,7 +349,7 @@ mod tests {
         let states = (0..4)
             .map(|i| SortState {
                 keys: (0..4 + u32::from(i == 2)).collect(),
-                stash: Vec::new(),
+                ..SortState::default()
             })
             .collect();
         let mut machine = Platform::cm5_with(4).machine(states, 1);

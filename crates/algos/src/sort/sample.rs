@@ -53,6 +53,7 @@ struct SampleState {
     keys: Vec<u32>,
     samples: Vec<u32>,
     stash: Vec<u32>,
+    spare: Vec<u32>,
     splitters: Vec<u32>,
     counts: Vec<u32>,
     offsets: Vec<u32>,
@@ -67,6 +68,10 @@ impl BitonicList for SampleState {
 
     fn stash_mut(&mut self) -> &mut Vec<u32> {
         &mut self.stash
+    }
+
+    fn spare_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.spare
     }
 
     fn list_region(&self) -> RegionId {

@@ -35,7 +35,7 @@ fn main() {
             let states: Vec<SortState> = (0..p)
                 .map(|i| SortState {
                     keys: keys[i * m..(i + 1) * m].to_vec(),
-                    stash: Vec::new(),
+                    ..SortState::default()
                 })
                 .collect();
             let mut machine = plat.machine(states, seed);

@@ -63,6 +63,40 @@ fn golden_bitonic() {
     });
 }
 
+/// Bitonic at MasPar scale, `p` = 256, in the three modes whose partner
+/// list arrives as one message; and the resynchronized mode, whose list
+/// arrives in chunks over several supersteps, on a 64-processor GCel.
+#[test]
+fn golden_bitonic_maspar_256() {
+    let pins = [
+        (64, ExchangeMode::Words, 0x23d48dee9c436926),
+        (64, ExchangeMode::Block, 0x0425e4c7f69540eb),
+        (64, ExchangeMode::Packets { bytes: 16 }, 0x8e84db1bd44cc510),
+        (512, ExchangeMode::Words, 0xfb0b0aeeb832d571),
+        (512, ExchangeMode::Block, 0xd15e9a511661ce41),
+        (512, ExchangeMode::Packets { bytes: 16 }, 0xaf81be67e1aa45c6),
+    ];
+    for (m, mode, expected) in pins {
+        check(
+            &format!("bitonic {mode:?} m={m} maspar p=256"),
+            expected,
+            || bitonic::run(&Platform::maspar_with(256), m, mode, SEED),
+        );
+    }
+    check(
+        "bitonic resync16 m=64 gcel p=64",
+        0xb793df705bb66e9d,
+        || {
+            bitonic::run(
+                &Platform::gcel_with(64),
+                64,
+                ExchangeMode::WordsResync { interval: 16 },
+                SEED,
+            )
+        },
+    );
+}
+
 #[test]
 fn golden_samplesort() {
     check(

@@ -25,6 +25,7 @@
 use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
+use pcm::algos::sort::bitonic::{merge_phases, ExchangeMode, SortState};
 use pcm_machines::Platform;
 use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
 
@@ -156,6 +157,45 @@ fn apsp_allocations(plat: &Platform, n: usize, variant: ApspVariant) -> (u64, us
     (allocs, r.breakdown.supersteps)
 }
 
+/// Bitonic merge phases on a 256-processor MasPar, on the calling thread:
+/// allocations and supersteps of a sort on a machine that one earlier
+/// sort has warmed (lists, merge buffers, outboxes and payload pools).
+fn bitonic_allocations(mode: ExchangeMode) -> (u64, usize) {
+    let plat = Platform::maspar_with(256);
+    let m = 512;
+    let mut rng = pcm::core::rng::seeded(1996);
+    let mut sorted_lists = || -> Vec<Vec<u32>> {
+        (0..plat.p())
+            .map(|_| {
+                let mut keys = pcm::core::rng::random_keys(m, &mut rng);
+                keys.sort_unstable();
+                keys
+            })
+            .collect()
+    };
+    let states = sorted_lists()
+        .into_iter()
+        .map(|keys| SortState {
+            keys,
+            ..SortState::default()
+        })
+        .collect();
+    let fresh = sorted_lists();
+    with_sequential(|| {
+        let mut machine = plat.machine(states, 1996);
+        machine.set_tracing(false);
+        merge_phases(&mut machine, mode);
+        for (state, keys) in machine.states_mut().iter_mut().zip(&fresh) {
+            state.keys.copy_from_slice(keys);
+        }
+        let steps = machine.supersteps();
+        let before = alloc_counter::allocations();
+        merge_phases(&mut machine, mode);
+        let allocs = alloc_counter::allocations() - before;
+        (allocs, machine.supersteps() - steps)
+    })
+}
+
 fn main() {
     force_pool();
     let sequential = steady_state_delta(false, false);
@@ -205,6 +245,15 @@ fn main() {
                 plat.name()
             );
         }
+    }
+    // Bitonic compare-splits reuse their buffers: on a warm machine a
+    // whole sort makes fewer than one allocation per superstep.
+    for mode in [ExchangeMode::Block, ExchangeMode::Packets { bytes: 16 }] {
+        let (allocs, steps) = bitonic_allocations(mode);
+        assert!(
+            allocs < steps as u64,
+            "MasPar bitonic {mode:?} allocated {allocs} times in {steps} supersteps"
+        );
     }
     // Tracing ON must preserve the property: the probe's row log is
     // preallocated when the machine is constructed, so observed

@@ -144,7 +144,7 @@ fn row_log_is_the_machines_record() {
                 .chunks(m)
                 .map(|c| SortState {
                     keys: c.to_vec(),
-                    stash: Vec::new(),
+                    ..SortState::default()
                 })
                 .collect();
             let mut machine = plat.machine(states, SEED);
