@@ -21,8 +21,9 @@
 
 use std::ops::Range;
 
-use pcm_core::units::{log2_exact, sqrt_exact, tag_u32};
+use pcm_core::units::{log2_exact, tag_u32};
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::topology::Grid;
 
 use crate::primitives::embed::Embedding;
@@ -195,18 +196,15 @@ impl Layout {
 /// full result against the sequential reference.
 ///
 /// # Panics
-/// Panics unless the platform's processor count is a perfect square and
-/// `n` is a multiple of `sqrt(P)`. On machines without memory pipelining
-/// (the MasPar) it also panics when `M = N/sqrt(P)` is below `sqrt(P)`
-/// and `sqrt(P)/M` is not a power of two: the doubling phase replicates
-/// each piece by powers of two.
+/// Outside [`DomainSpec::apsp`]: unless the platform's processor count is
+/// a perfect square and `n` is a multiple of `sqrt(P)`. On machines
+/// without memory pipelining (the MasPar) it also panics when
+/// `M = N/sqrt(P)` is below `sqrt(P)` and `sqrt(P)/M` is not a power of
+/// two: the doubling phase replicates each piece by powers of two.
 pub fn run(platform: &Platform, n: usize, variant: ApspVariant, seed: u64) -> RunResult {
     let p = platform.p();
-    let side = sqrt_exact(p).expect("APSP needs a square processor grid");
-    assert!(
-        n.is_multiple_of(side),
-        "graph size {n} must be a multiple of sqrt(P) = {side}"
-    );
+    DomainSpec::apsp().require("apsp", n, p);
+    let side = p.isqrt();
     let grid = Grid { side };
     let m = n / side;
     let pipelining = platform.model_params().memory_pipelining;
@@ -471,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of sqrt(P)")]
+    #[should_panic(expected = "n = 30 is not a multiple of 8")]
     fn rejects_misaligned_graphs() {
         run(&Platform::cm5(), 30, ApspVariant::Words, 0);
     }
@@ -487,8 +485,8 @@ mod tests {
     /// for every pid, on scrambled and identity embeddings.
     #[test]
     fn layout_tables_match_the_grid_arithmetic() {
-        for p in [16, 64, 256, 1024] {
-            let side = sqrt_exact(p).unwrap();
+        for p in [16usize, 64, 256, 1024] {
+            let side = p.isqrt();
             let grid = Grid { side };
             for embed in [Embedding::identity(p), Embedding::scrambled(p, 0xA9_5D)] {
                 let at = |r: usize, c: usize| embed.to_machine(grid.id(r, c));

@@ -5,7 +5,8 @@
 //! GCel and CM-5 × `(n, p)`. Each [`Family`] here names its variants and
 //! what they declare: the static buffer envelope ([`AuditBounds`]), the
 //! predictor's [`CostContract`] where one exists, the `(n, p)` grid, and
-//! the domain the family runs on. Each [`Variant`] carries its run
+//! the [`DomainSpec`] the family runs on (for a predictor family, the one
+//! its closed forms and run function use). Each [`Variant`] carries its run
 //! function, the protocol [`Discipline`] it follows and the
 //! happens-before [`RaceConfig`] it claims.
 //!
@@ -14,11 +15,9 @@
 //! [`Family::analyzer_grid`], and `pcm-trace` looks its replay points up
 //! by `(family, variant)` name. A new family is one entry here.
 
-use pcm_core::units::sqrt_exact;
 use pcm_machines::Platform;
 use pcm_models::contract;
-use pcm_models::predict::matmul::q_for;
-use pcm_models::CostContract;
+use pcm_models::{CostContract, DomainSpec};
 
 use crate::apsp::{self, ApspVariant};
 use crate::bounds::{self, AuditBounds};
@@ -61,11 +60,11 @@ pub struct Family {
     /// Cost contract, when a predictor ships one (the vendor kernels and
     /// the standalone collectives have none).
     pub contract: Option<CostContract>,
-    /// `(n, p)` sweep grid, cheapest point first. Every `p` is valid on
-    /// all three machines.
+    /// `(n, p)` sweep grid, cheapest point first. Every `p` builds all
+    /// three machines.
     pub grid: &'static [(usize, usize)],
-    /// The `(n, p)` points the family can run on.
-    pub valid: fn(n: usize, p: usize) -> bool,
+    /// The `(n, p)` points the family runs on.
+    pub domain: DomainSpec,
     /// Runnable schedules.
     pub variants: Vec<Variant>,
 }
@@ -92,7 +91,17 @@ pub fn family(name: &str) -> Option<Family> {
     families().into_iter().find(|f| f.name == name)
 }
 
-fn coll_machine(plat: &Platform, data: Vec<Vec<u32>>, seed: u64) -> pcm_sim::Machine<CollState> {
+/// The collectives run on any machine size and any `n ≥ 1`.
+const COLLECTIVES: DomainSpec = DomainSpec::any();
+
+/// A collectives machine for a run at size `n`, after the entry check.
+fn coll_machine(
+    plat: &Platform,
+    n: usize,
+    data: Vec<Vec<u32>>,
+    seed: u64,
+) -> pcm_sim::Machine<CollState> {
+    COLLECTIVES.require("collectives", n, plat.p());
     collectives::machine_with(plat, data, seed)
 }
 
@@ -102,14 +111,7 @@ fn coll_result(m: &pcm_sim::Machine<CollState>, verified: bool) -> RunResult {
     RunResult::new(m.time(), m.breakdown(), verified)
 }
 
-/// Valid for square processor grids that tile `n` exactly (APSP and LU).
-fn square_blocked(n: usize, p: usize) -> bool {
-    let side = p.isqrt();
-    side * side == p && side > 0 && n.is_multiple_of(side)
-}
-
 /// The whole catalog, one entry per algorithm family.
-#[allow(clippy::cast_possible_truncation)] // grid sizes fit in u32
 pub fn families() -> Vec<Family> {
     vec![
         Family {
@@ -117,10 +119,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::matmul(),
             contract: Some(contract::matmul()),
             grid: &[(8, 16), (16, 64), (32, 64)],
-            valid: |n, p| {
-                let q = q_for(p);
-                q > 0 && n % (q * q) == 0
-            },
+            domain: DomainSpec::matmul(),
             // Every slab gather has q sources per (dst, tag) cell, folded
             // by sender coordinate: declared fan-in, tag-separated streams.
             variants: vec![
@@ -150,7 +149,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::bitonic(),
             contract: Some(contract::bitonic()),
             grid: &[(16, 16), (24, 64), (16, 256)],
-            valid: |_n, p| p.is_power_of_two(),
+            domain: DomainSpec::bitonic(),
             // One partner per exchange step: the strictest race config.
             variants: vec![
                 Variant {
@@ -188,9 +187,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::samplesort(),
             contract: Some(contract::samplesort()),
             grid: &[(16, 16), (24, 64), (16, 256)],
-            // The splitter phase needs 2^k processors, and the block
-            // variants tile them sqrt(P)-wise.
-            valid: |_n, p| p.is_power_of_two() && sqrt_exact(p).is_some(),
+            domain: DomainSpec::samplesort(),
             // Bucket routing fans keys from every source into each
             // destination and the receiver folds the queue
             // order-insensitively: the queued race config.
@@ -229,7 +226,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::parallel_radix(),
             contract: Some(contract::parallel_radix()),
             grid: &[(32, 16), (16, 64), (16, 256)],
-            valid: |_n, p| p.is_power_of_two() && p <= 256,
+            domain: DomainSpec::parallel_radix(),
             // Routing slice lengths are data-dependent in both variants,
             // and count slices from every processor fan into each bucket
             // manager on one tag.
@@ -253,7 +250,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::apsp(),
             contract: Some(contract::apsp()),
             grid: &[(8, 16), (16, 64), (16, 256)],
-            valid: square_blocked,
+            domain: DomainSpec::apsp(),
             // Row and column broadcasts overlap in the same superstep, so
             // a processor can receive both streams at once: a priced
             // 2-relation. Single writer per cell, but piece tags
@@ -279,7 +276,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::lu(),
             contract: Some(contract::lu()),
             grid: &[(8, 16), (16, 64), (16, 256)],
-            valid: square_blocked,
+            domain: DomainSpec::lu(),
             // Same overlap as APSP: L-row and U-column broadcasts share
             // steps. Pivot, L-panel and U-panel travel on distinct tags
             // with one owner each, read through `msgs_tagged` filters.
@@ -303,9 +300,7 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::vendor(),
             contract: None,
             grid: &[(8, 16), (16, 64)],
-            // Cannon and SUMMA lay processors out on a square grid and pad
-            // blocks, so any `n` runs.
-            valid: |_n, p| sqrt_exact(p).is_some(),
+            domain: vendor::DOMAIN,
             // Cannon/SUMMA shift at most one A and one B panel per step,
             // read through per-tag filters.
             variants: vec![
@@ -329,18 +324,17 @@ pub fn families() -> Vec<Family> {
             bounds: bounds::collectives(),
             contract: None,
             grid: &[(16, 16), (32, 64)],
-            // The collectives run on any machine size; all-gather numbers
-            // its `n·p` words in `u32`.
-            valid: |n, p| p > 0 && u32::try_from(n * p).is_ok(),
+            domain: COLLECTIVES,
             variants: vec![
                 Variant {
                     name: "broadcast",
                     run: |plat, n, seed| {
                         let p = plat.p();
+                        let words = u32::try_from(n).expect("broadcast numbers its n words in u32");
                         let mut data = vec![Vec::new(); p];
-                        data[0] = (0..n as u32).collect();
+                        data[0] = (0..words).collect();
                         let expect = data[0].clone();
-                        let mut m = coll_machine(plat, data, seed);
+                        let mut m = coll_machine(plat, n, data, seed);
                         collectives::broadcast(&mut m, 0);
                         let ok = m.states().iter().all(|s| s.out == expect);
                         coll_result(&m, ok)
@@ -356,14 +350,13 @@ pub fn families() -> Vec<Family> {
                     name: "all_gather",
                     run: |plat, n, seed| {
                         let p = plat.p();
-                        let data: Vec<Vec<u32>> = (0..p)
-                            .map(|i| {
-                                let base = (i * n) as u32;
-                                (base..base + n as u32).collect()
-                            })
+                        let words =
+                            u32::try_from(p * n).expect("all_gather numbers its n·p words in u32");
+                        let expect: Vec<u32> = (0..words).collect();
+                        let data = (0..p)
+                            .map(|i| expect[i * n..(i + 1) * n].to_vec())
                             .collect();
-                        let expect: Vec<u32> = (0..(p * n) as u32).collect();
-                        let mut m = coll_machine(plat, data, seed);
+                        let mut m = coll_machine(plat, n, data, seed);
                         collectives::all_gather(&mut m);
                         let ok = m.states().iter().all(|s| s.out == expect);
                         coll_result(&m, ok)
@@ -373,16 +366,12 @@ pub fn families() -> Vec<Family> {
                 },
                 Variant {
                     name: "multi_scan",
-                    run: |plat, _n, seed| {
+                    run: |plat, n, seed| {
                         let p = plat.p();
                         let data = vec![vec![1u32; p]; p];
-                        let mut m = coll_machine(plat, data, seed);
+                        let mut m = coll_machine(plat, n, data, seed);
                         collectives::multi_scan(&mut m);
-                        let ok = m
-                            .states()
-                            .iter()
-                            .enumerate()
-                            .all(|(i, s)| s.out == vec![i as u32; p]);
+                        let ok = (0u32..).zip(m.states()).all(|(i, s)| s.out == vec![i; p]);
                         coll_result(&m, ok)
                     },
                     discipline: Discipline::mp_bsp(),
@@ -447,7 +436,9 @@ mod tests {
     fn grids_satisfy_each_family_validity_predicate() {
         for f in families() {
             for &(n, p) in f.grid {
-                assert!((f.valid)(n, p), "{}: invalid grid point ({n}, {p})", f.name);
+                if let Err(v) = f.domain.check(n, p) {
+                    panic!("{}: grid point ({n}, {p}) outside the domain: {v}", f.name);
+                }
             }
             assert!(
                 f.grid.windows(2).all(|w| w[0].1 <= w[1].1),
@@ -459,16 +450,20 @@ mod tests {
 
     #[test]
     fn every_variant_runs_wherever_its_family_is_valid() {
-        // Off-grid processor counts, square and not: wherever `valid`
-        // admits a point at the family's first grid `n`, every variant
-        // must run there and verify.
+        // Off-grid processor counts, square and not, down to one
+        // processor: wherever the domain admits a point at the family's
+        // first grid `n`, every variant must run there and verify.
         for f in families() {
             let n = f.grid[0].0;
-            for p in [32, 64, 128] {
-                if !(f.valid)(n, p) {
+            for p in [1, 2, 4, 8, 32, 64, 128] {
+                if f.domain.check(n, p).is_err() {
                     continue;
                 }
-                for plat in [Platform::maspar_with(p), Platform::cm5_with(p)] {
+                let mut plats = vec![Platform::cm5_with(p)];
+                if p >= 16 {
+                    plats.push(Platform::maspar_with(p));
+                }
+                for plat in plats {
                     for v in &f.variants {
                         let r = (v.run)(&plat, n, SEED);
                         assert!(
@@ -480,6 +475,38 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_variant_refuses_a_point_just_outside_its_domain() {
+        // One point per family just across an edge of its domain: every
+        // variant's entry point must panic with the violation's text.
+        let outside = [
+            ("matmul", 9, 16),           // q² = 4 does not divide n
+            ("bitonic", 16, 24),         // p is not a power of two
+            ("samplesort", 16, 32),      // a power of two, not a square
+            ("parallel_radix", 16, 512), // more processors than buckets
+            ("apsp", 9, 16),             // sqrt(p) = 4 does not divide n
+            ("lu", 9, 16),
+            ("vendor", 8, 32), // p is not a square
+            ("collectives", 0, 16),
+        ];
+        assert_eq!(outside.len(), families().len());
+        for (name, n, p) in outside {
+            let f = family(name).expect("catalog family");
+            let violation = f.domain.check(n, p).expect_err("point lies outside");
+            let plat = Platform::cm5_with(p);
+            for v in &f.variants {
+                let run = std::panic::AssertUnwindSafe(|| (v.run)(&plat, n, SEED));
+                let payload = std::panic::catch_unwind(run).expect_err("ran outside its domain");
+                let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    msg.contains(&violation.to_string()),
+                    "{name}/{} at ({n}, {p}) panicked with {msg:?}, not with \"{violation}\"",
+                    v.name
+                );
             }
         }
     }

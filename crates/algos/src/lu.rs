@@ -12,8 +12,8 @@
 //! made diagonally dominant so that is numerically safe. Every run is
 //! verified against a sequential reference factorization.
 
-use pcm_core::units::sqrt_exact;
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::topology::Grid;
 
 use crate::primitives::plan::staggered;
@@ -92,15 +92,12 @@ pub fn dominant_matrix(n: usize, seed: u64) -> Vec<f64> {
 /// against the sequential reference.
 ///
 /// # Panics
-/// Panics unless the platform's processor count is a perfect square and
-/// `n` is a multiple of `sqrt(P)`.
+/// Outside [`DomainSpec::lu`]: unless the platform's processor count is a
+/// perfect square and `n` is a multiple of `sqrt(P)`.
 pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunResult {
     let p = platform.p();
-    let side = sqrt_exact(p).expect("LU needs a square processor grid");
-    assert!(
-        n.is_multiple_of(side),
-        "matrix side {n} must be a multiple of sqrt(P)"
-    );
+    DomainSpec::lu().require("lu", n, p);
+    let side = p.isqrt();
     let grid = Grid { side };
     let m = n / side;
 
@@ -346,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of sqrt(P)")]
+    #[should_panic(expected = "n = 30 is not a multiple of 8")]
     fn rejects_misaligned_sizes() {
         run(&Platform::cm5(), 30, LuVariant::Words, 0);
     }

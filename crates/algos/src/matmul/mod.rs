@@ -20,6 +20,7 @@
 
 use pcm_machines::Platform;
 use pcm_models::predict::matmul::q_for;
+use pcm_models::DomainSpec;
 use pcm_sim::topology::Cube;
 use pcm_sim::{Ctx, Message};
 
@@ -58,17 +59,13 @@ const TAG_C: u32 = 2;
 /// (sampled rows for large `n`).
 ///
 /// # Panics
-/// Panics unless `n` is a multiple of `q²` (subblock shapes must be exact).
+/// Outside [`DomainSpec::matmul`]: unless `n` is a multiple of `q²`
+/// (subblock shapes must be exact).
 pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> RunResult {
     let p = platform.p();
+    DomainSpec::matmul().require("matmul", n, p);
     let q = q_for(p);
     let p_used = q * q * q;
-    assert!(
-        n.is_multiple_of(q * q),
-        "matrix side {n} must be a multiple of q² = {} on {} (q = {q})",
-        q * q,
-        platform.name()
-    );
     let cube = Cube { q };
     let bn = n / q; // block side
     let sn = n / (q * q); // subblock rows
@@ -424,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of q²")]
+    #[should_panic(expected = "n = 100 is not a multiple of 16")]
     fn rejects_misaligned_sizes() {
         run(&Platform::cm5(), 100, MatmulVariant::Bpram, 0);
     }

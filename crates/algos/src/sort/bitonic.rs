@@ -17,6 +17,7 @@
 
 use pcm_core::units::log2_exact;
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::topology::hypercube_partner;
 use pcm_sim::{Ctx, Machine, RegionId};
 
@@ -234,9 +235,15 @@ fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>) {
 }
 
 /// Full bitonic sort benchmark: deterministic random keys, local radix
-/// sort, merge phases, verification. `keys_per_proc` may be any size.
+/// sort, merge phases, verification. `keys_per_proc` may be any positive
+/// size.
+///
+/// # Panics
+/// Outside [`DomainSpec::bitonic`]: unless the processor count is a power
+/// of two.
 pub fn run(platform: &Platform, keys_per_proc: usize, mode: ExchangeMode, seed: u64) -> RunResult {
     let p = platform.p();
+    DomainSpec::bitonic().require("bitonic", keys_per_proc, p);
     let mut rng = pcm_core::rng::seeded(seed);
     let all_keys = pcm_core::rng::random_keys(p * keys_per_proc, &mut rng);
     let states: Vec<SortState> = (0..p)

@@ -13,8 +13,9 @@
 //! them exactly; the routing is staggered per destination like every other
 //! algorithm in this crate.
 
-use pcm_core::units::{log2_exact, tag_u32};
+use pcm_core::units::tag_u32;
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::Machine;
 
 use super::{copy_u32s, u32_pairs};
@@ -52,9 +53,9 @@ struct RadixState {
 /// verifies the global order.
 ///
 /// # Panics
-/// Panics unless the processor count is a power of two that divides the
-/// bucket count (so every processor manages `256/P` buckets), i.e.
-/// `P <= 256`.
+/// Outside [`DomainSpec::parallel_radix`]: unless the processor count is
+/// a power of two that divides the bucket count (so every processor
+/// manages `256/P` buckets), i.e. `P <= 256`.
 pub fn run(
     platform: &Platform,
     keys_per_proc: usize,
@@ -62,11 +63,7 @@ pub fn run(
     seed: u64,
 ) -> RunResult {
     let p = platform.p();
-    assert!(
-        p.is_power_of_two() && p <= RADIX,
-        "parallel radix sort needs a power-of-two P <= {RADIX}"
-    );
-    let _ = log2_exact(p);
+    DomainSpec::parallel_radix().require("parallel_radix", keys_per_proc, p);
     let buckets_per_proc = RADIX / p;
     let m = keys_per_proc;
 
@@ -318,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
+    #[should_panic(expected = "p = 512 above maximum 256")]
     fn rejects_oversized_processor_counts() {
         run(&Platform::cm5_with(512), 4, RadixVariant::Words, 0);
     }

@@ -22,8 +22,9 @@
 //!   destination and sends them directly in staggered order, the ~2x
 //!   faster variant that bends the single-port rule.
 
-use pcm_core::units::{sqrt_exact, tag_u32};
+use pcm_core::units::tag_u32;
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::{Ctx, Machine, RegionId};
 
 use super::bitonic::{merge_phases, BitonicList, ExchangeMode};
@@ -87,8 +88,9 @@ impl BitonicList for SampleState {
 /// the paper; the observed maximum bucket size is reported in the stats.
 ///
 /// # Panics
-/// Panics if the platform's processor count is not a power of two (bitonic
-/// splitter sort), or not a perfect square for the block variants.
+/// Outside [`DomainSpec::samplesort`] (the processor count must be a
+/// power of two for the bitonic splitter sort and a perfect square for
+/// the block routing), and if `oversampling` is 0.
 pub fn run(
     platform: &Platform,
     keys_per_proc: usize,
@@ -97,17 +99,10 @@ pub fn run(
     seed: u64,
 ) -> RunResult {
     let p = platform.p();
-    assert!(
-        p.is_power_of_two(),
-        "sample sort's splitter phase needs 2^k processors"
-    );
+    DomainSpec::samplesort().require("samplesort", keys_per_proc, p);
     assert!(oversampling >= 1);
     let use_blocks = variant != SampleVariant::BspWords;
-    let side = if use_blocks {
-        sqrt_exact(p).expect("block variants need a square processor count")
-    } else {
-        0
-    };
+    let side = if use_blocks { p.isqrt() } else { 0 };
 
     let mut rng = pcm_core::rng::seeded(seed);
     let all_keys = pcm_core::rng::random_keys(p * keys_per_proc, &mut rng);

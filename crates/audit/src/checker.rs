@@ -14,13 +14,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_algos::bounds::AuditBounds;
-use pcm_models::CostContract;
+use pcm_models::{CostContract, DomainSpec};
 use pcm_sim::{
     with_dry_probe, CommPattern, MsgKind, Needs, StepObs, SuperstepProbe, INLINE_PAYLOAD,
     MAX_POOLED_PAYLOAD,
 };
 
 use crate::rules::{AuditRule, Finding};
+use crate::sweep::{shape_ns, SHAPE_PS};
 
 /// The coordinate and declared envelopes a run is audited against. Owned
 /// and `Copy`, so an observer factory can hold it.
@@ -308,17 +309,16 @@ fn kind_name(kind: MsgKind) -> &'static str {
 }
 
 /// Certifies rule A06: the symbolic shape of a contract's closed-form
-/// bounds over an `(ns × ps)` grid, restricted to `valid` points.
+/// bounds over the [`shape_ns`] × [`SHAPE_PS`] grid, restricted to the
+/// points `domain` admits.
 pub fn certify_contract_shape(
     family: &str,
     contract: &CostContract,
-    ns: &[usize],
-    ps: &[usize],
-    valid: impl Fn(usize, usize) -> bool,
+    domain: &DomainSpec,
 ) -> Vec<Finding> {
     use pcm_models::contract::BoundAnomaly;
     contract
-        .certify_shape(ns, ps, valid)
+        .certify_shape(&shape_ns(domain), &SHAPE_PS, domain)
         .into_iter()
         .map(|a| {
             let (n, p) = match a {

@@ -26,7 +26,9 @@
 //!   or a declared packet size, inside the inline payload fast path;
 //! * **A06 monotonicity** — the contract's closed forms have a sane
 //!   symbolic shape (non-decreasing in `n`; total volume non-decreasing
-//!   in `p`; non-empty superstep ranges).
+//!   in `p`; non-empty superstep ranges) at every point of the
+//!   [`sweep::shape_ns`] × [`sweep::SHAPE_PS`] grid in the family's
+//!   domain; the workspace's one contract-shape certificate.
 //!
 //! A **differential gate** replays a sample of the grid through the priced
 //! simulator and asserts every dry superstep has the h-relation, message

@@ -147,7 +147,7 @@ mod tests {
                 }
             });
             assert_eq!(m.time(), SimTime::ZERO, "the clock never advanced");
-            assert!(m.traces().is_empty(), "dry runs collect no traces");
+            assert_eq!(m.breakdown().supersteps, 0, "dry runs price no superstep");
         });
         assert_eq!(
             run,

@@ -23,12 +23,27 @@ use crate::plan::audit_run;
 use crate::rules::{AuditRule, Finding};
 use pcm_algos::catalog::{families, Family, SEED};
 use pcm_machines::Platform;
+use pcm_models::DomainSpec;
 use pcm_sim::map_ordered;
 
-/// Problem sizes of the symbolic A06 grid.
+/// Problem sizes every family's A06 grid starts from.
 pub const SHAPE_NS: [usize; 6] = [8, 16, 32, 64, 128, 256];
 /// Processor counts of the symbolic A06 grid.
 pub const SHAPE_PS: [usize; 4] = [16, 64, 256, 1024];
+
+/// The problem sizes of a family's A06 grid: [`SHAPE_NS`] plus, at every
+/// [`SHAPE_PS`] point, the domain's least `n` times 1, 2, 4 and 8, so
+/// that each processor count the domain admits has sizes to compare
+/// (no power of two is a multiple of the matmul's `q²` = 36 or 100).
+pub fn shape_ns(domain: &DomainSpec) -> Vec<usize> {
+    let mut ns = SHAPE_NS.to_vec();
+    for p in SHAPE_PS {
+        ns.extend([1, 2, 4, 8].map(|k| k * domain.least_n(p)));
+    }
+    ns.sort_unstable();
+    ns.dedup();
+    ns
+}
 
 /// Sweep configuration.
 #[derive(Clone, Copy, Debug, Default)]
@@ -103,13 +118,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     for family in families() {
         // A06: symbolic shape of the contract, once per family.
         if let Some(c) = family.contract.as_ref() {
-            findings.extend(certify_contract_shape(
-                family.name,
-                c,
-                &SHAPE_NS,
-                &SHAPE_PS,
-                family.valid,
-            ));
+            findings.extend(certify_contract_shape(family.name, c, &family.domain));
             stats.shape_contracts += 1;
         }
 
@@ -160,4 +169,38 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     }
 
     SweepOutcome { findings, stats }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shape_grid_has_sizes_at_every_admitted_processor_count() {
+        for family in families() {
+            if family.contract.is_none() {
+                continue;
+            }
+            let domain = &family.domain;
+            let ns = shape_ns(domain);
+            for p in SHAPE_PS {
+                if domain.check(domain.least_n(p), p).is_err() {
+                    // Only parallel radix stops short of a grid point.
+                    assert_eq!((family.name, p), ("parallel_radix", 1024));
+                    continue;
+                }
+                let checked = ns.iter().filter(|&&n| domain.check(n, p).is_ok()).count();
+                assert!(
+                    checked >= 1,
+                    "{}: A06 checks no size at p = {p}",
+                    family.name
+                );
+                // On SHAPE_NS alone the matmul had no size at p = 256
+                // (q² = 36) or p = 1024 (q² = 100).
+                if family.name == "matmul" && p >= 256 {
+                    assert_eq!(checked, 4, "matmul at p = {p}");
+                }
+            }
+        }
+    }
 }

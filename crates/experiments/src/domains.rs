@@ -1,11 +1,11 @@
 //! The parameter grids the figure drivers sweep, in machine-checkable form.
 //!
-//! Every figure iterates some `(machine, family, n)` grid that must satisfy
-//! the domain preconditions of the closed forms it plots (divisibility by
-//! the block side, power-of-two processor counts, ...). [`grids`] restates
-//! those sweeps as data so the `pcm-sym` verifier's S02 rule can check each
-//! grid point against the [`pcm_models::DomainSpec`] the predictors declare,
-//! instead of the preconditions living only in comments.
+//! Every figure iterates some `(machine, family, n)` grid that must lie in
+//! its family's domain (divisibility by the block side, power-of-two
+//! processor counts, ...). [`grids`] restates those sweeps as data so the
+//! `pcm-sym` verifier's S02 rule can check each grid point against the
+//! family's [`pcm_models::DomainSpec`], which its run function also
+//! checks at entry.
 
 use pcm_machines::Platform;
 
@@ -71,29 +71,6 @@ pub fn grids() -> Vec<GridSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_grid_point_is_in_the_declared_domain() {
-        let predictors = pcm_models::symbolic::all();
-        for grid in grids() {
-            let domain = predictors
-                .iter()
-                .find(|c| c.family() == grid.family)
-                .unwrap_or_else(|| panic!("no predictor family {}", grid.family))
-                .domain();
-            for &n in &grid.ns {
-                assert!(
-                    domain.check(n, grid.p).is_ok(),
-                    "{} ({} on {}): n = {n}, p = {} violates the domain: {}",
-                    grid.figure,
-                    grid.family,
-                    grid.machine,
-                    grid.p,
-                    domain.check(n, grid.p).unwrap_err()
-                );
-            }
-        }
-    }
 
     #[test]
     fn grids_cover_all_machines_and_families() {

@@ -21,6 +21,7 @@
 use pcm_core::units::log2_exact;
 use pcm_sim::SuperstepTrace;
 
+use crate::domain::DomainSpec;
 use crate::predict::matmul::q_for;
 
 /// Message kinds a predictor's cost expressions account for.
@@ -151,7 +152,7 @@ pub enum BoundAnomaly {
         /// Volume bound at `p_hi`.
         hi: usize,
     },
-    /// The superstep range is empty (`min > max`) at a valid grid point.
+    /// The superstep range is empty (`min > max`) at an in-domain grid point.
     EmptySuperstepRange {
         /// Problem size.
         n: usize,
@@ -206,7 +207,7 @@ impl CostContract {
     }
 
     /// Certifies the symbolic *shape* of the contract's bounds over the
-    /// `ns × ps` grid, restricted to points where `valid(n, p)` holds
+    /// `ns × ps` grid, restricted to the points `domain` admits
     /// (algorithms impose divisibility constraints; comparing bounds at
     /// points the algorithm cannot run on would be meaningless):
     ///
@@ -215,18 +216,18 @@ impl CostContract {
     /// * the volume bound `p·max_h` is non-decreasing in `p` at fixed `n`
     ///   (adding processors never shrinks the total wire volume the
     ///   contract admits — the per-processor bound itself may shrink),
-    /// * the superstep range is non-empty at every valid point.
+    /// * the superstep range is non-empty at every admitted point.
     pub fn certify_shape(
         &self,
         ns: &[usize],
         ps: &[usize],
-        valid: impl Fn(usize, usize) -> bool,
+        domain: &DomainSpec,
     ) -> Vec<BoundAnomaly> {
         let mut anomalies = Vec::new();
         for &p in ps {
             let mut prev: Option<(usize, usize)> = None;
             for &n in ns {
-                if !valid(n, p) {
+                if domain.check(n, p).is_err() {
                     continue;
                 }
                 let (min, max) = self.superstep_range(n, p);
@@ -251,7 +252,7 @@ impl CostContract {
         for &n in ns {
             let mut prev: Option<(usize, usize)> = None;
             for &p in ps {
-                if !valid(n, p) {
+                if domain.check(n, p).is_err() {
                     continue;
                 }
                 let volume = p.saturating_mul(self.h_bound(n, p));
@@ -316,8 +317,8 @@ fn words_and_blocks(_n: usize, _p: usize) -> KindMask {
     KindMask::WORDS_AND_BLOCKS
 }
 
-/// `sqrt(P)` for the grid algorithms (truncating; the algorithms
-/// themselves assert exactness).
+/// `sqrt(P)` for the grid algorithms (truncating; their domain admits
+/// only square `P`).
 fn grid_side(p: usize) -> usize {
     p.isqrt()
 }

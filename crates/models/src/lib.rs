@@ -17,11 +17,14 @@
 //! algorithm in [`predict`], the closed-form running times of Section 4,
 //! each stated once as a typed expression that the figures evaluate and
 //! the `pcm-sym` verifier certifies through the [`symbolic`] registry.
-//! [`params`] holds the Table 1 machine parameters and [`contract`] the
-//! cost contracts the auditor certifies schedules against.
+//! [`params`] holds the Table 1 machine parameters, [`contract`] the
+//! cost contracts the auditor certifies schedules against, and [`domain`]
+//! each family's `(n, p)` domain, which its closed forms, its run
+//! function and every analyzer sweep share.
 
 pub mod account;
 pub mod contract;
+pub mod domain;
 pub mod logp;
 pub mod params;
 pub mod predict;
@@ -29,9 +32,10 @@ pub mod symbolic;
 
 pub use account::{account_run, account_step, ModelAccount};
 pub use contract::{ContractBreach, CostContract, KindMask};
+pub use domain::{DomainSpec, DomainViolation};
 pub use logp::{LogGP, LogP};
 pub use params::{cm5, gcel, maspar, unit_env, EbspParams, MachineParams};
-pub use symbolic::{bindings, ClosedForm, DomainSpec, DomainViolation};
+pub use symbolic::{bindings, ClosedForm};
 
 // One test module per model: each pins the charge `account_step` makes at
 // the Table 1 parameters where the paper quotes that model's formula.

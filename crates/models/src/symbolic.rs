@@ -1,119 +1,21 @@
 //! The closed-form registry the `pcm-sym` verifier consumes.
 //!
 //! Each predictor in [`crate::predict`] appears here as a [`ClosedForm`]:
-//! its family and model name, its [`DomainSpec`] — the divisibility and
-//! processor-shape preconditions under which the formula is meaningful
-//! (rule S02) — and its [`crate::predict`] builder, the one statement of
-//! the formula. The verifier certifies that expression (rules S01, S03,
+//! its family and model name, its family's [`DomainSpec`] from
+//! [`crate::domain`] — the divisibility and processor-shape preconditions
+//! under which the formula is meaningful and the algorithm runs (rule
+//! S02) — and its [`crate::predict`] builder, the one statement of the
+//! formula. The verifier certifies that expression (rules S01, S03,
 //! S05, S06) and checks its values against a pinned table of the values
 //! the figures have always plotted (S04); the figures evaluate the same
 //! builder with [`crate::predict::eval`].
 
+use crate::domain::DomainSpec;
 use crate::params::{EbspParams, MachineParams};
 use crate::predict::{self, apsp, bitonic, lu, matmul, parallel_radix, samplesort, Build};
 use pcm_core::symexpr::{Bindings, Expr};
 use pcm_core::units::exact_f64;
 use pcm_core::SimTime;
-use std::fmt;
-
-/// A violated domain precondition (rule S02).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DomainViolation {
-    /// `n` is below the declared minimum.
-    NTooSmall {
-        /// Requested size.
-        n: usize,
-        /// Declared minimum.
-        min: usize,
-    },
-    /// `n` is not a multiple of the declared divisor for this `p`.
-    NotDivisible {
-        /// Requested size.
-        n: usize,
-        /// Required divisor.
-        divisor: usize,
-    },
-    /// `p` is below the declared minimum.
-    PTooSmall {
-        /// Requested processor count.
-        p: usize,
-        /// Declared minimum.
-        min: usize,
-    },
-    /// The formula needs a power-of-two processor count.
-    PNotPowerOfTwo {
-        /// Requested processor count.
-        p: usize,
-    },
-    /// The formula needs a perfect-square processor count.
-    PNotPerfectSquare {
-        /// Requested processor count.
-        p: usize,
-    },
-}
-
-impl fmt::Display for DomainViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DomainViolation::NTooSmall { n, min } => write!(f, "n = {n} below minimum {min}"),
-            DomainViolation::NotDivisible { n, divisor } => {
-                write!(f, "n = {n} is not a multiple of {divisor}")
-            }
-            DomainViolation::PTooSmall { p, min } => write!(f, "p = {p} below minimum {min}"),
-            DomainViolation::PNotPowerOfTwo { p } => write!(f, "p = {p} is not a power of two"),
-            DomainViolation::PNotPerfectSquare { p } => {
-                write!(f, "p = {p} is not a perfect square")
-            }
-        }
-    }
-}
-
-/// Declared domain preconditions of one closed form (rule S02).
-#[derive(Clone, Copy, Debug)]
-pub struct DomainSpec {
-    /// Smallest meaningful problem size.
-    pub min_n: usize,
-    /// `n` must be a positive multiple of this (as a function of `p`);
-    /// e.g. `q²` for the cube-blocked matmul, `sqrt(p)` for APSP/LU.
-    pub n_divisor: fn(p: usize) -> usize,
-    /// Smallest meaningful processor count.
-    pub min_p: usize,
-    /// The formula's step structure needs `p` to be a power of two.
-    pub power_of_two_p: bool,
-    /// The formula's blocking needs `p` to be a perfect square.
-    pub perfect_square_p: bool,
-}
-
-impl DomainSpec {
-    /// Checks a `(n, p)` point against the declared preconditions.
-    ///
-    /// # Errors
-    /// The first violated precondition, in a fixed check order
-    /// (`p` shape before `n` divisibility, so messages point at the root
-    /// cause when both fail).
-    pub fn check(&self, n: usize, p: usize) -> Result<(), DomainViolation> {
-        if p < self.min_p {
-            return Err(DomainViolation::PTooSmall { p, min: self.min_p });
-        }
-        if self.power_of_two_p && !p.is_power_of_two() {
-            return Err(DomainViolation::PNotPowerOfTwo { p });
-        }
-        if self.perfect_square_p {
-            let s = p.isqrt();
-            if s * s != p {
-                return Err(DomainViolation::PNotPerfectSquare { p });
-            }
-        }
-        if n < self.min_n {
-            return Err(DomainViolation::NTooSmall { n, min: self.min_n });
-        }
-        let d = (self.n_divisor)(p);
-        if d == 0 || n == 0 || !n.is_multiple_of(d) {
-            return Err(DomainViolation::NotDivisible { n, divisor: d });
-        }
-        Ok(())
-    }
-}
 
 /// One closed form of one family under one model.
 pub struct ClosedForm {
@@ -169,16 +71,6 @@ impl ClosedForm {
     pub fn eval(&self, m: &MachineParams, n: usize) -> SimTime {
         predict::eval(self.build, m, n)
     }
-
-    /// Domain-checked evaluation: the closed form where the preconditions
-    /// hold, a [`DomainViolation`] otherwise.
-    ///
-    /// # Errors
-    /// The first violated [`DomainSpec`] precondition.
-    pub fn predict(&self, m: &MachineParams, n: usize) -> Result<SimTime, DomainViolation> {
-        self.domain.check(n, m.p)?;
-        Ok(self.eval(m, n))
-    }
 }
 
 /// Numeric bindings for one machine and problem size, matching
@@ -211,168 +103,77 @@ pub fn bindings(m: &MachineParams, n: usize) -> Bindings {
 
 // ---- registry -------------------------------------------------------------
 
-fn any_n(_p: usize) -> usize {
-    1
-}
-
-fn matmul_divisor(p: usize) -> usize {
-    let q = matmul::q_for(p);
-    q * q
-}
-
-fn sqrt_p_divisor(p: usize) -> usize {
-    p.isqrt()
-}
-
-fn matmul_domain() -> DomainSpec {
-    DomainSpec {
-        min_n: 2,
-        n_divisor: matmul_divisor,
-        min_p: 8,
-        power_of_two_p: false,
-        perfect_square_p: false,
-    }
-}
-
-fn sort_domain() -> DomainSpec {
-    DomainSpec {
-        min_n: 1,
-        n_divisor: any_n,
-        min_p: 2,
-        power_of_two_p: true,
-        perfect_square_p: false,
-    }
-}
-
-fn samplesort_domain() -> DomainSpec {
-    DomainSpec {
-        min_n: 1,
-        n_divisor: any_n,
-        min_p: 4,
-        power_of_two_p: true,
-        // The JáJá–Ryu block routing tiles the processors sqrt(P)-wise.
-        perfect_square_p: true,
-    }
-}
-
-fn blocked_domain() -> DomainSpec {
-    DomainSpec {
-        min_n: 2,
-        n_divisor: sqrt_p_divisor,
-        min_p: 4,
-        power_of_two_p: false,
-        perfect_square_p: true,
-    }
-}
-
 /// Every closed-form predictor in the workspace: 6 families × their
-/// models, 16 predictors in all. Ordering is fixed (family-major, model
-/// order bsp / mp_bsp / bpram / ebsp-refinements) so report output is
-/// deterministic.
+/// models, 16 predictors in all, each family's models sharing its one
+/// [`DomainSpec`]. Ordering is fixed (family-major, model order bsp /
+/// mp_bsp / bpram / ebsp-refinements) so report output is deterministic.
 pub fn all() -> Vec<ClosedForm> {
-    vec![
-        ClosedForm {
-            family: "matmul",
-            model: "bsp",
-            domain: matmul_domain(),
-            build: matmul::bsp,
-        },
-        ClosedForm {
-            family: "matmul",
-            model: "mp_bsp",
-            domain: matmul_domain(),
-            build: matmul::mp_bsp,
-        },
-        ClosedForm {
-            family: "matmul",
-            model: "bpram",
-            domain: matmul_domain(),
-            build: matmul::bpram,
-        },
-        ClosedForm {
-            family: "bitonic",
-            model: "bsp",
-            domain: sort_domain(),
-            build: bitonic::bsp,
-        },
-        ClosedForm {
-            family: "bitonic",
-            model: "mp_bsp",
-            domain: sort_domain(),
-            build: bitonic::mp_bsp,
-        },
-        ClosedForm {
-            family: "bitonic",
-            model: "bpram",
-            domain: sort_domain(),
-            build: bitonic::bpram,
-        },
-        ClosedForm {
-            family: "samplesort",
-            model: "bsp",
-            domain: samplesort_domain(),
-            build: samplesort::bsp,
-        },
-        ClosedForm {
-            family: "samplesort",
-            model: "bpram",
-            domain: samplesort_domain(),
-            build: samplesort::bpram,
-        },
-        ClosedForm {
-            family: "apsp",
-            model: "bsp",
-            domain: blocked_domain(),
-            build: apsp::bsp,
-        },
-        ClosedForm {
-            family: "apsp",
-            model: "mp_bsp",
-            domain: blocked_domain(),
-            build: apsp::mp_bsp,
-        },
-        ClosedForm {
-            family: "apsp",
-            model: "ebsp",
-            domain: blocked_domain(),
-            build: apsp::ebsp,
-        },
-        ClosedForm {
-            family: "apsp",
-            model: "gcel_refined",
-            domain: blocked_domain(),
-            build: apsp::gcel_refined,
-        },
-        ClosedForm {
-            family: "lu",
-            model: "bsp",
-            domain: blocked_domain(),
-            build: lu::bsp,
-        },
-        ClosedForm {
-            family: "lu",
-            model: "bpram",
-            domain: blocked_domain(),
-            build: lu::bpram,
-        },
-        ClosedForm {
-            family: "parallel_radix",
-            model: "bsp",
-            domain: sort_domain(),
-            build: parallel_radix::bsp,
-        },
-        ClosedForm {
-            family: "parallel_radix",
-            model: "bpram",
-            domain: sort_domain(),
-            build: parallel_radix::bpram,
-        },
-    ]
+    type Models = &'static [(&'static str, Build)];
+    let families: [(&str, DomainSpec, Models); 6] = [
+        (
+            "matmul",
+            DomainSpec::matmul(),
+            &[
+                ("bsp", matmul::bsp),
+                ("mp_bsp", matmul::mp_bsp),
+                ("bpram", matmul::bpram),
+            ],
+        ),
+        (
+            "bitonic",
+            DomainSpec::bitonic(),
+            &[
+                ("bsp", bitonic::bsp),
+                ("mp_bsp", bitonic::mp_bsp),
+                ("bpram", bitonic::bpram),
+            ],
+        ),
+        (
+            "samplesort",
+            DomainSpec::samplesort(),
+            &[("bsp", samplesort::bsp), ("bpram", samplesort::bpram)],
+        ),
+        (
+            "apsp",
+            DomainSpec::apsp(),
+            &[
+                ("bsp", apsp::bsp),
+                ("mp_bsp", apsp::mp_bsp),
+                ("ebsp", apsp::ebsp),
+                ("gcel_refined", apsp::gcel_refined),
+            ],
+        ),
+        (
+            "lu",
+            DomainSpec::lu(),
+            &[("bsp", lu::bsp), ("bpram", lu::bpram)],
+        ),
+        (
+            "parallel_radix",
+            DomainSpec::parallel_radix(),
+            &[
+                ("bsp", parallel_radix::bsp),
+                ("bpram", parallel_radix::bpram),
+            ],
+        ),
+    ];
+    families
+        .into_iter()
+        .flat_map(|(family, domain, models)| {
+            models.iter().map(move |&(model, build)| ClosedForm {
+                family,
+                model,
+                domain,
+                build,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::DomainViolation;
     use crate::params::{cm5, gcel, maspar, unit_env};
     use pcm_core::dim::Dim;
 
@@ -380,17 +181,12 @@ mod tests {
         vec![maspar(), gcel(), cm5()]
     }
 
-    fn in_domain_n(p: &ClosedForm, machine_p: usize) -> usize {
-        let d = (p.domain().n_divisor)(machine_p);
-        (d * 4).max(p.domain().min_n.next_multiple_of(d))
-    }
-
     #[test]
     fn every_predictor_types_as_microseconds() {
         let env = unit_env();
         for m in machines() {
             for pred in all() {
-                let n = in_domain_n(&pred, m.p);
+                let n = 4 * pred.domain().least_n(m.p);
                 let dim = pred.symbolic(&m, n).dim(&env).unwrap_or_else(|e| {
                     panic!("{}/{} on {}: {e}", pred.family(), pred.model(), m.name)
                 });
@@ -408,38 +204,39 @@ mod tests {
 
     #[test]
     fn predict_enforces_the_declared_domain() {
-        let m = gcel(); // p = 64
         let preds = all();
-        let matmul_bsp = &preds[0];
-        // q_for(64) = 4 -> n must be a multiple of 16.
-        assert!(matmul_bsp.predict(&m, 64).is_ok());
+        let domain = |family: &str| {
+            let pred = preds.iter().find(|p| p.family() == family);
+            pred.expect("family registered").domain()
+        };
+        // On the GCel (p = 64) q_for(64) = 4: n must be a multiple of 16.
+        assert!(domain("matmul").check(64, 64).is_ok());
         assert_eq!(
-            matmul_bsp.predict(&m, 65),
+            domain("matmul").check(65, 64),
             Err(DomainViolation::NotDivisible { n: 65, divisor: 16 })
         );
-        let apsp_bsp = preds
-            .iter()
-            .find(|p| p.family() == "apsp" && p.model() == "bsp")
-            .expect("apsp/bsp registered");
-        assert!(apsp_bsp.predict(&m, 64).is_ok());
+        assert!(domain("apsp").check(64, 64).is_ok());
         assert_eq!(
-            apsp_bsp.predict(&m, 63),
+            domain("apsp").check(63, 64),
             Err(DomainViolation::NotDivisible { n: 63, divisor: 8 })
         );
         // A 6-processor machine breaks every shape requirement.
-        let mut tiny = gcel();
-        tiny.p = 6;
-        let bitonic_bsp = preds
-            .iter()
-            .find(|p| p.family() == "bitonic")
-            .expect("bitonic registered");
         assert_eq!(
-            bitonic_bsp.predict(&tiny, 128),
+            domain("bitonic").check(128, 6),
             Err(DomainViolation::PNotPowerOfTwo { p: 6 })
         );
         assert_eq!(
-            apsp_bsp.predict(&tiny, 128),
+            domain("apsp").check(128, 6),
             Err(DomainViolation::PNotPerfectSquare { p: 6 })
+        );
+        // Parallel radix manages 256 buckets: at most 256 processors.
+        assert_eq!(
+            domain("parallel_radix").check(16, 512),
+            Err(DomainViolation::PTooLarge { p: 512, max: 256 })
+        );
+        assert_eq!(
+            domain("matmul").check(16, 0),
+            Err(DomainViolation::PTooSmall { p: 0, min: 1 })
         );
     }
 

@@ -74,8 +74,8 @@ pub struct Machine<S> {
     seed: u64,
     net_rng: StdRng,
     step_count: usize,
-    traces: Vec<SuperstepTrace>,
-    tracing: bool,
+    /// Totals of the priced supersteps so far.
+    breakdown: RunBreakdown,
     parallel: bool,
     /// The last superstep's communication pattern: each processor's
     /// outbox, swapped in whole. Its messages are the ones delivered for
@@ -98,7 +98,7 @@ pub struct Machine<S> {
     /// events and each processor snapshots its schedule detail.
     schedule: bool,
     /// Dry run (inside [`crate::with_dry_probe`]): nothing is priced and
-    /// no traces are stored.
+    /// the breakdown stays empty.
     dry: bool,
 }
 
@@ -128,8 +128,7 @@ impl<S: Send> Machine<S> {
             seed,
             net_rng: seeded(child_seed(seed, u64::MAX)),
             step_count: 0,
-            traces: Vec::new(),
-            tracing: true,
+            breakdown: RunBreakdown::default(),
             parallel: !strategy::sequential_forced(),
             pattern: CommPattern {
                 p,
@@ -143,11 +142,6 @@ impl<S: Send> Machine<S> {
             schedule,
             dry,
         }
-    }
-
-    /// Disables per-superstep tracing (saves memory on very long runs).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
     }
 
     /// Number of processors.
@@ -182,14 +176,11 @@ impl<S: Send> Machine<S> {
         std::mem::take(&mut self.states)
     }
 
-    /// The per-superstep traces collected so far.
-    pub fn traces(&self) -> &[SuperstepTrace] {
-        &self.traces
-    }
-
-    /// Aggregated compute/communication breakdown of the run.
+    /// Aggregated compute/communication breakdown of the run, folded as
+    /// each priced superstep ends. (A run's per-superstep traces come
+    /// from [`crate::collect_traces`].)
     pub fn breakdown(&self) -> RunBreakdown {
-        RunBreakdown::from_traces(&self.traces)
+        self.breakdown
     }
 
     /// Enables or disables the network model's route memo (models without
@@ -290,7 +281,7 @@ impl<S: Send> Machine<S> {
     }
 
     /// Reports one finished superstep to the installed observers, then
-    /// stores its trace. Runs after the clock update and delivery, reading
+    /// adds its trace to the breakdown. Runs after the clock update and delivery, reading
     /// only values the machine already computed, so it cannot perturb the
     /// simulation.
     fn record_step(&mut self, trace: SuperstepTrace, records: usize, phases: PhaseNanos) {
@@ -312,8 +303,8 @@ impl<S: Send> Machine<S> {
                 observer.observe(&obs);
             }
         }
-        if self.tracing && !self.dry {
-            self.traces.push(trace);
+        if !self.dry {
+            self.breakdown.add(&trace);
         }
     }
 
@@ -344,17 +335,15 @@ impl<S: Send> Machine<S> {
         let t = probe::mark(observed);
         let (compute_time, comm) = self.price(total_records, max_compute);
         let price_ns = probe::since(t);
-        if self.tracing || observed {
-            let trace = self.pattern_trace(step, compute_time, comm);
-            let phases = PhaseNanos {
-                compute: compute_ns,
-                scatter: 0,
-                price: price_ns,
-                gather: gather_ns,
-                recycle: 0,
-            };
-            self.record_step(trace, total_records, phases);
-        }
+        let trace = self.pattern_trace(step, compute_time, comm);
+        let phases = PhaseNanos {
+            compute: compute_ns,
+            scatter: 0,
+            price: price_ns,
+            gather: gather_ns,
+            recycle: 0,
+        };
+        self.record_step(trace, total_records, phases);
     }
 
     /// The superstep trace: all pattern statistics in one pass over the
@@ -607,13 +596,15 @@ mod tests {
 
     #[test]
     fn traces_capture_pattern_statistics() {
-        let mut m = test_machine(4);
-        m.superstep(|ctx| {
-            if ctx.pid() < 2 {
-                ctx.send_words_u32(3, &[1, 2]);
-            }
+        let ((), traces) = crate::collect_traces(|| {
+            let mut m = test_machine(4);
+            m.superstep(|ctx| {
+                if ctx.pid() < 2 {
+                    ctx.send_words_u32(3, &[1, 2]);
+                }
+            });
         });
-        let t = &m.traces()[0];
+        let t = &traces[0];
         assert_eq!(t.messages, 4);
         assert_eq!(t.h_send, 2);
         assert_eq!(t.h_recv, 4);

@@ -127,8 +127,7 @@ pub enum Needs {
 pub struct StepObs<'a> {
     /// The superstep's record: its index, the `compute`/`comm` pair it
     /// added to the clock, and its pattern statistics. The same value
-    /// [`crate::Machine::traces`] stores, computed even when the
-    /// machine's own tracing is off.
+    /// [`crate::Machine::breakdown`] folds.
     pub trace: &'a SuperstepTrace,
     /// The machine clock *after* this superstep. Folding
     /// `trace.compute + trace.comm` per step in order reproduces this
@@ -570,7 +569,7 @@ mod tests {
                 }
             });
             assert_eq!(m.time(), SimTime::ZERO, "the clock never advanced");
-            assert!(m.traces().is_empty(), "dry runs collect no traces");
+            assert_eq!(m.breakdown().supersteps, 0, "dry runs price no superstep");
         });
         assert_eq!(
             log,

@@ -4,9 +4,10 @@
 //! The evaluation figures need more than a total running time — e.g.
 //! Fig. 16 reports Mflops, which requires knowing compute vs. communication
 //! split, and the E-BSP analysis inspects per-superstep pattern shapes.
-//! The same record is what [`crate::Machine::traces`] stores, what every
-//! observer receives as [`crate::StepObs::trace`], and what the model
-//! accountant in `pcm-models` charges.
+//! The same record is what every observer receives as
+//! [`crate::StepObs::trace`] (`crate::collect_traces` keeps a run's
+//! list), what [`crate::Machine::breakdown`] folds as each priced
+//! superstep ends, and what the model accountant in `pcm-models` charges.
 
 use pcm_core::SimTime;
 
@@ -58,17 +59,13 @@ pub struct RunBreakdown {
 }
 
 impl RunBreakdown {
-    /// Folds a sequence of traces into totals.
-    pub fn from_traces(traces: &[SuperstepTrace]) -> Self {
-        let mut b = RunBreakdown::default();
-        for t in traces {
-            b.compute += t.compute;
-            b.comm += t.comm;
-            b.supersteps += 1;
-            b.messages += t.messages;
-            b.bytes += t.bytes;
-        }
-        b
+    /// Adds one superstep's trace to the totals.
+    pub fn add(&mut self, t: &SuperstepTrace) {
+        self.compute += t.compute;
+        self.comm += t.comm;
+        self.supersteps += 1;
+        self.messages += t.messages;
+        self.bytes += t.bytes;
     }
 
     /// Total simulated time.
@@ -112,7 +109,10 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let b = RunBreakdown::from_traces(&traces);
+        let mut b = RunBreakdown::default();
+        for t in &traces {
+            b.add(t);
+        }
         assert_eq!(b.compute.as_micros(), 30.0);
         assert_eq!(b.comm.as_micros(), 20.0);
         assert_eq!(b.supersteps, 2);
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn empty_breakdown() {
-        let b = RunBreakdown::from_traces(&[]);
+        let b = RunBreakdown::default();
         assert_eq!(b.total(), SimTime::ZERO);
         assert_eq!(b.comm_fraction(), 0.0);
     }

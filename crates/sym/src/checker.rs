@@ -30,12 +30,6 @@ pub fn machine_by_name(name: &str) -> Option<MachineParams> {
     }
 }
 
-/// The smallest `n` satisfying a predictor's domain at processor count `p`.
-pub fn first_in_domain_n(pred: &ClosedForm, p: usize) -> usize {
-    let d = (pred.domain().n_divisor)(p).max(1);
-    pred.domain().min_n.next_multiple_of(d).max(d)
-}
-
 fn finding(
     rule: SymRule,
     pred: &ClosedForm,
@@ -63,7 +57,7 @@ pub fn check_units(preds: &[ClosedForm], machines: &[MachineParams]) -> Vec<Find
     let mut findings = Vec::new();
     for m in machines {
         for pred in preds {
-            let n = first_in_domain_n(pred, m.p);
+            let n = pred.domain().least_n(m.p);
             match pred.symbolic(m, n).dim(&env) {
                 Ok(dim) if dim == Dim::US => {}
                 Ok(dim) => findings.push(finding(
@@ -90,13 +84,12 @@ pub fn check_units(preds: &[ClosedForm], machines: &[MachineParams]) -> Vec<Find
 
 // ---- S02: domain preconditions --------------------------------------------
 
-/// Every grid point an experiment sweeps must satisfy the domain the
-/// family's predictors declare.
+/// Every grid point an experiment sweeps must lie in its family's domain
+/// (every predictor of a family carries the same one).
 pub fn check_domains(preds: &[ClosedForm], grids: &[GridSpec]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for grid in grids {
-        let family: Vec<&ClosedForm> = preds.iter().filter(|c| c.family() == grid.family).collect();
-        if family.is_empty() {
+        let Some(pred) = preds.iter().find(|c| c.family() == grid.family) else {
             findings.push(Finding {
                 rule: SymRule::Domain,
                 family: grid.family.to_string(),
@@ -107,19 +100,17 @@ pub fn check_domains(preds: &[ClosedForm], grids: &[GridSpec]) -> Vec<Finding> {
                 detail: format!("{}: no predictor registered for this family", grid.figure),
             });
             continue;
-        }
-        for pred in family {
-            for &n in &grid.ns {
-                if let Err(v) = pred.domain().check(n, grid.p) {
-                    findings.push(finding(
-                        SymRule::Domain,
-                        pred,
-                        grid.machine,
-                        n,
-                        grid.p,
-                        format!("{}: grid point rejected: {v}", grid.figure),
-                    ));
-                }
+        };
+        for &n in &grid.ns {
+            if let Err(v) = pred.domain().check(n, grid.p) {
+                findings.push(finding(
+                    SymRule::Domain,
+                    pred,
+                    grid.machine,
+                    n,
+                    grid.p,
+                    format!("{}: grid point rejected: {v}", grid.figure),
+                ));
             }
         }
     }
@@ -216,7 +207,8 @@ pub fn check_lemma(lemma: &Lemma, preds: &[ClosedForm]) -> Vec<Finding> {
     // also guard the frozen branch).
     for k in [1usize, 2, 4, 8] {
         let n = lemma.from_n * k;
-        if lesser.domain().check(n, m.p).is_err() || greater.domain().check(n, m.p).is_err() {
+        // Both sides are one family's models, so they share its domain.
+        if lesser.domain().check(n, m.p).is_err() {
             continue;
         }
         let t_lesser = lesser.eval(&m, n).as_micros();
@@ -279,16 +271,11 @@ fn perturb(m: &MachineParams, rng: &mut StdRng) -> MachineParams {
     out
 }
 
-/// A random in-domain size: the domain divisor times a random power of
-/// two, so every family (including APSP's power-of-two block counts)
-/// lands on sizes its formula accepts.
+/// A random in-domain size: the least in-domain size times a random
+/// power of two, so every family (including APSP's power-of-two block
+/// counts) lands on sizes its formula accepts.
 fn random_in_domain_n(pred: &ClosedForm, p: usize, rng: &mut StdRng) -> usize {
-    let d = (pred.domain().n_divisor)(p).max(1);
-    let mut n = d << rng.random_range(0u32..5);
-    while n < pred.domain().min_n {
-        n *= 2;
-    }
-    n
+    pred.domain().least_n(p) << rng.random_range(0u32..5)
 }
 
 /// The `rounds` evaluation points of one (machine, predictor) pair: a
@@ -431,7 +418,7 @@ pub fn check_leading(preds: &[ClosedForm], machines: &[MachineParams]) -> Vec<Fi
                 ));
                 continue;
             };
-            let n_hint = first_in_domain_n(pred, m.p);
+            let n_hint = pred.domain().least_n(m.p);
             let poly = match comm_poly(pred, m, n_hint) {
                 Ok(p) => p,
                 Err(e) => {
@@ -489,50 +476,6 @@ pub fn check_leading(preds: &[ClosedForm], machines: &[MachineParams]) -> Vec<Fi
                     ),
                 ));
             }
-        }
-    }
-    findings
-}
-
-/// Certifies each family contract's bound *shape* (monotone `h` in `n`,
-/// non-shrinking volume in `p`, non-empty step ranges) over a grid of
-/// in-domain points — the `pcm-audit` A06 certificate, re-run here over
-/// the predictor-declared domains.
-pub fn check_contract_shape(preds: &[ClosedForm]) -> Vec<Finding> {
-    const PS: [usize; 4] = [16, 64, 256, 1024];
-    let contracts = contract::all();
-    let mut findings = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for pred in preds {
-        if seen.contains(&pred.family()) {
-            continue;
-        }
-        seen.push(pred.family());
-        let Some(c) = contracts.iter().find(|c| c.algorithm == pred.family()) else {
-            continue; // already reported by check_leading
-        };
-        let domain = pred.domain();
-        // Grid sizes that hit in-domain points at every p: each p's
-        // divisor times a small geometric ladder.
-        let mut ns: Vec<usize> = PS
-            .iter()
-            .flat_map(|&p| {
-                let d = (domain.n_divisor)(p).max(1);
-                [1usize, 2, 4, 8].map(|k| (k * d).max(domain.min_n.next_multiple_of(d)))
-            })
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        for anomaly in c.certify_shape(&ns, &PS, |n, p| domain.check(n, p).is_ok()) {
-            findings.push(Finding {
-                rule: SymRule::LeadingTerm,
-                family: pred.family().to_string(),
-                model: String::new(),
-                machine: String::new(),
-                n: 0,
-                p: 0,
-                detail: format!("contract shape anomaly: {anomaly}"),
-            });
         }
     }
     findings
@@ -759,7 +702,6 @@ mod tests {
         let preds = registry();
         let f = check_leading(&preds, &table1());
         assert!(f.is_empty(), "{}", crate::rules::render(&f));
-        assert_eq!(check_contract_shape(&preds), vec![]);
     }
 
     #[test]

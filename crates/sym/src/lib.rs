@@ -19,8 +19,9 @@
 //!   replaced gave at randomized perturbations of the Table 1 parameters
 //!   (`data/s04_pinned.txt`); any divergence means a formula moved.
 //! * **S05 leading terms** — the communication part's leading power of `n`
-//!   must match the growth of the family's `CostContract` volume bound,
-//!   and the contract's bounds must pass shape certification.
+//!   must match the growth of the family's `CostContract` volume bound.
+//!   (The contract's bound shape is certified once, by `pcm-audit`'s
+//!   A06, over the same domains.)
 //! * **S06 crossovers** — where a word variant and a block variant cross,
 //!   the crossing must lie in its declared bracket, the closed-form winner
 //!   must flip across it, and (full sweep only) replaying both sides
@@ -39,8 +40,8 @@ pub mod rules;
 pub mod sweep;
 
 pub use checker::{
-    check_contract_shape, check_crossover, check_differential, check_domains, check_leading,
-    check_lemma, check_units, machine_by_name, pinned_table, ulp_diff,
+    check_crossover, check_differential, check_domains, check_leading, check_lemma, check_units,
+    machine_by_name, pinned_table, ulp_diff,
 };
 pub use lemmas::{crossovers, lemmas, Crossover, Lemma, ReplayFn};
 pub use pcm_core::dim::Dim;

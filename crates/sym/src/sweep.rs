@@ -11,8 +11,7 @@ use pcm_models::MachineParams;
 use pcm_sim::map_ordered;
 
 use crate::checker::{
-    check_contract_shape, check_crossover, check_differential, check_domains, check_leading,
-    check_lemma, check_units,
+    check_crossover, check_differential, check_domains, check_leading, check_lemma, check_units,
 };
 use crate::lemmas::{crossovers, lemmas};
 use crate::rules::Finding;
@@ -94,7 +93,6 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     findings.extend(diff_findings);
     stats.max_ulp = max_ulp;
     findings.extend(check_leading(&preds, &machines));
-    findings.extend(check_contract_shape(&preds));
     for fnds in map_ordered(crossovers(), |_, x| {
         check_crossover(&x, &preds, !opts.fast, SEED)
     }) {

@@ -26,7 +26,7 @@ pub struct StepRow {
     pub machine: u32,
     /// The machine's own record of the step: its index, the
     /// `compute`/`comm` pair added to the clock, and its pattern
-    /// statistics — the value [`pcm_sim::Machine::traces`] stores.
+    /// statistics — the value [`pcm_sim::Machine::breakdown`] folds.
     pub trace: SuperstepTrace,
     /// Machine clock after the step.
     pub clock: SimTime,

@@ -9,6 +9,7 @@
 use pcm::algos::sort::bitonic::{merge_phases, BitonicList, ExchangeMode, SortState};
 use pcm::algos::sort::radix::radix_sort;
 use pcm::models::account_run;
+use pcm::sim::collect_traces;
 use pcm::Platform;
 
 fn main() {
@@ -27,8 +28,8 @@ fn main() {
             ("words", ExchangeMode::Words),
             ("blocks", ExchangeMode::Block),
         ] {
-            // Run the merge phases directly so we keep the machine (and
-            // its traces).
+            // Run the merge phases directly and collect the machine's
+            // superstep traces.
             let p = plat.p();
             let mut rng = pcm::core::rng::seeded(seed);
             let keys = pcm::core::rng::random_keys(p * m, &mut rng);
@@ -38,15 +39,17 @@ fn main() {
                     ..SortState::default()
                 })
                 .collect();
-            let mut machine = plat.machine(states, seed);
-            machine.superstep(|ctx| {
-                radix_sort(ctx.state.list_mut());
-                ctx.charge_radix_sort(m, 32, 8);
+            let (measured, traces) = collect_traces(|| {
+                let mut machine = plat.machine(states, seed);
+                machine.superstep(|ctx| {
+                    radix_sort(ctx.state.list_mut());
+                    ctx.charge_radix_sort(m, 32, 8);
+                });
+                merge_phases(&mut machine, mode);
+                machine.time()
             });
-            merge_phases(&mut machine, mode);
-            let measured = machine.time();
 
-            let acc = account_run(&params, machine.traces());
+            let acc = account_run(&params, &traces);
             let (best, err) = acc.best_fit(measured);
             let fmt = |t: pcm::SimTime| format!("{:>9.1}ms", (t + acc.compute).as_millis());
             println!(

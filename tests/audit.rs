@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use pcm::algos::catalog::{families, SEED};
 use pcm::algos::matmul::{self, MatmulVariant};
-use pcm::models::contract;
+use pcm::models::{contract, DomainSpec};
 use pcm::sim::{CommPattern, IdealNetwork, Machine, Message, MsgKind, UniformCompute};
 use pcm::Platform;
 use pcm_audit::{
@@ -291,10 +291,7 @@ fn undeclared_packet_size_is_flagged_a05() {
 fn shrinking_closed_form_is_flagged_a06() {
     let mut broken = contract::lu();
     broken.max_h = |n, _| 1000usize.saturating_sub(n);
-    let findings = certify_contract_shape("lu", &broken, &[8, 16, 32, 64], &[16, 64], |n, p| {
-        let side = p.isqrt();
-        side * side == p && n % side == 0
-    });
+    let findings = certify_contract_shape("lu", &broken, &DomainSpec::lu());
     assert!(
         findings.iter().any(|f| f.rule.id() == "A06-monotonicity"),
         "shrinking bound was not flagged:\n{}",
@@ -302,16 +299,7 @@ fn shrinking_closed_form_is_flagged_a06() {
     );
     // The honest contract certifies clean on the same grid (the sweep
     // covers every other family's shape).
-    let clean = certify_contract_shape(
-        "lu",
-        &contract::lu(),
-        &[8, 16, 32, 64],
-        &[16, 64],
-        |n, p| {
-            let side = p.isqrt();
-            side * side == p && n % side == 0
-        },
-    );
+    let clean = certify_contract_shape("lu", &contract::lu(), &DomainSpec::lu());
     assert!(clean.is_empty(), "honest lu contract:\n{}", render(&clean));
 }
 

@@ -129,14 +129,16 @@ fn accountant_matches_the_closed_form_for_block_bitonic() {
             ..SortState::default()
         })
         .collect();
-    let mut machine = plat.machine(states, SEED);
-    machine.superstep(|ctx| {
-        radix_sort(ctx.state.list_mut());
-        ctx.charge_radix_sort(m, 32, 8);
+    let ((), traces) = pcm::sim::collect_traces(|| {
+        let mut machine = plat.machine(states, SEED);
+        machine.superstep(|ctx| {
+            radix_sort(ctx.state.list_mut());
+            ctx.charge_radix_sort(m, 32, 8);
+        });
+        merge_phases(&mut machine, ExchangeMode::Block);
     });
-    merge_phases(&mut machine, ExchangeMode::Block);
 
-    let acc = account_run(&params, machine.traces());
+    let acc = account_run(&params, &traces);
     let accounted = acc.bpram + acc.compute;
     let closed_form = pcm::models::predict::eval(pcm::models::predict::bitonic::bpram, &params, m);
     let err = accounted.relative_error(closed_form);

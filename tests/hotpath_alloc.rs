@@ -1,10 +1,10 @@
 //! Zero-allocation guarantee for the superstep hot path.
 //!
-//! With tracing off and no observer installed, steady-state supersteps
+//! With no observer installed, steady-state supersteps
 //! carrying word-sized traffic (inline payloads, <= 16 bytes) must not
 //! touch the heap at all: both outboxes of every processor (one is the
 //! communication pattern's send list), the per-destination delivery
-//! index and the tracing scratch all reuse buffers warmed up in the first
+//! index and the trace-statistics scratch all reuse buffers warmed up in the first
 //! few supersteps, and the pooled executor keeps its scratch on the
 //! caller's stack.
 //!
@@ -97,7 +97,6 @@ fn steady_state_delta(pooled: bool, heap_traffic: bool) -> u64 {
     } else {
         with_sequential(build)
     };
-    m.set_tracing(false);
     let step: fn(&mut Ctx<'_, u64>) = if heap_traffic { mixed_step } else { word_step };
     // Warm-up: grows both outboxes, the delivery index and the payload
     // pools, spawns the pool workers and latches per-thread parker state.
@@ -120,7 +119,6 @@ fn steady_state_delta(pooled: bool, heap_traffic: bool) -> u64 {
 fn priced_delta(plat: &Platform) -> u64 {
     let p = plat.p();
     let mut m = plat.machine(vec![0u64; p], 7);
-    m.set_tracing(false);
     let step = |ctx: &mut Ctx<'_, u64>| {
         ctx.charge(1.0);
         let mut sum = 0u32;
@@ -183,7 +181,6 @@ fn bitonic_allocations(mode: ExchangeMode) -> (u64, usize) {
     let fresh = sorted_lists();
     with_sequential(|| {
         let mut machine = plat.machine(states, 1996);
-        machine.set_tracing(false);
         merge_phases(&mut machine, mode);
         for (state, keys) in machine.states_mut().iter_mut().zip(&fresh) {
             state.keys.copy_from_slice(keys);
@@ -282,5 +279,5 @@ fn main() {
         );
         assert!(cap.runs.iter().all(|r| r.attribution_exact()));
     }
-    println!("hotpath_alloc: all legs allocation-free (tracing off and on)");
+    println!("hotpath_alloc: all legs allocation-free (unobserved and traced)");
 }

@@ -22,7 +22,6 @@ use pcm_sim::Ctx;
 fn run_sweep(plat: &Platform, memo: bool) -> (Vec<SimTime>, u64) {
     let p = plat.p();
     let mut m = plat.machine(vec![0u64; p], 41);
-    m.set_tracing(false);
     m.set_route_memo(memo);
     let mut clocks = Vec::new();
     for round in 0..4usize {

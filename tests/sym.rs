@@ -35,16 +35,6 @@ fn full_sweep_is_clean() {
     assert_eq!(outcome.stats.differential_points, pinned_table().len());
 }
 
-fn unconstrained() -> DomainSpec {
-    DomainSpec {
-        min_n: 1,
-        n_divisor: |_| 1,
-        min_p: 1,
-        power_of_two_p: false,
-        perfect_square_p: false,
-    }
-}
-
 fn assert_only_rule(findings: &[Finding], rule: SymRule) {
     assert!(!findings.is_empty(), "fixture did not trip {}", rule.id());
     for f in findings {
@@ -62,7 +52,7 @@ fn assert_only_rule(findings: &[Finding], rule: SymRule) {
 /// evaluated to a plausible number.
 #[test]
 fn s01_units_flags_words_bytes_confusion() {
-    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+    let broken = ClosedForm::new("matmul", "bsp", DomainSpec::any(), |_, _| {
         Expr::add(vec![
             Expr::mul(vec![Expr::sym("sigma"), Expr::words(Expr::sym("n"))]),
             Expr::sym("L"),
@@ -130,7 +120,7 @@ fn s04_differential_flags_transcription_divergence() {
 /// the family contract's `n²/√p`-word volume bound.
 #[test]
 fn s05_leading_term_flags_wrong_growth() {
-    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+    let broken = ClosedForm::new("matmul", "bsp", DomainSpec::any(), |_, _| {
         Expr::add(vec![
             Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
             Expr::sym("L"),

@@ -14,7 +14,8 @@
 //!   runs record identical rows;
 //! * **one record** — each row carries the machine's own
 //!   [`pcm_sim::SuperstepTrace`], so the row log and
-//!   [`pcm_sim::Machine::traces`] agree step for step.
+//!   [`pcm_sim::collect_traces`] agree step for step, and the rows fold
+//!   to [`pcm_sim::Machine::breakdown`].
 
 use pcm::algos::catalog::SEED;
 use pcm::algos::matmul::{self, MatmulVariant};
@@ -24,7 +25,7 @@ use pcm::algos::RunResult;
 use pcm::models::account_run;
 use pcm::trace::{capture, capture_sized, ChromeRun};
 use pcm::Platform;
-use pcm_sim::with_sequential;
+use pcm_sim::{collect_traces, with_sequential, RunBreakdown};
 
 fn bits(t: pcm::SimTime) -> u64 {
     t.as_micros().to_bits()
@@ -137,23 +138,25 @@ fn row_log_is_the_machines_record() {
     let (p, m) = (16, 16);
     for plat in Platform::all_with(p) {
         let params = plat.model_params();
-        let (traces, cap) = capture(|| {
-            let mut rng = pcm::core::rng::seeded(SEED);
-            let keys = pcm::core::rng::random_keys(p * m, &mut rng);
-            let states: Vec<SortState> = keys
-                .chunks(m)
-                .map(|c| SortState {
-                    keys: c.to_vec(),
-                    ..SortState::default()
-                })
-                .collect();
-            let mut machine = plat.machine(states, SEED);
-            machine.superstep(|ctx| {
-                radix_sort(ctx.state.list_mut());
-                ctx.charge_radix_sort(m, 32, 8);
-            });
-            merge_phases(&mut machine, ExchangeMode::Block);
-            machine.traces().to_vec()
+        let ((breakdown, traces), cap) = capture(|| {
+            collect_traces(|| {
+                let mut rng = pcm::core::rng::seeded(SEED);
+                let keys = pcm::core::rng::random_keys(p * m, &mut rng);
+                let states: Vec<SortState> = keys
+                    .chunks(m)
+                    .map(|c| SortState {
+                        keys: c.to_vec(),
+                        ..SortState::default()
+                    })
+                    .collect();
+                let mut machine = plat.machine(states, SEED);
+                machine.superstep(|ctx| {
+                    radix_sort(ctx.state.list_mut());
+                    ctx.charge_radix_sort(m, 32, 8);
+                });
+                merge_phases(&mut machine, ExchangeMode::Block);
+                machine.breakdown()
+            })
         });
         let [mrun] = &cap.runs[..] else {
             panic!("{}: one machine, one row log", plat.name());
@@ -177,7 +180,17 @@ fn row_log_is_the_machines_record() {
         assert_eq!(
             account_run(&params, mrun.rows.iter().map(|r| &r.trace)),
             account_run(&params, &traces),
-            "{}: the rows account exactly as the machine's traces",
+            "{}: the rows account exactly as the collected traces",
+            plat.name()
+        );
+        let mut folded = RunBreakdown::default();
+        for row in &mrun.rows {
+            folded.add(&row.trace);
+        }
+        assert_eq!(
+            folded,
+            breakdown,
+            "{}: the rows fold to the breakdown",
             plat.name()
         );
     }
