@@ -11,7 +11,7 @@
 //! happens-before [`RaceConfig`] it claims.
 //!
 //! Every sweep iterates this list: the `pcm-audit` static sweep visits the
-//! whole grid, the sanitizer and race sweeps take each family's
+//! whole grid, the sanitizer sweep takes each family's
 //! [`Family::analyzer_grid`], and `pcm-trace` looks its replay points up
 //! by `(family, variant)` name. A new family is one entry here.
 
@@ -69,8 +69,9 @@ pub struct Family {
     pub variants: Vec<Variant>,
 }
 
-/// How many of each family's grid points the runtime analyzers (sanitizer
-/// and race sweeps) replay: the cheapest ones.
+/// How many of each family's grid points the runtime analyzers (the
+/// sanitizer sweep's protocol, race and determinism checks) replay: the
+/// cheapest ones.
 const ANALYZER_POINTS: usize = 2;
 
 impl Family {
@@ -430,6 +431,21 @@ mod tests {
             ]
         );
         assert!(with.iter().all(|f| predictors.contains(f)));
+    }
+
+    /// No contract prices xnet traffic, so the protocol checker's R03
+    /// must reject it in every variant a contract covers.
+    #[test]
+    fn contract_families_forbid_xnet() {
+        for f in families().iter().filter(|f| f.contract.is_some()) {
+            for v in &f.variants {
+                assert!(
+                    !v.discipline.allow_xnet,
+                    "{} {}: discipline '{}' admits xnet",
+                    f.name, v.name, v.discipline.name
+                );
+            }
+        }
     }
 
     #[test]

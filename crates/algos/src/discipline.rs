@@ -103,7 +103,7 @@ impl Discipline {
     }
 
     /// Everything allowed, nothing enforced beyond the universal rules
-    /// (R01/R02/R05/R07 always apply).
+    /// (R01/R05/R07 always apply).
     pub fn any() -> Self {
         Discipline {
             name: "any",

@@ -1,7 +1,7 @@
 //! # pcm-audit — static superstep-schedule verifier
 //!
-//! The fifth analyzer layer of the workspace (after `pcm-check`'s R/C/D
-//! rules and `pcm-race`'s W rules): an *abstract interpreter* over
+//! The fourth analyzer layer of the workspace (after `pcm-check`'s R and
+//! D rules and `pcm-race`'s W rules): an *abstract interpreter* over
 //! algorithm communication schedules. It drives every algorithm variant
 //! through [`audit_run`], a `Needs::Schedule` observer in a dry scope
 //! (`pcm_sim::with_dry_probe`): the machine never executes network
@@ -13,12 +13,13 @@
 //!
 //! * **A01 message conservation** — every send is delivered at the next
 //!   barrier, consumed in the step it arrives, and nothing is pending at
-//!   machine drop;
+//!   machine drop; the workspace's one unread-delivery rule;
 //! * **A02 barrier alignment** — the schedule is structurally sound: step
 //!   indices are contiguous and every per-processor vector has width `P`;
 //! * **A03 h-relation soundness** — the static per-step
 //!   `max(h_send, h_recv)` and the superstep count stay inside the
-//!   family's `pcm_models::CostContract`;
+//!   family's `pcm_models::CostContract`; the workspace's one check of a
+//!   run against its contract;
 //! * **A04 buffer capacity** — per-step receive volume respects the
 //!   family's declared envelope (`pcm_algos::bounds`) and no transfer
 //!   exceeds the simulator's largest pooled payload class;
@@ -33,7 +34,7 @@
 //! A **differential gate** replays a sample of the grid through the priced
 //! simulator and asserts every dry superstep has the h-relation, message
 //! count and volume of the superstep the simulator priced, so every static
-//! certificate transfers to real runs.
+//! certificate, A03 included, transfers to real runs.
 //!
 //! The `pcm-audit` binary sweeps every family of `pcm_algos::catalog` ×
 //! machine × `(n, p)` grid point and emits a machine-readable JSON

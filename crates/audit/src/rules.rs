@@ -2,7 +2,7 @@
 //!
 //! Every certificate the static auditor checks has a stable `A`-prefixed
 //! rule id, continuing the sanitizer's numbering convention (`R` protocol,
-//! `C` conformance, `D` determinism, `W` races). Unlike those layers, `A`
+//! `D` determinism, `W` races). Unlike those layers, `A`
 //! rules fire on the schedule of a *dry* run — no network pricing ever
 //! executed — so a finding here means the schedule itself, not its cost,
 //! is wrong.

@@ -5,8 +5,8 @@
 //! run — no network pricing executes — whose machines are audited
 //! superstep by superstep against rules A01–A05), certifies the contract
 //! shape (A06) once per family, and replays a sample of the grid through
-//! the priced simulator to confirm the static bounds dominate observed
-//! traces.
+//! the priced simulator to confirm the dry schedule is the one the
+//! simulator prices.
 //!
 //! Grid × machine audit units and differential replays are independent,
 //! so the sweep fans them across cores with

@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_algos::discipline::Discipline;
-use pcm_sim::{with_probe, BlockRoundView, Needs, PatternScratch, RunEnd, StepObs, SuperstepProbe};
+use pcm_sim::{with_probe, BlockRoundView, Needs, PatternScratch, StepObs, SuperstepProbe};
 
 use crate::rules::{RuleId, Violation};
 
@@ -75,22 +75,6 @@ impl SuperstepProbe for ProtocolChecker {
                     step,
                     Some(pid),
                     format!("destination {dst} out of range for {p} processors"),
-                );
-            }
-        }
-
-        // R02: delivered but never read before this barrier.
-        for pid in 0..p {
-            let inbox = detail.inbox_count(pid);
-            if inbox > 0 && !detail.inbox_read(pid) {
-                self.push(
-                    RuleId::UnreadInbox,
-                    step,
-                    Some(pid),
-                    format!(
-                        "{inbox} message(s) delivered at the previous barrier were \
-                         never read this superstep"
-                    ),
                 );
             }
         }
@@ -182,21 +166,6 @@ impl SuperstepProbe for ProtocolChecker {
             );
         }
     }
-
-    fn finish(&mut self, end: &RunEnd<'_>) {
-        // R02 at end of run: the machine was dropped with unread messages.
-        for pid in 0..end.nprocs() {
-            let pending = end.pending_inbox(pid);
-            if pending > 0 {
-                self.push(
-                    RuleId::UnreadInbox,
-                    end.supersteps,
-                    Some(pid),
-                    format!("{pending} message(s) still in the inbox when the machine was dropped"),
-                );
-            }
-        }
-    }
 }
 
 /// The destination receiving the most items — named in R04/R06 details.
@@ -249,13 +218,6 @@ mod tests {
         rs
     }
 
-    /// Drains the inbox so a run ends clean w.r.t. R02.
-    fn drain(m: &mut Machine<u32>) {
-        m.superstep(|ctx| {
-            let _ = ctx.msgs();
-        });
-    }
-
     // ---- R01 ------------------------------------------------------------
 
     #[test]
@@ -278,54 +240,6 @@ mod tests {
         let ((), v) = check_protocol(Discipline::any(), || {
             let mut m = machine(4);
             m.superstep(|ctx| ctx.send_word_u32((ctx.pid() + 1) % 4, 5));
-            drain(&mut m);
-        });
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- R02 ------------------------------------------------------------
-
-    #[test]
-    fn r02_fires_when_a_superstep_ignores_its_inbox() {
-        let ((), v) = check_protocol(Discipline::any(), || {
-            let mut m = machine(2);
-            m.superstep(|ctx| {
-                if ctx.pid() == 0 {
-                    ctx.send_word_u32(1, 1);
-                }
-            });
-            m.superstep(|_ctx| {}); // proc 1 never reads its delivery
-            drain(&mut m);
-        });
-        assert_eq!(rules(&v), vec![RuleId::UnreadInbox], "{v:?}");
-        assert_eq!((v[0].step, v[0].pid), (1, Some(1)));
-    }
-
-    #[test]
-    fn r02_fires_when_the_machine_drops_with_pending_messages() {
-        let ((), v) = check_protocol(Discipline::any(), || {
-            let mut m = machine(2);
-            m.superstep(|ctx| {
-                if ctx.pid() == 0 {
-                    ctx.send_word_u32(1, 1);
-                }
-            });
-        });
-        assert_eq!(rules(&v), vec![RuleId::UnreadInbox], "{v:?}");
-        assert_eq!(v[0].step, 1, "reported at the would-be next superstep");
-        assert!(v[0].detail.contains("dropped"));
-    }
-
-    #[test]
-    fn r02_clean_when_every_delivery_is_read() {
-        let ((), v) = check_protocol(Discipline::any(), || {
-            let mut m = machine(2);
-            m.superstep(|ctx| {
-                if ctx.pid() == 0 {
-                    ctx.send_word_u32(1, 1);
-                }
-            });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
     }
@@ -341,7 +255,6 @@ mod tests {
                     ctx.send_word_u32(1, 1);
                 }
             });
-            drain(&mut m);
         });
         assert_eq!(rules(&v), vec![RuleId::KindDiscipline], "{v:?}");
         assert!(v[0].detail.contains("word"), "{}", v[0].detail);
@@ -356,7 +269,6 @@ mod tests {
                     ctx.send_block_u32(1, &[1, 2, 3]);
                 }
             });
-            drain(&mut m);
         });
         assert_eq!(rules(&v), vec![RuleId::KindDiscipline], "{v:?}");
         assert!(v[0].detail.contains("block"), "{}", v[0].detail);
@@ -371,7 +283,6 @@ mod tests {
                     ctx.send_block_u32(1, &[1, 2, 3]);
                 }
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
     }
@@ -389,7 +300,6 @@ mod tests {
                     ctx.send_words_u32(3, &[1, 2, 3]);
                 }
             });
-            drain(&mut m);
         });
         assert_eq!(rules(&v), vec![RuleId::ConcurrentWrite], "{v:?}");
         assert_eq!(v[0].pid, Some(2), "names the contended destination");
@@ -409,7 +319,6 @@ mod tests {
                     ctx.send_words_u32(2, &[1, 2, 3]);
                 }
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
     }
@@ -423,7 +332,6 @@ mod tests {
                     ctx.send_words_u32(2, &[1, 2, 3]);
                 }
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "contention is priced, not flagged: {v:?}");
     }
@@ -470,7 +378,6 @@ mod tests {
                     ctx.send_block_u32(2, &[1, 2, 3, 4]);
                 }
             });
-            drain(&mut m);
         });
         assert_eq!(rules(&v), vec![RuleId::BlockFanIn], "{v:?}");
         assert_eq!(v[0].pid, Some(2));
@@ -488,7 +395,6 @@ mod tests {
                     ctx.send_block_u32((pid + r) % p, &[1, 2]);
                 }
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
     }
@@ -502,7 +408,6 @@ mod tests {
                     ctx.send_block_u32(2, &[1, 2, 3, 4]);
                 }
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
     }
@@ -552,19 +457,26 @@ mod tests {
                 let p = ctx.nprocs();
                 ctx.send_xnet_u32((ctx.pid() + 1) % p, &[1, 2]);
             });
-            drain(&mut m);
         });
         assert!(v.is_empty(), "{v:?}");
-        // ...flagged as a kind violation under mp_bsp...
-        let ((), v) = check_protocol(Discipline::mp_bsp(), || {
-            let mut m = machine(4);
-            m.superstep(|ctx| {
-                let p = ctx.nprocs();
-                ctx.send_xnet_u32((ctx.pid() + 1) % p, &[1, 2]);
+        // ...flagged as a kind violation under every discipline a
+        // contract family's variants declare (no contract prices xnet)...
+        for d in [
+            Discipline::bsp_words(),
+            Discipline::mp_bsp(),
+            Discipline::bpram(),
+            Discipline::blocks_relaxed(),
+        ] {
+            let ((), v) = check_protocol(d, || {
+                let mut m = machine(4);
+                m.superstep(|ctx| {
+                    let p = ctx.nprocs();
+                    ctx.send_xnet_u32((ctx.pid() + 1) % p, &[1, 2]);
+                });
             });
-            drain(&mut m);
-        });
-        assert_eq!(rules(&v), vec![RuleId::KindDiscipline], "{v:?}");
+            assert_eq!(rules(&v), vec![RuleId::KindDiscipline], "{}: {v:?}", d.name);
+            assert!(v[0].detail.contains("xnet"), "{}", v[0].detail);
+        }
         // ...and as fan-in when two xnet blocks converge.
         let ((), v) = check_protocol(Discipline::xnet_grid(), || {
             let mut m = machine(4);
@@ -573,7 +485,6 @@ mod tests {
                     ctx.send_xnet_u32(2, &[1]);
                 }
             });
-            drain(&mut m);
         });
         assert_eq!(rules(&v), vec![RuleId::BlockFanIn], "{v:?}");
     }

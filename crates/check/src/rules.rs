@@ -2,9 +2,8 @@
 //!
 //! Every check the sanitizer performs has a stable, human-readable rule
 //! id. The ids are grouped by layer: `R` rules come from the runtime
-//! protocol checker, `C` rules from the model-conformance lint, `D` rules
-//! from the determinism auditor, and `W` rules from the happens-before
-//! race & staleness analyzer (`pcm-race`).
+//! protocol checker, `D` rules from the determinism auditor, and `W`
+//! rules from the happens-before race & staleness analyzer (`pcm-race`).
 
 /// How serious a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -21,9 +20,6 @@ pub enum Severity {
 pub enum RuleId {
     /// A message was sent to a destination `>= P`.
     DstRange,
-    /// Messages were delivered to a processor and never read before the
-    /// next barrier (or before the machine was dropped).
-    UnreadInbox,
     /// A superstep used a message kind the active discipline forbids.
     KindDiscipline,
     /// A word round had two senders targeting one destination under a
@@ -36,12 +32,6 @@ pub enum RuleId {
     BlockFanIn,
     /// A superstep's compute or communication time was not finite.
     NonfiniteTime,
-    /// The run's superstep count fell outside its predictor's contract.
-    ContractSupersteps,
-    /// A superstep exceeded its predictor's h-relation bound.
-    ContractHRelation,
-    /// A superstep used a message kind its predictor does not price.
-    ContractKind,
     /// The rayon-on and sequential runs produced different results.
     StateDigest,
     /// The rayon-on and sequential runs produced different traces.
@@ -68,15 +58,11 @@ impl RuleId {
     pub fn id(self) -> &'static str {
         match self {
             RuleId::DstRange => "R01-dst-range",
-            RuleId::UnreadInbox => "R02-unread-inbox",
             RuleId::KindDiscipline => "R03-kind-discipline",
             RuleId::ConcurrentWrite => "R04-concurrent-write",
             RuleId::BadCharge => "R05-bad-charge",
             RuleId::BlockFanIn => "R06-block-fanin",
             RuleId::NonfiniteTime => "R07-nonfinite-time",
-            RuleId::ContractSupersteps => "C01-contract-supersteps",
-            RuleId::ContractHRelation => "C02-contract-h-relation",
-            RuleId::ContractKind => "C03-contract-kind",
             RuleId::StateDigest => "D01-state-digest",
             RuleId::TraceDigest => "D02-trace-digest",
             RuleId::WwRace => "W01-ww-race",
@@ -134,15 +120,11 @@ mod tests {
     fn ids_are_stable_and_distinct() {
         let all = [
             RuleId::DstRange,
-            RuleId::UnreadInbox,
             RuleId::KindDiscipline,
             RuleId::ConcurrentWrite,
             RuleId::BadCharge,
             RuleId::BlockFanIn,
             RuleId::NonfiniteTime,
-            RuleId::ContractSupersteps,
-            RuleId::ContractHRelation,
-            RuleId::ContractKind,
             RuleId::StateDigest,
             RuleId::TraceDigest,
             RuleId::WwRace,

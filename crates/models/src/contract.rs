@@ -1,17 +1,19 @@
 //! Cost contracts: what a predictor's closed form assumes about a run.
 //!
 //! Every closed-form predictor in [`crate::predict`] prices a specific
-//! superstep structure — a number of supersteps, an h-relation volume per
-//! superstep, and a set of message kinds (words, blocks, xnet). If the
-//! implementation in `pcm-algos` drifts away from that structure, the
-//! prediction silently stops describing the program it claims to price.
+//! superstep structure — a number of supersteps and an h-relation volume
+//! per superstep. If the implementation in `pcm-algos` drifts away from
+//! that structure, the prediction silently stops describing the program
+//! it claims to price.
 //!
 //! A [`CostContract`] makes the assumptions explicit as functions of the
-//! problem size `n` and the processor count `p`, and
-//! [`CostContract::check`] diffs them against the [`SuperstepTrace`]
-//! stream an actual run recorded. The `pcm-check` crate reports breaches
-//! under rule ids C01 (superstep count), C02 (h-relation bound) and C03
-//! (disallowed message kind).
+//! problem size `n` and the processor count `p`. The `pcm-audit` static
+//! analyzer checks every superstep of every catalog run against them
+//! (rule A03, through [`CostContract::h_bound`] and
+//! [`CostContract::superstep_range`]) and certifies their symbolic shape
+//! (rule A06, [`CostContract::certify_shape`]). Which message kinds a
+//! run may send is the variant's `Discipline` in `pcm-algos`, checked by
+//! `pcm-check`'s protocol rule R03.
 //!
 //! Bounds are *contracts*, not predictions: the superstep range is exact
 //! where the algorithm is rigid (matrix multiplication runs in exactly 3
@@ -19,31 +21,9 @@
 //! (bitonic's resynchronized exchange adds chunk supersteps).
 
 use pcm_core::units::log2_exact;
-use pcm_sim::SuperstepTrace;
 
 use crate::domain::DomainSpec;
 use crate::predict::matmul::q_for;
-
-/// Message kinds a predictor's cost expressions account for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KindMask {
-    /// Word messages (the `g`-term traffic of BSP/MP-BSP).
-    pub words: bool,
-    /// Block transfers (the `sigma`-term traffic of MP-BPRAM).
-    pub blocks: bool,
-    /// Xnet neighbour-grid transfers (only the vendor Cannon uses these).
-    pub xnet: bool,
-}
-
-impl KindMask {
-    /// Words and blocks allowed, xnet forbidden — every model-derived
-    /// algorithm of the paper.
-    pub const WORDS_AND_BLOCKS: KindMask = KindMask {
-        words: true,
-        blocks: true,
-        xnet: false,
-    };
-}
 
 /// The structural assumptions behind one predictor module.
 ///
@@ -58,63 +38,6 @@ pub struct CostContract {
     pub supersteps: fn(n: usize, p: usize) -> (usize, usize),
     /// Upper bound on any superstep's `max(h_send, h_recv)`, in words.
     pub max_h: fn(n: usize, p: usize) -> usize,
-    /// Kinds the cost expressions account for.
-    pub allowed_kinds: fn(n: usize, p: usize) -> KindMask,
-}
-
-/// One way a recorded run departed from its predictor's contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ContractBreach {
-    /// The run's superstep count fell outside the contract range.
-    Supersteps {
-        /// Supersteps the run executed.
-        observed: usize,
-        /// Contract minimum.
-        min: usize,
-        /// Contract maximum.
-        max: usize,
-    },
-    /// A superstep moved more words per processor than the contract allows.
-    HRelation {
-        /// Offending superstep index.
-        step: usize,
-        /// Observed `max(h_send, h_recv)`.
-        observed: usize,
-        /// Contract bound.
-        bound: usize,
-    },
-    /// A superstep used a message kind the predictor does not price.
-    Kind {
-        /// Offending superstep index.
-        step: usize,
-        /// The disallowed kind ("words", "blocks" or "xnet").
-        kind: &'static str,
-    },
-}
-
-impl std::fmt::Display for ContractBreach {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ContractBreach::Supersteps { observed, min, max } => write!(
-                f,
-                "ran {observed} supersteps, contract allows {min}..={max}"
-            ),
-            ContractBreach::HRelation {
-                step,
-                observed,
-                bound,
-            } => write!(
-                f,
-                "superstep {step} moved h = {observed} words, contract bound is {bound}"
-            ),
-            ContractBreach::Kind { step, kind } => {
-                write!(
-                    f,
-                    "superstep {step} sent {kind} messages, which the predictor does not price"
-                )
-            }
-        }
-    }
 }
 
 /// One way a contract's closed-form bounds fail *shape* certification —
@@ -272,49 +195,6 @@ impl CostContract {
         }
         anomalies
     }
-
-    /// Diffs the contract against a recorded trace stream; returns every
-    /// breach (empty = conformant).
-    pub fn check(&self, n: usize, p: usize, traces: &[SuperstepTrace]) -> Vec<ContractBreach> {
-        let mut breaches = Vec::new();
-        let (min, max) = (self.supersteps)(n, p);
-        if traces.len() < min || traces.len() > max {
-            breaches.push(ContractBreach::Supersteps {
-                observed: traces.len(),
-                min,
-                max,
-            });
-        }
-        let bound = (self.max_h)(n, p);
-        let kinds = (self.allowed_kinds)(n, p);
-        for t in traces {
-            let h = t.h_send.max(t.h_recv);
-            if h > bound {
-                breaches.push(ContractBreach::HRelation {
-                    step: t.index,
-                    observed: h,
-                    bound,
-                });
-            }
-            for (used, allowed, kind) in [
-                (t.word_msgs > 0, kinds.words, "words"),
-                (t.block_msgs > 0, kinds.blocks, "blocks"),
-                (t.xnet_msgs > 0, kinds.xnet, "xnet"),
-            ] {
-                if used && !allowed {
-                    breaches.push(ContractBreach::Kind {
-                        step: t.index,
-                        kind,
-                    });
-                }
-            }
-        }
-        breaches
-    }
-}
-
-fn words_and_blocks(_n: usize, _p: usize) -> KindMask {
-    KindMask::WORDS_AND_BLOCKS
 }
 
 /// `sqrt(P)` for the grid algorithms (truncating; their domain admits
@@ -341,7 +221,6 @@ pub fn matmul() -> CostContract {
             let q = q_for(p);
             2 * n * n / (q * q)
         },
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -361,7 +240,6 @@ pub fn bitonic() -> CostContract {
             }
         },
         max_h: |n, _p| n,
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -377,7 +255,6 @@ pub fn samplesort() -> CostContract {
             (s + 10, s + 17)
         },
         max_h: |n, p| n * p + p,
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -398,7 +275,6 @@ pub fn apsp() -> CostContract {
             let side = grid_side(p);
             2 * (n / side.max(1) + side)
         },
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -410,7 +286,6 @@ pub fn lu() -> CostContract {
         algorithm: "lu",
         supersteps: |n, _p| (3 * n, 3 * n),
         max_h: |n, _p| 2 * n,
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -426,7 +301,6 @@ pub fn parallel_radix() -> CostContract {
             (4 * passes, 4 * passes)
         },
         max_h: |n, _p| 2 * n + 2 * (1 << crate::predict::parallel_radix::RADIX_BITS),
-        allowed_kinds: words_and_blocks,
     }
 }
 
@@ -440,102 +314,4 @@ pub fn all() -> Vec<CostContract> {
         lu(),
         parallel_radix(),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pcm_core::SimTime;
-
-    fn trace(index: usize, h: usize, words: usize, blocks: usize, xnet: usize) -> SuperstepTrace {
-        SuperstepTrace {
-            index,
-            compute: SimTime::ZERO,
-            comm: SimTime::ZERO,
-            messages: words + blocks + xnet,
-            bytes: 0,
-            h_send: h,
-            h_recv: h,
-            active: 0,
-            block_steps: blocks.min(1),
-            block_bytes_sum: 0,
-            word_msgs: words,
-            block_msgs: blocks,
-            xnet_msgs: xnet,
-        }
-    }
-
-    #[test]
-    fn conformant_matmul_trace_passes() {
-        let c = matmul();
-        // 64 procs -> q = 4; n = 16 -> bound 2·256/16 = 32 words.
-        let traces = vec![
-            trace(0, 30, 100, 0, 0),
-            trace(1, 16, 50, 0, 0),
-            trace(2, 0, 0, 0, 0),
-        ];
-        assert!(c.check(16, 64, &traces).is_empty());
-    }
-
-    #[test]
-    fn superstep_count_breach_is_reported() {
-        let c = matmul();
-        let traces = vec![trace(0, 0, 0, 0, 0); 5];
-        let b = c.check(16, 64, &traces);
-        assert_eq!(
-            b,
-            vec![ContractBreach::Supersteps {
-                observed: 5,
-                min: 3,
-                max: 3
-            }]
-        );
-    }
-
-    #[test]
-    fn h_bound_breach_names_the_step() {
-        let c = lu();
-        let mut traces: Vec<SuperstepTrace> = (0..12).map(|i| trace(i, 1, 1, 0, 0)).collect();
-        traces[7] = trace(7, 99, 99, 0, 0); // bound for n = 4 is 8
-        let b = c.check(4, 16, &traces);
-        assert_eq!(
-            b,
-            vec![ContractBreach::HRelation {
-                step: 7,
-                observed: 99,
-                bound: 8
-            }]
-        );
-    }
-
-    #[test]
-    fn xnet_kind_is_disallowed_everywhere() {
-        for c in all() {
-            let (min, _) = (c.supersteps)(4, 16);
-            let mut traces: Vec<SuperstepTrace> = (0..min).map(|i| trace(i, 0, 0, 0, 0)).collect();
-            if let Some(t) = traces.first_mut() {
-                *t = trace(0, 0, 0, 0, 3);
-            }
-            let b = c.check(4, 16, &traces);
-            assert!(
-                b.contains(&ContractBreach::Kind {
-                    step: 0,
-                    kind: "xnet"
-                }),
-                "{} must forbid xnet",
-                c.algorithm
-            );
-        }
-    }
-
-    #[test]
-    fn breaches_render_human_readably() {
-        let b = ContractBreach::HRelation {
-            step: 3,
-            observed: 10,
-            bound: 5,
-        };
-        let s = format!("{b}");
-        assert!(s.contains("superstep 3") && s.contains("h = 10"), "{s}");
-    }
 }

@@ -15,25 +15,18 @@ use std::fmt;
 /// A violated domain precondition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DomainViolation {
-    /// `n` is below the declared minimum.
-    NTooSmall {
-        /// Requested size.
-        n: usize,
-        /// Declared minimum.
-        min: usize,
-    },
-    /// `n` is not a multiple of the declared divisor for this `p`.
+    /// `n` is not a positive multiple of the declared divisor for this `p`.
     NotDivisible {
         /// Requested size.
         n: usize,
         /// Required divisor.
         divisor: usize,
     },
-    /// `p` is below the declared minimum.
+    /// `p` is below the minimum of one processor.
     PTooSmall {
         /// Requested processor count.
         p: usize,
-        /// Declared minimum.
+        /// The minimum, 1.
         min: usize,
     },
     /// `p` is above the declared maximum.
@@ -58,7 +51,6 @@ pub enum DomainViolation {
 impl fmt::Display for DomainViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DomainViolation::NTooSmall { n, min } => write!(f, "n = {n} below minimum {min}"),
             DomainViolation::NotDivisible { n, divisor } => {
                 write!(f, "n = {n} is not a multiple of {divisor}")
             }
@@ -73,15 +65,12 @@ impl fmt::Display for DomainViolation {
 }
 
 /// The `(n, p)` points one family runs on and its closed forms hold at.
+/// Every family needs at least one processor and a positive `n`.
 #[derive(Clone, Copy, Debug)]
 pub struct DomainSpec {
-    /// Smallest meaningful problem size.
-    pub min_n: usize,
     /// `n` must be a positive multiple of this (as a function of `p`);
     /// e.g. `q²` for the cube-blocked matmul, `sqrt(p)` for APSP/LU.
     pub n_divisor: fn(p: usize) -> usize,
-    /// Smallest meaningful processor count.
-    pub min_p: usize,
     /// Largest processor count the family runs on.
     pub max_p: usize,
     /// The step structure needs `p` to be a power of two.
@@ -94,9 +83,7 @@ impl DomainSpec {
     /// Every `n ≥ 1` on every `p ≥ 1`.
     pub const fn any() -> DomainSpec {
         DomainSpec {
-            min_n: 1,
             n_divisor: |_| 1,
-            min_p: 1,
             max_p: usize::MAX,
             power_of_two_p: false,
             perfect_square_p: false,
@@ -161,8 +148,8 @@ impl DomainSpec {
     /// (`p` shape before `n` divisibility, so messages point at the root
     /// cause when both fail).
     pub fn check(&self, n: usize, p: usize) -> Result<(), DomainViolation> {
-        if p < self.min_p {
-            return Err(DomainViolation::PTooSmall { p, min: self.min_p });
+        if p == 0 {
+            return Err(DomainViolation::PTooSmall { p, min: 1 });
         }
         if p > self.max_p {
             return Err(DomainViolation::PTooLarge { p, max: self.max_p });
@@ -176,9 +163,6 @@ impl DomainSpec {
                 return Err(DomainViolation::PNotPerfectSquare { p });
             }
         }
-        if n < self.min_n {
-            return Err(DomainViolation::NTooSmall { n, min: self.min_n });
-        }
         let d = (self.n_divisor)(p);
         if d == 0 || n == 0 || !n.is_multiple_of(d) {
             return Err(DomainViolation::NotDivisible { n, divisor: d });
@@ -188,8 +172,7 @@ impl DomainSpec {
 
     /// The smallest `n` the domain admits at an admitted `p`.
     pub fn least_n(&self, p: usize) -> usize {
-        let d = (self.n_divisor)(p).max(1);
-        self.min_n.next_multiple_of(d)
+        (self.n_divisor)(p).max(1)
     }
 
     /// The entry check of a run function.
@@ -201,6 +184,35 @@ impl DomainSpec {
     pub fn require(&self, family: &str, n: usize, p: usize) {
         if let Err(v) = self.check(n, p) {
             panic!("{family} outside its domain: {v}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_n_and_zero_p_are_outside_every_domain() {
+        for (name, d) in [
+            ("any", DomainSpec::any()),
+            ("matmul", DomainSpec::matmul()),
+            ("bitonic", DomainSpec::bitonic()),
+            ("samplesort", DomainSpec::samplesort()),
+            ("parallel_radix", DomainSpec::parallel_radix()),
+            ("apsp", DomainSpec::apsp()),
+            ("lu", DomainSpec::lu()),
+        ] {
+            for p in [1, 16, 64] {
+                let n = d.least_n(p);
+                assert_eq!(d.check(n, p), Ok(()), "{name}: least n at p = {p}");
+                assert!(d.check(0, p).is_err(), "{name}: n = 0 at p = {p}");
+                assert_eq!(
+                    d.check(n, 0),
+                    Err(DomainViolation::PTooSmall { p: 0, min: 1 }),
+                    "{name}: p = 0 at n = {n}"
+                );
+            }
         }
     }
 }

@@ -31,7 +31,7 @@ pub mod predict;
 pub mod symbolic;
 
 pub use account::{account_run, account_step, ModelAccount};
-pub use contract::{ContractBreach, CostContract, KindMask};
+pub use contract::CostContract;
 pub use domain::{DomainSpec, DomainViolation};
 pub use logp::{LogGP, LogP};
 pub use params::{cm5, gcel, maspar, unit_env, EbspParams, MachineParams};

@@ -21,12 +21,12 @@
 //!   the Table 1 machine parameters,
 //! * [`experiments`] — one driver per paper table/figure plus the
 //!   `reproduce` CLI,
-//! * [`check`] — the sanitizer: runtime protocol rules, model-conformance
-//!   linting against each predictor's cost contract, and a determinism
+//! * [`check`] — the sanitizer: runtime protocol rules and a determinism
 //!   auditor (see the "Sanitizer" section of DESIGN.md),
 //! * [`audit`] — the static superstep-schedule verifier: abstract
 //!   interpretation of extracted communication plans with cost-bound
-//!   certification (see the "Static audit" section of DESIGN.md),
+//!   certification against each predictor's cost contract (see the
+//!   "Static audit" section of DESIGN.md),
 //! * [`sym`] — the symbolic cost-IR verifier: every closed-form predictor
 //!   re-expressed as a typed expression and certified for units, domains,
 //!   dominance lemmas, ≤ 1 ulp differential agreement, leading terms and

@@ -1,7 +1,7 @@
 //! Static audit sweep: the `pcm-audit` abstract interpreter certifies
 //! every algorithm family × machine × `(n, p)` grid point, and the
-//! fixtures prove each rule actually bites — a mis-declared h-relation is
-//! flagged A03, a broken buffer envelope A04, a smuggled message A01, an
+//! fixtures prove each rule actually bites — a mis-declared h-relation or
+//! superstep count is flagged A03, a broken buffer envelope A04, a smuggled message A01, an
 //! undeclared packet size A05, a shuffled or too-wide schedule A02 and a
 //! shrinking closed form A06. Hand-built schedules go straight to the
 //! per-superstep checker; real runs go through `audit_run`'s dry-scope
@@ -94,6 +94,36 @@ fn misdeclared_h_relation_is_flagged_a03() {
     // The honest contract certifies the same run clean.
     let clean = audit_matmul(&plat, matmul_cx(&plat, 8, 16));
     assert!(clean.is_empty(), "honest audit found:\n{}", render(&clean));
+}
+
+/// A mis-declared superstep count — the contract claims 4..=5 supersteps
+/// where the matmul runs 3 — is flagged A03 when the machine drops.
+#[test]
+fn misdeclared_superstep_count_is_flagged_a03() {
+    let plat = Platform::maspar_with(16);
+    let mut broken = contract::matmul();
+    broken.supersteps = |_, _| (4, 5);
+    let findings = audit_matmul(
+        &plat,
+        PlanAudit {
+            contract: Some(broken),
+            ..matmul_cx(&plat, 8, 16)
+        },
+    );
+    let got: Vec<_> = findings
+        .iter()
+        .map(|f| (f.rule, f.step, f.detail.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [(
+            AuditRule::HBound,
+            None,
+            "schedule has 3 superstep(s), contract allows 4..=5"
+        )],
+        "{}",
+        render(&findings)
+    );
 }
 
 /// A mis-declared buffer envelope (1 byte per step) is flagged A04.
@@ -304,7 +334,7 @@ fn shrinking_closed_form_is_flagged_a06() {
 }
 
 /// The differential gate confirms every dry superstep matches the priced
-/// one and that the static bound dominates the observed trace.
+/// one, so the dry run's A03 verdict holds for the priced trace.
 #[test]
 fn differential_gate_confirms_dominance() {
     let plat = Platform::gcel_with(16);

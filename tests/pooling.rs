@@ -570,11 +570,12 @@ fn closure_panics_surface_from_superstep() {
 
 /// A p=64 run that trips analyzer rules on purpose, so the comparisons
 /// below are over non-empty findings: odd processors never read their
-/// inbox (R02, W04) and overwrite a region nobody reads (W04), every
+/// inbox (A01, W04) and overwrite a region nobody reads (W04), every
 /// eighth processor also writes into one shared `(dst 0, tag 3)` cell
-/// (W01), untagged reads see several tags (W03), and the last superstep's
-/// messages are still pending at drop. Word, heap-block and xnet traffic
-/// all cross the closure chunks.
+/// (W01, and R04 under MP-BSP), untagged reads see several tags (W03),
+/// block and xnet sends break the MP-BSP discipline (R03), and the last
+/// superstep's messages are still pending at drop (A01). Word, heap-block
+/// and xnet traffic all cross the closure chunks.
 fn analyzed_run() -> u64 {
     let p = 64;
     let mut m = Machine::new(
@@ -740,12 +741,14 @@ fn analyzed_cx() -> PlanAudit {
     }
 }
 
-/// Findings, traces and audit counts are the same pooled and sequential.
+/// Findings, traces and audit counts are the same pooled and sequential,
+/// and the protocol and race findings are the same with both observers
+/// stacked in one scope.
 #[test]
 fn analyzer_reports_match_pooled_and_sequential() {
     force_pool();
     let reports = || {
-        let (_, protocol) = check_protocol(Discipline::any(), analyzed_run);
+        let (_, protocol) = check_protocol(Discipline::mp_bsp(), analyzed_run);
         let (_, races) = check_races(RaceConfig::exclusive(), analyzed_run);
         let (_, traces) = collect_traces(analyzed_run);
         let (_, audit) = audit_run(analyzed_cx(), analyzed_run);
@@ -759,6 +762,14 @@ fn analyzer_reports_match_pooled_and_sequential() {
     );
     assert_eq!(traces.len(), 4);
     assert_eq!((audit.machines, audit.supersteps), (1, 4));
+    let ((_, stacked_races), stacked_protocol) = check_protocol(Discipline::mp_bsp(), || {
+        check_races(RaceConfig::exclusive(), analyzed_run)
+    });
+    assert_eq!(
+        (&stacked_protocol, &stacked_races),
+        (protocol, races),
+        "stacked observers diverged from separate scopes"
+    );
     assert_eq!(
         with_sequential(reports),
         pooled,
