@@ -398,9 +398,7 @@ fn absorb_pieces(ctx: &mut pcm_sim::Ctx<'_, ApspState>, ranges: &[Range<usize>])
         let dst = &mut seg[ranges[idx].clone()];
         let vals = msg.f64s();
         assert_eq!(vals.len(), dst.len(), "piece {idx} has the wrong length");
-        for (slot, v) in dst.iter_mut().zip(vals) {
-            *slot = v;
-        }
+        dst.copy_from_slice(vals);
     }
 }
 

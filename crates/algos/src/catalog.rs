@@ -430,7 +430,15 @@ mod tests {
                 "lu"
             ]
         );
+        // One contract per predictor module, and the two sets are equal:
+        // every family with a contract has a predictor, and every
+        // predictor's contract is some family's.
+        assert_eq!(predictors.len(), 6, "one contract per predict/* module");
         assert!(with.iter().all(|f| predictors.contains(f)));
+        assert!(
+            predictors.iter().all(|p| with.contains(p)),
+            "a predictor contract names no catalog family: {predictors:?}"
+        );
     }
 
     /// No contract prices xnet traffic, so the protocol checker's R03

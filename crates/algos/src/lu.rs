@@ -216,12 +216,12 @@ pub fn run(platform: &Platform, n: usize, variant: LuVariant, seed: u64) -> RunR
             if let Some(msg) = l_in {
                 ctx.touch_write(regions::LU_LCOL);
                 ctx.state.l_col.clear();
-                ctx.state.l_col.extend(msg.f64s());
+                ctx.state.l_col.extend_from_slice(msg.f64s());
             }
             if let Some(msg) = u_in {
                 ctx.touch_write(regions::LU_UROW);
                 ctx.state.u_row.clear();
-                ctx.state.u_row.extend(msg.f64s());
+                ctx.state.u_row.extend_from_slice(msg.f64s());
             }
             ctx.touch_read(regions::LU_LCOL);
             ctx.touch_read(regions::LU_UROW);

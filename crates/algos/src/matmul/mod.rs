@@ -18,11 +18,13 @@
 //! On machines whose processor count is not a cube, the largest embedded
 //! cube is used (1000 of the MasPar's 1024 PEs).
 
+use std::sync::Arc;
+
 use pcm_machines::Platform;
 use pcm_models::predict::matmul::q_for;
 use pcm_models::DomainSpec;
 use pcm_sim::topology::Cube;
-use pcm_sim::{Ctx, Message};
+use pcm_sim::{Ctx, Message, Values};
 
 use crate::primitives::embed::Embedding;
 use crate::primitives::plan::staggered;
@@ -41,10 +43,11 @@ pub enum MatmulVariant {
     Bpram,
 }
 
-/// Per-processor state of the 3D algorithm.
+/// Per-processor state of the 3D algorithm. The `A` subblock is shared
+/// with the messages that replicate it, so it is never copied to send.
 #[derive(Clone, Default)]
 struct MmState {
-    a_sub: Vec<f64>,
+    a_sub: Arc<Vec<f64>>,
     b_sub: Vec<f64>,
     c_sub: Vec<f64>,
 }
@@ -88,7 +91,7 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
     for lid in 0..p_used {
         let (i, j, k) = cube.coords(lid);
         let st = &mut states[embed.to_machine(lid)];
-        st.a_sub = extract(&a, n, i * bn + k * sn, j * bn, sn, bn);
+        st.a_sub = Arc::new(extract(&a, n, i * bn + k * sn, j * bn, sn, bn));
         st.b_sub = extract(&b, n, i * bn + k * sn, j * bn, sn, bn);
     }
 
@@ -106,14 +109,15 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
     let include_self = variant == MatmulVariant::Bpram;
 
     // Superstep 1: replicate A^k_ij over <i,j,*> and B^k_ij over <*,i,j>.
+    // Every replica shares its subblock's buffer: no value is copied.
     machine.superstep(|ctx| {
         let lid = embed.to_logical(ctx.pid());
         if lid >= p_used {
             return;
         }
         let (i, j, k) = cube.coords(lid);
-        let a_sub = std::mem::take(&mut ctx.state.a_sub);
-        let b_sub = std::mem::take(&mut ctx.state.b_sub);
+        let a_sub = Arc::clone(&ctx.state.a_sub);
+        let b_sub = Arc::new(std::mem::take(&mut ctx.state.b_sub));
         let order: Vec<usize> = match variant {
             MatmulVariant::BspNaive => (0..q).collect(),
             _ => staggered(k, q).collect(),
@@ -134,9 +138,8 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
             send(ctx, variant, dst, TAG_B, &b_sub);
         }
         // The A copy stays in place; the B self-copy (diagonal processors
-        // only) was routed through the machine above.
-        ctx.state.a_sub = a_sub;
-        ctx.state.b_sub = b_sub;
+        // only) was routed through the machine above, and B is no longer
+        // needed here: the last message holding it frees it.
     });
 
     // Superstep 2: assemble A_ij and B_jk, multiply, redistribute partials.
@@ -166,11 +169,15 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         }
         ctx.charge_copy_words(2 * (bn * bn) as u64);
 
-        // Local multiply: C-hat_ijk = A_ij · B_jk.
+        // Local multiply: C-hat_ijk = A_ij · B_jk, each of its q pieces
+        // C-hat^l (rows l·sn..(l+1)·sn) into its own buffer, which its
+        // send then moves.
         ctx.touch_read(regions::MATMUL_A);
         ctx.touch_read(regions::MATMUL_B);
-        let mut c_hat = vec![0.0f64; bn * bn];
-        local_multiply(&a_full, &b_full, &mut c_hat, bn);
+        let mut c_hat: Vec<Vec<f64>> = (0..q).map(|_| vec![0.0f64; sn * bn]).collect();
+        for (piece, a_rows) in c_hat.iter_mut().zip(a_full.chunks_exact(sn * bn)) {
+            local_multiply(a_rows, &b_full, piece, bn);
+        }
         ctx.charge_matmul(bn, bn, bn);
 
         // Send C-hat^l to <i,k,l>. The senders sharing a destination set
@@ -181,13 +188,7 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         };
         for &l in &order {
             let dst = embed.to_machine(cube.id(i, k, l));
-            send(
-                ctx,
-                variant,
-                dst,
-                TAG_C,
-                &c_hat[l * sn * bn..(l + 1) * sn * bn],
-            );
+            send(ctx, variant, dst, TAG_C, std::mem::take(&mut c_hat[l]));
         }
     });
 
@@ -231,20 +232,24 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
     })
 }
 
-fn send(ctx: &mut Ctx<'_, MmState>, variant: MatmulVariant, dst: usize, tag: u32, vals: &[f64]) {
+fn send<'v>(
+    ctx: &mut Ctx<'_, MmState>,
+    variant: MatmulVariant,
+    dst: usize,
+    tag: u32,
+    vals: impl Into<Values<'v, f64>>,
+) {
     match variant {
         MatmulVariant::Bpram => ctx.send_block_f64_tagged(dst, tag, vals),
         _ => ctx.send_words_f64_tagged(dst, tag, vals),
     }
 }
 
-/// Decodes a message's `f64` payload into `dst`, which it must fill exactly.
+/// Copies a message's `f64` payload into `dst`, which it must fill exactly.
 fn decode_f64s(dst: &mut [f64], msg: &Message) {
     let vals = msg.f64s();
     assert_eq!(vals.len(), dst.len(), "operand piece has the wrong size");
-    for (d, v) in dst.iter_mut().zip(vals) {
-        *d = v;
-    }
+    dst.copy_from_slice(vals);
 }
 
 /// Extracts a `rows x cols` rectangle starting at `(r0, c0)` from a
@@ -274,17 +279,21 @@ fn scatter_into(
     }
 }
 
-/// Adds the product of two row-major `n x n` blocks into `c`:
+/// Adds the product of a row-major `rows x n` block `a` and an `n x n`
+/// block `b` into the `rows x n` block `c`, where `rows = c.len() / n`:
 /// `c += a·b`. The *timing* comes from the platform's kernel model; this
-/// code only has to produce the functional result, fast and exactly.
+/// code only has to produce the functional result, fast and exactly. Row
+/// `i` of `c` depends on row `i` of `a` alone, so the product of a square
+/// `a` can be computed a band of rows at a time, each into its own buffer
+/// (the 3D algorithm's `Ĉ` pieces), with the same bits.
 ///
 /// `a` is walked in blocks of 4 rows. A block with no zero entry is
 /// register-tiled: its columns are cut into tiles 8 wide (then 4, 2 and 1
 /// for the tail), each tile's `4 x V` slice of `c` is loaded into a local
 /// accumulator, `k` runs in ascending order over the four `a` rows and the
 /// rows of `b`, and the accumulator is stored back. A block that holds a
-/// zero (`-0.0` included), and the last `n % 4` rows, take the plain `ikj`
-/// loop, which skips every zero `a[i][k]`.
+/// zero (`-0.0` included), and the last `rows % 4` rows, take the plain
+/// `ikj` loop, which skips every zero `a[i][k]`.
 ///
 /// The result is bit-identical to the plain loop over all rows. Each
 /// `c[i][j]` starts from the same value and receives the same products,
@@ -295,12 +304,13 @@ fn scatter_into(
 /// have zero rows and columns, which keep the plain loop.
 ///
 /// # Panics
-/// Panics if a slice is shorter than `n * n`.
+/// Panics if `a` is shorter than `c` or `b` shorter than `n * n`.
 pub(crate) fn local_multiply(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
     if n == 0 {
         return;
     }
-    let (a, b, c) = (&a[..n * n], &b[..n * n], &mut c[..n * n]);
+    let rows = c.len() / n;
+    let (a, b, c) = (&a[..rows * n], &b[..n * n], &mut c[..rows * n]);
     let mut a_blocks = a.chunks_exact(4 * n);
     let mut c_blocks = c.chunks_exact_mut(4 * n);
     for (a4, c4) in (&mut a_blocks).zip(&mut c_blocks) {
@@ -518,6 +528,38 @@ mod tests {
                 vec![0.0; n * n]
             };
             assert_kernel_matches(&a, &b, &c, n);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// A band of rows multiplied into its own buffer, cut anywhere,
+        /// even inside a block of four rows, gives every bit of the same
+        /// rows of the product into one buffer.
+        #[test]
+        fn row_bands_match_the_whole_product(
+            n in 1usize..40,
+            cuts in proptest::collection::vec(0usize..40, 0..6),
+            zeros in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = pcm_core::rng::seeded(seed);
+            let rarity = if zeros { 16 } else { 0 };
+            let a: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
+            let b: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
+            let mut whole = vec![0.0; n * n];
+            local_multiply(&a, &b, &mut whole, n);
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let mut joined = Vec::new();
+            for w in bounds.windows(2) {
+                let mut band = vec![0.0; (w[1] - w[0]) * n];
+                local_multiply(&a[w[0] * n..], &b, &mut band, n);
+                joined.extend(band.iter().map(|v| v.to_bits()));
+            }
+            let want: Vec<u64> = whole.iter().map(|v| v.to_bits()).collect();
+            proptest::prop_assert_eq!(joined, want);
         }
     }
 

@@ -65,7 +65,7 @@ pub fn broadcast(machine: &mut Machine<CollState>, root: usize) {
             ctx.touch_read(regions::COLL_OUT);
             std::mem::take(&mut ctx.state.out)
         } else {
-            ctx.msgs().iter().flat_map(Message::u32s).collect()
+            ctx.msgs().iter().flat_map(Message::u32s).copied().collect()
         };
         for t in staggered(pid, p) {
             if t != pid && !piece.is_empty() {
@@ -82,7 +82,7 @@ pub fn broadcast(machine: &mut Machine<CollState>, root: usize) {
         let mut pieces: Vec<(usize, Vec<u32>)> = ctx
             .msgs()
             .iter()
-            .map(|m| (m.tag as usize, m.u32s().collect()))
+            .map(|m| (m.tag as usize, m.u32s().to_vec()))
             .collect();
         ctx.touch_modify(regions::COLL_OUT);
         pieces.push((pid, ctx.state.out.clone()));
@@ -110,7 +110,7 @@ pub fn all_gather(machine: &mut Machine<CollState>) {
         let mut pieces: Vec<(usize, Vec<u32>)> = ctx
             .msgs()
             .iter()
-            .map(|m| (m.src, m.u32s().collect()))
+            .map(|m| (m.src, m.u32s().to_vec()))
             .collect();
         ctx.touch_read(regions::COLL_DATA);
         pieces.push((pid, ctx.state.data.clone()));

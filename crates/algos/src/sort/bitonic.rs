@@ -19,9 +19,9 @@ use pcm_core::units::log2_exact;
 use pcm_machines::Platform;
 use pcm_models::DomainSpec;
 use pcm_sim::topology::hypercube_partner;
-use pcm_sim::{Ctx, Machine, RegionId};
+use pcm_sim::{Ctx, Machine, Message, RegionId};
 
-use super::radix::{compare_split, radix_sort, Keys, LeKeys, KEY_BITS, RADIX_BITS};
+use super::radix::{compare_split, radix_sort, KEY_BITS, RADIX_BITS};
 use crate::regions;
 use crate::run::RunResult;
 use crate::verify::check_sorted_permutation;
@@ -54,9 +54,9 @@ pub trait BitonicList: Send {
     fn list_mut(&mut self) -> &mut Vec<u32>;
     /// Scratch buffer for partially received partner lists.
     fn stash_mut(&mut self) -> &mut Vec<u32>;
-    /// Merge output buffer, swapped with the list after each compare-split
-    /// that takes keys from both lists. Its contents between steps are
-    /// scratch, so it has no shadow region.
+    /// Merge output buffer of the chunked (`WordsResync`) exchange,
+    /// swapped with the list after each compare-split. Its contents
+    /// between steps are scratch, so it has no shadow region.
     fn spare_mut(&mut self) -> &mut Vec<u32>;
     /// Shadow region id of the list (see [`crate::regions`]).
     fn list_region(&self) -> RegionId;
@@ -71,7 +71,7 @@ pub struct SortState {
     pub keys: Vec<u32>,
     /// Receive stash.
     pub stash: Vec<u32>,
-    /// Merge output buffer.
+    /// Merge output buffer of the chunked exchange.
     pub spare: Vec<u32>,
 }
 
@@ -133,9 +133,9 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
     let steps = schedule(p);
 
     // Number of chunk-supersteps per exchange.
-    let nchunks = match mode {
-        ExchangeMode::WordsResync { interval } => m.div_ceil(interval).max(1),
-        _ => 1,
+    let (chunked, nchunks) = match mode {
+        ExchangeMode::WordsResync { interval } => (true, m.div_ceil(interval).max(1)),
+        _ => (false, 1),
     };
 
     for (s, &(_, bit)) in steps.iter().enumerate() {
@@ -144,27 +144,32 @@ pub fn merge_phases<S: BitonicList>(machine: &mut Machine<S>, mode: ExchangeMode
         let prev = if s > 0 { Some(steps[s - 1]) } else { None };
         for c in 0..nchunks {
             machine.superstep(|ctx| {
-                receive(ctx, if c == 0 { prev } else { None });
-                // Send chunk c of the (current) list to this step's partner.
-                // The list leaves the state while it is sent: the send
-                // borrows the context mutably.
+                receive(ctx, if c == 0 { prev } else { None }, chunked);
                 let partner = hypercube_partner(ctx.pid(), bit);
                 ctx.touch_read(ctx.state.list_region());
+                // The list leaves the state while it is sent: a whole list
+                // moves into its message, where the next superstep's merge
+                // reads it back through `ctx.sent()`; a chunk is copied
+                // out, and the list returns to the state.
                 let list = std::mem::take(ctx.state.list_mut());
-                let chunk = &list[(c * m).div_ceil(nchunks)..((c + 1) * m).div_ceil(nchunks)];
                 match mode {
-                    ExchangeMode::Block => ctx.send_block_u32(partner, chunk),
-                    ExchangeMode::Packets { bytes } => ctx.send_packets_u32(partner, chunk, bytes),
-                    _ => ctx.send_words_u32(partner, chunk),
+                    ExchangeMode::Block => ctx.send_block_u32(partner, list),
+                    ExchangeMode::Packets { bytes } => ctx.send_packets_u32(partner, list, bytes),
+                    ExchangeMode::Words => ctx.send_words_u32(partner, list),
+                    ExchangeMode::WordsResync { .. } => {
+                        let chunk =
+                            &list[(c * m).div_ceil(nchunks)..((c + 1) * m).div_ceil(nchunks)];
+                        ctx.send_words_u32(partner, chunk);
+                        *ctx.state.list_mut() = list;
+                    }
                 }
-                *ctx.state.list_mut() = list;
             });
         }
     }
 
     // Final merge.
     let last = *steps.last().unwrap();
-    machine.superstep(|ctx| receive(ctx, Some(last)));
+    machine.superstep(|ctx| receive(ctx, Some(last), chunked));
 }
 
 /// The common length of every processor's list.
@@ -186,27 +191,26 @@ fn equal_list_len<S: BitonicList>(machine: &mut Machine<S>) -> usize {
 
 /// Takes in the partner's keys that arrived at the last barrier and, when
 /// `merge` names the step `(stage, bit)` they complete, compare-splits the
-/// list with the partner's.
+/// own list with the partner's.
 ///
-/// A partner list that arrived as one message (every step of the `Words`,
-/// `Block` and `Packets` modes) is read where it lies, in that message's
-/// payload. Only chunks that arrive over several supersteps
-/// (`WordsResync`) are decoded onto the stash, and the compare-split reads
-/// the stash once the last chunk is in. The shadow touches and the merge
-/// charge are the same on both paths.
-fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>) {
+/// A whole-list exchange (the `Words`, `Block` and `Packets` modes) moved
+/// both lists into their messages, so the merge reads the own list in
+/// place through `ctx.sent()` and the partner's in the inbox, and writes
+/// the new list into a buffer from the processor's payload pool: the
+/// list that an earlier exchange carried and recycled. Only `chunked`
+/// lists (`WordsResync`), which arrive over several supersteps, are
+/// gathered onto the stash and merged with the list kept in the state.
+/// The shadow touches and the merge charge are the same on both paths.
+fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>, chunked: bool) {
     let msgs = ctx.msgs();
-    let stash = ctx.state.stash_mut();
-    let whole = match msgs.first() {
-        Some(msg) if merge.is_some() && msgs.len() == 1 && stash.is_empty() => Some(msg),
-        _ => None,
-    };
-    if whole.is_none() {
+    let in_place = merge.is_some() && !chunked;
+    if !in_place {
+        let stash = ctx.state.stash_mut();
         for msg in msgs {
-            stash.extend(msg.u32s());
+            stash.extend_from_slice(msg.u32s());
         }
     }
-    if msgs.iter().any(|msg| !msg.data().is_empty()) {
+    if msgs.iter().any(|msg| !msg.u32s().is_empty()) {
         ctx.touch_modify(ctx.state.stash_region());
     }
     let Some((stage, bit)) = merge else {
@@ -215,21 +219,26 @@ fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>) {
     let low = keeps_low(ctx.pid(), stage, bit);
     ctx.touch_read(ctx.state.stash_region());
     ctx.touch_modify(ctx.state.list_region());
-    let mut spare = std::mem::take(ctx.state.spare_mut());
-    let mut stash = std::mem::take(ctx.state.stash_mut());
-    let list = ctx.state.list_mut();
-    let keep = list.len();
-    if let Some(msg) = whole {
-        let theirs = LeKeys::new(msg.data());
-        debug_assert_eq!(theirs.len(), keep, "partner list must be complete");
-        compare_split(list, theirs, low, &mut spare);
+    let keep = if in_place {
+        let mine = ctx.sent().first().map_or(&[][..], Message::u32s);
+        let theirs = msgs.first().map_or(&[][..], Message::u32s);
+        debug_assert_eq!(theirs.len(), mine.len(), "partner list must be complete");
+        let mut list = ctx.buffer_u32(mine.len());
+        compare_split(mine, theirs, low, &mut list);
+        *ctx.state.list_mut() = list;
+        mine.len()
     } else {
-        debug_assert_eq!(stash.len(), keep, "partner list must be complete");
-        compare_split(list, &stash[..], low, &mut spare);
+        let mut spare = std::mem::take(ctx.state.spare_mut());
+        let mut stash = std::mem::take(ctx.state.stash_mut());
+        let list = ctx.state.list_mut();
+        debug_assert_eq!(stash.len(), list.len(), "partner list must be complete");
+        compare_split(list, &stash, low, &mut spare);
+        std::mem::swap(list, &mut spare);
         stash.clear();
-    }
-    *ctx.state.stash_mut() = stash;
-    *ctx.state.spare_mut() = spare;
+        *ctx.state.stash_mut() = stash;
+        *ctx.state.spare_mut() = spare;
+        ctx.state.list_mut().len()
+    };
     // The paper charges alpha·M for the linear merge of each step.
     ctx.charge_merge(keep as u64);
 }

@@ -8,20 +8,18 @@ pub mod sample;
 
 use pcm_sim::Message;
 
-/// Copies a message's `u32` payload into `dst` without allocating.
+/// Copies a message's `u32` payload into `dst`.
 ///
 /// # Panics
 /// If the payload is not exactly `dst.len()` words.
 fn copy_u32s(dst: &mut [u32], msg: &Message) {
     let words = msg.u32s();
     assert_eq!(words.len(), dst.len(), "payload length mismatch");
-    for (d, v) in dst.iter_mut().zip(words) {
-        *d = v;
-    }
+    dst.copy_from_slice(words);
 }
 
-/// Groups decoded words into consecutive `(first, second)` pairs,
-/// dropping an odd trailing word.
-fn u32_pairs(mut words: impl Iterator<Item = u32>) -> impl Iterator<Item = (u32, u32)> {
-    std::iter::from_fn(move || Some((words.next()?, words.next()?)))
+/// Groups words into consecutive `(first, second)` pairs, dropping an
+/// odd trailing word.
+fn u32_pairs(words: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    words.chunks_exact(2).map(|pair| (pair[0], pair[1]))
 }

@@ -188,7 +188,7 @@ fn radix_pass(
             assert_eq!(words.len(), 2 * buckets_per_proc, "payload length mismatch");
             let at = msg.src * buckets_per_proc..(msg.src + 1) * buckets_per_proc;
             let slots = prefix[at.clone()].iter_mut().chain(&mut totals[at]);
-            for (slot, v) in slots.zip(words) {
+            for (slot, &v) in slots.zip(words) {
                 *slot = v;
             }
         }

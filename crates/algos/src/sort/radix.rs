@@ -72,115 +72,32 @@ pub fn merge_split(a: &[u32], b: &[u32], keep: usize, low: bool) -> Vec<u32> {
     out
 }
 
-/// Compare-splits `list` in place against the ascending list `theirs`:
-/// afterwards `list` holds what [`merge_split`]`(list, theirs,
-/// list.len(), low)` returns.
+/// Compare-splits the ascending list `mine` against the ascending list
+/// `theirs` into `out`: afterwards `out` holds what [`merge_split`]`(mine,
+/// theirs, mine.len(), low)` returns, and nothing of what it held before.
 ///
-/// When one list alone holds every kept key, nothing is merged: `list`
-/// is left as it is, or `theirs`' keys are written over it. Otherwise the
-/// merge is written to `spare`, which is then swapped with `list`, so a
-/// caller that keeps `spare` between calls allocates only on the first.
-/// `spare`'s contents on entry and on return are scratch.
-pub(crate) fn compare_split(
-    list: &mut Vec<u32>,
-    theirs: impl Keys,
-    low: bool,
-    spare: &mut Vec<u32>,
-) {
-    let keep = list.len();
-    let (mine, from_theirs) = split_ranges(list, theirs, keep, low);
+/// When one list alone holds every kept key, its keys are copied instead
+/// of merged. The caller owns `out`, so it can be a recycled buffer and
+/// both inputs can be read where they lie (a message payload, say).
+pub(crate) fn compare_split(mine: &[u32], theirs: &[u32], low: bool, out: &mut Vec<u32>) {
+    let keep = mine.len();
+    let (from_mine, from_theirs) = split_ranges(mine, theirs, keep, low);
+    out.clear();
     if from_theirs.is_empty() {
-        return;
-    }
-    if mine.is_empty() {
-        theirs.slice(from_theirs).write_to(list);
-        return;
-    }
-    spare.resize(keep, 0);
-    merge_into(&list[mine], theirs.slice(from_theirs), spare);
-    std::mem::swap(list, spare);
-}
-
-/// An ascending key list that a compare-split reads where it lies: a
-/// slice of keys, or the payload of the message that carried them.
-pub(crate) trait Keys: Copy {
-    /// Number of keys.
-    fn len(self) -> usize;
-    /// The key at index `i`.
-    fn key(self, i: usize) -> u32;
-    /// The keys in `range`.
-    fn slice(self, range: Range<usize>) -> Self;
-    /// Writes every key to `out`.
-    ///
-    /// # Panics
-    /// Panics unless `out` holds exactly `self.len()` keys.
-    fn write_to(self, out: &mut [u32]);
-}
-
-impl Keys for &[u32] {
-    fn len(self) -> usize {
-        <[u32]>::len(self)
-    }
-
-    fn key(self, i: usize) -> u32 {
-        self[i]
-    }
-
-    fn slice(self, range: Range<usize>) -> Self {
-        &self[range]
-    }
-
-    fn write_to(self, out: &mut [u32]) {
-        out.copy_from_slice(self);
-    }
-}
-
-/// Keys as little-endian `u32` bytes, the encoding `Ctx::send_*_u32`
-/// puts in a message payload; each key is decoded when it is read.
-#[derive(Clone, Copy)]
-pub(crate) struct LeKeys<'a>(&'a [u8]);
-
-impl<'a> LeKeys<'a> {
-    /// Reads `bytes` as keys, without decoding them.
-    ///
-    /// # Panics
-    /// Panics if the length of `bytes` is not a multiple of 4.
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        assert!(
-            bytes.chunks_exact(4).remainder().is_empty(),
-            "payload is not u32-aligned"
-        );
-        LeKeys(bytes)
-    }
-}
-
-impl Keys for LeKeys<'_> {
-    fn len(self) -> usize {
-        self.0.len() / 4
-    }
-
-    fn key(self, i: usize) -> u32 {
-        let b = &self.0[4 * i..4 * i + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    }
-
-    fn slice(self, range: Range<usize>) -> Self {
-        LeKeys(&self.0[4 * range.start..4 * range.end])
-    }
-
-    fn write_to(self, out: &mut [u32]) {
-        assert_eq!(out.len(), self.len(), "output must hold every key");
-        for (o, b) in out.iter_mut().zip(self.0.chunks_exact(4)) {
-            *o = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+        out.extend_from_slice(&mine[from_mine]);
+    } else if from_mine.is_empty() {
+        out.extend_from_slice(&theirs[from_theirs]);
+    } else {
+        out.resize(keep, 0);
+        merge_into(&mine[from_mine], &theirs[from_theirs], out);
     }
 }
 
 /// The ranges of `a` and `b` that together hold the `keep` smallest
 /// (`low`) or largest keys of both lists (`keep <= a.len() + b.len()`).
-fn split_ranges(a: &[u32], b: impl Keys, keep: usize, low: bool) -> (Range<usize>, Range<usize>) {
+fn split_ranges(a: &[u32], b: &[u32], keep: usize, low: bool) -> (Range<usize>, Range<usize>) {
     debug_assert!(a.windows(2).all(|w| w[0] <= w[1]));
-    debug_assert!((1..b.len()).all(|j| b.key(j - 1) <= b.key(j)));
+    debug_assert!(b.windows(2).all(|w| w[0] <= w[1]));
     let total = a.len() + b.len();
     let s = if low { keep } else { total - keep };
     // Keys equal across the split stay on `a`'s side of it, so a list
@@ -197,11 +114,11 @@ fn split_ranges(a: &[u32], b: impl Keys, keep: usize, low: bool) -> (Range<usize
 /// from `a` first if `a_first` and from `b` first otherwise, by binary
 /// search on the merge path: the answer is the first `i` at which `a[i]`
 /// would follow `b[s - i - 1]` in the merge.
-fn merge_path(a: &[u32], b: impl Keys, s: usize, a_first: bool) -> usize {
+fn merge_path(a: &[u32], b: &[u32], s: usize, a_first: bool) -> usize {
     let (mut lo, mut hi) = (s.saturating_sub(b.len()), s.min(a.len()));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let (x, y) = (a[mid], b.key(s - mid - 1));
+        let (x, y) = (a[mid], b[s - mid - 1]);
         if x < y || (a_first && x == y) {
             lo = mid + 1;
         } else {
@@ -213,7 +130,7 @@ fn merge_path(a: &[u32], b: impl Keys, s: usize, a_first: bool) -> usize {
 
 /// Merges ascending `a` and `b` into `out` (`out.len() == a.len() +
 /// b.len()`) with two branch-free select chains, one from each end.
-fn merge_into(a: &[u32], b: impl Keys, out: &mut [u32]) {
+fn merge_into(a: &[u32], b: &[u32], out: &mut [u32]) {
     let n = out.len();
     debug_assert_eq!(n, a.len() + b.len());
     // The front chain has taken `a[..fa]` and `b[..fb]` (the `k` smallest
@@ -237,13 +154,13 @@ fn merge_into(a: &[u32], b: impl Keys, out: &mut [u32]) {
         let (head, rest) = out[k..n - k].split_at_mut(run);
         let tail = &mut rest[n - 2 * k - 2 * run..];
         for (lo, hi) in head.iter_mut().zip(tail.iter_mut().rev()) {
-            let (x, y) = (a[fa], b.key(fb));
+            let (x, y) = (a[fa], b[fb]);
             let take_a = x <= y;
             *lo = if take_a { x } else { y };
             fa += usize::from(take_a);
             fb += usize::from(!take_a);
 
-            let (x, y) = (a[ea - 1], b.key(eb - 1));
+            let (x, y) = (a[ea - 1], b[eb - 1]);
             let take_a = x > y;
             *hi = if take_a { x } else { y };
             ea -= usize::from(take_a);
@@ -256,7 +173,7 @@ fn merge_into(a: &[u32], b: impl Keys, out: &mut [u32]) {
     debug_assert!(fa == ea || fb == eb);
     let middle = &mut out[k..n - k];
     if fa == ea {
-        b.slice(fb..eb).write_to(middle);
+        middle.copy_from_slice(&b[fb..eb]);
     } else {
         middle.copy_from_slice(&a[fa..ea]);
     }
@@ -338,24 +255,14 @@ mod tests {
         (a, b)
     }
 
-    /// What `spare` holds before each test compare-split: unsorted, so no
-    /// list can equal it, and it stays as it is unless a merge runs.
-    const UNTOUCHED: [u32; 3] = [u32::MAX, 0, 1];
-
-    /// Compare-splits `a` against `b` read in place, first from a key
-    /// slice and then from the payload bytes the wire encoder makes of it.
-    /// Returns each resulting list with the spare buffer after the call.
-    fn compare_split_both_sources(a: &[u32], b: &[u32], low: bool) -> [(Vec<u32>, Vec<u32>); 2] {
-        let payload = pcm_sim::message::encode_u32s(b);
-        let run = |split: &dyn Fn(&mut Vec<u32>, &mut Vec<u32>)| {
-            let (mut list, mut spare) = (a.to_vec(), UNTOUCHED.to_vec());
-            split(&mut list, &mut spare);
-            (list, spare)
-        };
-        [
-            run(&|list, spare| compare_split(list, b, low, spare)),
-            run(&|list, spare| compare_split(list, LeKeys::new(&payload), low, spare)),
-        ]
+    /// Compare-splits `a` against `b` into a recycled buffer that still
+    /// holds more keys than `a` from an earlier use, none of them sorted
+    /// into place, so a stale key that survived would show.
+    fn compare_split_into_a_used_buffer(a: &[u32], b: &[u32], low: bool) -> Vec<u32> {
+        let mut out = vec![u32::MAX, 0, 1];
+        out.resize(a.len() + 3, 5);
+        compare_split(a, b, low, &mut out);
+        out
     }
 
     #[test]
@@ -442,13 +349,8 @@ mod tests {
             (&beyond, &below, true, &below),
         ];
         for (a, b, low, kept) in cases {
-            for (list, spare) in compare_split_both_sources(a, b, low) {
-                assert_eq!(&list, kept, "{a:?} against {b:?}, low {low}");
-                assert_eq!(
-                    spare, UNTOUCHED,
-                    "{a:?} against {b:?}, low {low}: a merge ran"
-                );
-            }
+            let out = compare_split_into_a_used_buffer(a, b, low);
+            assert_eq!(&out, kept, "{a:?} against {b:?}, low {low}");
         }
     }
 
@@ -462,20 +364,11 @@ mod tests {
         ) {
             let (a, b) = adversarial_pair(shape, raw_a, raw_b);
             for low in [true, false] {
-                let expect = reference_merge_split(&a, &b, a.len(), low);
-                for (source, (list, spare)) in
-                    ["slice", "payload"].into_iter().zip(compare_split_both_sources(&a, &b, low))
-                {
-                    prop_assert_eq!(
-                        &list, &expect, "shape {} low {} from the {}", shape, low, source
-                    );
-                    // A merge swaps the old list into the spare; a side
-                    // that wins outright leaves the spare alone.
-                    prop_assert!(
-                        spare == UNTOUCHED || spare == a,
-                        "shape {} low {} from the {}: spare {:?}", shape, low, source, spare
-                    );
-                }
+                prop_assert_eq!(
+                    compare_split_into_a_used_buffer(&a, &b, low),
+                    reference_merge_split(&a, &b, a.len(), low),
+                    "shape {} low {}", shape, low
+                );
             }
         }
     }

@@ -331,14 +331,14 @@ pub fn run(
 
 /// Appends the `(bucket, key)` pairs of one decoded block, skipping the
 /// padding pairs.
-fn unpack(held: &mut Vec<(u32, u32)>, words: impl Iterator<Item = u32>) {
+fn unpack(held: &mut Vec<(u32, u32)>, words: &[u32]) {
     held.extend(u32_pairs(words).filter(|&(b, _)| b != PAD));
 }
 
 /// Appends every key that arrived at the last barrier to the bucket.
 fn absorb_bucket(ctx: &mut Ctx<'_, SampleState>) {
     for msg in ctx.msgs() {
-        ctx.state.bucket.extend(msg.u32s());
+        ctx.state.bucket.extend_from_slice(msg.u32s());
     }
     ctx.touch_modify(regions::SAMPLE_BUCKET);
 }
@@ -441,7 +441,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         let mut counts_by_src = vec![0u32; p];
         for msg in ctx.msgs() {
             let sender_row = msg.tag as usize;
-            for (c, v) in msg.u32s().enumerate() {
+            for (c, &v) in msg.u32s().iter().enumerate() {
                 counts_by_src[sender_row * side + c] = v;
             }
         }
@@ -485,7 +485,7 @@ fn multiscan_blocks(machine: &mut Machine<SampleState>, p: usize, side: usize) {
         let mut offsets = vec![0u32; p];
         for msg in ctx.msgs() {
             let bucket_row = msg.tag as usize;
-            for (bc, v) in msg.u32s().enumerate() {
+            for (bc, &v) in msg.u32s().iter().enumerate() {
                 offsets[bucket_row * side + bc] = v;
             }
         }
@@ -542,7 +542,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
             if dst == pid {
                 ctx.state.hold.extend_from_slice(&slice);
             } else {
-                ctx.send_block_u32(dst, &pack(&slice, cap_balance));
+                ctx.send_block_u32(dst, pack(&slice, cap_balance));
             }
         }
     });
@@ -564,7 +564,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
             if dst == pid {
                 ctx.state.hold = slice;
             } else {
-                ctx.send_block_u32(dst, &pack(&slice, cap_route));
+                ctx.send_block_u32(dst, pack(&slice, cap_route));
             }
         }
     });
@@ -582,7 +582,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
             if dst == pid {
                 ctx.state.hold = slice.clone();
             } else {
-                ctx.send_block_u32(dst, &pack(&slice, cap_route));
+                ctx.send_block_u32(dst, pack(&slice, cap_route));
             }
         }
     });
@@ -608,7 +608,7 @@ fn route_padded(machine: &mut Machine<SampleState>, p: usize, side: usize, m: us
                     ctx.state.bucket.push(k);
                 }
             } else {
-                ctx.send_block_u32(dst, &pack(&slice, cap_route));
+                ctx.send_block_u32(dst, pack(&slice, cap_route));
             }
         }
     });

@@ -44,14 +44,20 @@ pub enum PlannedSend {
 pub fn measure(platform: &Platform, plan: &[Vec<PlannedSend>], seed: u64) -> SimTime {
     assert_eq!(plan.len(), platform.p());
     let mut machine = platform.machine(vec![(); platform.p()], seed);
+    // Every send carries zeros, copied from one shared buffer.
+    let longest = plan.iter().flatten().map(|send| match *send {
+        PlannedSend::Words { count, .. } => count,
+        PlannedSend::Block { words, .. } => words,
+    });
+    let zeros = vec![0u32; longest.max().unwrap_or(0)];
     machine.superstep(|ctx| {
         for send in &plan[ctx.pid()] {
             match *send {
                 PlannedSend::Words { dst, count } => {
-                    ctx.send_words_u32(dst, &vec![0u32; count]);
+                    ctx.send_words_u32(dst, &zeros[..count]);
                 }
                 PlannedSend::Block { dst, words } => {
-                    ctx.send_block_u32(dst, &vec![0u32; words]);
+                    ctx.send_block_u32(dst, &zeros[..words]);
                 }
             }
         }
@@ -173,12 +179,13 @@ pub fn hh_permutation(platform: &Platform, h: usize, resync: Option<usize>, seed
     let perm = random_permutation(p, &mut rng);
     let mut machine = platform.machine(vec![(); p], seed);
     let chunk = resync.unwrap_or(h).max(1);
+    let zeros = vec![0u32; chunk];
     let mut remaining = h;
     while remaining > 0 {
         let now = remaining.min(chunk);
         machine.superstep(|ctx| {
             let dst = perm[ctx.pid()];
-            ctx.send_words_u32(dst, &vec![0u32; now]);
+            ctx.send_words_u32(dst, &zeros[..now]);
         });
         remaining -= now;
     }

@@ -72,7 +72,11 @@ pub struct RunKey {
 /// Estimated peak bytes of the 3D matmul per `q·N²` word it replicates.
 /// Measured peaks (VmHWM of one run in a fresh process, 2.3 MB of it the
 /// process): CM-5 `N` = 512 37–39 MB, 1024 141–150 MB; MasPar `N` = 400
-/// 75–79 MB, 500 79–84 MB, 600 141–148 MB, 700 147–154 MB.
+/// 75–79 MB, 500 79–84 MB, 600 141–148 MB, 700 147–154 MB. Those predate
+/// shared replicas and moved `Ĉ` pieces, which cut the peak (three runs
+/// each, `Bpram` and `BspStaggered`, 2-core host): MasPar `N` = 600 from
+/// 142–146 MB to 54 MB, CM-5 `N` = 1024 from 145–155 MB to 86–87 MB. The
+/// factor has not been re-derived from the new peaks yet.
 const MATMUL_BYTES_PER_QN2: usize = 36;
 /// Cannon's algorithm, per `N²` (MasPar `N` = 700: 40–41 MB).
 const MPL_BYTES_PER_N2: usize = 80;

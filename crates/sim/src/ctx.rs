@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use crate::compute::ComputeModel;
 use crate::inbox::Inbox;
-use crate::message::{pooled_f64s, pooled_u32s, Message, MsgKind, Payload, PayloadPool, ProcId};
+use crate::message::{Message, MsgKind, Payload, PayloadPool, ProcId, Values, Word};
 use crate::shadow::{ConsumeFilter, RegionId, ShadowEvent};
 
 /// Per-processor scratch owned by the [`crate::machine::Machine`] and
@@ -63,6 +63,9 @@ pub struct Ctx<'a, S> {
     /// The processor's private state.
     pub state: &'a mut S,
     inbox: Inbox<'a>,
+    /// This processor's sends of the last superstep, where the receivers
+    /// read them.
+    sent: &'a [Message],
     compute: &'a dyn ComputeModel,
     word: usize,
     outbox: &'a mut Vec<Message>,
@@ -94,6 +97,7 @@ impl<'a, S> Ctx<'a, S> {
         p: usize,
         state: &'a mut S,
         inbox: Inbox<'a>,
+        sent: &'a [Message],
         aux: &'a mut ProcAux,
         compute: &'a dyn ComputeModel,
         word: usize,
@@ -115,6 +119,7 @@ impl<'a, S> Ctx<'a, S> {
             p,
             state,
             inbox,
+            sent,
             compute,
             word,
             outbox,
@@ -296,6 +301,29 @@ impl<'a, S> Ctx<'a, S> {
         self.inbox.iter().filter(move |m| m.tag == tag)
     }
 
+    /// This processor's own sends of the last superstep, in send order,
+    /// read in place where their receivers read them (sends that were
+    /// dropped — empty or out of range — are not among them). A list
+    /// moved into a send is still readable here for one more superstep,
+    /// so an algorithm can send its data and keep using it without a
+    /// copy. Like [`Ctx::msgs`], the slice borrows for `'a`.
+    pub fn sent(&self) -> &'a [Message] {
+        self.sent
+    }
+
+    /// An empty buffer with room for at least `capacity` `u32`s, drawn
+    /// from this processor's payload pool: when one fits, a buffer that
+    /// an earlier send carried and the exchange recycled. Filling it and
+    /// moving it into a send returns it to the pool a superstep later.
+    pub fn buffer_u32(&mut self, capacity: usize) -> Vec<u32> {
+        self.pool.alloc(capacity)
+    }
+
+    /// The `f64` counterpart of [`Ctx::buffer_u32`].
+    pub fn buffer_f64(&mut self, capacity: usize) -> Vec<f64> {
+        self.pool.alloc(capacity)
+    }
+
     // ---- sending ---------------------------------------------------------
 
     #[inline]
@@ -352,26 +380,36 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Sends `vals.len()` individual word messages carrying `u32` values.
-    pub fn send_words_u32(&mut self, dst: ProcId, vals: &[u32]) {
+    /// Like every send, it copies a slice, moves an owned `Vec` and shares
+    /// an `Arc`'d buffer (see [`Values`]).
+    pub fn send_words_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
         self.send_words_u32_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_words_u32`].
-    pub fn send_words_u32_tagged(&mut self, dst: ProcId, tag: u32, vals: &[u32]) {
-        let payload = pooled_u32s(self.pool, vals);
-        self.push(dst, tag, MsgKind::Words, vals.len(), payload);
+    pub fn send_words_u32_tagged<'v>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        vals: impl Into<Values<'v, u32>>,
+    ) {
+        self.send(dst, tag, MsgKind::Words, vals.into());
     }
 
     /// Sends `vals.len()` individual word messages carrying `f64` values.
     /// (Each value counts as one *logical* word of the platform's size.)
-    pub fn send_words_f64(&mut self, dst: ProcId, vals: &[f64]) {
+    pub fn send_words_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_words_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_words_f64`].
-    pub fn send_words_f64_tagged(&mut self, dst: ProcId, tag: u32, vals: &[f64]) {
-        let payload = pooled_f64s(self.pool, vals);
-        self.push(dst, tag, MsgKind::Words, vals.len(), payload);
+    pub fn send_words_f64_tagged<'v>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        vals: impl Into<Values<'v, f64>>,
+    ) {
+        self.send(dst, tag, MsgKind::Words, vals.into());
     }
 
     /// Sends one word message carrying a `u32`.
@@ -380,25 +418,33 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Sends one block message of `u32` values.
-    pub fn send_block_u32(&mut self, dst: ProcId, vals: &[u32]) {
+    pub fn send_block_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
         self.send_block_u32_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_block_u32`].
-    pub fn send_block_u32_tagged(&mut self, dst: ProcId, tag: u32, vals: &[u32]) {
-        let payload = pooled_u32s(self.pool, vals);
-        self.push(dst, tag, MsgKind::Block, vals.len(), payload);
+    pub fn send_block_u32_tagged<'v>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        vals: impl Into<Values<'v, u32>>,
+    ) {
+        self.send(dst, tag, MsgKind::Block, vals.into());
     }
 
     /// Sends one block message of `f64` values.
-    pub fn send_block_f64(&mut self, dst: ProcId, vals: &[f64]) {
+    pub fn send_block_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_block_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_block_f64`].
-    pub fn send_block_f64_tagged(&mut self, dst: ProcId, tag: u32, vals: &[f64]) {
-        let payload = pooled_f64s(self.pool, vals);
-        self.push(dst, tag, MsgKind::Block, vals.len(), payload);
+    pub fn send_block_f64_tagged<'v>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        vals: impl Into<Values<'v, f64>>,
+    ) {
+        self.send(dst, tag, MsgKind::Block, vals.into());
     }
 
     /// Sends `vals` grouped into fixed-size *packets* of `packet_bytes`
@@ -409,36 +455,53 @@ impl<'a, S> Ctx<'a, S> {
     /// # Panics
     /// Panics unless `packet_bytes` is a positive multiple of the machine
     /// word size.
-    pub fn send_packets_u32(&mut self, dst: ProcId, vals: &[u32], packet_bytes: usize) {
+    pub fn send_packets_u32<'v>(
+        &mut self,
+        dst: ProcId,
+        vals: impl Into<Values<'v, u32>>,
+        packet_bytes: usize,
+    ) {
         assert!(
             packet_bytes > 0 && packet_bytes.is_multiple_of(self.word),
             "packet size must be a positive multiple of the word size"
         );
+        let vals = vals.into();
         if vals.is_empty() {
             return;
         }
         let payload_bytes = vals.len() * self.word;
         let packets = payload_bytes.div_ceil(packet_bytes);
-        let payload = pooled_u32s(self.pool, vals);
+        let payload = u32::payload(vals, self.pool);
         self.push_sized(dst, 0, MsgKind::Words, packets, payload_bytes, payload);
     }
 
     /// Sends one xnet (neighbour-grid) block of `f64` values. Only the
     /// MasPar prices these specially; other machines treat them as blocks.
-    pub fn send_xnet_f64(&mut self, dst: ProcId, vals: &[f64]) {
+    pub fn send_xnet_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_xnet_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_xnet_f64`].
-    pub fn send_xnet_f64_tagged(&mut self, dst: ProcId, tag: u32, vals: &[f64]) {
-        let payload = pooled_f64s(self.pool, vals);
-        self.push(dst, tag, MsgKind::Xnet, vals.len(), payload);
+    pub fn send_xnet_f64_tagged<'v>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        vals: impl Into<Values<'v, f64>>,
+    ) {
+        self.send(dst, tag, MsgKind::Xnet, vals.into());
     }
 
     /// Sends one xnet block of `u32` values.
-    pub fn send_xnet_u32(&mut self, dst: ProcId, vals: &[u32]) {
-        let payload = pooled_u32s(self.pool, vals);
-        self.push(dst, 0, MsgKind::Xnet, vals.len(), payload);
+    pub fn send_xnet_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
+        self.send(dst, 0, MsgKind::Xnet, vals.into());
+    }
+
+    /// Sends one message of `vals.len()` logical words.
+    #[inline]
+    fn send<T: Word>(&mut self, dst: ProcId, tag: u32, kind: MsgKind, vals: Values<'_, T>) {
+        let words = vals.len();
+        let payload = T::payload(vals, self.pool);
+        self.push(dst, tag, kind, words, payload);
     }
 
     pub(crate) fn finish(self) -> ProcOutcome {

@@ -43,7 +43,7 @@ pub use compute::{ComputeModel, UniformCompute};
 pub use ctx::Ctx;
 pub use inbox::{Inbox, InboxIter};
 pub use machine::Machine;
-pub use message::{Message, MsgKind, Payload, ProcId, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
+pub use message::{Message, MsgKind, Payload, ProcId, Values, INLINE_PAYLOAD, MAX_POOLED_PAYLOAD};
 pub use network::{IdealNetwork, NetTerms, NetworkModel, TextbookBspNetwork};
 pub use pattern::{BlockRoundView, CommPattern, PatternScratch, SegmentView};
 pub use probe::{

@@ -213,12 +213,14 @@ impl<S: Send> Machine<S> {
         let run_one = |pid: usize, state: &mut S, aux: &mut ProcAux| {
             let rng_seed = child_seed(seed, (step * p + pid) as u64);
             let inbox = delivery.inbox(delivered, pid);
+            let sent = &delivered[pid];
             if schedule {
                 aux.inbox_seen = inbox.len();
             }
             let outcome = {
-                let mut ctx =
-                    Ctx::new(pid, p, state, inbox, aux, compute, word, rng_seed, schedule);
+                let mut ctx = Ctx::new(
+                    pid, p, state, inbox, sent, aux, compute, word, rng_seed, schedule,
+                );
                 f(&mut ctx);
                 ctx.finish()
             };
@@ -323,7 +325,8 @@ impl<S: Send> Machine<S> {
         for (aux, sends) in self.procs.iter_mut().zip(&mut self.pattern.sends) {
             max_compute = max_compute.max(aux.compute_us);
             // Every receiver has read this list; recycling an inline
-            // payload is a no-op, so only heap payloads return.
+            // payload is a no-op, so only owned and last-held shared
+            // buffers return.
             for msg in sends.drain(..) {
                 aux.pool.recycle(msg.into_payload());
             }

@@ -7,7 +7,7 @@
 //! * raw machines whose size divides the pool width, leaves a remainder
 //!   or stays below the parallel cutoff produce the same `(time, states)`
 //!   bits pooled and sequential;
-//! * recycled payload buffers never leak stale bytes when messages cross
+//! * recycled payload buffers never leak stale values when messages cross
 //!   shard boundaries, on uneven shards and over several long/short
 //!   rounds;
 //! * on random multi-superstep patterns, every receiver's `msgs()`,
@@ -77,8 +77,8 @@ fn sharded_machine_matches_forced_sequential() {
             m.superstep(|ctx| {
                 let mut acc = *ctx.state;
                 for msg in ctx.msgs() {
-                    for b in msg.data() {
-                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(*b));
+                    for &v in msg.u32s() {
+                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(v));
                     }
                 }
                 *ctx.state = acc;
@@ -93,7 +93,7 @@ fn sharded_machine_matches_forced_sequential() {
     }
 }
 
-/// Recycled payload buffers must never surface stale bytes when the
+/// Recycled payload buffers must never surface stale values when the
 /// senders and receivers sit in different shards. A payload consumed in
 /// superstep `k` returns to its sender's pool in that superstep's
 /// exchange, so the sends of superstep `k + 1` reuse the buffers of
@@ -114,12 +114,12 @@ fn sharded_recycle_never_leaks_stale_data() {
             let src = ((ctx.pid() + n - stride % n) % n) as u32;
             assert_eq!(ctx.msgs().len(), 1, "p={p} round {r}: inbox size");
             assert_eq!(
-                ctx.msgs()[0].data().len(),
-                4 * len as usize,
-                "p={p} round {r}: stale bytes leaked"
+                ctx.msgs()[0].u32s().len(),
+                len as usize,
+                "p={p} round {r}: stale values leaked"
             );
             let want: Vec<u32> = (0..len).map(|i| src * 1000 + r as u32 * 100 + i).collect();
-            assert!(ctx.msgs()[0].u32s().eq(want), "p={p} round {r}: payload");
+            assert_eq!(ctx.msgs()[0].u32s(), want, "p={p} round {r}: payload");
         };
         let send = move |ctx: &mut Ctx<'_, u32>, r: usize| {
             let (stride, len) = rounds[r];
@@ -158,18 +158,24 @@ struct PlannedSend {
 }
 
 impl PlannedSend {
-    /// The payload bytes a receiver must see.
-    fn bytes(&self) -> Vec<u8> {
+    /// Whether `msg` carries exactly the values a receiver must see.
+    fn carried_by(&self, msg: &Message) -> bool {
         match self.kind {
-            MsgKind::Xnet => self
-                .vals
+            MsgKind::Xnet => msg
+                .f64s()
                 .iter()
-                .flat_map(|&v| f64::from(v).to_le_bytes())
-                .collect(),
-            MsgKind::Words | MsgKind::Block => {
-                self.vals.iter().flat_map(|&v| v.to_le_bytes()).collect()
-            }
+                .copied()
+                .eq(self.vals.iter().map(|&v| f64::from(v))),
+            MsgKind::Words | MsgKind::Block => msg.u32s() == self.vals,
         }
+    }
+}
+
+/// The bits of every value `msg` carries, read as the type it was sent as.
+fn value_bits(msg: &Message) -> Vec<u64> {
+    match msg.kind {
+        MsgKind::Xnet => msg.f64s().iter().map(|v| v.to_bits()).collect(),
+        MsgKind::Words | MsgKind::Block => msg.u32s().iter().map(|&v| u64::from(v)).collect(),
     }
 }
 
@@ -248,7 +254,7 @@ fn same_messages<'a>(
                 && m.tag == s.tag
                 && m.kind == s.kind
                 && m.logical_words as usize == s.vals.len()
-                && m.data() == s.bytes().as_slice()
+                && s.carried_by(m)
         })
 }
 
@@ -279,7 +285,7 @@ fn run_plan(p: usize, plan: &Plan) -> (u64, Vec<(Vec<String>, u64)>) {
                     ctx.state.0.push(format!("step {step}: msgs() differ"));
                 }
                 for (i, &(src, s)) in want.iter().enumerate().take(inbox.len()) {
-                    if inbox[i].src != src || inbox[i].data() != s.bytes().as_slice() {
+                    if inbox[i].src != src || !s.carried_by(&inbox[i]) {
                         ctx.state
                             .0
                             .push(format!("step {step}: msgs()[{i}] differs"));
@@ -306,8 +312,8 @@ fn run_plan(p: usize, plan: &Plan) -> (u64, Vec<(Vec<String>, u64)>) {
                     }
                 }
                 for msg in inbox {
-                    for &b in msg.data() {
-                        ctx.state.1 = ctx.state.1.wrapping_mul(31).wrapping_add(u64::from(b));
+                    for v in value_bits(msg) {
+                        ctx.state.1 = ctx.state.1.wrapping_mul(31).wrapping_add(v);
                     }
                 }
             }

@@ -67,8 +67,8 @@ fn mixed_step(ctx: &mut Ctx<'_, u64>) {
     ctx.charge(1.0);
     let mut sum = 0u32;
     for msg in ctx.msgs() {
-        for b in msg.data() {
-            sum = sum.wrapping_add(u32::from(*b));
+        for &v in msg.u32s() {
+            sum = sum.wrapping_add(v);
         }
     }
     *ctx.state = ctx.state.wrapping_add(u64::from(sum));

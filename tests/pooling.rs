@@ -8,7 +8,7 @@
 //!   times, states and run digests on all three machines, for every
 //!   algorithm family and variant;
 //! * shadow events never leak into a later analyzed run (stale recycled
-//!   payload bytes are checked in `tests/exchange_shard.rs`);
+//!   payload values are checked in `tests/exchange_shard.rs`);
 //! * the `pcm-race` analyzer stays clean on the pooled path, and every
 //!   analyzer observes the fused exchange and reports the same findings,
 //!   traces and audit counts pooled and sequential;
@@ -165,8 +165,8 @@ fn pooled_machine_matches_forced_sequential() {
             m.superstep(|ctx| {
                 let mut acc = *ctx.state;
                 for msg in ctx.msgs() {
-                    for b in msg.data() {
-                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(*b));
+                    for &v in msg.u32s() {
+                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(v));
                     }
                 }
                 *ctx.state = acc;
@@ -597,8 +597,8 @@ fn analyzed_run() -> u64 {
             if pid % 2 == 0 {
                 let mut acc = *ctx.state;
                 for msg in ctx.msgs() {
-                    for b in msg.data() {
-                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(*b));
+                    for &v in msg.u32s() {
+                        acc = acc.wrapping_mul(31).wrapping_add(u64::from(v));
                     }
                 }
                 *ctx.state = acc;

@@ -15,7 +15,6 @@ mod common;
 
 use pcm::algos::catalog::Variant;
 use pcm::algos::RunResult;
-use pcm::models::contract;
 use pcm_check::{audit_determinism, digest_run, render};
 
 /// Runs one sweep point pooled and sequentially, and fails on any
@@ -30,21 +29,3 @@ fn check_deterministic(label: &str, _v: &Variant, run: &dyn Fn() -> RunResult) {
 }
 
 catalog_sweeps!(check_deterministic);
-
-/// Every predictor module ships a contract, and the contract list stays in
-/// sync with `predict/*`.
-#[test]
-fn every_predictor_has_a_contract() {
-    let names: Vec<&str> = contract::all().iter().map(|c| c.algorithm).collect();
-    for expected in [
-        "matmul",
-        "bitonic",
-        "samplesort",
-        "apsp",
-        "lu",
-        "parallel_radix",
-    ] {
-        assert!(names.contains(&expected), "missing contract for {expected}");
-    }
-    assert_eq!(names.len(), 6);
-}
