@@ -21,13 +21,14 @@ examples:
 		cargo run -q --release --example $$e || { echo "examples: $$e failed" >&2; exit 1; }; \
 	done
 
-# The matmul kernel must stay bit-identical to the plain loop on a build
-# where the compiler could contract multiply-adds into FMA. Needs a host
-# with AVX2 and FMA; elsewhere it prints a notice and does nothing.
+# The matmul kernel (pcm-kernel, both its portable and its AVX2 copy)
+# must stay bit-identical to the plain loop on a build where the compiler
+# could contract multiply-adds into FMA. Needs a host with AVX2 and FMA;
+# elsewhere it prints a notice and does nothing.
 kernel-fma:
 	@if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then \
 		RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR=target/fma \
-			cargo test -q -p pcm-algos --lib matmul; \
+			cargo test -q -p pcm-kernel; \
 	else \
 		echo "kernel-fma: this host lacks avx2 or fma; skipping"; \
 	fi

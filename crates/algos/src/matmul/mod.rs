@@ -176,7 +176,7 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         ctx.touch_read(regions::MATMUL_B);
         let mut c_hat: Vec<Vec<f64>> = (0..q).map(|_| vec![0.0f64; sn * bn]).collect();
         for (piece, a_rows) in c_hat.iter_mut().zip(a_full.chunks_exact(sn * bn)) {
-            local_multiply(a_rows, &b_full, piece, bn);
+            pcm_kernel::multiply_add(a_rows, &b_full, piece, bn);
         }
         ctx.charge_matmul(bn, bn, bn);
 
@@ -279,116 +279,6 @@ fn scatter_into(
     }
 }
 
-/// Adds the product of a row-major `rows x n` block `a` and an `n x n`
-/// block `b` into the `rows x n` block `c`, where `rows = c.len() / n`:
-/// `c += a·b`. The *timing* comes from the platform's kernel model; this
-/// code only has to produce the functional result, fast and exactly. Row
-/// `i` of `c` depends on row `i` of `a` alone, so the product of a square
-/// `a` can be computed a band of rows at a time, each into its own buffer
-/// (the 3D algorithm's `Ĉ` pieces), with the same bits.
-///
-/// `a` is walked in blocks of 4 rows. A block with no zero entry is
-/// register-tiled: its columns are cut into tiles 8 wide (then 4, 2 and 1
-/// for the tail), each tile's `4 x V` slice of `c` is loaded into a local
-/// accumulator, `k` runs in ascending order over the four `a` rows and the
-/// rows of `b`, and the accumulator is stored back. A block that holds a
-/// zero (`-0.0` included), and the last `rows % 4` rows, take the plain
-/// `ikj` loop, which skips every zero `a[i][k]`.
-///
-/// The result is bit-identical to the plain loop over all rows. Each
-/// `c[i][j]` starts from the same value and receives the same products,
-/// each multiply and each add rounded on its own (Rust never contracts
-/// them into a fused multiply-add), in the same ascending `k` order. The
-/// zero skip changes results (`0·inf` is NaN, and `-0.0 + 0.0` is
-/// `+0.0`), so only rows without a zero are tiled; Cannon's padded blocks
-/// have zero rows and columns, which keep the plain loop.
-///
-/// # Panics
-/// Panics if `a` is shorter than `c` or `b` shorter than `n * n`.
-pub(crate) fn local_multiply(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
-    if n == 0 {
-        return;
-    }
-    let rows = c.len() / n;
-    let (a, b, c) = (&a[..rows * n], &b[..n * n], &mut c[..rows * n]);
-    let mut a_blocks = a.chunks_exact(4 * n);
-    let mut c_blocks = c.chunks_exact_mut(4 * n);
-    for (a4, c4) in (&mut a_blocks).zip(&mut c_blocks) {
-        if a4.contains(&0.0) {
-            multiply_rows(a4, b, c4, n);
-        } else {
-            multiply_row_block(a4, b, c4, n);
-        }
-    }
-    multiply_rows(a_blocks.remainder(), b, c_blocks.into_remainder(), n);
-}
-
-/// The plain `ikj` loop over whole rows of `a` and `c`, skipping every
-/// zero `a[i][k]`.
-fn multiply_rows(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
-    for (arow, crow) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-        for (&aik, brow) in arow.iter().zip(b.chunks_exact(n)) {
-            if aik == 0.0 {
-                continue;
-            }
-            for (cij, &bkj) in crow.iter_mut().zip(brow) {
-                *cij += aik * bkj;
-            }
-        }
-    }
-}
-
-/// Register-tiles four rows of `a` (no zero among them) against all of `b`.
-fn multiply_row_block(a4: &[f64], b: &[f64], c4: &mut [f64], n: usize) {
-    let (a0, rest) = a4.split_at(n);
-    let (a1, rest) = rest.split_at(n);
-    let (a2, a3) = rest.split_at(n);
-    let rows = [a0, a1, a2, a3];
-    let mut j = 0;
-    while j + 8 <= n {
-        multiply_tile::<8>(rows, b, c4, n, j);
-        j += 8;
-    }
-    if j + 4 <= n {
-        multiply_tile::<4>(rows, b, c4, n, j);
-        j += 4;
-    }
-    if j + 2 <= n {
-        multiply_tile::<2>(rows, b, c4, n, j);
-        j += 2;
-    }
-    if j < n {
-        multiply_tile::<1>(rows, b, c4, n, j);
-    }
-}
-
-/// Accumulates columns `j..j + V` of four `c` rows in registers.
-#[inline(always)]
-fn multiply_tile<const V: usize>(
-    [a0, a1, a2, a3]: [&[f64]; 4],
-    b: &[f64],
-    c4: &mut [f64],
-    n: usize,
-    j: usize,
-) {
-    let mut acc = [[0.0f64; V]; 4];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c4[r * n + j..r * n + j + V]);
-    }
-    let a_cols = a0.iter().zip(a1).zip(a2).zip(a3);
-    for ((((&x0, &x1), &x2), &x3), brow) in a_cols.zip(b.chunks_exact(n)) {
-        let bk: &[f64; V] = brow[j..j + V].try_into().expect("tile inside the row");
-        for (row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
-            for (s, &bkj) in row.iter_mut().zip(bk) {
-                *s += x * bkj;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        c4[r * n + j..r * n + j + V].copy_from_slice(row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,151 +334,6 @@ mod tests {
         let b = run(&plat, 16, MatmulVariant::Bpram, 7);
         assert_eq!(a.time, b.time);
         assert_eq!(a.stats.mflops, b.stats.mflops);
-    }
-
-    /// The seed's `ikj` loop, the bit-exact reference for the tiled kernel.
-    fn ikj_reference(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[i * n + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[k * n..(k + 1) * n];
-                let crow = &mut c[i * n..(i + 1) * n];
-                for j in 0..n {
-                    crow[j] += aik * brow[j];
-                }
-            }
-        }
-    }
-
-    /// Runs both kernels from the same `c` and compares every result bit;
-    /// where the reference gives NaN, the kernel must give NaN too.
-    fn assert_kernel_matches(a: &[f64], b: &[f64], c: &[f64], n: usize) {
-        let mut want = c.to_vec();
-        ikj_reference(a, b, &mut want, n);
-        let mut got = c.to_vec();
-        local_multiply(a, b, &mut got, n);
-        for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
-            if w.is_nan() {
-                assert!(g.is_nan(), "n {n} entry {idx}: got {g}, want NaN");
-            } else {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "n {n} entry {idx}: got {g}, want {w}"
-                );
-            }
-        }
-    }
-
-    /// An entry drawn from `[-2, 2)`, or with probability `1 / rarity` one
-    /// of the values the zero skip and IEEE rounding treat specially.
-    fn entry(rng: &mut rand::rngs::StdRng, rarity: u32) -> f64 {
-        use rand::RngExt;
-        const SPECIAL: [f64; 7] = [
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE / 8.0,
-            -f64::MIN_POSITIVE / 3.0,
-            1e-310,
-        ];
-        if rarity > 0 && rng.random_range(0..rarity) == 0 {
-            SPECIAL[rng.random_range(0..SPECIAL.len())]
-        } else {
-            rng.random_range(-2.0..2.0)
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-        #[test]
-        fn tiled_kernel_is_bit_identical_to_the_ikj_loop(
-            side in 0usize..42,
-            rarity_pick in 0usize..5,
-            c_random in proptest::prelude::any::<bool>(),
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let n = match side {
-                40 => 64,
-                41 => 70,
-                s => s + 1,
-            };
-            // 0 draws no special value, so every row block is tiled.
-            let rarity = [0, 2, 16, 200, 5000][rarity_pick];
-            let mut rng = pcm_core::rng::seeded(seed);
-            let a: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
-            let b: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
-            let c: Vec<f64> = if c_random {
-                (0..n * n).map(|_| entry(&mut rng, rarity)).collect()
-            } else {
-                vec![0.0; n * n]
-            };
-            assert_kernel_matches(&a, &b, &c, n);
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-        /// A band of rows multiplied into its own buffer, cut anywhere,
-        /// even inside a block of four rows, gives every bit of the same
-        /// rows of the product into one buffer.
-        #[test]
-        fn row_bands_match_the_whole_product(
-            n in 1usize..40,
-            cuts in proptest::collection::vec(0usize..40, 0..6),
-            zeros in proptest::prelude::any::<bool>(),
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let mut rng = pcm_core::rng::seeded(seed);
-            let rarity = if zeros { 16 } else { 0 };
-            let a: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
-            let b: Vec<f64> = (0..n * n).map(|_| entry(&mut rng, rarity)).collect();
-            let mut whole = vec![0.0; n * n];
-            local_multiply(&a, &b, &mut whole, n);
-            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-            bounds.extend([0, n]);
-            bounds.sort_unstable();
-            let mut joined = Vec::new();
-            for w in bounds.windows(2) {
-                let mut band = vec![0.0; (w[1] - w[0]) * n];
-                local_multiply(&a[w[0] * n..], &b, &mut band, n);
-                joined.extend(band.iter().map(|v| v.to_bits()));
-            }
-            let want: Vec<u64> = whole.iter().map(|v| v.to_bits()).collect();
-            proptest::prop_assert_eq!(joined, want);
-        }
-    }
-
-    #[test]
-    fn tiled_kernel_matches_on_a_cannon_padded_block() {
-        // 13-side blocks holding a corner of the matrix, zero elsewhere, as
-        // `vendor::padded_block` builds them at the grid's last row and
-        // column.
-        let n = 13;
-        let padded = |seed: u64, rows: usize, cols: usize| -> Vec<f64> {
-            let m = crate::verify::random_matrix(n, seed);
-            let mut out = vec![0.0; n * n];
-            for r in 0..rows {
-                out[r * n..r * n + cols].copy_from_slice(&m[r * n..r * n + cols]);
-            }
-            out
-        };
-        let b = padded(4, 10, 10);
-        let mut c = crate::verify::random_matrix(n, 5);
-        c[1] = -0.0;
-        for a in [
-            // Every row holds a zero, so every row keeps the plain loop.
-            padded(3, 10, 10),
-            // Zero rows only: rows 0..8 are tiled, the rest are not.
-            padded(3, 10, n),
-        ] {
-            assert_kernel_matches(&a, &b, &c, n);
-            assert_kernel_matches(&a, &b, &vec![0.0; n * n], n);
-        }
     }
 
     #[test]
