@@ -47,12 +47,16 @@ golden:
 # analyzer bit-identity checks in tests/pooling.rs, the chunk-boundary
 # exchange checks in tests/exchange_shard.rs, the p=256 APSP digests in
 # tests/golden.rs and the copied/moved/shared payload agreement in
-# tests/payload_modes.rs. The audit sweep installs its dry scopes inside each
+# tests/payload_modes.rs. The adversarial sort inputs, run_keys' shared sort
+# inputs (lanes race to draw the same input and sort its reference first)
+# and the matmul peak-heap gate run here too. The audit sweep installs its dry scopes inside each
 # map_ordered unit, and pcm-sym fans its lemma and crossover checks out
 # through map_ordered, so both reports must also hold at an uneven width.
 pool-odd:
 	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc --test golden
-	RAYON_NUM_THREADS=3 cargo test -q --test extensions bitonic_merge_phases_sort_adversarial_keys
+	RAYON_NUM_THREADS=3 cargo test -q --test extensions adversarial_keys
+	RAYON_NUM_THREADS=3 cargo test -q -p pcm-experiments --lib runs::tests
+	RAYON_NUM_THREADS=3 cargo test -q --test matmul_peak
 	RAYON_NUM_THREADS=3 cargo test -q --test payload_modes
 	RAYON_NUM_THREADS=3 cargo run --release -p pcm-audit --bin pcm-audit -- --out AUDIT_report.json
 	git diff --exit-code AUDIT_report.json

@@ -30,7 +30,7 @@ use crate::primitives::embed::Embedding;
 use crate::primitives::plan::staggered;
 use crate::regions;
 use crate::run::{RunResult, RunStats};
-use crate::verify::{random_matrix, spot_check_matmul};
+use crate::verify::{random_matrix, MatmulRows};
 
 /// Which communication schedule to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,6 +94,11 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         st.a_sub = Arc::new(extract(&a, n, i * bn + k * sn, j * bn, sn, bn));
         st.b_sub = extract(&b, n, i * bn + k * sn, j * bn, sn, bn);
     }
+    // The check's rows of A·B (sampled for large `n`), so that the
+    // operands are freed before the simulation.
+    let rows = if n <= 256 { n } else { 8 };
+    let expect = MatmulRows::new(&a, &b, n, rows, seed ^ 0xC0FFEE);
+    drop((a, b));
 
     let mut machine = platform.machine(states, seed);
     // The block variant issues all q transfers per phase in lockstep
@@ -158,7 +163,8 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         // irrelevant.
         ctx.touch_write(regions::MATMUL_A);
         ctx.touch_write(regions::MATMUL_B);
-        a_full[k * sn * bn..(k + 1) * sn * bn].copy_from_slice(&ctx.state.a_sub);
+        a_full[k * sn * bn..(k + 1) * sn * bn]
+            .copy_from_slice(&std::mem::take(&mut ctx.state.a_sub));
         for msg in ctx.msgs_tagged(TAG_A) {
             let (_, _, l) = cube.coords(embed.to_logical(msg.src));
             decode_f64s(&mut a_full[l * sn * bn..(l + 1) * sn * bn], msg);
@@ -198,11 +204,12 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
         if lid >= p_used {
             return;
         }
-        // Start from the locally retained partial (if any).
+        // Sum into a pooled buffer: an operand piece of superstep 1 has
+        // the same size, and the exchange has recycled it by now.
         ctx.touch_modify(regions::MATMUL_C);
-        if ctx.state.c_sub.is_empty() {
-            ctx.state.c_sub = vec![0.0f64; sn * bn];
-        }
+        let mut c_sub = ctx.buffer_f64(sn * bn);
+        c_sub.resize(sn * bn, 0.0);
+        ctx.state.c_sub = c_sub;
         for msg in ctx.msgs() {
             debug_assert_eq!(msg.tag, TAG_C);
             for (acc, v) in ctx.state.c_sub.iter_mut().zip(msg.f64s()) {
@@ -215,15 +222,16 @@ pub fn run(platform: &Platform, n: usize, variant: MatmulVariant, seed: u64) -> 
     let time = machine.time();
     let breakdown = machine.breakdown();
 
-    // Gather C and verify.
+    // Gather C and verify. The machine goes first, and with it every
+    // message it still holds; each block is freed once gathered.
+    let mut states = machine.into_states();
     let mut c = vec![0.0f64; n * n];
     for lid in 0..p_used {
-        let st = &machine.states()[embed.to_machine(lid)];
+        let c_sub = std::mem::take(&mut states[embed.to_machine(lid)].c_sub);
         let (i, j, k) = cube.coords(lid);
-        scatter_into(&mut c, n, i * bn + k * sn, j * bn, sn, bn, &st.c_sub);
+        scatter_into(&mut c, n, i * bn + k * sn, j * bn, sn, bn, &c_sub);
     }
-    let rows = if n <= 256 { n } else { 8 };
-    let verified = spot_check_matmul(&a, &b, &c, n, rows, seed ^ 0xC0FFEE);
+    let verified = expect.check(&c);
 
     let mflops = pcm_core::units::mflops(pcm_core::units::matmul_flops(n), time);
     RunResult::new(time, breakdown, verified).with_stats(RunStats {

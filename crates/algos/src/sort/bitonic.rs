@@ -24,7 +24,7 @@ use pcm_sim::{Ctx, Machine, Message, RegionId};
 use super::radix::{compare_split, radix_sort, KEY_BITS, RADIX_BITS};
 use crate::regions;
 use crate::run::RunResult;
-use crate::verify::check_sorted_permutation;
+use crate::verify::SortInput;
 
 /// How the per-step exchange is realized on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -251,13 +251,23 @@ fn receive<S: BitonicList>(ctx: &mut Ctx<'_, S>, merge: Option<(u32, u32)>, chun
 /// Outside [`DomainSpec::bitonic`]: unless the processor count is a power
 /// of two.
 pub fn run(platform: &Platform, keys_per_proc: usize, mode: ExchangeMode, seed: u64) -> RunResult {
+    let input = SortInput::random(platform.p() * keys_per_proc, seed);
+    run_on(platform, &input, mode, seed)
+}
+
+/// [`run`] on the given input, split evenly over the processors; the
+/// machine draws from `seed`.
+///
+/// # Panics
+/// Outside [`DomainSpec::bitonic`], and unless the processor count
+/// divides the number of keys.
+pub fn run_on(platform: &Platform, input: &SortInput, mode: ExchangeMode, seed: u64) -> RunResult {
     let p = platform.p();
+    let keys_per_proc = input.per_proc(p);
     DomainSpec::bitonic().require("bitonic", keys_per_proc, p);
-    let mut rng = pcm_core::rng::seeded(seed);
-    let all_keys = pcm_core::rng::random_keys(p * keys_per_proc, &mut rng);
     let states: Vec<SortState> = (0..p)
         .map(|i| SortState {
-            keys: all_keys[i * keys_per_proc..(i + 1) * keys_per_proc].to_vec(),
+            keys: input.share(i, p),
             ..SortState::default()
         })
         .collect();
@@ -275,12 +285,7 @@ pub fn run(platform: &Platform, keys_per_proc: usize, mode: ExchangeMode, seed: 
 
     let time = machine.time();
     let breakdown = machine.breakdown();
-    let sorted: Vec<u32> = machine
-        .states()
-        .iter()
-        .flat_map(|s| s.keys.iter().copied())
-        .collect();
-    let verified = check_sorted_permutation(&all_keys, &sorted);
+    let verified = input.check(machine.states().iter().map(|s| &s.keys[..]));
     RunResult::new(time, breakdown, verified)
 }
 

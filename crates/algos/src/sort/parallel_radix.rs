@@ -22,7 +22,7 @@ use super::{copy_u32s, u32_pairs};
 use crate::primitives::plan::staggered;
 use crate::regions;
 use crate::run::RunResult;
-use crate::verify::check_sorted_permutation;
+use crate::verify::SortInput;
 
 /// Digit width per pass.
 const RADIX_BITS: usize = 8;
@@ -62,16 +62,29 @@ pub fn run(
     variant: RadixVariant,
     seed: u64,
 ) -> RunResult {
-    let p = platform.p();
-    DomainSpec::parallel_radix().require("parallel_radix", keys_per_proc, p);
-    let buckets_per_proc = RADIX / p;
-    let m = keys_per_proc;
+    let input = SortInput::random(platform.p() * keys_per_proc, seed);
+    run_on(platform, &input, variant, seed)
+}
 
-    let mut rng = pcm_core::rng::seeded(seed);
-    let all_keys = pcm_core::rng::random_keys(p * m, &mut rng);
+/// [`run`] on the given input, split evenly over the processors; the
+/// machine draws from `seed`.
+///
+/// # Panics
+/// As [`run`], and unless the processor count divides the number of keys.
+pub fn run_on(
+    platform: &Platform,
+    input: &SortInput,
+    variant: RadixVariant,
+    seed: u64,
+) -> RunResult {
+    let p = platform.p();
+    let m = input.per_proc(p);
+    DomainSpec::parallel_radix().require("parallel_radix", m, p);
+    let buckets_per_proc = RADIX / p;
+
     let states: Vec<RadixState> = (0..p)
         .map(|i| RadixState {
-            keys: all_keys[i * m..(i + 1) * m].to_vec(),
+            keys: input.share(i, p),
             ..Default::default()
         })
         .collect();
@@ -84,12 +97,7 @@ pub fn run(
 
     let time = machine.time();
     let breakdown = machine.breakdown();
-    let sorted: Vec<u32> = machine
-        .states()
-        .iter()
-        .flat_map(|s| s.keys.iter().copied())
-        .collect();
-    let verified = check_sorted_permutation(&all_keys, &sorted);
+    let verified = input.check(machine.states().iter().map(|s| &s.keys[..]));
     RunResult::new(time, breakdown, verified)
 }
 

@@ -33,7 +33,7 @@ use super::{copy_u32s, u32_pairs};
 use crate::primitives::plan::{bucket_counts, staggered};
 use crate::regions;
 use crate::run::{RunResult, RunStats};
-use crate::verify::check_sorted_permutation;
+use crate::verify::SortInput;
 
 /// Which routing scheme to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,17 +98,32 @@ pub fn run(
     variant: SampleVariant,
     seed: u64,
 ) -> RunResult {
+    let input = SortInput::random(platform.p() * keys_per_proc, seed);
+    run_on(platform, &input, oversampling, variant, seed)
+}
+
+/// [`run`] on the given input, split evenly over the processors; the
+/// machine (and the sample draws) draw from `seed`.
+///
+/// # Panics
+/// As [`run`], and unless the processor count divides the number of keys.
+pub fn run_on(
+    platform: &Platform,
+    input: &SortInput,
+    oversampling: usize,
+    variant: SampleVariant,
+    seed: u64,
+) -> RunResult {
     let p = platform.p();
+    let keys_per_proc = input.per_proc(p);
     DomainSpec::samplesort().require("samplesort", keys_per_proc, p);
     assert!(oversampling >= 1);
     let use_blocks = variant != SampleVariant::BspWords;
     let side = if use_blocks { p.isqrt() } else { 0 };
 
-    let mut rng = pcm_core::rng::seeded(seed);
-    let all_keys = pcm_core::rng::random_keys(p * keys_per_proc, &mut rng);
     let states: Vec<SampleState> = (0..p)
         .map(|i| SampleState {
-            keys: all_keys[i * keys_per_proc..(i + 1) * keys_per_proc].to_vec(),
+            keys: input.share(i, p),
             ..Default::default()
         })
         .collect();
@@ -317,12 +332,7 @@ pub fn run(
         .map(|s| s.bucket.len())
         .max()
         .unwrap_or(0);
-    let sorted: Vec<u32> = machine
-        .states()
-        .iter()
-        .flat_map(|s| s.bucket.iter().copied())
-        .collect();
-    let verified = check_sorted_permutation(&all_keys, &sorted);
+    let verified = input.check(machine.states().iter().map(|s| &s.bucket[..]));
     RunResult::new(time, breakdown, verified).with_stats(RunStats {
         max_bucket,
         ..Default::default()

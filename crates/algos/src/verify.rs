@@ -6,6 +6,8 @@
 //! sizes; for large sweeps the matrix checks sample random rows (still a
 //! real check, just a cheaper one).
 
+use std::sync::OnceLock;
+
 use pcm_core::rng::seeded;
 use rand::prelude::*;
 
@@ -30,57 +32,133 @@ pub fn matmul_reference(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     c
 }
 
-/// Checks `c ≈ a·b` on `rows` randomly sampled rows (all rows when
-/// `rows >= n`). Tolerance is relative to the magnitude of the entries;
-/// a NaN or infinite entry where a finite value belongs fails.
-pub fn spot_check_matmul(
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
+/// The rows of `A·B` that a matmul's output check compares with, computed
+/// up front so that `A` and `B` need not outlive the run that multiplies
+/// them.
+#[derive(Clone, Debug)]
+pub struct MatmulRows {
     n: usize,
-    rows: usize,
-    seed: u64,
-) -> bool {
-    let mut rng = seeded(seed);
-    let row_ids: Vec<usize> = if rows >= n {
-        (0..n).collect()
-    } else {
-        (0..rows).map(|_| rng.random_range(0..n)).collect()
-    };
-    for &i in &row_ids {
-        // expected row i = sum_k a[i][k] * b[k][*]
-        let mut expect = vec![0.0f64; n];
-        for k in 0..n {
-            let aik = a[i * n + k];
-            let brow = &b[k * n..(k + 1) * n];
-            for j in 0..n {
-                expect[j] += aik * brow[j];
-            }
-        }
-        // Written as `<= tol` so that a NaN difference (a NaN entry, or an
-        // infinity where a finite value belongs) fails the check.
-        let row_ok = c[i * n..(i + 1) * n]
-            .iter()
-            .zip(&expect)
-            .all(|(&got, &want)| (got - want).abs() <= 1e-9 * (1.0 + want.abs()));
-        if !row_ok {
-            return false;
-        }
-    }
-    true
+    rows: Vec<(usize, Vec<f64>)>,
 }
 
-/// `true` if `keys` is the sorted permutation of `original`.
-pub fn check_sorted_permutation(original: &[u32], keys: &[u32]) -> bool {
-    if keys.len() != original.len() {
-        return false;
+impl MatmulRows {
+    /// The rows of the `n x n` product `a·b` at `rows` row indices drawn
+    /// from `seed` (every row when `rows >= n`).
+    pub fn new(a: &[f64], b: &[f64], n: usize, rows: usize, seed: u64) -> Self {
+        let mut rng = seeded(seed);
+        let row_ids: Vec<usize> = if rows >= n {
+            (0..n).collect()
+        } else {
+            (0..rows).map(|_| rng.random_range(0..n)).collect()
+        };
+        let rows = row_ids
+            .into_iter()
+            .map(|i| {
+                // expected row i = sum_k a[i][k] * b[k][*]
+                let mut expect = vec![0.0f64; n];
+                for k in 0..n {
+                    let aik = a[i * n + k];
+                    let brow = &b[k * n..(k + 1) * n];
+                    for j in 0..n {
+                        expect[j] += aik * brow[j];
+                    }
+                }
+                (i, expect)
+            })
+            .collect();
+        Self { n, rows }
     }
-    if keys.windows(2).any(|w| w[0] > w[1]) {
-        return false;
+
+    /// `true` if the row-major `n x n` matrix `c` matches every row.
+    /// Tolerance is relative to the magnitude of the entries; a NaN or
+    /// infinite entry where a finite value belongs fails.
+    pub fn check(&self, c: &[f64]) -> bool {
+        let n = self.n;
+        self.rows.iter().all(|(i, expect)| {
+            // Written as `<= tol` so that a NaN difference (a NaN entry, or
+            // an infinity where a finite value belongs) fails the check.
+            c[i * n..(i + 1) * n]
+                .iter()
+                .zip(expect)
+                .all(|(&got, &want)| (got - want).abs() <= 1e-9 * (1.0 + want.abs()))
+        })
     }
-    let mut expect = original.to_vec();
-    expect.sort_unstable();
-    expect == keys
+}
+
+/// The keys a sort run distributes, and their sorted reference.
+///
+/// The reference is sorted on the first [`SortInput::check`] and kept, so
+/// every run that sorts the same input (the modes and algorithms of one
+/// figure at one size) shares one sequential sort. The check stays exact:
+/// each output is compared with the whole reference.
+#[derive(Debug)]
+pub struct SortInput {
+    keys: Vec<u32>,
+    sorted: OnceLock<Vec<u32>>,
+}
+
+impl SortInput {
+    /// The `len` uniformly random keys the sorts draw from `seed`.
+    pub fn random(len: usize, seed: u64) -> Self {
+        Self::new(pcm_core::rng::random_keys(len, &mut seeded(seed)))
+    }
+
+    /// An input of the given keys, in processor order: processor `i` of
+    /// `p` starts with `keys[i·len/p..(i+1)·len/p]`.
+    pub fn new(keys: Vec<u32>) -> Self {
+        Self {
+            keys,
+            sorted: OnceLock::new(),
+        }
+    }
+
+    /// The sorted reference, sorted on first use.
+    pub fn sorted(&self) -> &[u32] {
+        self.sorted.get_or_init(|| {
+            let mut sorted = self.keys.clone();
+            sorted.sort_unstable();
+            sorted
+        })
+    }
+
+    /// The keys per processor on `p` processors.
+    ///
+    /// # Panics
+    /// Unless `p` divides the number of keys.
+    pub(crate) fn per_proc(&self, p: usize) -> usize {
+        assert!(
+            self.keys.len().is_multiple_of(p),
+            "{} keys do not split evenly over {p} processors",
+            self.keys.len()
+        );
+        self.keys.len() / p
+    }
+
+    /// Processor `pid`'s share of the keys on `p` processors.
+    pub(crate) fn share(&self, pid: usize, p: usize) -> Vec<u32> {
+        let m = self.per_proc(p);
+        self.keys[pid * m..(pid + 1) * m].to_vec()
+    }
+
+    /// `true` if the concatenated `parts` are the sorted permutation of
+    /// the keys: ascending throughout, then equal to the reference.
+    pub fn check<'a>(&self, parts: impl IntoIterator<Item = &'a [u32]>) -> bool {
+        let mut rest = self.sorted();
+        let mut last = None;
+        for part in parts {
+            let ascending = part.windows(2).all(|w| w[0] <= w[1])
+                && last.zip(part.first()).is_none_or(|(l, f)| l <= f);
+            let Some((head, tail)) = rest.split_at_checked(part.len()) else {
+                return false;
+            };
+            if !ascending || head != part {
+                return false;
+            }
+            last = part.last().or(last);
+            rest = tail;
+        }
+        rest.is_empty()
+    }
 }
 
 /// Sequential Floyd–Warshall on a row-major `n x n` distance matrix
@@ -155,11 +233,11 @@ mod tests {
         let a = random_matrix(n, 2);
         let b = random_matrix(n, 3);
         let c = matmul_reference(&a, &b, n);
-        assert!(spot_check_matmul(&a, &b, &c, n, 4, 7));
-        assert!(spot_check_matmul(&a, &b, &c, n, n, 7), "full check");
+        assert!(MatmulRows::new(&a, &b, n, 4, 7).check(&c));
+        assert!(MatmulRows::new(&a, &b, n, n, 7).check(&c), "full check");
         let mut bad = c.clone();
         bad[5 * n + 5] += 0.5;
-        assert!(!spot_check_matmul(&a, &b, &bad, n, n, 7));
+        assert!(!MatmulRows::new(&a, &b, n, n, 7).check(&bad));
     }
 
     #[test]
@@ -172,7 +250,7 @@ mod tests {
             let mut bad = c.clone();
             bad[3 * n + 2] = poison;
             assert!(
-                !spot_check_matmul(&a, &b, &bad, n, n, 7),
+                !MatmulRows::new(&a, &b, n, n, 7).check(&bad),
                 "{poison} verified"
             );
         }
@@ -180,20 +258,26 @@ mod tests {
 
     #[test]
     fn sorted_permutation_checker() {
-        assert!(check_sorted_permutation(&[3, 1, 2], &[1, 2, 3]));
-        assert!(
-            !check_sorted_permutation(&[3, 1, 2], &[1, 3, 2]),
-            "unsorted"
-        );
-        assert!(
-            !check_sorted_permutation(&[3, 1, 2], &[1, 2, 4]),
-            "wrong multiset"
-        );
-        assert!(
-            !check_sorted_permutation(&[3, 1], &[1, 2, 3]),
-            "wrong length"
-        );
-        assert!(check_sorted_permutation(&[], &[]));
+        let input = SortInput::new(vec![5, 3, 9, 3, 1, 7]);
+        assert!(input.check([&[1, 3, 3][..], &[5, 7, 9]]));
+        assert!(input.check([&[1, 3, 3, 5, 7, 9][..], &[]]), "empty part");
+        assert!(!input.check([&[1, 3, 3][..], &[7, 5, 9]]), "unsorted");
+        assert!(!input.check([&[1, 3, 5][..], &[3, 7, 9]]), "unsorted seam");
+        assert!(!input.check([&[1, 3, 3][..], &[5, 7, 8]]), "wrong multiset");
+        assert!(!input.check([&[1, 3, 3][..], &[5, 7]]), "lost key");
+        assert!(!input.check([&[1, 3, 3][..], &[5, 7, 9, 9]]), "extra key");
+        assert!(SortInput::new(Vec::new()).check([&[][..]]));
+    }
+
+    #[test]
+    fn random_sort_input_is_the_seeded_key_draw() {
+        let keys = pcm_core::rng::random_keys(40, &mut seeded(3));
+        let input = SortInput::random(40, 3);
+        assert_eq!(input.share(0, 1), keys);
+        assert_eq!(input.share(1, 4), keys[10..20]);
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        assert_eq!(input.sorted(), sorted);
     }
 
     #[test]

@@ -56,12 +56,12 @@ pub fn run(scale: Scale, seed: u64) -> Output {
     // accountant charges. perfbench/golden.txt pins the simulation counts
     // of this figure with the re-run in them; charging the first run's
     // traces instead waits for a re-pin of those counts.
-    let fits = run_keys(&keys, |key| {
-        let r = key.run();
+    let fits = run_keys(&keys, |job| {
+        let r = job.run();
         assert!(r.verified);
-        let (again, traces) = collect_traces(|| key.run());
+        let (again, traces) = collect_traces(|| job.run());
         assert_eq!(again.time, r.time, "re-run must reproduce the measurement");
-        (r.time, account_run(&key.platform.model_params(), &traces))
+        (r.time, account_run(&job.platform.model_params(), &traces))
     });
     for ((key, (label, _)), (measured, acc)) in keys.iter().zip(labels.iter().cycle()).zip(fits) {
         let err =

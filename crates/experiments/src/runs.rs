@@ -23,12 +23,25 @@
 //! Under an observer scope or a strategy override `map_ordered` runs its
 //! plain loop on the calling thread, so traced and analyzed passes see
 //! every machine the figures build.
+//!
+//! The sorts of one call share their inputs. A sort's keys depend only on
+//! its seed and `p·m`, so the modes and algorithms of a figure at one size
+//! sort the same keys. [`run_keys`] draws each distinct input once, on its
+//! first run, and every run that sorts it checks its output against the
+//! one sorted reference ([`SortInput`]). The inputs go when the call
+//! returns: nothing is cached across calls, every simulation still runs,
+//! in or out of an observer scope, and every output is still compared
+//! with the whole sorted reference.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use pcm_algos::matmul::{self, MatmulVariant};
 use pcm_algos::sort::bitonic::{self, ExchangeMode};
 use pcm_algos::sort::sample::{self, SampleVariant};
+use pcm_algos::verify::SortInput;
 use pcm_algos::{vendor, RunResult};
 use pcm_machines::Platform;
 use pcm_models::predict::matmul::q_for;
@@ -72,11 +85,17 @@ pub struct RunKey {
 /// Estimated peak bytes of the 3D matmul per `q·N²` word it replicates.
 /// Measured peaks (VmHWM of one run in a fresh process, 2.3 MB of it the
 /// process): CM-5 `N` = 512 37–39 MB, 1024 141–150 MB; MasPar `N` = 400
-/// 75–79 MB, 500 79–84 MB, 600 141–148 MB, 700 147–154 MB. Those predate
-/// shared replicas and moved `Ĉ` pieces, which cut the peak (three runs
-/// each, `Bpram` and `BspStaggered`, 2-core host): MasPar `N` = 600 from
-/// 142–146 MB to 54 MB, CM-5 `N` = 1024 from 145–155 MB to 86–87 MB. The
-/// factor has not been re-derived from the new peaks yet.
+/// 75–79 MB, 500 79–84 MB, 600 141–148 MB, 700 147–154 MB. Since then
+/// the replicas are shared, the `Ĉ` pieces move, and the run frees its
+/// operands before it simulates (it computes its check rows first), sums
+/// `C` into a recycled operand buffer and gathers `C` after the machine's
+/// messages are gone. Peak live heap now (counting allocator, every
+/// variant, `tests/matmul_peak.rs` holds the estimate above it): CM-5
+/// `N` = 1024 50.4–52.7 MB (CMSSL included), MasPar `N` = 600 and 700
+/// 44.9–58.4 MB. The factors and [`BUDGET_BYTES`] are not re-derived:
+/// the budget is defined from this factor, so a smaller one moves no 3D
+/// matmul across the heavy line, but it shrinks the budget against the
+/// sorts' footprints, and with it the lanes the light runs get.
 const MATMUL_BYTES_PER_QN2: usize = 36;
 /// Cannon's algorithm, per `N²` (MasPar `N` = 700: 40–41 MB).
 const MPL_BYTES_PER_N2: usize = 80;
@@ -112,16 +131,34 @@ impl RunKey {
     /// Simulates the run; the result's `verified` reports its output
     /// check.
     pub fn run(&self) -> RunResult {
+        let input = self
+            .sort_keys()
+            .map(|(seed, len)| SortInput::random(len, seed));
+        self.run_on(input.as_ref())
+    }
+
+    /// The seed and count of the keys a sort draws; `None` for a matmul.
+    fn sort_keys(&self) -> Option<(u64, usize)> {
+        match self.algo {
+            Algo::Bitonic(_) | Algo::Sample { .. } => Some((self.seed, self.platform.p() * self.n)),
+            Algo::Matmul(_) | Algo::MplMatmul | Algo::CmsslMatmul => None,
+        }
+    }
+
+    /// Simulates the run, a sort on `input`: the keys [`Self::sort_keys`]
+    /// names.
+    fn run_on(&self, input: Option<&SortInput>) -> RunResult {
         let (plat, n, seed) = (&self.platform, self.n, self.seed);
+        let input = || input.expect("a sort runs on its input");
         match self.algo {
             Algo::Matmul(variant) => matmul::run(plat, n, variant, seed),
             Algo::MplMatmul => vendor::maspar_matmul(plat, n, seed),
             Algo::CmsslMatmul => vendor::cmssl_matmul(plat, n, seed),
-            Algo::Bitonic(mode) => bitonic::run(plat, n, mode, seed),
+            Algo::Bitonic(mode) => bitonic::run_on(plat, input(), mode, seed),
             Algo::Sample {
                 variant,
                 oversampling,
-            } => sample::run(plat, n, oversampling, variant, seed),
+            } => sample::run_on(plat, input(), oversampling, variant, seed),
         }
     }
 
@@ -145,18 +182,83 @@ impl RunKey {
     }
 }
 
+/// A key as [`run_keys`] hands it to its closure. It derefs to the
+/// [`RunKey`], and its [`Job::run`] sorts the input the call's runs share.
+pub struct Job<'a> {
+    key: &'a RunKey,
+    input: Option<&'a SortInput>,
+}
+
+impl fmt::Debug for Job<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.key.fmt(f)
+    }
+}
+
+impl Job<'_> {
+    /// Simulates the run as [`RunKey::run`] does, on the shared input.
+    pub fn run(&self) -> RunResult {
+        self.key.run_on(self.input)
+    }
+}
+
+impl Deref for Job<'_> {
+    type Target = RunKey;
+
+    fn deref(&self) -> &RunKey {
+        self.key
+    }
+}
+
+/// The sort inputs of one [`run_keys`] call, one per distinct
+/// `(seed, p·m)`, each drawn by the first run that sorts it.
+struct SortInputs(Vec<((u64, usize), OnceLock<SortInput>)>);
+
+impl SortInputs {
+    fn new(keys: &[RunKey]) -> Self {
+        let mut slots = Vec::new();
+        for sort in keys.iter().filter_map(RunKey::sort_keys) {
+            if !slots.iter().any(|(s, _)| *s == sort) {
+                slots.push((sort, OnceLock::new()));
+            }
+        }
+        Self(slots)
+    }
+
+    /// The input `key` sorts; `None` for a matmul.
+    fn get(&self, key: &RunKey) -> Option<&SortInput> {
+        let (seed, len) = key.sort_keys()?;
+        let (_, input) = self
+            .0
+            .iter()
+            .find(|(s, _)| *s == (seed, len))
+            .expect("every sort of the call has a slot");
+        Some(input.get_or_init(|| SortInput::random(len, seed)))
+    }
+}
+
 /// Applies `f` to every key and returns the results in input order.
 ///
 /// Heavy keys run first, one at a time, on the calling thread. The light
 /// keys then run largest first in at most `BUDGET_BYTES / (largest light
 /// footprint)` lanes, each lane one [`map_ordered`] task that runs one
 /// key at a time. `f` runs each key's whole unit of work: the
-/// simulation, its checks, and any re-run the figure needs.
+/// simulation, its checks, and any re-run the figure needs. Every
+/// [`Job::run`] of keys that sort the same keys shares one input.
 pub fn run_keys<R, F>(keys: &[RunKey], f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&RunKey) -> R + Sync,
+    F: Fn(&Job<'_>) -> R + Sync,
 {
+    let inputs = SortInputs::new(keys);
+    let run = |i: usize| {
+        let key = &keys[i];
+        f(&Job {
+            key,
+            input: inputs.get(key),
+        })
+    };
+
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(keys[i].footprint()));
     let split = order.partition_point(|&i| keys[i].heavy());
@@ -164,7 +266,7 @@ where
 
     let mut slots: Vec<Option<R>> = keys.iter().map(|_| None).collect();
     for &i in heavy {
-        slots[i] = Some(f(&keys[i]));
+        slots[i] = Some(run(i));
     }
     let largest_light = light.first().map_or(1, |&i| keys[i].footprint().max(1));
     let lanes = (BUDGET_BYTES / largest_light)
@@ -178,7 +280,7 @@ where
         loop {
             let k = next.fetch_add(1, Ordering::Relaxed);
             let Some(&i) = light.get(k) else { break out };
-            out.push((i, f(&keys[i])));
+            out.push((i, run(i)));
         }
     });
     for (i, r) in done.into_iter().flatten() {
@@ -190,20 +292,20 @@ where
         .collect()
 }
 
-/// Runs every key with [`RunKey::run`] and returns the results in input
+/// Runs every key with [`Job::run`] and returns the results in input
 /// order.
 ///
 /// # Panics
 /// Panics if a run fails its output check.
 pub fn run_verified(keys: &[RunKey]) -> Vec<RunResult> {
-    run_keys(keys, |key| {
-        let r = key.run();
+    run_keys(keys, |job| {
+        let r = job.run();
         assert!(
             r.verified,
             "{:?} on {} at n = {} failed its output check",
-            key.algo,
-            key.platform.name(),
-            key.n
+            job.algo,
+            job.platform.name(),
+            job.n
         );
         r
     })
@@ -251,6 +353,99 @@ mod tests {
         let block = Algo::Bitonic(ExchangeMode::Block);
         assert!(!heavy(block, Platform::maspar(), 2048));
         assert!(!heavy(block, Platform::gcel(), 4096));
+    }
+
+    /// Bitonic and sample sorts on the GCel and the CM-5 (both `p` = 64,
+    /// so the two machines sort the same keys at one `m`) and a matmul.
+    fn mixed_keys() -> Vec<RunKey> {
+        let sample = Algo::Sample {
+            variant: SampleVariant::BpramStaggered,
+            oversampling: 16,
+        };
+        let mut keys = Vec::new();
+        for m in [64, 256] {
+            for plat in [Platform::gcel(), Platform::cm5()] {
+                keys.push(RunKey::bitonic(ExchangeMode::Words, plat, m, 3));
+                keys.push(RunKey::bitonic(ExchangeMode::Block, plat, m, 3));
+                keys.push(RunKey::new(sample, plat, m, 3));
+            }
+        }
+        keys.push(RunKey::bitonic(
+            ExchangeMode::Block,
+            Platform::gcel(),
+            64,
+            4,
+        ));
+        keys.push(RunKey::new(
+            Algo::Matmul(MatmulVariant::Bpram),
+            Platform::cm5(),
+            64,
+            3,
+        ));
+        keys
+    }
+
+    #[test]
+    fn shared_inputs_reproduce_standalone_runs() {
+        let keys = mixed_keys();
+        let shared = run_keys(&keys, |job| job.run());
+        for (key, got) in keys.iter().zip(shared) {
+            let alone = key.run();
+            assert_eq!(
+                got.time.as_micros().to_bits(),
+                alone.time.as_micros().to_bits()
+            );
+            assert_eq!(got.breakdown, alone.breakdown, "{key:?}");
+            assert!(got.verified && alone.verified, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn each_distinct_input_is_drawn_and_sorted_once_per_call() {
+        // Every run reports where its input and the sorted reference its
+        // check read lie. All inputs live until the call returns, so equal
+        // addresses are one input, and one reference sort.
+        let keys = mixed_keys();
+        let seen = run_keys(&keys, |job| {
+            assert!(job.run().verified);
+            job.input.map(|input| {
+                (
+                    input as *const SortInput as usize,
+                    input.sorted().as_ptr() as usize,
+                )
+            })
+        });
+        for (a, (ka, sa)) in keys.iter().zip(&seen).enumerate() {
+            assert_eq!(sa.is_some(), ka.sort_keys().is_some(), "{ka:?}");
+            for (kb, sb) in keys.iter().zip(&seen).skip(a + 1) {
+                if let (Some(sa), Some(sb)) = (sa, sb) {
+                    let same = ka.sort_keys() == kb.sort_keys();
+                    assert_eq!(sa.0 == sb.0, same, "{ka:?} and {kb:?}: one input");
+                    assert_eq!(sa.1 == sb.1, same, "{ka:?} and {kb:?}: one reference");
+                }
+            }
+        }
+        // Three inputs: m = 64 and 256 at seed 3, each shared by both
+        // machines, and m = 64 at seed 4.
+        let mut distinct: Vec<(usize, usize)> = seen.into_iter().flatten().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 3);
+    }
+
+    #[test]
+    fn a_cached_reference_still_rejects_tampered_outputs() {
+        let input = SortInput::random(64 * 16, 5);
+        let good = input.sorted().to_vec();
+        assert!(input.check(good.chunks(16)));
+        let mut changed = good.clone();
+        changed[100] = changed[100].wrapping_add(1);
+        assert!(!input.check(changed.chunks(16)), "one key changed");
+        let mut swapped = good.clone();
+        let j = (301..).find(|&j| good[j] != good[300]).unwrap();
+        swapped.swap(300, j);
+        assert!(!input.check(swapped.chunks(16)), "two keys swapped");
+        assert!(input.check(good.chunks(16)));
     }
 
     #[test]

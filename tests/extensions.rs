@@ -4,6 +4,8 @@
 use pcm::algos::lu::{self, LuVariant};
 use pcm::algos::sort::bitonic::{self, ExchangeMode};
 use pcm::algos::sort::parallel_radix::{self, RadixVariant};
+use pcm::algos::sort::sample::{self, SampleVariant};
+use pcm::algos::verify::SortInput;
 use pcm::experiments::{granularity, model_fit, Output, Scale};
 use pcm::models::account_run;
 use pcm::Platform;
@@ -156,7 +158,6 @@ fn bitonic_merge_phases_sort_adversarial_keys() {
     // modes. At p = 64 the pooled closures run in several chunks, so a
     // chunk merges from payloads that other chunks' closures wrote.
     use pcm::algos::sort::bitonic::{merge_phases, SortState};
-    use pcm::algos::verify::check_sorted_permutation;
 
     let m = 48;
     let modes = [
@@ -182,6 +183,7 @@ fn bitonic_merge_phases_sort_adversarial_keys() {
             Platform::cm5_with(p),
         ] {
             for (name, keys) in &inputs {
+                let input = SortInput::new(keys.clone());
                 for mode in modes {
                     let states: Vec<SortState> = keys
                         .chunks(m)
@@ -196,14 +198,58 @@ fn bitonic_merge_phases_sort_adversarial_keys() {
                         .collect();
                     let mut machine = plat.machine(states, SEED);
                     merge_phases(&mut machine, mode);
-                    let sorted: Vec<u32> = machine
-                        .states()
-                        .iter()
-                        .flat_map(|s| s.keys.clone())
-                        .collect();
                     assert!(
-                        check_sorted_permutation(keys, &sorted),
+                        input.check(machine.states().iter().map(|s| &s.keys[..])),
                         "{} p={p} {name} keys, {mode:?}: not a sorted permutation",
+                        plat.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The ordered and tie-heavy inputs of the test below, `n` keys each:
+/// all-equal, three distinct values, presorted and reverse-sorted.
+fn adversarial_inputs(n: usize) -> [(&'static str, SortInput); 4] {
+    let n = u32::try_from(n).unwrap();
+    [
+        ("all-equal", SortInput::new(vec![42; n as usize])),
+        (
+            "three-value",
+            SortInput::new((0..n).map(|i| [7, 1, 4][i as usize % 3]).collect()),
+        ),
+        ("presorted", SortInput::new((0..n).collect())),
+        ("reverse-sorted", SortInput::new((0..n).rev().collect())),
+    ]
+}
+
+#[test]
+fn sample_and_radix_sort_adversarial_keys() {
+    // Ties pile whole inputs into one bucket, digit or splitter range:
+    // sample sort's padded routing slots and radix sort's global ranks
+    // must still deliver every key. GCel and CM-5 (both p = 64), at the
+    // smallest and largest sizes of the sorting figures.
+    for m in [64, 1024] {
+        for plat in [Platform::gcel(), Platform::cm5()] {
+            for (name, input) in adversarial_inputs(plat.p() * m) {
+                for variant in [
+                    SampleVariant::BspWords,
+                    SampleVariant::Bpram,
+                    SampleVariant::BpramStaggered,
+                ] {
+                    let r = sample::run_on(&plat, &input, 16, variant, SEED);
+                    assert!(
+                        r.verified,
+                        "{} m={m} {name} keys, sample {variant:?}",
+                        plat.name()
+                    );
+                }
+                for variant in [RadixVariant::Words, RadixVariant::Blocks] {
+                    let r = parallel_radix::run_on(&plat, &input, variant, SEED);
+                    assert!(
+                        r.verified,
+                        "{} m={m} {name} keys, radix {variant:?}",
                         plat.name()
                     );
                 }
