@@ -46,18 +46,21 @@ golden:
 # and the allocation-free hot path, including the family, recycling and
 # analyzer bit-identity checks in tests/pooling.rs, the chunk-boundary
 # exchange checks in tests/exchange_shard.rs, the p=256 APSP digests in
-# tests/golden.rs and the copied/moved/shared payload agreement in
-# tests/payload_modes.rs. The adversarial sort inputs, run_keys' shared sort
-# inputs (lanes race to draw the same input and sort its reference first)
-# and the matmul peak-heap gate run here too. The audit sweep installs its dry scopes inside each
-# map_ordered unit, and pcm-sym fans its lemma and crossover checks out
-# through map_ordered, so both reports must also hold at an uneven width.
+# tests/golden.rs, the copied/moved/shared payload agreement in
+# tests/payload_modes.rs and pcm-sim's own tests (the send arms and the
+# pooled-machine unit tests). The adversarial sort inputs, run_keys'
+# shared sort inputs (lanes race to draw the same input and sort its
+# reference first) and the matmul peak-heap gate run here too. The audit
+# sweep installs its dry scopes inside each map_ordered unit, and pcm-sym
+# fans its lemma and crossover checks out through map_ordered, so both
+# reports must also hold at an uneven width.
 pool-odd:
 	RAYON_NUM_THREADS=3 cargo test -q --test pooling --test exchange_shard --test hotpath_alloc --test golden
 	RAYON_NUM_THREADS=3 cargo test -q --test extensions adversarial_keys
 	RAYON_NUM_THREADS=3 cargo test -q -p pcm-experiments --lib runs::tests
 	RAYON_NUM_THREADS=3 cargo test -q --test matmul_peak
 	RAYON_NUM_THREADS=3 cargo test -q --test payload_modes
+	RAYON_NUM_THREADS=3 cargo test -q -p pcm-sim
 	RAYON_NUM_THREADS=3 cargo run --release -p pcm-audit --bin pcm-audit -- --out AUDIT_report.json
 	git diff --exit-code AUDIT_report.json
 	RAYON_NUM_THREADS=3 cargo run --release -p pcm-sym --bin pcm-sym -- --out SYM_report.json

@@ -97,8 +97,17 @@ pub struct RunKey {
 /// matmul across the heavy line, but it shrinks the budget against the
 /// sorts' footprints, and with it the lanes the light runs get.
 const MATMUL_BYTES_PER_QN2: usize = 36;
-/// Cannon's algorithm, per `N²` (MasPar `N` = 700: 40–41 MB).
-const MPL_BYTES_PER_N2: usize = 80;
+/// Cannon's algorithm, per word of the padded `⌈N/√p⌉²` blocks, over all
+/// processors. Its peak also holds about 2 KB per processor whatever the
+/// block size ([`MPL_BYTES_PER_PROC`]). Peak live heap on the MasPar
+/// (counting allocator, one run each): `N` = 100 2.9 MB, 200 6.4 MB,
+/// 300 10.3 MB, 400 17.3 MB, 500 17.4 MB, 600 34.4 MB, 700 39.5 MB; less
+/// the fixed part, 49–88 bytes per block word. No flat factor per `N²`
+/// fits: `N` = 100 needs 290 bytes per `N²`, which would put `N` = 700
+/// over the heavy line.
+const MPL_BYTES_PER_BLOCK_WORD: usize = 96;
+/// The fixed part of Cannon's peak, per processor, with the same margin.
+const MPL_BYTES_PER_PROC: usize = 2560;
 /// SUMMA, per `N²` (CM-5 `N` = 512: 36 MB, 1024: 141 MB).
 const CMSSL_BYTES_PER_N2: usize = 136;
 /// Bitonic sort, per key (MasPar 2048 keys per processor: 69–70 MB).
@@ -168,7 +177,10 @@ impl RunKey {
         let (n, p) = (self.n, self.platform.p());
         match self.algo {
             Algo::Matmul(_) => MATMUL_BYTES_PER_QN2 * q_for(p) * n * n,
-            Algo::MplMatmul => MPL_BYTES_PER_N2 * n * n,
+            Algo::MplMatmul => {
+                let block = n.div_ceil(p.isqrt());
+                p * (MPL_BYTES_PER_BLOCK_WORD * block * block + MPL_BYTES_PER_PROC)
+            }
             Algo::CmsslMatmul => CMSSL_BYTES_PER_N2 * n * n,
             Algo::Bitonic(_) => BITONIC_BYTES_PER_KEY * n * p,
             Algo::Sample { .. } => SAMPLE_BYTES_PER_KEY * n * p,

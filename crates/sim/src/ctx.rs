@@ -326,22 +326,10 @@ impl<'a, S> Ctx<'a, S> {
 
     // ---- sending ---------------------------------------------------------
 
-    #[inline]
+    /// Queues one message of `logical_words` words, unless it is dropped:
+    /// an out-of-range destination is recorded, and an empty message is
+    /// not sent. A dropped payload returns to the pool.
     fn push(
-        &mut self,
-        dst: ProcId,
-        tag: u32,
-        kind: MsgKind,
-        logical_words: usize,
-        payload: Payload,
-    ) {
-        let bytes = logical_words * self.word;
-        self.push_sized(dst, tag, kind, logical_words, bytes, payload);
-    }
-
-    #[inline]
-    #[allow(clippy::cast_possible_truncation)] // single-message sizes < 4 Gi words
-    fn push_sized(
         &mut self,
         dst: ProcId,
         tag: u32,
@@ -368,6 +356,22 @@ impl<'a, S> Ctx<'a, S> {
             self.pool.recycle(payload);
             return;
         }
+        self.enqueue(dst, tag, kind, logical_words, logical_bytes, payload);
+    }
+
+    /// Appends a deliverable message (in range, at least one word) to the
+    /// outbox: the one place a sent `Message` is built.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)] // single-message sizes < 4 Gi words
+    fn enqueue(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        kind: MsgKind,
+        logical_words: usize,
+        logical_bytes: usize,
+        payload: Payload,
+    ) {
         self.outbox.push(Message {
             src: self.pid,
             dst,
@@ -382,11 +386,13 @@ impl<'a, S> Ctx<'a, S> {
     /// Sends `vals.len()` individual word messages carrying `u32` values.
     /// Like every send, it copies a slice, moves an owned `Vec` and shares
     /// an `Arc`'d buffer (see [`Values`]).
+    #[inline]
     pub fn send_words_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
         self.send_words_u32_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_words_u32`].
+    #[inline]
     pub fn send_words_u32_tagged<'v>(
         &mut self,
         dst: ProcId,
@@ -398,11 +404,13 @@ impl<'a, S> Ctx<'a, S> {
 
     /// Sends `vals.len()` individual word messages carrying `f64` values.
     /// (Each value counts as one *logical* word of the platform's size.)
+    #[inline]
     pub fn send_words_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_words_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_words_f64`].
+    #[inline]
     pub fn send_words_f64_tagged<'v>(
         &mut self,
         dst: ProcId,
@@ -413,16 +421,19 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Sends one word message carrying a `u32`.
+    #[inline]
     pub fn send_word_u32(&mut self, dst: ProcId, val: u32) {
         self.send_words_u32(dst, &[val]);
     }
 
     /// Sends one block message of `u32` values.
+    #[inline]
     pub fn send_block_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
         self.send_block_u32_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_block_u32`].
+    #[inline]
     pub fn send_block_u32_tagged<'v>(
         &mut self,
         dst: ProcId,
@@ -433,11 +444,13 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Sends one block message of `f64` values.
+    #[inline]
     pub fn send_block_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_block_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_block_f64`].
+    #[inline]
     pub fn send_block_f64_tagged<'v>(
         &mut self,
         dst: ProcId,
@@ -472,16 +485,18 @@ impl<'a, S> Ctx<'a, S> {
         let payload_bytes = vals.len() * self.word;
         let packets = payload_bytes.div_ceil(packet_bytes);
         let payload = u32::payload(vals, self.pool);
-        self.push_sized(dst, 0, MsgKind::Words, packets, payload_bytes, payload);
+        self.push(dst, 0, MsgKind::Words, packets, payload_bytes, payload);
     }
 
     /// Sends one xnet (neighbour-grid) block of `f64` values. Only the
     /// MasPar prices these specially; other machines treat them as blocks.
+    #[inline]
     pub fn send_xnet_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
         self.send_xnet_f64_tagged(dst, 0, vals);
     }
 
     /// Tagged variant of [`Ctx::send_xnet_f64`].
+    #[inline]
     pub fn send_xnet_f64_tagged<'v>(
         &mut self,
         dst: ProcId,
@@ -492,16 +507,36 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Sends one xnet block of `u32` values.
+    #[inline]
     pub fn send_xnet_u32<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, u32>>) {
         self.send(dst, 0, MsgKind::Xnet, vals.into());
     }
 
-    /// Sends one message of `vals.len()` logical words.
-    #[inline]
+    /// Sends one message of `vals.len()` logical words. The common send,
+    /// a copy of one to [`Word::INLINE`] values to a processor in range,
+    /// is built in place in the caller; every other send takes
+    /// [`Ctx::send_general`].
+    #[inline(always)]
     fn send<T: Word>(&mut self, dst: ProcId, tag: u32, kind: MsgKind, vals: Values<'_, T>) {
+        match vals {
+            Values::Copied(v) if (1..=T::INLINE).contains(&v.len()) && dst < self.p => {
+                let words = v.len();
+                self.enqueue(dst, tag, kind, words, words * self.word, T::inline(v));
+            }
+            vals => self.send_general(dst, tag, kind, vals),
+        }
+    }
+
+    /// Every send [`Ctx::send`] does not build in place: copies too long
+    /// to inline (into a pool buffer), moved and shared values, and empty
+    /// and out-of-range sends, which [`Ctx::push`] drops. Kept out of line
+    /// so the hot callers stay small.
+    #[cold]
+    #[inline(never)]
+    fn send_general<T: Word>(&mut self, dst: ProcId, tag: u32, kind: MsgKind, vals: Values<'_, T>) {
         let words = vals.len();
         let payload = T::payload(vals, self.pool);
-        self.push(dst, tag, kind, words, payload);
+        self.push(dst, tag, kind, words, words * self.word, payload);
     }
 
     pub(crate) fn finish(self) -> ProcOutcome {
@@ -509,6 +544,86 @@ impl<'a, S> Ctx<'a, S> {
             compute_us: self.compute_us,
             charge_ok: self.charge_ok && self.compute_us.is_finite(),
             read_inbox: self.read_inbox.get(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compute::UniformCompute;
+    use crate::inbox::DeliveryIndex;
+
+    /// What one send leaves behind on processor 1 of 4 whose pool holds a
+    /// recycled buffer of each type: the outbox (`Debug` shows each
+    /// payload's representation), the out-of-range list and the pool.
+    fn after_send(
+        send: impl FnOnce(&mut Ctx<'_, ()>),
+    ) -> (String, Vec<usize>, [Vec<Vec<usize>>; 2]) {
+        let p = 4;
+        let compute = UniformCompute::test_model();
+        let index = DeliveryIndex::new(p);
+        let lists = vec![Vec::new(); p];
+        let mut aux = ProcAux::default();
+        aux.pool.recycle(Payload::U32s(Vec::with_capacity(8)));
+        aux.pool.recycle(Payload::F64s(Vec::with_capacity(4)));
+        let mut state = ();
+        let word = compute.word_bytes();
+        // A schedule observer's context: an out-of-range send is recorded
+        // instead of failing a debug assertion.
+        let mut ctx = Ctx::new(
+            1,
+            p,
+            &mut state,
+            index.inbox(&lists, 1),
+            &[],
+            &mut aux,
+            &compute,
+            word,
+            0,
+            true,
+        );
+        send(&mut ctx);
+        ctx.finish();
+        (
+            format!("{:?}", aux.outbox),
+            aux.oob_sends.clone(),
+            aux.pool.census(),
+        )
+    }
+
+    /// Sends `vals` both ways to in-range and out-of-range destinations,
+    /// as every kind.
+    fn check_arms<T: Word>(vals: &[T]) {
+        for dst in [0, 1, 3, 4, 9] {
+            for kind in [MsgKind::Words, MsgKind::Block, MsgKind::Xnet] {
+                let inline = after_send(|ctx| ctx.send(dst, 5, kind, Values::Copied(vals)));
+                let general =
+                    after_send(|ctx| ctx.send_general(dst, 5, kind, Values::Copied(vals)));
+                assert_eq!(
+                    inline,
+                    general,
+                    "{} values to {dst} as {kind:?}",
+                    vals.len()
+                );
+            }
+        }
+    }
+
+    /// [`Ctx::send`]'s in-place arm leaves the outbox, the out-of-range
+    /// list and the pool exactly as the general arm does, for every copy
+    /// of 0 to `INLINE + 1` values of either type.
+    #[test]
+    fn the_inline_send_arm_matches_the_general_arm() {
+        let words: Vec<u32> = (1..).step_by(7).take(<u32 as Word>::INLINE + 1).collect();
+        for n in 0..=words.len() {
+            check_arms(&words[..n]);
+        }
+        let reals: Vec<f64> = (0..=<f64 as Word>::INLINE)
+            .map(|v| v as f64 - 0.5)
+            .collect();
+        for n in 0..=reals.len() {
+            check_arms(&reals[..n]);
         }
     }
 }

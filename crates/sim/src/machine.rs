@@ -39,9 +39,12 @@
 //! sends, which the receivers read now. A fused sequential sweep recycles
 //! the consumed payloads of the previous send lists into their senders'
 //! pools, swaps the new outboxes in as the pattern, and indexes them by
-//! destination (see [`crate::inbox`]); then it prices the pattern.
-//! Observers installed with [`crate::with_probe`] see exactly that
-//! engine, so every analyzer checks the code the figures run.
+//! destination (see [`crate::inbox`]), counting the step's messages and
+//! bytes as it goes; then it prices the pattern. Observers installed with
+//! [`crate::with_probe`] see exactly that engine, so every analyzer checks
+//! the code the figures run; the trace statistics only they read (send
+//! and receive maxima, active processors, kind counts, block rounds) are
+//! computed only for a machine that has one.
 
 use std::sync::Arc;
 
@@ -83,16 +86,17 @@ pub struct Machine<S> {
     pattern: CommPattern,
     /// Per-destination index into `pattern.sends`: each processor's inbox.
     delivery: DeliveryIndex,
-    /// Tracing scratch: words received per processor.
+    /// Observer-only statistics scratch: words received per processor.
+    /// Untouched on an unobserved machine.
     stat_recv: Vec<usize>,
-    /// Tracing scratch: per-processor activity flags.
+    /// Observer-only statistics scratch: per-processor activity flags.
     stat_active: Vec<bool>,
-    /// Tracing scratch: per-round max block bytes.
+    /// Observer-only statistics scratch: per-round max block bytes.
     stat_round_max: Vec<usize>,
     /// Observers installed via [`crate::with_probe`] or
     /// [`crate::with_dry_probe`] at construction time, outermost scope
     /// first. Empty on the unobserved hot path — one emptiness test per
-    /// superstep.
+    /// superstep, which also skips the observer-only trace statistics.
     observers: Vec<Box<dyn SuperstepProbe>>,
     /// Some observer declared [`Needs::Schedule`]: `Ctx` records shadow
     /// events and each processor snapshots its schedule detail.
@@ -282,31 +286,25 @@ impl<S: Send> Machine<S> {
         (compute, comm)
     }
 
-    /// Reports one finished superstep to the installed observers, then
-    /// adds its trace to the breakdown. Runs after the clock update and delivery, reading
-    /// only values the machine already computed, so it cannot perturb the
-    /// simulation.
-    fn record_step(&mut self, trace: SuperstepTrace, records: usize, phases: PhaseNanos) {
-        if !self.observers.is_empty() {
-            let obs = StepObs {
-                trace: &trace,
-                clock: self.clock,
-                records,
-                path: ExchangePath::Fused,
-                phases,
-                memo: self.net.route_memo_stats(),
-                terms: self.net.cost_terms(),
-                detail: self.schedule.then_some(StepDetail {
-                    pattern: &self.pattern,
-                    procs: &self.procs,
-                }),
-            };
-            for observer in &mut self.observers {
-                observer.observe(&obs);
-            }
-        }
-        if !self.dry {
-            self.breakdown.add(&trace);
+    /// Reports one finished superstep to the installed observers. Runs
+    /// after the clock update and delivery, reading only values the
+    /// machine already computed, so it cannot perturb the simulation.
+    fn report(&mut self, trace: &SuperstepTrace, records: usize, phases: PhaseNanos) {
+        let obs = StepObs {
+            trace,
+            clock: self.clock,
+            records,
+            path: ExchangePath::Fused,
+            phases,
+            memo: self.net.route_memo_stats(),
+            terms: self.net.cost_terms(),
+            detail: self.schedule.then_some(StepDetail {
+                pattern: &self.pattern,
+                procs: &self.procs,
+            }),
+        };
+        for observer in &mut self.observers {
+            observer.observe(&obs);
         }
     }
 
@@ -317,11 +315,14 @@ impl<S: Send> Machine<S> {
     /// Delivery runs before pricing here, which is unobservable — pricing
     /// reads only the finished pattern and the network rng, and observers
     /// read the detail each processor snapshotted before the exchange.
+    /// The same sweep counts the step's messages and bytes, all the
+    /// breakdown folds besides the priced pair; the statistics only
+    /// observers read are computed only when one is installed.
     fn exchange_fused(&mut self, step: usize, compute_ns: u64) {
         let observed = !self.observers.is_empty();
         let t = probe::mark(observed);
         let mut max_compute = 0.0f64;
-        let mut total_records = 0usize;
+        let (mut total_records, mut messages, mut bytes) = (0usize, 0usize, 0usize);
         for (aux, sends) in self.procs.iter_mut().zip(&mut self.pattern.sends) {
             max_compute = max_compute.max(aux.compute_us);
             // Every receiver has read this list; recycling an inline
@@ -332,66 +333,71 @@ impl<S: Send> Machine<S> {
             }
             std::mem::swap(sends, &mut aux.outbox);
             total_records += sends.len();
+            for msg in sends.iter() {
+                // A word stream is one message per word; a block or an
+                // xnet transfer is one message.
+                messages += match msg.kind {
+                    MsgKind::Words => msg.logical_words as usize,
+                    MsgKind::Block | MsgKind::Xnet => 1,
+                };
+                bytes += msg.logical_bytes as usize;
+            }
         }
         self.delivery.rebuild(&self.pattern.sends);
         let gather_ns = probe::since(t);
         let t = probe::mark(observed);
-        let (compute_time, comm) = self.price(total_records, max_compute);
+        let (compute, comm) = self.price(total_records, max_compute);
         let price_ns = probe::since(t);
-        let trace = self.pattern_trace(step, compute_time, comm);
-        let phases = PhaseNanos {
-            compute: compute_ns,
-            scatter: 0,
-            price: price_ns,
-            gather: gather_ns,
-            recycle: 0,
+        let mut trace = SuperstepTrace {
+            index: step,
+            compute,
+            comm,
+            messages,
+            bytes,
+            ..SuperstepTrace::default()
         };
-        self.record_step(trace, total_records, phases);
+        if observed {
+            self.pattern_stats(&mut trace);
+            let phases = PhaseNanos {
+                compute: compute_ns,
+                scatter: 0,
+                price: price_ns,
+                gather: gather_ns,
+                recycle: 0,
+            };
+            self.report(&trace, total_records, phases);
+        }
+        if !self.dry {
+            self.breakdown.add(&trace);
+        }
     }
 
-    /// The superstep trace: all pattern statistics in one pass over the
-    /// sent messages, using the machine's reusable scratch buffers.
-    /// Semantics are identical to the `CommPattern` query methods (a
-    /// property test in `tests/exchange_shard.rs` holds them equal).
-    fn pattern_trace(
-        &mut self,
-        step: usize,
-        compute_time: SimTime,
-        comm: SimTime,
-    ) -> SuperstepTrace {
+    /// Fills in the statistics of `trace` that only observers read —
+    /// `h_send`, `h_recv`, `active`, the kind counts and the block rounds —
+    /// in one pass over the sent messages, using the machine's reusable
+    /// scratch buffers. (`messages` and `bytes` come from the exchange's
+    /// sweep.) Semantics are identical to the `CommPattern` query methods
+    /// (a property test in `tests/exchange_shard.rs` holds them equal).
+    fn pattern_stats(&mut self, trace: &mut SuperstepTrace) {
         let pattern = &self.pattern;
         let recv = &mut self.stat_recv;
         let active = &mut self.stat_active;
-        for v in recv.iter_mut() {
-            *v = 0;
-        }
-        for a in active.iter_mut() {
-            *a = false;
-        }
-        let mut messages = 0usize;
-        let mut bytes = 0usize;
+        recv.fill(0);
+        active.fill(false);
         let mut h_send = 0usize;
         let (mut word_msgs, mut block_msgs, mut xnet_msgs) = (0usize, 0usize, 0usize);
         for (src, recs) in pattern.sends.iter().enumerate() {
             let mut sent_words = 0usize;
             for r in recs {
                 let words = r.logical_words as usize;
-                bytes += r.logical_bytes as usize;
                 match r.kind {
                     MsgKind::Words => {
-                        messages += words;
                         word_msgs += words;
                         sent_words += words;
                         recv[r.dst] += words;
                     }
-                    MsgKind::Block => {
-                        messages += 1;
-                        block_msgs += 1;
-                    }
-                    MsgKind::Xnet => {
-                        messages += 1;
-                        xnet_msgs += 1;
-                    }
+                    MsgKind::Block => block_msgs += 1,
+                    MsgKind::Xnet => xnet_msgs += 1,
                 }
                 if words > 0 {
                     active[src] = true;
@@ -400,13 +406,13 @@ impl<S: Send> Machine<S> {
             }
             h_send = h_send.max(sent_words);
         }
-        let h_recv = recv.iter().copied().max().unwrap_or(0);
-        let active = active.iter().filter(|&&a| a).count();
+        trace.h_send = h_send;
+        trace.h_recv = recv.iter().copied().max().unwrap_or(0);
+        trace.active = active.iter().filter(|&&a| a).count();
+        (trace.word_msgs, trace.block_msgs, trace.xnet_msgs) = (word_msgs, block_msgs, xnet_msgs);
         // Block/xnet rounds: round `r` holds the `r`-th record of that
         // kind from each source; its cost driver is the largest block. A
         // kind that was not sent has no rounds, so its walk is skipped.
-        let mut block_steps = 0usize;
-        let mut block_bytes_sum = 0usize;
         for (kind, sent) in [(MsgKind::Block, block_msgs), (MsgKind::Xnet, xnet_msgs)] {
             if sent == 0 {
                 continue;
@@ -423,23 +429,8 @@ impl<S: Send> Machine<S> {
                     }
                 }
             }
-            block_steps += round_max.len();
-            block_bytes_sum += round_max.iter().sum::<usize>();
-        }
-        SuperstepTrace {
-            index: step,
-            compute: compute_time,
-            comm,
-            messages,
-            bytes,
-            h_send,
-            h_recv,
-            active,
-            block_steps,
-            block_bytes_sum,
-            word_msgs,
-            block_msgs,
-            xnet_msgs,
+            trace.block_steps += round_max.len();
+            trace.block_bytes_sum += round_max.iter().sum::<usize>();
         }
     }
 

@@ -406,6 +406,20 @@ impl PayloadPool {
     }
 }
 
+#[cfg(test)]
+impl PayloadPool {
+    /// The capacities of the retained buffers: per value type, per class.
+    pub(crate) fn census(&self) -> [Vec<Vec<usize>>; 2] {
+        fn caps<T>(c: &Classes<T>) -> Vec<Vec<usize>> {
+            c.classes
+                .iter()
+                .map(|class| class.iter().map(Vec::capacity).collect())
+                .collect()
+        }
+        [caps(&self.u32s), caps(&self.f64s)]
+    }
+}
+
 /// A message in flight between two virtual processors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Message {

@@ -126,7 +126,8 @@ pub enum Needs {
 /// installed [`SuperstepProbe`] *after* the clock update and delivery.
 pub struct StepObs<'a> {
     /// The superstep's record: its index, the `compute`/`comm` pair it
-    /// added to the clock, and its pattern statistics. The same value
+    /// added to the clock, and its pattern statistics, all computed
+    /// because an observer is installed. The same value
     /// [`crate::Machine::breakdown`] folds.
     pub trace: &'a SuperstepTrace,
     /// The machine clock *after* this superstep. Folding

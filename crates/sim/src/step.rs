@@ -12,6 +12,11 @@
 use pcm_core::SimTime;
 
 /// Cost breakdown of one executed superstep.
+///
+/// A machine fills every field only when an observer is installed: an
+/// unobserved one computes `index`, `compute`, `comm`, `messages` and
+/// `bytes` (all [`RunBreakdown`] folds) and leaves the statistics after
+/// them, which only observers read, at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SuperstepTrace {
     /// Superstep index.

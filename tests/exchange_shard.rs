@@ -14,7 +14,10 @@
 //!   `msgs_from` and `msgs_tagged` equal a reference built by walking the
 //!   sources in pid order and each source's sends in send order, pooled
 //!   and sequential runs agree bit for bit, and every superstep trace's
-//!   statistics equal the pattern's query methods.
+//!   statistics equal the pattern's query methods;
+//! * an unobserved machine, which skips the observer-only statistics,
+//!   prices and counts those patterns (out-of-range sends among them)
+//!   exactly as an observed one.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
@@ -258,11 +261,14 @@ fn same_messages<'a>(
         })
 }
 
+/// A run's clock and `RunBreakdown`, with the times as bits.
+type Costs = (u64, [u64; 2], [usize; 3]);
+
 /// Runs `plan` on a priced machine of `p` processors. Each processor
 /// checks its inbox against [`reference_inbox`] through all three
 /// accessors and keeps a record of every mismatch and a checksum of the
-/// bytes it read; returns the clock bits and those states.
-fn run_plan(p: usize, plan: &Plan) -> (u64, Vec<(Vec<String>, u64)>) {
+/// bytes it read; returns the clock and breakdown and those states.
+fn run_plan(p: usize, plan: &Plan) -> (Costs, Vec<(Vec<String>, u64)>) {
     let mut m = Machine::new(
         Box::new(TextbookBspNetwork {
             g: 2.0,
@@ -329,7 +335,34 @@ fn run_plan(p: usize, plan: &Plan) -> (u64, Vec<(Vec<String>, u64)>) {
             }
         });
     }
-    (m.time().as_micros().to_bits(), m.into_states())
+    let b = m.breakdown();
+    let costs = (
+        m.time().as_micros().to_bits(),
+        [b.compute, b.comm].map(|t| t.as_micros().to_bits()),
+        [b.supersteps, b.messages, b.bytes],
+    );
+    (costs, m.into_states())
+}
+
+/// `plan` with about one send in eight redirected to a destination at or
+/// past `p`, which the machine records and drops.
+fn with_out_of_range(mut plan: Plan, p: usize, seed: u64) -> Plan {
+    let mut rng = seeded(seed);
+    for send in plan.iter_mut().flatten().flatten() {
+        if rng.random_range(0..8u32) == 0 {
+            send.dst = p + rng.random_range(0..3usize);
+        }
+    }
+    plan
+}
+
+/// `plan` without its out-of-range sends.
+fn in_range(plan: &Plan, p: usize) -> Plan {
+    let mut plan = plan.clone();
+    for send in plan.iter_mut().flatten() {
+        send.retain(|s| s.dst < p);
+    }
+    plan
 }
 
 /// Machine sizes for the random plans: a single processor, sizes below
@@ -370,6 +403,36 @@ proptest::proptest! {
                 || run_plan(p, &plan),
             );
             proptest::prop_assert_eq!(steps.get(), plan.len() + 1);
+        }
+    }
+
+    /// An unobserved machine skips the trace statistics only observers
+    /// read, and nothing it prices or counts changes: the clock and every
+    /// `RunBreakdown` field (times as bits) equal those of the same plan
+    /// under a schedule observer, whose steps also check the full
+    /// statistics. The plans mix all three kinds with empty and
+    /// out-of-range sends. Unobserved debug runs fail fast on an
+    /// out-of-range send, so there the unobserved leg runs the plan
+    /// without them; they are dropped unpriced, so the costs must agree.
+    #[test]
+    fn unobserved_runs_price_and_count_as_observed_runs(seed in proptest::any::<u64>()) {
+        for p in PLAN_SIZES {
+            let plan = with_out_of_range(random_plan(p, seed ^ p as u64), p, seed);
+            let steps = Rc::new(Cell::new(0usize));
+            let seen = steps.clone();
+            let observed = with_probe(
+                move |_p| Box::new(StatsCheck(seen.clone())),
+                || run_plan(p, &plan),
+            );
+            proptest::prop_assert_eq!(steps.get(), plan.len() + 1);
+            for (pid, (errors, _)) in observed.1.iter().enumerate() {
+                proptest::prop_assert!(errors.is_empty(), "p={p} pid {pid}: {errors:?}");
+            }
+            let unobserved = run_plan(p, &in_range(&plan, p));
+            proptest::prop_assert_eq!(&observed, &unobserved, "p={}", p);
+            if !cfg!(debug_assertions) {
+                proptest::prop_assert_eq!(&observed, &run_plan(p, &plan), "p={}", p);
+            }
         }
     }
 }

@@ -3,10 +3,11 @@
 //! With no observer installed, steady-state supersteps
 //! carrying word-sized traffic (inline payloads, <= 16 bytes) must not
 //! touch the heap at all: both outboxes of every processor (one is the
-//! communication pattern's send list), the per-destination delivery
-//! index and the trace-statistics scratch all reuse buffers warmed up in the first
-//! few supersteps, and the pooled executor keeps its scratch on the
-//! caller's stack.
+//! communication pattern's send list) and the per-destination delivery
+//! index reuse buffers warmed up in the first few supersteps, and the
+//! pooled executor keeps its scratch on the caller's stack. The
+//! trace-statistics scratch is filled only on observed machines, where
+//! it too is reused: the traced legs hold the same bound.
 //!
 //! Pooled closures preserve the property with >1 worker: the chunk table
 //! lives on the stack, and heap payloads drawn from a sender's pool

@@ -30,6 +30,7 @@ fn matmul_peaks_stay_within_their_footprint() {
         RunKey::new(stag, Platform::maspar(), 300, 1),
         RunKey::new(stag, Platform::cm5(), 512, 1),
         RunKey::new(Algo::CmsslMatmul, Platform::cm5(), 512, 1),
+        RunKey::new(Algo::MplMatmul, Platform::maspar(), 400, 1),
     ];
     for key in keys {
         let peak = peak_live_bytes(&key);
