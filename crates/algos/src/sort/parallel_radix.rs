@@ -16,7 +16,7 @@
 use pcm_core::units::tag_u32;
 use pcm_machines::Platform;
 use pcm_models::DomainSpec;
-use pcm_sim::Machine;
+use pcm_sim::{Ctx, Machine};
 
 use super::{copy_u32s, u32_pairs};
 use crate::primitives::plan::staggered;
@@ -38,15 +38,23 @@ pub enum RadixVariant {
     Blocks,
 }
 
+/// One processor's keys and the scratch of a pass, reused by every pass so
+/// that no superstep allocates per destination.
 #[derive(Clone, Debug, Default)]
 struct RadixState {
     keys: Vec<u32>,
+    /// The local histogram (superstep 1); as a manager, row `i` holds
+    /// processor `i`'s counts for my buckets, scanned in place into its
+    /// prefix (superstep 2); then each bucket's next global position
+    /// (superstep 3). Row `i` is `counts[i·(256/P)..(i + 1)·(256/P)]`.
     counts: Vec<u32>,
-    /// Exclusive prefix over lower-ranked processors, per local bucket.
-    prefix: Vec<u32>,
-    /// Global start offset of each bucket.
-    base: Vec<u32>,
-    incoming: Vec<(u32, u32)>,
+    /// Bucket totals: my buckets' (superstep 2), then every manager's
+    /// (superstep 3).
+    totals: Vec<u32>,
+    /// `(position, key)` word pairs grouped by destination (superstep 3).
+    route: Vec<u32>,
+    /// Destination `t`'s pairs are `route[2·starts[t]..2·starts[t + 1]]`.
+    starts: Vec<u32>,
 }
 
 /// Runs parallel radix sort on `keys_per_proc` keys per processor and
@@ -101,37 +109,37 @@ pub fn run_on(
     RunResult::new(time, breakdown, verified)
 }
 
+/// One pass over the digit at `shift`; each processor manages `bpp`
+/// consecutive buckets.
 fn radix_pass(
     machine: &mut Machine<RadixState>,
     p: usize,
     m: usize,
-    buckets_per_proc: usize,
+    bpp: usize,
     shift: usize,
     variant: RadixVariant,
 ) {
     let digit = move |k: u32| ((k >> shift) as usize) & (RADIX - 1);
+    let send = move |ctx: &mut Ctx<'_, RadixState>, t: usize, words: &[u32]| match variant {
+        RadixVariant::Blocks => ctx.send_block_u32(t, words),
+        RadixVariant::Words => ctx.send_words_u32(t, words),
+    };
 
     // Superstep 1: local histogram; ship each manager its bucket counts.
     machine.superstep(move |ctx| {
         let pid = ctx.pid();
-        let mut counts = vec![0u32; RADIX];
         ctx.touch_read(regions::RADIX_KEYS);
         ctx.touch_write(regions::RADIX_COUNTS);
-        for &k in ctx.state.keys.iter() {
+        let mut counts = std::mem::take(&mut ctx.state.counts);
+        counts.clear();
+        counts.resize(RADIX, 0);
+        for &k in &ctx.state.keys {
             counts[digit(k)] += 1;
         }
         ctx.charge_radix_sort(ctx.state.keys.len(), RADIX_BITS, RADIX_BITS);
         for t in staggered(pid, p) {
-            let slice: Vec<u32> = (0..buckets_per_proc)
-                .map(|b| counts[t * buckets_per_proc + b])
-                .collect();
-            if t == pid {
-                ctx.state.prefix = slice; // temporarily hold own slice
-            } else {
-                match variant {
-                    RadixVariant::Blocks => ctx.send_block_u32(t, &slice),
-                    RadixVariant::Words => ctx.send_words_u32(t, &slice),
-                }
+            if t != pid {
+                send(ctx, t, &counts[t * bpp..(t + 1) * bpp]);
             }
         }
         ctx.state.counts = counts;
@@ -141,36 +149,33 @@ fn radix_pass(
     // and returns the per-processor prefix plus its bucket totals.
     machine.superstep(move |ctx| {
         let pid = ctx.pid();
-        // rows[i][b] = counts of processor i for my b-th bucket.
-        let mut rows = vec![vec![0u32; buckets_per_proc]; p];
         ctx.touch_read(regions::RADIX_COUNTS);
-        rows[pid].copy_from_slice(&ctx.state.prefix);
-        for msg in ctx.msgs() {
-            copy_u32s(&mut rows[msg.src], msg);
+        let inbox = ctx.msgs();
+        let st = &mut *ctx.state;
+        // My own row is already in place.
+        for msg in inbox {
+            copy_u32s(&mut st.counts[msg.src * bpp..(msg.src + 1) * bpp], msg);
         }
-        let mut totals = vec![0u32; buckets_per_proc];
-        let mut prefixes = vec![vec![0u32; buckets_per_proc]; p];
-        for b in 0..buckets_per_proc {
+        st.totals.resize(RADIX, 0);
+        for b in 0..bpp {
             let mut acc = 0u32;
-            for i in 0..p {
-                prefixes[i][b] = acc;
-                acc += rows[i][b];
+            for row in st.counts.chunks_exact_mut(bpp) {
+                let count = row[b];
+                row[b] = acc;
+                acc += count;
             }
-            totals[b] = acc;
+            st.totals[pid * bpp + b] = acc;
         }
-        ctx.charge_ops((p * buckets_per_proc) as u64);
+        ctx.charge_ops((p * bpp) as u64);
         // Reply: [prefix for you ..., my totals ...] to every processor.
         ctx.touch_write(regions::RADIX_COUNTS);
+        let mut reply = [0u32; 2 * RADIX];
+        let reply = &mut reply[..2 * bpp];
+        reply[bpp..].copy_from_slice(&ctx.state.totals[pid * bpp..(pid + 1) * bpp]);
         for t in staggered(pid, p) {
-            let mut payload = prefixes[t].clone();
-            payload.extend_from_slice(&totals);
-            if t == pid {
-                ctx.state.prefix = payload;
-            } else {
-                match variant {
-                    RadixVariant::Blocks => ctx.send_block_u32(t, &payload),
-                    RadixVariant::Words => ctx.send_words_u32(t, &payload),
-                }
+            if t != pid {
+                reply[..bpp].copy_from_slice(&ctx.state.counts[t * bpp..(t + 1) * bpp]);
+                send(ctx, t, reply);
             }
         }
     });
@@ -179,87 +184,86 @@ fn radix_pass(
     // route (position, key) pairs.
     machine.superstep(move |ctx| {
         let pid = ctx.pid();
-        let mut prefix = vec![0u32; RADIX];
-        let mut totals = vec![0u32; RADIX];
         ctx.touch_read(regions::RADIX_COUNTS);
-        let own = ctx.state.prefix.clone();
-        let place = |store: &mut [u32], manager: usize, vals: &[u32]| {
-            for b in 0..buckets_per_proc {
-                store[manager * buckets_per_proc + b] = vals[b];
-            }
-        };
-        place(&mut prefix, pid, &own[..buckets_per_proc]);
-        place(&mut totals, pid, &own[buckets_per_proc..]);
-        // Each reply is [prefix ..., totals ...]: decode it in place.
-        for msg in ctx.msgs() {
+        let inbox = ctx.msgs();
+        let st = &mut *ctx.state;
+        // Each reply is [prefix ..., totals ...] for its manager's buckets;
+        // my own prefix and totals are already in place.
+        for msg in inbox {
             let words = msg.u32s();
-            assert_eq!(words.len(), 2 * buckets_per_proc, "payload length mismatch");
-            let at = msg.src * buckets_per_proc..(msg.src + 1) * buckets_per_proc;
-            let slots = prefix[at.clone()].iter_mut().chain(&mut totals[at]);
-            for (slot, &v) in slots.zip(words) {
-                *slot = v;
-            }
+            assert_eq!(words.len(), 2 * bpp, "payload length mismatch");
+            let at = msg.src * bpp..(msg.src + 1) * bpp;
+            st.counts[at.clone()].copy_from_slice(&words[..bpp]);
+            st.totals[at].copy_from_slice(&words[bpp..]);
         }
-        // Exclusive scan of the totals gives each bucket's global base.
-        let mut base = vec![0u32; RADIX];
+        // Exclusive scan of the totals gives each bucket's global base;
+        // my first key in a bucket goes to its base plus my prefix.
         let mut acc = 0u32;
-        for b in 0..RADIX {
-            base[b] = acc;
-            acc += totals[b];
+        for (next, &total) in st.counts.iter_mut().zip(&st.totals) {
+            *next += acc;
+            acc += total;
         }
         ctx.charge_ops(RADIX as u64);
 
-        // Global position of each key, preserving local order (stability).
+        // Global position of each key, preserving local order (stability):
+        // a counting sort of the (position, key) pairs by destination.
         ctx.touch_read(regions::RADIX_KEYS);
-        let keys = std::mem::take(&mut ctx.state.keys);
         ctx.touch_modify(regions::RADIX_BUCKET);
-        let mut cursor = vec![0u32; RADIX];
-        let mut outgoing: Vec<Vec<(u32, u32)>> = vec![Vec::new(); p];
-        for &k in &keys {
+        let st = &mut *ctx.state;
+        st.starts.clear();
+        st.starts.resize(p + 1, 0);
+        for &k in &st.keys {
             let d = digit(k);
-            let pos = base[d] + prefix[d] + cursor[d];
-            cursor[d] += 1;
-            let dest = (pos as usize) / m;
-            outgoing[dest].push((pos % tag_u32(m), k));
+            st.starts[st.counts[d] as usize / m] += 1;
+            st.counts[d] += 1;
         }
-        ctx.charge_ops(keys.len() as u64);
+        let mut acc = 0u32;
+        for start in &mut st.starts {
+            acc += *start;
+            *start = acc;
+        }
+        // Backwards, so each destination's pairs keep the keys' order.
+        st.route.resize(2 * st.keys.len(), 0);
+        for &k in st.keys.iter().rev() {
+            let d = digit(k);
+            st.counts[d] -= 1;
+            let pos = st.counts[d];
+            let dest = pos as usize / m;
+            st.starts[dest] -= 1;
+            let at = 2 * st.starts[dest] as usize;
+            st.route[at] = pos % tag_u32(m);
+            st.route[at + 1] = k;
+        }
+        ctx.charge_ops(ctx.state.keys.len() as u64);
+        let route = std::mem::take(&mut ctx.state.route);
+        let starts = std::mem::take(&mut ctx.state.starts);
         for t in staggered(pid, p) {
-            if outgoing[t].is_empty() {
-                continue;
-            }
-            let mut payload = Vec::with_capacity(outgoing[t].len() * 2);
-            for &(pos, k) in &outgoing[t] {
-                payload.push(pos);
-                payload.push(k);
-            }
-            if t == pid {
-                ctx.state.incoming.extend_from_slice(&outgoing[t]);
-            } else {
-                match variant {
-                    RadixVariant::Blocks => ctx.send_block_u32(t, &payload),
-                    RadixVariant::Words => ctx.send_words_u32(t, &payload),
-                }
+            let pairs = 2 * starts[t] as usize..2 * starts[t + 1] as usize;
+            if t != pid && !pairs.is_empty() {
+                send(ctx, t, &route[pairs]);
             }
         }
         ctx.touch_modify(regions::RADIX_BASE);
-        ctx.state.base = base;
+        ctx.state.route = route;
+        ctx.state.starts = starts;
     });
 
-    // Superstep 4: place the received keys.
+    // Superstep 4: place my own keys and the received ones.
     machine.superstep(move |ctx| {
-        let mut placed = vec![0u32; m];
+        let pid = ctx.pid();
         ctx.touch_read(regions::RADIX_BUCKET);
-        let mut pairs = std::mem::take(&mut ctx.state.incoming);
-        for msg in ctx.msgs() {
-            pairs.extend(u32_pairs(msg.u32s()));
+        let inbox = ctx.msgs();
+        let st = &mut *ctx.state;
+        let own = &st.route[2 * st.starts[pid] as usize..2 * st.starts[pid + 1] as usize];
+        let received = inbox.iter().flat_map(|msg| u32_pairs(msg.u32s()));
+        let mut placed = 0;
+        for (pos, k) in u32_pairs(own).chain(received) {
+            st.keys[pos as usize] = k;
+            placed += 1;
         }
-        debug_assert_eq!(pairs.len(), m, "every slot must be filled");
-        for (pos, k) in pairs {
-            placed[pos as usize] = k;
-        }
+        debug_assert_eq!(placed, m, "every slot must be filled");
         ctx.charge_copy_words(m as u64);
         ctx.touch_write(regions::RADIX_KEYS);
-        ctx.state.keys = placed;
     });
 }
 

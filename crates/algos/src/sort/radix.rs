@@ -40,17 +40,20 @@ pub fn radix_sort(keys: &mut Vec<u32>) {
     }
 }
 
-/// Merges two ascending lists and keeps the `keep` smallest
-/// (`low = true`) or largest (`low = false`) elements — the compare-split
-/// step of bitonic sort on blocks. Returns `min(keep, a.len() + b.len())`
-/// elements in ascending order.
+/// Compare-splits the ascending list `mine` against the ascending list
+/// `theirs` into `out` — the compare-split step of bitonic sort on blocks:
+/// afterwards `out` holds the `mine.len()` smallest (`low = true`) or
+/// largest (`low = false`) keys of both lists in ascending order, and
+/// nothing of what it held before.
 ///
-/// The split runs in two steps instead of one branchy merge loop:
+/// When one list alone holds every kept key, its keys are copied instead
+/// of merged. Otherwise the split runs in two steps instead of one branchy
+/// merge loop:
 ///
 /// 1. A merge-path binary search (`merge_path`) finds the split `i` such
-///    that `a[..i]` and `b[..s - i]` hold the `s` smallest keys, with
-///    `s = keep` for the low half and `s = total - keep` for the high half
-///    (whose keys are then `a[i..]` and `b[s - i..]`).
+///    that `mine[..i]` and `theirs[..s - i]` hold the `s` smallest keys,
+///    with `s = mine.len()` for the low half and `s = theirs.len()` for
+///    the high half (whose keys are then `mine[i..]` and `theirs[s - i..]`).
 /// 2. A branch-free select merge of exactly those keys: each step loads
 ///    both heads, compares, and picks with a conditional move, so there is
 ///    no data-dependent branch to mispredict. It runs as two independent
@@ -59,26 +62,13 @@ pub fn radix_sort(keys: &mut Vec<u32>) {
 ///    load-compare-advance latencies of the two overlap.
 ///
 /// The output is the same sequence, element for element, as any merge of
-/// the same selection: the `s` smallest (or largest) keys of a multiset
-/// form one multiset whichever way ties between `a` and `b` are broken, and
-/// an ascending `u32` sequence is determined by its multiset. So the two
-/// chains need not agree on tie order, and each output slot gets the key
-/// of that rank.
-pub fn merge_split(a: &[u32], b: &[u32], keep: usize, low: bool) -> Vec<u32> {
-    let keep = keep.min(a.len() + b.len());
-    let (from_a, from_b) = split_ranges(a, b, keep, low);
-    let mut out = vec![0; keep];
-    merge_into(&a[from_a], &b[from_b], &mut out);
-    out
-}
-
-/// Compare-splits the ascending list `mine` against the ascending list
-/// `theirs` into `out`: afterwards `out` holds what [`merge_split`]`(mine,
-/// theirs, mine.len(), low)` returns, and nothing of what it held before.
+/// the same selection: the kept keys of a multiset form one multiset
+/// whichever way ties between the lists are broken, and an ascending
+/// `u32` sequence is determined by its multiset. So the two chains need
+/// not agree on tie order, and each output slot gets the key of that rank.
 ///
-/// When one list alone holds every kept key, its keys are copied instead
-/// of merged. The caller owns `out`, so it can be a recycled buffer and
-/// both inputs can be read where they lie (a message payload, say).
+/// The caller owns `out`, so it can be a recycled buffer and both inputs
+/// can be read where they lie (a message payload, say).
 pub(crate) fn compare_split(mine: &[u32], theirs: &[u32], low: bool, out: &mut Vec<u32>) {
     let keep = mine.len();
     let (from_mine, from_theirs) = split_ranges(mine, theirs, keep, low);
@@ -186,8 +176,8 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// The sequential merge loop `merge_split` replaced, kept as the
-    /// reference it must match element for element.
+    /// The sequential merge loop that the merge-path split replaced, kept
+    /// as the reference `compare_split` must match element for element.
     fn reference_merge_split(a: &[u32], b: &[u32], keep: usize, low: bool) -> Vec<u32> {
         let mut out = Vec::with_capacity(keep);
         if low {
@@ -284,48 +274,59 @@ mod tests {
         assert_eq!(keys, vec![0, 0, 1, u32::MAX, u32::MAX]);
     }
 
+    /// Compare-splits `mine` against `theirs` into a fresh buffer.
+    fn split(mine: &[u32], theirs: &[u32], low: bool) -> Vec<u32> {
+        let mut out = Vec::new();
+        compare_split(mine, theirs, low, &mut out);
+        out
+    }
+
     #[test]
     fn merge_split_keeps_extremes() {
         let a = vec![1u32, 4, 7];
         let b = vec![2u32, 3, 9];
-        assert_eq!(merge_split(&a, &b, 3, true), vec![1, 2, 3]);
-        assert_eq!(merge_split(&a, &b, 3, false), vec![4, 7, 9]);
+        assert_eq!(split(&a, &b, true), vec![1, 2, 3]);
+        assert_eq!(split(&a, &b, false), vec![4, 7, 9]);
+        assert_eq!(split(&b, &a, true), vec![1, 2, 3]);
+        assert_eq!(split(&b, &a, false), vec![4, 7, 9]);
         // Union of both halves is the whole multiset.
-        let mut all = merge_split(&a, &b, 3, true);
-        all.extend(merge_split(&a, &b, 3, false));
+        let mut all = split(&a, &b, true);
+        all.extend(split(&b, &a, false));
         all.sort_unstable();
         assert_eq!(all, vec![1, 2, 3, 4, 7, 9]);
     }
 
     #[test]
     fn merge_split_short_inputs() {
-        assert_eq!(merge_split(&[5], &[], 1, true), vec![5]);
-        assert_eq!(merge_split(&[], &[7], 1, false), vec![7]);
-        assert_eq!(merge_split(&[], &[], 0, true), Vec::<u32>::new());
+        assert_eq!(split(&[5], &[], true), vec![5]);
+        assert_eq!(split(&[7], &[], false), vec![7]);
+        assert_eq!(split(&[], &[7], false), Vec::<u32>::new());
+        assert_eq!(split(&[], &[], true), Vec::<u32>::new());
+        assert_eq!(split(&[5], &[3], true), vec![3]);
+        assert_eq!(split(&[5], &[3], false), vec![5]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// Both partners' splits, into fresh buffers, match the sequential
+        /// merge: each list keeps its own length from the union.
         #[test]
         fn merge_split_matches_the_sequential_merge(
             shape in 0usize..6,
             raw_a in vec(any::<u32>(), 0..64),
             raw_b in vec(any::<u32>(), 0..64),
-            keep_pick in 0usize..6,
-            r in any::<usize>(),
         ) {
             let (a, b) = adversarial_pair(shape, raw_a, raw_b);
-            let total = a.len() + b.len();
-            let keep = [0, a.len(), b.len(), total, total + 1 + r % 8, r % (total + 1)][keep_pick];
-            for low in [true, false] {
-                prop_assert_eq!(
-                    merge_split(&a, &b, keep, low),
-                    reference_merge_split(&a, &b, keep, low),
-                    "shape {} keep {} low {}",
-                    shape,
-                    keep,
-                    low
-                );
+            for (mine, theirs) in [(&a, &b), (&b, &a)] {
+                for low in [true, false] {
+                    prop_assert_eq!(
+                        split(mine, theirs, low),
+                        reference_merge_split(mine, theirs, mine.len(), low),
+                        "shape {} low {}",
+                        shape,
+                        low
+                    );
+                }
             }
         }
     }
@@ -382,14 +383,17 @@ mod tests {
             proptest::prop_assert_eq!(keys, expect);
         }
 
+        /// A compare-split exchange: the low partner keeps the lowest
+        /// `a.len()` keys and the high partner the top `b.len()`, which
+        /// partition the union.
         #[test]
         fn merge_split_is_a_partition(mut a in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..100),
                                       mut b in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..100)) {
             a.sort_unstable();
             b.sort_unstable();
-            let keep = a.len();
-            let lo = merge_split(&a, &b, keep, true);
-            let hi = merge_split(&a, &b, a.len() + b.len() - keep, false);
+            let lo = split(&a, &b, true);
+            let hi = split(&b, &a, false);
+            proptest::prop_assert_eq!((lo.len(), hi.len()), (a.len(), b.len()));
             let mut union: Vec<u32> = lo.iter().chain(hi.iter()).copied().collect();
             union.sort_unstable();
             let mut expect: Vec<u32> = a.iter().chain(b.iter()).copied().collect();

@@ -402,14 +402,9 @@ impl<'a, S> Ctx<'a, S> {
         self.send(dst, tag, MsgKind::Words, vals.into());
     }
 
-    /// Sends `vals.len()` individual word messages carrying `f64` values.
-    /// (Each value counts as one *logical* word of the platform's size.)
-    #[inline]
-    pub fn send_words_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
-        self.send_words_f64_tagged(dst, 0, vals);
-    }
-
-    /// Tagged variant of [`Ctx::send_words_f64`].
+    /// Sends `vals.len()` individual word messages carrying `f64` values,
+    /// with a tag. (Each value counts as one *logical* word of the
+    /// platform's size.)
     #[inline]
     pub fn send_words_f64_tagged<'v>(
         &mut self,
@@ -488,14 +483,9 @@ impl<'a, S> Ctx<'a, S> {
         self.push(dst, 0, MsgKind::Words, packets, payload_bytes, payload);
     }
 
-    /// Sends one xnet (neighbour-grid) block of `f64` values. Only the
-    /// MasPar prices these specially; other machines treat them as blocks.
-    #[inline]
-    pub fn send_xnet_f64<'v>(&mut self, dst: ProcId, vals: impl Into<Values<'v, f64>>) {
-        self.send_xnet_f64_tagged(dst, 0, vals);
-    }
-
-    /// Tagged variant of [`Ctx::send_xnet_f64`].
+    /// Sends one xnet (neighbour-grid) block of `f64` values, with a tag.
+    /// Only the MasPar prices these specially; other machines treat them
+    /// as blocks.
     #[inline]
     pub fn send_xnet_f64_tagged<'v>(
         &mut self,

@@ -256,4 +256,20 @@ fn sample_and_radix_sort_adversarial_keys() {
             }
         }
     }
+    // Radix sort at p = 256, where each processor manages one bucket: a
+    // tie sends every key through one manager's prefix and lands whole
+    // runs of positions on few destinations.
+    let m = 16;
+    for plat in [Platform::cm5_with(256), Platform::maspar_with(256)] {
+        for (name, input) in adversarial_inputs(plat.p() * m) {
+            for variant in [RadixVariant::Words, RadixVariant::Blocks] {
+                let r = parallel_radix::run_on(&plat, &input, variant, SEED);
+                assert!(
+                    r.verified,
+                    "{} m={m} {name} keys, radix {variant:?}",
+                    plat.name()
+                );
+            }
+        }
+    }
 }

@@ -113,6 +113,39 @@ fn golden_parallel_radix() {
     });
 }
 
+/// Parallel radix where each processor manages few buckets: 4 at `p` = 64
+/// and 1 at `p` = 256, so both all-to-all supersteps of every pass send
+/// one short count message to each other processor.
+#[test]
+fn golden_parallel_radix_many_procs() {
+    let pins = [
+        ("maspar", 64, RadixVariant::Words, 0x841c8f04a349d6a1),
+        ("maspar", 64, RadixVariant::Blocks, 0x0e5427225d978c04),
+        ("gcel", 64, RadixVariant::Words, 0xcb95e3da0c7f4697),
+        ("gcel", 64, RadixVariant::Blocks, 0xaadd80deae695360),
+        ("cm5", 64, RadixVariant::Words, 0x2ed7dc429ff14fe7),
+        ("cm5", 64, RadixVariant::Blocks, 0xee8f0aac96784e0b),
+        ("maspar", 256, RadixVariant::Words, 0xdddaa8d4e2475bbd),
+        ("maspar", 256, RadixVariant::Blocks, 0xcb10e4717fd47b7e),
+        ("gcel", 256, RadixVariant::Words, 0x841f6023e130e51e),
+        ("gcel", 256, RadixVariant::Blocks, 0x2ccf369cdf37376c),
+        ("cm5", 256, RadixVariant::Words, 0x5cf9d3f717fcc3a4),
+        ("cm5", 256, RadixVariant::Blocks, 0xcbba2338d39e5b4d),
+    ];
+    for (machine, p, variant, expected) in pins {
+        let plat = match machine {
+            "maspar" => Platform::maspar_with(p),
+            "gcel" => Platform::gcel_with(p),
+            _ => Platform::cm5_with(p),
+        };
+        check(
+            &format!("radix {variant:?} m=16 {machine} p={p}"),
+            expected,
+            || parallel_radix::run(&plat, 16, variant, SEED),
+        );
+    }
+}
+
 #[test]
 fn golden_apsp() {
     check("apsp words n=16 cm5 p=16", 0xb7365459f94f1e1d, || {

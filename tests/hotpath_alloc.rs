@@ -27,6 +27,7 @@ use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
 use pcm::algos::sort::bitonic::{merge_phases, ExchangeMode, SortState};
+use pcm::algos::sort::parallel_radix::{self, RadixVariant};
 use pcm_machines::Platform;
 use pcm_sim::{with_sequential, Ctx, IdealNetwork, Machine, UniformCompute};
 
@@ -194,8 +195,19 @@ fn bitonic_allocations(mode: ExchangeMode) -> (u64, usize) {
     })
 }
 
+/// A whole parallel radix run of 16 word-routed keys per processor,
+/// setup and verification included, on the calling thread: allocations.
+fn radix_allocations(plat: &Platform) -> u64 {
+    let before = alloc_counter::allocations();
+    let r = with_sequential(|| parallel_radix::run(plat, 16, RadixVariant::Words, 1996));
+    let allocs = alloc_counter::allocations() - before;
+    assert!(r.verified, "{} parallel radix failed", plat.name());
+    allocs
+}
+
 fn main() {
     force_pool();
+
     let sequential = steady_state_delta(false, false);
     assert_eq!(
         sequential, 0,
@@ -253,6 +265,18 @@ fn main() {
             "MasPar bitonic {mode:?} allocated {allocs} times in {steps} supersteps"
         );
     }
+    // Parallel radix sends its counts, replies and routed keys as slices
+    // of per-processor scratch that every pass reuses. At p=256 (one
+    // bucket per processor) a run makes 5,064 allocations, nearly all of
+    // them setup and the first pass's growth of outboxes and scratch (four
+    // more passes would add 86); building a `Vec` per destination made
+    // 1,360,904. The bound leaves a 58% margin over the measured count
+    // and stays 170x below the old one.
+    let radix = radix_allocations(&Platform::maspar_with(256));
+    assert!(
+        radix < 8_000,
+        "MasPar p=256 parallel radix allocated {radix} times"
+    );
     // Tracing ON must preserve the property: the probe's row log is
     // preallocated when the machine is constructed, so observed
     // supersteps stay allocation-free too.
